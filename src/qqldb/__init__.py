@@ -39,7 +39,6 @@ from .gates import (
     GateMatrix,
     HADAMARD,
     NOT,
-    cnot_dense,
     controlled_lift,
     identity,
     is_unitary,
@@ -50,6 +49,6 @@ from .gates import (
 from .qdb import ApplyGate, ApplySwap, QdbState, create_db
 from .qlang import parse_text, render_command, render_expr, tokenize
 from .schema import Record, TableSchema
-from .statevec import StateVector, Xorshift64Star, new_zero_state, tensor_states
+from .statevec import StateVector, Xorshift64Star
 
 __version__ = "0.1.0"

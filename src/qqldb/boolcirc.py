@@ -3,8 +3,8 @@
 A predicate becomes a truth table over the data bits, the table becomes an
 XOR-of-AND-monomials form via the positive-polarity binary Moebius transform
 over GF(2), and each monomial becomes one multi-controlled NOT onto a target
-qubit.  Oracles apply ``|x, y> -> |x, y XOR f(x)>`` either through that gate
-list or through a direct per-component bit flip driven by the table.
+qubit.  Oracles apply ``|x, y> -> |x, y XOR f(x)>`` directly from the table, as
+one in-place basis permutation.
 """
 
 from __future__ import annotations
@@ -17,10 +17,9 @@ import numpy as np
 from .errors import SchemaError
 from .gates import CnotGate
 from .schema import Record, TableSchema
-from .statevec import StateVector
+from .statevec import StateVector, xor_flip
 
 MAX_TABLE_VARS = 20
-GATE_PATH_MAX_VARS = 16
 
 _OPS = {
     ">": lambda a, b: a > b,
@@ -227,66 +226,35 @@ def compile_to_cnots(
 
 def apply_oracle(
     state: StateVector,
-    oracle: Union[TruthTable, Sequence[CnotGate]],
+    oracle: TruthTable,
     data_qubits: Sequence[int],
     target: int,
     neg_controls: Sequence[int] = (),
 ) -> StateVector:
     """XOR the predicate of the data qubits into the target qubit.
 
-    Data qubits are left untouched; the target may be in any state.  With a
-    truth table the flip is done directly per component, which stays O(2^m)
-    regardless of the predicate; a gate list is replayed gate by gate.
-    ``neg_controls`` further restricts the flip to components where those
-    qubits are 0 (used to keep a backup safe inviolate).
+    The data qubits must be one ascending contiguous run, read with its first
+    qubit as variable 0; they are left untouched and the target may be in any
+    state.  The flip is one in-place permutation pass over the rows where the
+    table is 1, whatever the predicate.  ``neg_controls`` further restricts
+    it to components where those qubits are 0 (used to keep a backup safe
+    inviolate).
     """
-    data_qubits = list(data_qubits)
-    overlap = set(data_qubits) & ({target} | set(neg_controls))
-    if overlap or target in neg_controls:
-        raise ValueError("data qubits, target and controls must be disjoint")
     if not isinstance(oracle, TruthTable):
-        if neg_controls:
-            oracle = _gates_to_table(oracle, data_qubits, target)
-        else:
-            for gate in oracle:
-                state.apply_cnot(gate)
-            return state
-    m = state.num_qubits
+        raise TypeError(f"oracle must be a TruthTable, got {type(oracle).__name__}")
     v = oracle.num_vars
-    if len(data_qubits) != v:
-        raise ValueError(f"{len(data_qubits)} data qubits for a {v}-variable table")
-    indices = np.arange(state.amps.size, dtype=np.int64)
-    contiguous = v > 0 and data_qubits == list(range(data_qubits[0], data_qubits[0] + v))
-    if contiguous:
-        shift = m - data_qubits[0] - v
-        local = (indices >> shift) & ((1 << v) - 1)
-    else:
-        local = np.zeros_like(indices)
-        for j, q in enumerate(data_qubits):
-            local |= ((indices >> (m - 1 - q)) & 1) << (v - 1 - j)
-    flip = oracle.bits[local]
-    for q in neg_controls:
-        flip &= (indices >> (m - 1 - q)) & 1 == 0
-    target_bit = 1 << (m - 1 - target)
-    low = indices[flip & ((indices & target_bit) == 0)]
-    high = low | target_bit
-    tmp = state.amps[low].copy()
-    state.amps[low] = state.amps[high]
-    state.amps[high] = tmp
+    run = range(data_qubits[0], data_qubits[0] + v) if data_qubits else range(0)
+    if len(data_qubits) != v or list(data_qubits) != list(run):
+        raise ValueError(
+            f"data qubits {list(data_qubits)} are not one ascending run of {v} qubits"
+        )
+    outside = [target, *neg_controls]
+    if len(set(outside)) != len(outside) or set(outside) & set(run):
+        raise ValueError("data qubits, target and controls must be disjoint")
+    if not all(0 <= q < state.num_qubits for q in (*run, *outside)):
+        raise ValueError(f"oracle qubits out of range for {state.num_qubits} qubits")
+    xor_flip(
+        state.amps, state.num_qubits, target,
+        neg_controls=neg_controls, run=run, rows=np.flatnonzero(oracle.bits),
+    )
     return state
-
-
-def _gates_to_table(gates: Sequence[CnotGate], data_qubits: Sequence[int], target: int) -> TruthTable:
-    """Classical replay of a fixed-target gate list over all assignments."""
-    v = len(data_qubits)
-    position = {q: j for j, q in enumerate(data_qubits)}
-    assignments = np.arange(1 << v, dtype=np.int64)
-    acc = np.zeros(1 << v, dtype=bool)
-    for gate in gates:
-        if gate.target != target:
-            raise ValueError("gate list targets more than one qubit")
-        term = np.ones(1 << v, dtype=bool)
-        for q in gate.controls:
-            term &= (assignments >> (v - 1 - position[q])) & 1 == 1
-        acc ^= term
-    return TruthTable(v, acc)

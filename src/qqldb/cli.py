@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import qlang
-from .errors import QqlError, SessionFormatError
+from .errors import CapacityError, QqlError, SessionFormatError
 from .qdb import QdbState, SafeKey, TempUse, create_db
 from .schema import TableSchema
 from .statevec import DEFAULT_EPSILON, DEFAULT_MAX_QUBITS, StateVector, Xorshift64Star
@@ -173,7 +173,15 @@ class Session:
             safe_parts = body[2].split(maxsplit=2)
             if safe_parts[0] != "SAFE":
                 raise SessionFormatError("missing SAFE line")
-            amps = np.zeros(1 << (schema.num_bits + temp), dtype=np.complex128)
+            if temp < 1:
+                raise SessionFormatError(f"TEMP {temp} is below one temporary qubit")
+            total = schema.num_bits + temp
+            if total > self.config.max_qubits:
+                raise CapacityError(
+                    f"{schema.num_bits} data + {temp} temp qubits exceed the "
+                    f"{self.config.max_qubits}-qubit capacity"
+                )
+            amps = np.zeros(1 << total, dtype=np.complex128)
             for line in body[3:]:
                 index_text, re_text, im_text = line.split()
                 amps[int(index_text)] = complex(

@@ -9,7 +9,7 @@ execution path works with :class:`CnotGate` descriptors and stride kernels in
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
@@ -132,25 +132,6 @@ def controlled_lift(u: GateMatrix, control_value: int = 1) -> GateMatrix:
     return GateMatrix(mat)
 
 
-def cnot_dense(gate: CnotGate, num_qubits: int) -> GateMatrix:
-    """Dense permutation matrix of a multi-controlled NOT over ``num_qubits``."""
-    if num_qubits > DENSE_LIMIT_QUBITS:
-        raise CapacityError(f"{num_qubits}-qubit dense CNOT exceeds dense limit")
-    bad = [q for q in (*gate.controls, gate.target) if q < 0 or q >= num_qubits]
-    if bad:
-        raise ValueError(f"qubits {bad} out of range for {num_qubits}-qubit register")
-    dim = 1 << num_qubits
-    target_bit = 1 << (num_qubits - 1 - gate.target)
-    control_mask = 0
-    for q in gate.controls:
-        control_mask |= 1 << (num_qubits - 1 - q)
-    mat = np.zeros((dim, dim), dtype=np.complex128)
-    for col in range(dim):
-        row = col ^ target_bit if (col & control_mask) == control_mask else col
-        mat[row, col] = 1.0
-    return GateMatrix(mat)
-
-
 def permutation_gate(swaps: Iterable[tuple[int, int]], num_qubits: int) -> GateMatrix:
     """Identity with the listed basis-index column pairs swapped.
 
@@ -172,45 +153,3 @@ def permutation_gate(swaps: Iterable[tuple[int, int]], num_qubits: int) -> GateM
         mat[:, [a, b]] = mat[:, [b, a]]
     return GateMatrix(mat)
 
-
-def controlled_dense(
-    u: GateMatrix,
-    pos_controls: Sequence[int],
-    neg_controls: Sequence[int],
-    targets: Sequence[int],
-    num_qubits: int,
-) -> GateMatrix:
-    """Dense embedding of ``u`` on ``targets`` with positive and negative
-    controls, for verification of the stride kernels.
-
-    Negative controls are realised by conjugating the control with NOT at
-    build time.
-    """
-    if num_qubits > DENSE_LIMIT_QUBITS:
-        raise CapacityError(f"{num_qubits}-qubit dense embedding exceeds dense limit")
-    dim = 1 << num_qubits
-    k = len(targets)
-    pos_mask = sum(1 << (num_qubits - 1 - q) for q in pos_controls)
-    neg_mask = sum(1 << (num_qubits - 1 - q) for q in neg_controls)
-
-    def local(index: int) -> int:
-        value = 0
-        for j, q in enumerate(targets):
-            value |= ((index >> (num_qubits - 1 - q)) & 1) << (k - 1 - j)
-        return value
-
-    target_mask = sum(1 << (num_qubits - 1 - q) for q in targets)
-    mat = np.zeros((dim, dim), dtype=np.complex128)
-    for col in range(dim):
-        if (col & pos_mask) == pos_mask and (col & neg_mask) == 0:
-            rest = col & ~target_mask
-            col_local = local(col)
-            for row_local in range(1 << k):
-                row = rest
-                for j, q in enumerate(targets):
-                    if (row_local >> (k - 1 - j)) & 1:
-                        row |= 1 << (num_qubits - 1 - q)
-                mat[row, col] = u.matrix[row_local, col_local]
-        else:
-            mat[col, col] = 1.0
-    return GateMatrix(mat)

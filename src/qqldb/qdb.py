@@ -167,9 +167,6 @@ class QdbState:
         mass = mags[:, self._live_columns()].sum(axis=1)
         return np.nonzero(mass > SUPPORT_TOL * SUPPORT_TOL)[0].tolist()
 
-    def support_records(self) -> list[Record]:
-        return [self.schema.decode(i) for i in self.support()]
-
     # ------------------------------------------------------------------ insert
 
     def insert_bulk(self, r: int) -> "QdbState":
@@ -233,7 +230,7 @@ class QdbState:
         sequence = set(range(count))
         requested = set(indices)
         swaps = list(zip(sorted(sequence - requested), sorted(requested - sequence)))
-        self._apply_swaps(swaps, safe_controlled=False)
+        self._swap_records(swaps, self._live_columns())
         self._seq_fill = count - 1 if requested == sequence else None
         self.log.append(LogEntry("insert_values", {"records": sorted(requested)}))
         return self
@@ -248,16 +245,16 @@ class QdbState:
 
     # ------------------------------------------------------------------ update
 
-    def _apply_swaps(self, swaps: Sequence[tuple[int, int]], safe_controlled: bool) -> None:
-        if not swaps:
+    def _swap_records(self, pairs: Sequence[tuple[int, int]], columns: Sequence[int]) -> None:
+        """Exchange the data rows of every disjoint index pair within the given
+        temp columns, as one fancy-index assignment on the (2^n data x 2^t
+        temp) view."""
+        if not pairs:
             return
+        a, b = np.array(pairs, dtype=np.int64).T
+        rows, sources = np.concatenate([a, b]), np.concatenate([b, a])
         view = self._view()
-        columns = self._live_columns() if safe_controlled else None
-        for a, b in swaps:
-            if columns is None:
-                view[[a, b]] = view[[b, a]]
-            else:
-                view[np.ix_([a, b], columns)] = view[np.ix_([b, a], columns)]
+        view[np.ix_(rows, columns)] = view[np.ix_(sources, columns)]
 
     def update(self, pairs: Sequence[tuple[RecordLike, RecordLike]]) -> "QdbState":
         """Relabel records by disjoint transpositions; amplitudes ride along
@@ -279,7 +276,7 @@ class QdbState:
                     raise SchemaError(
                         f"record {dst} already exists; update would break uniqueness"
                     )
-        self._apply_swaps(swaps, safe_controlled=self.safe_key is not None)
+        self._swap_records(swaps, self._live_columns())
         self._seq_fill = None
         self.log.append(LogEntry("update", {"pairs": swaps}))
         return self
@@ -319,6 +316,7 @@ class QdbState:
                 raise QqlError(f"{name!r} ({qubit}) is not an active select flag")
         mini = TableSchema("_flags", tuple((name, 1) for name in flag_map))
         validate_expr(combiner, mini)
+        self._check_operation(operation)
         combiner_qubit = self._alloc_temp("combiner")
         gates = compile_to_cnots(
             to_reed_muller(truth_table(combiner, mini)),
@@ -333,20 +331,10 @@ class QdbState:
             self.state.apply_controlled(
                 operation.gate, [combiner_qubit], neg, list(operation.targets)
             )
-        elif isinstance(operation, ApplySwap):
-            a, b = operation.index_a, operation.index_b
-            for idx in (a, b):
-                if idx < 0 or idx >= 1 << self.n:
-                    raise ValueError(f"record index {idx} out of range")
-            view = self._view()
-            comb_bit = self._temp_column_mask(combiner_qubit)
-            safe_bit = self._temp_column_mask(self.safe_key.qubit) if self.safe_key else 0
-            columns = [
-                c for c in range(1 << self.t) if c & comb_bit and not c & safe_bit
-            ]
-            view[np.ix_([a, b], columns)] = view[np.ix_([b, a], columns)]
         else:
-            raise TypeError(f"unsupported operation payload {operation!r}")
+            comb_bit = self._temp_column_mask(combiner_qubit)
+            live = [c for c in self._live_columns() if c & comb_bit]
+            self._swap_records([(operation.index_a, operation.index_b)], live)
 
         for gate in reversed(gates):
             self.state.apply_cnot(gate)
@@ -365,6 +353,24 @@ class QdbState:
         self._seq_fill = None
         self.log.append(LogEntry("apply_where", {"flags": sorted(flag_map)}))
         return self
+
+    def _check_operation(self, operation: Union[ApplyGate, ApplySwap]) -> None:
+        """Reject a payload before any gate runs, so a failed APPLY leaves
+        the state and the temp allocation untouched."""
+        if isinstance(operation, ApplyGate):
+            targets = operation.targets
+            if len(set(targets)) != len(targets) or not all(0 <= q < self.n for q in targets):
+                raise ValueError(f"gate targets {targets} are not distinct data qubits")
+            if operation.gate.num_qubits != len(targets):
+                raise ValueError(
+                    f"{operation.gate.num_qubits}-qubit gate does not fit {len(targets)} targets"
+                )
+        elif isinstance(operation, ApplySwap):
+            for idx in (operation.index_a, operation.index_b):
+                if idx < 0 or idx >= 1 << self.n:
+                    raise ValueError(f"record index {idx} out of range")
+        else:
+            raise TypeError(f"unsupported operation payload {operation!r}")
 
     # ------------------------------------------------------------------ delete
 
@@ -434,7 +440,12 @@ class QdbState:
         apply_oracle(self.state, table, self.data_qubits, safe.qubit)
         probability = None
         if purge:
-            probability = self.state.postselect(safe.qubit, 0, self.epsilon)
+            try:
+                probability = self.state.postselect(safe.qubit, 0, self.epsilon)
+            except ImpossibleOutcomeError:
+                # the oracle is a swap, so applying it again undoes it exactly
+                apply_oracle(self.state, table, self.data_qubits, safe.qubit)
+                raise
             self._free_temp(safe.qubit)
             self.safe_key = None
         self._seq_fill = None

@@ -77,6 +77,44 @@ def apply_matrix(
     view[sel] = (matrix @ block.reshape(1 << k, -1)).reshape(block.shape)
 
 
+def xor_flip(
+    amps: np.ndarray,
+    num_qubits: int,
+    target: int,
+    pos_controls: Sequence[int] = (),
+    neg_controls: Sequence[int] = (),
+    run: range = range(0),
+    rows: np.ndarray | None = None,
+) -> None:
+    """Flip ``target`` in place where ``pos_controls`` are 1 and
+    ``neg_controls`` are 0: a basis permutation, so amplitudes are moved, never
+    recomputed.
+
+    With ``rows``, the flip is further restricted to components whose
+    contiguous qubit ``run`` (first qubit most significant) holds a value in
+    ``rows``.  The run is one axis of a reshape/moveaxis view, like the qubit
+    axes of :func:`apply_matrix`; no index array over the buffer is built.
+    """
+    start = run.start if run else 0
+    width = len(run)
+    shape = (2,) * start + (1 << width,) + (2,) * (num_qubits - start - width)
+
+    def axis(q: int) -> int:
+        return q if q < start else q - width + 1
+
+    moved = [axis(q) for q in (*pos_controls, *neg_controls, target)] + [start]
+    view = np.moveaxis(amps.reshape(shape), moved, range(len(moved)))
+    block = view[(1,) * len(pos_controls) + (0,) * len(neg_controls)]
+    if rows is None:
+        low = block[0].copy()
+        block[0] = block[1]
+        block[1] = low
+    else:
+        low = block[0, rows]
+        block[0, rows] = block[1, rows]
+        block[1, rows] = low
+
+
 class StateVector:
     """Normalized register of ``2^m`` complex amplitudes over ``m`` qubits.
 
@@ -183,19 +221,9 @@ class StateVector:
         return self
 
     def apply_cnot(self, gate: CnotGate) -> "StateVector":
-        """Fast path for a multi-controlled NOT: a pure index-pair swap."""
+        """Multi-controlled NOT: a pure basis permutation, done in place."""
         self._check_qubits([*gate.controls, gate.target], "cnot")
-        m = self.num_qubits
-        indices = np.arange(self.amps.size)
-        mask = np.ones(self.amps.size, dtype=bool)
-        for q in gate.controls:
-            mask &= (indices >> (m - 1 - q)) & 1 == 1
-        target_bit = 1 << (m - 1 - gate.target)
-        low = indices[mask & ((indices & target_bit) == 0)]
-        high = low | target_bit
-        tmp = self.amps[low].copy()
-        self.amps[low] = self.amps[high]
-        self.amps[high] = tmp
+        xor_flip(self.amps, self.num_qubits, gate.target, sorted(gate.controls))
         return self
 
     def probability_of(self, qubit: int, bit: int) -> float:
@@ -252,11 +280,3 @@ class StateVector:
             terms.append(f"{amp:.3g}|{idx:0{self.num_qubits}b}>")
         body = " + ".join(terms) if terms else "0"
         return f"StateVector({self.num_qubits} qubits: {body})"
-
-
-def new_zero_state(num_qubits: int, max_qubits: int = DEFAULT_MAX_QUBITS) -> StateVector:
-    return StateVector.zero(num_qubits, max_qubits)
-
-
-def tensor_states(a: StateVector, b: StateVector, max_qubits: int = DEFAULT_MAX_QUBITS) -> StateVector:
-    return a.tensor(b, max_qubits)

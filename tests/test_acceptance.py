@@ -10,7 +10,7 @@ import time
 import numpy as np
 import pytest
 
-from helpers import random_state
+from helpers import dense_embed, random_state
 from refmodel import RefDb
 from qqldb.boolcirc import (
     And,
@@ -27,7 +27,7 @@ from qqldb.boolcirc import (
 )
 from qqldb.cli import Session, SessionConfig, run_script
 from qqldb.diffusion import DiffusionParams, apply_partial_diffusion, dense_partial_diffusion
-from qqldb.gates import CnotGate, HADAMARD, controlled_dense, permutation_gate
+from qqldb.gates import CnotGate, HADAMARD, permutation_gate
 from qqldb.qdb import QdbState, create_db
 from qqldb.qlang import render_expr
 from qqldb.schema import TableSchema
@@ -119,7 +119,7 @@ def seq_step_dense(k: int, n: int = 3) -> np.ndarray:
     target = n - 1 - p
     pos = [n - 1 - j for j in range(p) if (k >> j) & 1]
     neg = [n - 1 - j for j in range(p) if not (k >> j) & 1]
-    return controlled_dense(HADAMARD, pos, neg, [target], n).matrix
+    return dense_embed(HADAMARD.matrix, [target], n, pos, neg)
 
 
 def test_criterion_04_sequential_insertion():

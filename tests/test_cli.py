@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from qqldb.cli import Session, SessionConfig, format_amplitude, main, repl_loop, run_script
-from qqldb.errors import SessionFormatError
+from qqldb.errors import CapacityError, ImpossibleOutcomeError, SessionFormatError
 from qqldb.qlang import Show
 
 BACKUP_DEMO = """
@@ -170,6 +170,43 @@ class TestSaveLoad:
         path.write_text("QQLDB 1\nSCHEMA t id:2\nTEMP 1\nSAFE none\nnot numbers\n")
         with pytest.raises(SessionFormatError):
             Session().load_session(str(path))
+
+
+    @pytest.mark.parametrize(
+        "header, error",
+        [
+            ("SCHEMA t id:2\nTEMP 40", CapacityError),
+            ("SCHEMA t a:40\nTEMP 1", CapacityError),
+            ("SCHEMA t id:2\nTEMP 0", SessionFormatError),
+            ("SCHEMA t id:2\nTEMP -3", SessionFormatError),
+        ],
+    )
+    def test_capacity_checked_before_allocation(self, tmp_path, header, error):
+        # a crafted size must fail before numpy is asked for 2^(n + temp) amplitudes
+        path = tmp_path / "huge.qdb"
+        path.write_text(f"QQLDB 1\n{header}\nSAFE none\n0 0x1.0p+0 0x0.0p+0\n")
+        session = Session()
+        with pytest.raises(error):
+            session.load_session(str(path))
+        assert session.db is None
+
+
+class TestFailedRestore:
+    def test_failed_purge_leaves_state_and_key(self):
+        session = Session()
+        session.execute_text(
+            "CREATE TABLE t (id:2) TEMP 2; INSERT VALUES |00>;"
+            "BACKUP WHERE id = 1; DELETE WHERE id != 1;"
+        )
+        db = session.db
+        amps = db.state.amps.copy()
+        key, alloc = db.safe_key, dict(db.temp_alloc)
+        for _ in range(2):  # a retry fails the same way instead of undoing the restore
+            with pytest.raises(ImpossibleOutcomeError):
+                session.execute_text("RESTORE PURGE;")
+            assert db.state.amps.tobytes() == amps.tobytes()
+            assert db.safe_key == key
+            assert db.temp_alloc == alloc
 
 
 class TestFormatAmplitude:

@@ -3,15 +3,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import random_unitary
+from helpers import dense_embed, random_unitary
 from qqldb.errors import CapacityError, ValidationError
 from qqldb.gates import (
     CnotGate,
     GateMatrix,
     HADAMARD,
     NOT,
-    cnot_dense,
-    controlled_dense,
     controlled_lift,
     identity,
     is_unitary,
@@ -167,20 +165,22 @@ class TestControlledLift:
 
 
 class TestCnotDense:
+    """Multi-controlled NOTs as dense permutation matrices (the test oracle)."""
+
     def test_fig2_semantics(self):
         # controls {x0, x2}, target x3 over 4 qubits: x3 -> x3 xor x0 x2
-        gate = cnot_dense(CnotGate(frozenset({0, 2}), 3), 4)
+        gate = dense_embed(NOT.matrix, [3], 4, [0, 2])
         for col in range(16):
             x0, x2, x3 = (col >> 3) & 1, (col >> 1) & 1, col & 1
             expected_row = (col & ~1) | (x3 ^ (x0 & x2))
-            assert gate.matrix[expected_row, col] == 1.0
+            assert gate[expected_row, col] == 1.0
 
     def test_empty_controls_is_not(self):
-        assert cnot_dense(CnotGate(frozenset(), 0), 1).isclose(NOT)
+        assert NOT.isclose(dense_embed(NOT.matrix, [0], 1))
 
     def test_xor_truth_table(self):
-        gate = cnot_dense(CnotGate(frozenset({0}), 1), 2)
-        state = gate.matrix @ np.array([0, 0, 1, 0], dtype=complex)  # |10>
+        gate = dense_embed(NOT.matrix, [1], 2, [0])
+        state = gate @ np.array([0, 0, 1, 0], dtype=complex)  # |10>
         assert np.allclose(state, [0, 0, 0, 1])  # |11>
 
     @pytest.mark.parametrize("m", [2, 3, 4, 6, 8])
@@ -190,13 +190,13 @@ class TestCnotDense:
             size = int(rng.integers(0, m))
             qubits = list(rng.choice(m, size=size + 1, replace=False))
             gate = CnotGate(frozenset(qubits[:-1]), qubits[-1])
-            dense = cnot_dense(gate, m)
+            dense = dense_embed(NOT.matrix, [gate.target], m, sorted(gate.controls))
             for basis in range(1 << m):
                 amps = np.zeros(1 << m, dtype=complex)
                 amps[basis] = 1.0
                 s = StateVector(m, amps.copy())
                 s.apply_cnot(gate)
-                assert np.allclose(s.amps, dense.matrix @ amps)
+                assert np.allclose(s.amps, dense @ amps)
 
 
 class TestPermutationGate:
@@ -226,6 +226,8 @@ class TestPermutationGate:
 
 
 class TestControlledDense:
+    """The dense controlled-gate oracle against a textbook construction."""
+
     def test_matches_textbook_construction(self):
         rng = np.random.default_rng(42)
         u = random_unitary(1, rng)
@@ -233,5 +235,5 @@ class TestControlledDense:
         expected = np.kron([[1, 0], [0, 0]], np.eye(2)) + np.kron(
             [[0, 0], [0, 1]], u.matrix
         )
-        built = controlled_dense(u, [0], [], [1], 2)
-        assert np.max(np.abs(built.matrix - expected)) < 1e-12
+        built = dense_embed(u.matrix, [1], 2, [0])
+        assert np.max(np.abs(built - expected)) < 1e-12

@@ -1,0 +1,90 @@
+"""Every XOR flip and record swap moves amplitudes bit for bit.
+
+Each operation is checked against ``amps[perm]``, with ``perm`` built index by
+index from the definition, on random states that contain signed zeros.
+"""
+
+import numpy as np
+import pytest
+
+from qqldb.boolcirc import TruthTable, apply_oracle
+from qqldb.gates import CnotGate
+from qqldb.qdb import QdbState
+from qqldb.schema import TableSchema
+from qqldb.statevec import StateVector
+
+
+def signed_zero_state(num_qubits: int, rng: np.random.Generator) -> np.ndarray:
+    size = 1 << num_qubits
+    amps = rng.normal(size=size) + 1j * rng.normal(size=size)
+    amps[rng.random(size) < 0.3] = complex(-0.0, 0.0)
+    amps[rng.random(size) < 0.2] = complex(0.0, -0.0)
+    return amps
+
+
+def bit(index: int, qubit: int, num_qubits: int) -> int:
+    return (index >> (num_qubits - 1 - qubit)) & 1
+
+
+def flip_perm(num_qubits: int, target: int, flips) -> np.ndarray:
+    """perm[i] = i with the target bit flipped wherever ``flips(i)`` holds."""
+    mask = 1 << (num_qubits - 1 - target)
+    return np.array([i ^ mask if flips(i) else i for i in range(1 << num_qubits)])
+
+
+@pytest.mark.parametrize("seed", range(30))
+def test_cnot_is_exact_permutation(seed):
+    rng = np.random.default_rng(seed)
+    m = int(rng.integers(1, 9))
+    qubits = [int(q) for q in rng.permutation(m)]
+    k = int(rng.integers(0, m))
+    gate = CnotGate(frozenset(qubits[:k]), qubits[k])
+    amps = signed_zero_state(m, rng)
+    perm = flip_perm(m, gate.target, lambda i: all(bit(i, q, m) for q in gate.controls))
+    state = StateVector(m, amps.copy()).apply_cnot(gate)
+    assert state.amps.tobytes() == amps[perm].tobytes()
+
+
+@pytest.mark.parametrize("seed", range(30))
+def test_oracle_is_exact_permutation(seed):
+    rng = np.random.default_rng(100 + seed)
+    m = int(rng.integers(2, 9))
+    v = int(rng.integers(1, m))
+    start = int(rng.integers(0, m - v + 1))
+    data = list(range(start, start + v))
+    rest = [q for q in range(m) if q not in data]
+    target = rest.pop(int(rng.integers(0, len(rest))))
+    neg = [q for q in rest if rng.random() < 0.5]
+    bits = rng.random(1 << v) < rng.random()
+    amps = signed_zero_state(m, rng)
+
+    def flips(i):
+        value = 0
+        for q in data:
+            value = (value << 1) | bit(i, q, m)
+        return bits[value] and not any(bit(i, q, m) for q in neg)
+
+    perm = flip_perm(m, target, flips)
+    state = StateVector(m, amps.copy())
+    apply_oracle(state, TruthTable(v, bits), data, target, neg_controls=neg)
+    assert state.amps.tobytes() == amps[perm].tobytes()
+
+
+@pytest.mark.parametrize("seed", range(30))
+def test_record_swap_is_exact_permutation(seed):
+    rng = np.random.default_rng(200 + seed)
+    n, t = int(rng.integers(1, 7)), int(rng.integers(1, 4))
+    records = [int(r) for r in rng.permutation(1 << n)]
+    count = int(rng.integers(0, len(records) // 2 + 1))
+    pairs = [(records[2 * i], records[2 * i + 1]) for i in range(count)]
+    columns = [c for c in range(1 << t) if rng.random() < 0.6]
+    amps = signed_zero_state(n + t, rng)
+    partner = {a: b for a, b in pairs} | {b: a for a, b in pairs}
+    perm = np.array([
+        (partner.get(i >> t, i >> t) << t) | (i & ((1 << t) - 1))
+        if (i & ((1 << t) - 1)) in columns else i
+        for i in range(1 << (n + t))
+    ])
+    db = QdbState(TableSchema("p", (("id", n),)), t=t, state=StateVector(n + t, amps.copy()))
+    db._swap_records(pairs, columns)
+    assert db.state.amps.tobytes() == amps[perm].tobytes()

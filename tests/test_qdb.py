@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from helpers import random_state
+from helpers import dense_embed, random_state
 from qqldb.boolcirc import And, Comparison, Const, Not, Var
 from qqldb.errors import (
     CapacityError,
@@ -9,7 +9,7 @@ from qqldb.errors import (
     QqlError,
     SchemaError,
 )
-from qqldb.gates import HADAMARD, NOT, controlled_dense, identity
+from qqldb.gates import HADAMARD, NOT, identity
 from qqldb.qdb import ApplyGate, ApplySwap, QdbState, create_db
 from qqldb.schema import Record, TableSchema
 from qqldb.statevec import StateVector
@@ -108,12 +108,12 @@ class TestInsertSequential:
 
 def seq_step_dense(k: int, n: int = 3) -> np.ndarray:
     """Dense matrix of sequential-insert step k, built via the independent
-    controlled-embedding constructor."""
+    controlled-embedding oracle."""
     p = k.bit_length() - 1
     target = n - 1 - p
     pos = [n - 1 - j for j in range(p) if (k >> j) & 1]
     neg = [n - 1 - j for j in range(p) if not (k >> j) & 1]
-    return controlled_dense(HADAMARD, pos, neg, [target], n).matrix
+    return dense_embed(HADAMARD.matrix, [target], n, pos, neg)
 
 
 class TestSequentialStepMatrices:
@@ -329,6 +329,20 @@ class TestApplyWhere:
         # only the flagged component of record 1 moves; record 2's component
         # was unflagged and stays, so record 1 vanishes from the support
         assert db.support() == [0, 2, 3]
+
+    @pytest.mark.parametrize(
+        "operation",
+        [ApplySwap(0, 99), ApplySwap(-1, 2), ApplyGate(NOT, (5,)), ApplyGate(NOT, (0, 1))],
+    )
+    def test_rejected_payload_leaves_state_untouched(self, operation):
+        db = db2(t=3).insert_bulk(2)
+        c1 = db.select(Comparison("id", "<=", 1))
+        amps = db.state.amps.copy()
+        alloc = dict(db.temp_alloc)
+        with pytest.raises(ValueError):
+            db.apply_where({"c1": c1}, Var("c1"), operation)
+        assert db.state.amps.tobytes() == amps.tobytes()
+        assert db.temp_alloc == alloc
 
     def test_requires_extra_temp(self):
         db = db2(t=1).insert_bulk(2)

@@ -6,13 +6,7 @@ from hypothesis import strategies as st
 from helpers import dense_embed, random_state, random_unitary
 from qqldb.errors import CapacityError, ImpossibleOutcomeError, ValidationError
 from qqldb.gates import CnotGate, GateMatrix, HADAMARD, NOT, identity
-from qqldb.statevec import (
-    StateVector,
-    Xorshift64Star,
-    apply_matrix,
-    new_zero_state,
-    tensor_states,
-)
+from qqldb.statevec import StateVector, Xorshift64Star, apply_matrix
 
 INV_SQRT2 = 1 / np.sqrt(2)
 
@@ -26,18 +20,18 @@ def bell_state() -> StateVector:
 
 class TestZeroState:
     def test_single_qubit(self):
-        s = new_zero_state(1)
+        s = StateVector.zero(1)
         assert np.allclose(s.amps, [1, 0])
 
     def test_two_qubits_is_ket00(self):
-        s = new_zero_state(2)
+        s = StateVector.zero(2)
         assert np.allclose(s.amps, [1, 0, 0, 0])
 
     def test_capacity_error(self):
         with pytest.raises(CapacityError):
-            new_zero_state(23, max_qubits=22)
+            StateVector.zero(23, max_qubits=22)
         with pytest.raises(CapacityError):
-            new_zero_state(0)
+            StateVector.zero(0)
 
 
 class TestApplyUnitary:
@@ -259,7 +253,7 @@ class TestTensor:
 
     def test_one_tensor_one(self):
         one = StateVector.from_amplitudes([0, 1])
-        assert np.allclose(tensor_states(one, one).amps, [0, 0, 0, 1])  # |11>
+        assert np.allclose(one.tensor(one).amps, [0, 0, 0, 1])  # |11>
 
     def test_plus_tensor_zero(self):
         plus = StateVector.from_amplitudes([INV_SQRT2, INV_SQRT2])
