@@ -11,16 +11,22 @@ from __future__ import annotations
 import argparse
 import sys
 from dataclasses import dataclass
+from itertools import islice
 
 import numpy as np
 
 from . import qlang
-from .errors import CapacityError, QqlError, SessionFormatError
+from .boolcirc import validate_expr
+from .errors import CapacityError, QqlError, SessionFormatError, ValidationError
 from .qdb import QdbState, SafeKey, TempUse, create_db
 from .schema import TableSchema
 from .statevec import DEFAULT_EPSILON, DEFAULT_MAX_QUBITS, StateVector, Xorshift64Star
 
 FORMAT_HEADER = "QQLDB 1"
+# Amplitude lines formatted (SAVE) or parsed (LOAD) per block: the block's
+# byte matrix or token lists stay a few MiB whatever the register size.
+SAVE_CHUNK = 1 << 16
+LOAD_CHUNK = 1 << 12
 
 
 @dataclass
@@ -106,14 +112,33 @@ class Session:
         return "\n".join(lines)
 
     def render_histogram(self, histogram, shots: int) -> str:
+        """``histogram`` is the (data indices, counts) pair of
+        :meth:`QdbState.measure_counts`, whose ascending indices are record
+        order; each row is one ``%``-format of field values, padding and count."""
         assert self.db is not None
-        schema = self.db.schema
+        indices, counts = histogram
+        fields = self.db.schema.fields
+        # the label "(name=value, ...)" is left-justified to 28 columns; its
+        # length is that of the names and separators plus the value digits
+        lengths = np.full(indices.size, sum(len(name) + 3 for name, _ in fields))
+        powers = 10 ** np.arange(1, 19, dtype=np.int64)
+        columns = []
+        shift = self.db.n
+        for _, width in fields:
+            shift -= width
+            values = (indices >> shift) & ((1 << width) - 1)
+            lengths += np.searchsorted(powers, values, side="right") + 1
+            columns.append(values.tolist())
+        pads = [" " * k for k in range(29)]
+        padding = map(pads.__getitem__, np.maximum(28 - lengths, 0).tolist())
+        row = "(" + ", ".join(f"{name.replace('%', '%%')}=%d" for name, _ in fields) + ")"
+        row += "%s  %8d  %10.6f"
         lines = [f"{'record':<28}  {'count':>8}  fraction"]
-        for record, count in sorted(histogram.items(), key=lambda kv: schema.encode(kv[0])):
-            lines.append(
-                f"{self._record_label(record):<28}  {count:>8}  {count / shots:>10.6f}"
-            )
-        lines.append(f"{shots} shot(s), {len(histogram)} distinct record(s)")
+        lines += [
+            row % values
+            for values in zip(*columns, padding, counts.tolist(), (counts / shots).tolist())
+        ]
+        lines.append(f"{shots} shot(s), {indices.size} distinct record(s)")
         return "\n".join(lines)
 
     # ----------------------------------------------------------- persistence
@@ -134,65 +159,31 @@ class Session:
                 lines.append(
                     f"SAFE {key.qubit} {key.matches} {qlang.render_expr(key.expr)}"
                 )
-            amps = db.state.amps
-            for index in np.nonzero(amps)[0].tolist():
-                value = amps[index]
-                lines.append(f"{index} {value.real.hex()} {value.imag.hex()}")
-        with open(path, "w", encoding="utf-8") as handle:
-            handle.write("\n".join(lines) + "\n")
+        with open(path, "wb") as handle:
+            handle.write(("\n".join(lines) + "\n").encode("utf-8"))
+            if self.db is not None:
+                write_amplitudes(handle, self.db.state.amps)
         return f"saved session to {path}"
 
     def load_session(self, path: str) -> str:
+        """Replace the session by the file's.  Every check, of the header and
+        of each amplitude line, runs before the current session is touched."""
         try:
             with open(path, "r", encoding="utf-8") as handle:
-                lines = [line.rstrip("\n") for line in handle]
+                loaded = _read_session(handle, self.config.max_qubits)
         except OSError as exc:
             raise SessionFormatError(f"cannot read {path}: {exc}") from exc
-        if not lines or lines[0] != FORMAT_HEADER:
-            found = lines[0] if lines else "empty file"
-            raise SessionFormatError(f"unsupported session header: {found!r}")
-        body = [line for line in lines[1:] if line]
-        if not body or not body[0].startswith("SCHEMA"):
-            raise SessionFormatError("missing SCHEMA line")
-        schema_parts = body[0].split()
-        if schema_parts[1:] == ["none"]:
+        except UnicodeDecodeError as exc:
+            raise SessionFormatError(f"{path} is not UTF-8 text: {exc}") from exc
+        if loaded is None:
             self.db = None
             self.selects = {}
             return f"loaded empty session from {path}"
+        schema, temp, safe_key, amps = loaded
         try:
-            schema = TableSchema(
-                schema_parts[1],
-                tuple(
-                    (chunk.split(":")[0], int(chunk.split(":")[1]))
-                    for chunk in schema_parts[2:]
-                ),
-            )
-            if not body[1].startswith("TEMP "):
-                raise SessionFormatError("missing TEMP line")
-            temp = int(body[1].split()[1])
-            safe_parts = body[2].split(maxsplit=2)
-            if safe_parts[0] != "SAFE":
-                raise SessionFormatError("missing SAFE line")
-            if temp < 1:
-                raise SessionFormatError(f"TEMP {temp} is below one temporary qubit")
-            total = schema.num_bits + temp
-            if total > self.config.max_qubits:
-                raise CapacityError(
-                    f"{schema.num_bits} data + {temp} temp qubits exceed the "
-                    f"{self.config.max_qubits}-qubit capacity"
-                )
-            amps = np.zeros(1 << total, dtype=np.complex128)
-            for line in body[3:]:
-                index_text, re_text, im_text = line.split()
-                amps[int(index_text)] = complex(
-                    float.fromhex(re_text), float.fromhex(im_text)
-                )
-        except SessionFormatError:
-            raise
-        except (ValueError, IndexError) as exc:
+            state = StateVector.from_amplitudes(amps)
+        except ValidationError as exc:
             raise SessionFormatError(f"malformed session file: {exc}") from exc
-
-        state = StateVector.from_amplitudes(amps)
         db = QdbState(
             schema,
             t=temp,
@@ -200,12 +191,9 @@ class Session:
             epsilon=self.config.epsilon,
             state=state,
         )
-        if safe_parts[1] != "none":
-            qubit = int(safe_parts[1])
-            matches_text, expr_text = safe_parts[2].split(maxsplit=1)
-            expr = qlang.parse_predicate(expr_text)
-            db.safe_key = SafeKey(qubit, expr, int(matches_text))
-            db.temp_alloc[qubit] = TempUse("safe", expr)
+        if safe_key is not None:
+            db.safe_key = safe_key
+            db.temp_alloc[safe_key.qubit] = TempUse("safe", safe_key.expr)
             db._seq_fill = None
         else:
             support = db.support()
@@ -215,6 +203,151 @@ class Session:
         self.db = db
         self.selects = {}
         return f"loaded session from {path}"
+
+
+def write_amplitudes(handle, amps: np.ndarray) -> None:
+    """Write one ``<index> <re> <im>`` line per nonzero amplitude, ascending by
+    index, with the parts as ``float.hex`` literals.
+
+    The lines are built as bytes from the float bit patterns, ``SAVE_CHUNK``
+    lines at a time: each line is a row of a byte matrix whose unused columns
+    hold 0, a byte no line contains, and the rows are joined by dropping them.
+    """
+    nonzero = np.flatnonzero(amps)
+    if not nonzero.size:
+        return
+    digits = len(str(int(nonzero[-1])))
+    hex_digits = np.frombuffer(b"0123456789abcdef", dtype=np.uint8)
+    hex_pairs = np.stack([np.repeat(hex_digits, 16), np.tile(hex_digits, 16)], axis=1)
+    # "p<exponent>" by biased exponent; exponent 0 (zero, subnormals) prints -1022
+    exponents = np.array([f"p{e - 1023:+d}".encode() for e in range(2048)], dtype="S6")
+    exponents[0] = b"p-1022"
+    exponents = exponents.view(np.uint8).reshape(2048, 6)
+    for start in range(0, nonzero.size, SAVE_CHUNK):
+        indices = nonzero[start:start + SAVE_CHUNK]
+        lines = np.zeros((indices.size, digits + 51), dtype=np.uint8)
+        _decimal_columns(lines[:, :digits], indices)
+        parts = amps[indices].view(np.uint64).reshape(-1, 2)
+        for part, first in ((0, digits + 1), (1, digits + 26)):
+            lines[:, first - 1] = ord(" ")
+            _hex_columns(lines[:, first:first + 24], parts[:, part], hex_digits, hex_pairs, exponents)
+        lines[:, -1] = ord("\n")
+        handle.write(lines[lines != 0].tobytes())
+
+
+def _decimal_columns(out: np.ndarray, values: np.ndarray) -> None:
+    """Decimal digits of non-negative ``values`` into the columns of ``out``,
+    right-aligned, with the leading zeros left 0."""
+    rest = values
+    for column in range(out.shape[1] - 1, -1, -1):
+        rest, digit = np.divmod(rest, 10)
+        out[:, column] = digit + ord("0")
+    leading = out[:, :-1]
+    leading[np.logical_and.accumulate(leading == ord("0"), axis=1)] = 0
+
+
+def _hex_columns(out, bits, hex_digits, hex_pairs, exponents) -> None:
+    """``float.hex`` of each double, given as its uint64 bit pattern, into the
+    24 columns of ``out``: ``[-]0x1.<13 hex digits>p<exp>``, ``0x0.`` for
+    subnormals, and ``[-]0x0.0p+0`` for zeros; unused columns stay 0."""
+    magnitude = bits & np.uint64((1 << 63) - 1)
+    biased = (magnitude >> np.uint64(52)).astype(np.intp)
+    # big-endian bytes: byte 1 holds the first mantissa digit, bytes 2-7 the rest
+    raw = magnitude.astype(">u8").view(np.uint8).reshape(-1, 8)
+    out[bits != magnitude, 0] = ord("-")
+    out[:, 1] = ord("0")
+    out[:, 2] = ord("x")
+    out[:, 3] = np.where(biased == 0, ord("0"), ord("1"))
+    out[:, 4] = ord(".")
+    out[:, 5] = hex_digits[raw[:, 1] & 15]
+    out[:, 6:18] = hex_pairs[raw[:, 2:]].reshape(-1, 12)
+    out[:, 18:] = exponents[biased]
+    zero = magnitude == 0
+    out[zero, 6:18] = 0
+    out[zero, 18:] = exponents[1023]
+
+
+def _next_line(handle, what: str) -> str:
+    """The next non-empty line without its newline."""
+    for line in handle:
+        if line != "\n":
+            return line.rstrip("\n")
+    raise SessionFormatError(f"missing {what} line")
+
+
+def _read_session(handle, max_qubits: int):
+    """Parse an open session file into (schema, temp, safe key or None,
+    amplitudes), or None for a file without a table.  The header is checked
+    before the register is allocated, and every amplitude line is checked:
+    three fields, a basis index in range and above the previous line's, and
+    finite parts, read by ``int`` and ``float.fromhex``."""
+    first = handle.readline()
+    if first.rstrip("\n") != FORMAT_HEADER:
+        found = first.rstrip("\n") if first else "empty file"
+        raise SessionFormatError(f"unsupported session header: {found!r}")
+    schema_parts = _next_line(handle, "SCHEMA").split()
+    if schema_parts[:1] != ["SCHEMA"]:
+        raise SessionFormatError("missing SCHEMA line")
+    if schema_parts[1:] == ["none"]:
+        return None
+    temp_parts = _next_line(handle, "TEMP").split()
+    safe_parts = _next_line(handle, "SAFE").split(maxsplit=2)
+    if temp_parts[:1] != ["TEMP"]:
+        raise SessionFormatError("missing TEMP line")
+    if safe_parts[:1] != ["SAFE"]:
+        raise SessionFormatError("missing SAFE line")
+    try:
+        schema = TableSchema(
+            schema_parts[1],
+            tuple((chunk.split(":")[0], int(chunk.split(":")[1])) for chunk in schema_parts[2:]),
+        )
+        temp = int(temp_parts[1])
+        safe_key = None
+        if safe_parts[1] != "none":
+            matches_text, expr_text = safe_parts[2].split(maxsplit=1)
+            expr = qlang.parse_predicate(expr_text)
+            validate_expr(expr, schema)
+            safe_key = SafeKey(int(safe_parts[1]), expr, int(matches_text))
+    except (QqlError, ValueError, IndexError) as exc:
+        raise SessionFormatError(f"malformed session file: {exc}") from exc
+    if temp < 1:
+        raise SessionFormatError(f"TEMP {temp} is below one temporary qubit")
+    total = schema.num_bits + temp
+    if total > max_qubits:
+        raise CapacityError(
+            f"{schema.num_bits} data + {temp} temp qubits exceed the "
+            f"{max_qubits}-qubit capacity"
+        )
+    if safe_key is not None and not schema.num_bits <= safe_key.qubit < total:
+        raise SessionFormatError(f"safe qubit {safe_key.qubit} is not a temp qubit")
+    amps = np.zeros(1 << total, dtype=np.complex128)
+    previous = -1
+    while lines := list(islice(handle, LOAD_CHUNK)):
+        if list(map(len, map(str.split, lines))).count(3) + lines.count("\n") != len(lines):
+            raise SessionFormatError("an amplitude line does not have three fields")
+        tokens = "".join(lines).split()
+        count = len(tokens) // 3
+        try:
+            indices = np.fromiter(map(int, tokens[0::3]), dtype=np.int64, count=count)
+            del tokens[0::3]
+            values = np.fromiter(map(float.fromhex, tokens), dtype=np.float64, count=2 * count)
+        except (ValueError, OverflowError) as exc:
+            raise SessionFormatError(f"malformed amplitude line: {exc}") from exc
+        if not count:
+            continue
+        if indices[0] < 0:
+            raise SessionFormatError(f"negative basis index {indices[0]}")
+        if indices[0] <= previous or np.any(indices[1:] <= indices[:-1]):
+            raise SessionFormatError("basis indices are not strictly ascending")
+        if indices[-1] >= amps.size:
+            raise SessionFormatError(
+                f"basis index {indices[-1]} out of range for {total} qubits"
+            )
+        if not np.all(np.isfinite(values)):
+            raise SessionFormatError("amplitudes must be finite")
+        amps[indices] = values.view(np.complex128)
+        previous = indices[-1]
+    return schema, temp, safe_key, amps
 
 
 def run_script(path: str, session: Session) -> tuple[str, int]:

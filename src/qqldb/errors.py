@@ -6,7 +6,8 @@ class QqlError(Exception):
 
 
 class CapacityError(QqlError):
-    """Register size exceeds the configured qubit budget or a dense limit."""
+    """Register size exceeds the configured qubit budget, or a count exceeds a
+    fixed limit (dense gate size, shots per sample)."""
 
 
 class ValidationError(QqlError):

@@ -454,15 +454,19 @@ class QdbState:
 
     # ------------------------------------------------------------------ read-out
 
-    def measure_records(self, shots: int, seed: int) -> Counter:
-        """Sample full basis indices, truncate the temp bits, decode the data
-        bits to records."""
-        counts = self.state.sample(shots, seed)
-        histogram: Counter = Counter()
-        for index, count in counts.items():
-            histogram[self.schema.decode(index >> self.t)] += count
+    def measure_counts(self, shots: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
+        """Sample full basis indices and truncate the temp bits.  Returns the
+        distinct data-register indices drawn, ascending (which is record
+        order), and how often each was drawn."""
+        picks = self.state.sample(shots, seed)
+        indices, counts = np.unique(picks >> self.t, return_counts=True)
         self.log.append(LogEntry("measure", {"shots": shots, "seed": seed}))
-        return histogram
+        return indices, counts
+
+    def measure_records(self, shots: int, seed: int) -> Counter:
+        """:meth:`measure_counts` keyed by decoded records."""
+        indices, counts = self.measure_counts(shots, seed)
+        return Counter(dict(zip(map(self.schema.decode, indices.tolist()), counts.tolist())))
 
     def show_state(self) -> list[StateRow]:
         """All components with |amplitude| >= 1e-12, ascending by basis index."""

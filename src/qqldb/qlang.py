@@ -746,7 +746,7 @@ def compile_command(command: Command, session) -> Callable[[], str]:
     if isinstance(command, Measure):
         def run_measure() -> str:
             seed = command.seed if command.seed is not None else session.next_measure_seed()
-            histogram = db.measure_records(command.shots, seed)
+            histogram = db.measure_counts(command.shots, seed)
             return session.render_histogram(histogram, command.shots)
 
         return run_measure

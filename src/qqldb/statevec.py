@@ -9,7 +9,6 @@ sit at the end of the register, i.e. in the least significant bits.
 
 from __future__ import annotations
 
-from collections import Counter
 from typing import Sequence
 
 import numpy as np
@@ -20,8 +19,12 @@ from .gates import CnotGate, GateMatrix, is_unitary
 DEFAULT_MAX_QUBITS = 22
 DEFAULT_EPSILON = 1e-12
 NORM_TOL = 1e-9
+# Fixed ceiling on the shots of one sample: the sampler holds a few arrays of
+# ``shots`` 8-byte entries, so 2^24 shots stay within a few hundred MiB.
+MAX_SHOTS = 1 << 24
 
 _MASK64 = (1 << 64) - 1
+_BITS64 = np.arange(64, dtype=np.uint64)
 
 
 class Xorshift64Star:
@@ -51,6 +54,54 @@ class Xorshift64Star:
     def next_float(self) -> float:
         """Uniform double in [0, 1) built from the top 53 bits."""
         return (self.next_u64() >> 11) / float(1 << 53)
+
+
+def _xorshift_step(words: np.ndarray) -> np.ndarray:
+    """One xorshift64* state update of every word, in place."""
+    words ^= words >> np.uint64(12)
+    words ^= words << np.uint64(25)
+    words ^= words >> np.uint64(27)
+    return words
+
+
+def _gf2_apply(columns: np.ndarray, words: np.ndarray) -> np.ndarray:
+    """The GF(2)-linear map whose image of bit ``b`` is ``columns[b]``, applied
+    to every word: the XOR of the columns of the word's set bits."""
+    bits = (words[:, None] >> _BITS64) & np.uint64(1)
+    return np.bitwise_xor.reduce(columns * bits, axis=1)
+
+
+def xorshift_uniform(seed: int, count: int) -> np.ndarray:
+    """The first ``count`` doubles of ``Xorshift64Star(seed).next_float()``,
+    generated in numpy lanes.
+
+    The xorshift64* state update is linear over GF(2), so jumping ``k`` steps
+    ahead is a 64x64 bit matrix (Vigna, arXiv:1402.6246).  Lane ``j`` starts
+    ``j * chunk`` steps into the stream and yields draws ``j * chunk`` to
+    ``(j + 1) * chunk - 1``; all lanes step together, and reading the lanes one
+    after the other gives the scalar stream in its own order, bit for bit.
+    """
+    chunk = 1 << ((count - 1).bit_length() + 1) // 2
+    lanes = -(-count // chunk)
+    jump = _xorshift_step(np.uint64(1) << _BITS64)
+    for _ in range(chunk.bit_length() - 1):
+        jump = _gf2_apply(jump, jump)
+    # jump is now ``chunk`` steps; each doubling squares it
+    starts = np.array([Xorshift64Star(seed)._state], dtype=np.uint64)
+    while starts.size < lanes:
+        starts = np.concatenate([starts, _gf2_apply(jump, starts)])
+        if starts.size < lanes:
+            jump = _gf2_apply(jump, jump)
+    state = starts[:lanes].copy()
+    words = np.empty((lanes, chunk), dtype=np.uint64)
+    for step in range(chunk):
+        words[:, step] = _xorshift_step(state)
+    words = words.reshape(-1)[:count]
+    words *= np.uint64(Xorshift64Star.MULTIPLIER)
+    words >>= np.uint64(11)
+    draws = words.astype(np.float64)
+    draws *= 1.0 / (1 << 53)
+    return draws
 
 
 def apply_matrix(
@@ -141,7 +192,10 @@ class StateVector:
 
     @classmethod
     def from_amplitudes(cls, values, normalize: bool = False) -> "StateVector":
-        amps = np.array(values, dtype=np.complex128)
+        """State over the given amplitudes.  A C-contiguous ``complex128``
+        array is taken over as the buffer, not copied; anything else is
+        converted."""
+        amps = np.ascontiguousarray(values, dtype=np.complex128)
         size = amps.size
         if size < 2 or size & (size - 1):
             raise ValueError(f"amplitude count {size} is not a power of two >= 2")
@@ -248,18 +302,24 @@ class StateVector:
         self.amps /= np.sqrt(prob)
         return prob
 
-    def sample(self, shots: int, seed: int) -> Counter:
-        """Draw ``shots`` i.i.d. basis indices from ``|amps|^2`` using the
-        documented xorshift64* generator; deterministic for a fixed seed."""
+    def sample(self, shots: int, seed: int) -> np.ndarray:
+        """Draw ``shots`` i.i.d. basis indices from ``|amps|^2`` by inverse CDF
+        over the documented xorshift64* stream; returns them in draw order.
+        Deterministic for a fixed seed."""
         if shots < 1:
             raise ValueError("shots must be >= 1")
-        probs = self.amps.real**2 + self.amps.imag**2
-        cumulative = np.cumsum(probs)
-        rng = Xorshift64Star(seed)
-        draws = np.fromiter((rng.next_float() for _ in range(shots)), dtype=np.float64, count=shots)
-        picks = np.searchsorted(cumulative, draws, side="right")
-        np.clip(picks, 0, probs.size - 1, out=picks)
-        return Counter(picks.tolist())
+        if shots > MAX_SHOTS:
+            raise CapacityError(f"{shots} shots exceed the limit of {MAX_SHOTS}")
+        cumulative = np.cumsum(self.amps.real**2 + self.amps.imag**2)
+        draws = xorshift_uniform(seed, shots)
+        # searched in ascending order, each search starts from the previous
+        # result; the picks are scattered back into draw order
+        order = np.argsort(draws)
+        draws = draws[order]
+        picks = np.empty(shots, dtype=np.intp)
+        picks[order] = np.searchsorted(cumulative, draws, side="right")
+        np.clip(picks, 0, cumulative.size - 1, out=picks)
+        return picks
 
     def tensor(self, other: "StateVector", max_qubits: int = DEFAULT_MAX_QUBITS) -> "StateVector":
         """Combined register: ``self`` supplies the high bits, ``other`` the low."""

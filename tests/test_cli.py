@@ -2,6 +2,8 @@ import io
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from qqldb.cli import Session, SessionConfig, format_amplitude, main, repl_loop, run_script
 from qqldb.errors import CapacityError, ImpossibleOutcomeError, SessionFormatError
@@ -189,6 +191,129 @@ class TestSaveLoad:
         with pytest.raises(error):
             session.load_session(str(path))
         assert session.db is None
+
+
+HEADER = "QQLDB 1\nSCHEMA t id:2\nTEMP 1\nSAFE none\n"
+
+
+def loaded_session() -> Session:
+    session = Session()
+    session.execute_text("CREATE TABLE old (k:3) TEMP 2; INSERT ALL 3;")
+    return session
+
+
+def assert_unchanged(session: Session, db, amps: bytes) -> None:
+    assert session.db is db
+    assert session.db.state.amps.tobytes() == amps
+    assert session.db.schema.name == "old"
+
+
+class TestLoadRejects:
+    @pytest.mark.parametrize(
+        "body",
+        [
+            "-1 0x1.0p+0 0x0.0p+0\n",  # negative index: used to wrap to record 3
+            "0 nan 0x0.0p+0\n",
+            "0 0x1.0p+0 inf\n",
+            "8 0x1.0p+0 0x0.0p+0\n",  # 2^(n + t) = 8
+            "1 0x1.6a09e667f3bcdp-1 0x0.0p+0\n1 0x1.6a09e667f3bcdp-1 0x0.0p+0\n",
+            "3 0x1.6a09e667f3bcdp-1 0x0.0p+0\n1 0x1.6a09e667f3bcdp-1 0x0.0p+0\n",
+            "0 0x1.0p+0\n",
+            "0 0x1.0p+0 0x0.0p+0 0x0.0p+0\n",
+            "0 0x1.6a09e667f3bcdp-1\n0x0.0p+0 1 0x1.6a09e667f3bcdp-1 0x0.0p+0\n",
+            "   \n0 0x1.0p+0 0x0.0p+0\n",
+            "0 0x1p99999 0x0.0p+0\n",
+            "99999999999999999999999 0x1.0p+0 0x0.0p+0\n",
+            "0 0x1.0p-1 0x0.0p+0\n",  # norm 1/2
+            "",
+        ],
+    )
+    def test_bad_amplitude_lines(self, tmp_path, body):
+        path = tmp_path / "bad.qdb"
+        path.write_text(HEADER + body)
+        session = loaded_session()
+        db, amps = session.db, session.db.state.amps.tobytes()
+        with pytest.raises(SessionFormatError):
+            session.load_session(str(path))
+        assert_unchanged(session, db, amps)
+
+    @pytest.mark.parametrize(
+        "safe",
+        ["SAFE", "SAFE 0 1 id = 1", "SAFE 2 1 id = (", "SAFE 2 1 nosuch = 1", "SAFE x 1 id = 1"],
+    )
+    def test_bad_safe_line(self, tmp_path, safe):
+        path = tmp_path / "bad.qdb"
+        path.write_text(f"QQLDB 1\nSCHEMA t id:2\nTEMP 1\n{safe}\n0 0x1.0p+0 0x0.0p+0\n")
+        session = loaded_session()
+        db, amps = session.db, session.db.state.amps.tobytes()
+        with pytest.raises(SessionFormatError):
+            session.load_session(str(path))
+        assert_unchanged(session, db, amps)
+
+    def test_not_utf8(self, tmp_path):
+        path = tmp_path / "bad.qdb"
+        path.write_bytes(HEADER.encode() + b"0 0x1.0p+0 \xff\n")
+        with pytest.raises(SessionFormatError):
+            Session().load_session(str(path))
+
+    def test_non_canonical_literals_load(self, tmp_path):
+        path = tmp_path / "hand.qdb"
+        path.write_text(
+            "QQLDB 1\n\nSCHEMA t id:2\nTEMP 1\nSAFE none\n"
+            "0 0x1.0p-1 0\n"
+            "2\t0x.8p0   -0x0p+0\n"
+            "\n"
+            "4 0X.8 0x0.0\n"
+            "7 0x0.0p+0 0x1P-1 \n"
+        )
+        session = Session()
+        session.load_session(str(path))
+        expected = np.zeros(8, dtype=np.complex128)
+        expected[[0, 2, 4]] = 0.5
+        expected[2] = complex(0.5, -0.0)
+        expected[7] = 0.5j
+        assert session.db.state.amps.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("literal", ["0x1.0p+0", "0x.8p1"])
+    def test_single_literal_loads(self, tmp_path, literal):
+        path = tmp_path / "hand.qdb"
+        path.write_text(HEADER + f"3 {literal} 0x0.0p+0\n")
+        session = Session()
+        session.load_session(str(path))
+        assert session.db.support() == [1]
+        assert session.db.state.amps[3] == 1.0
+
+    @settings(max_examples=150, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(
+        st.one_of(
+            st.text(alphabet="0123456789abcdefpx.+- \t\nnaif_", max_size=120),
+            st.lists(
+                st.tuples(
+                    st.integers(-3, 9),
+                    st.one_of(st.floats(), st.sampled_from(["0x.8p1", "1", "-0x0p0", "zz"])),
+                    st.one_of(st.floats(), st.just("0x1.0p+0")),
+                ),
+                max_size=6,
+            ).map(lambda rows: "".join(
+                f"{i} {re.hex() if isinstance(re, float) else re} "
+                f"{im.hex() if isinstance(im, float) else im}\n"
+                for i, re, im in rows
+            )),
+        )
+    )
+    def test_fuzzed_body_loads_or_is_rejected(self, tmp_path, body):
+        path = tmp_path / "fuzz.qdb"
+        path.write_text(HEADER + body)
+        session = loaded_session()
+        db, amps = session.db, session.db.state.amps.tobytes()
+        try:
+            session.load_session(str(path))
+        except (SessionFormatError, CapacityError):
+            assert_unchanged(session, db, amps)
+        else:
+            assert session.db.schema.name == "t"
+            assert abs(session.db.state.norm() - 1.0) <= 1e-9
 
 
 class TestFailedRestore:

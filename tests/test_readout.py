@@ -1,0 +1,141 @@
+"""Byte-identity of the vectorised read-out and persistence paths against
+their scalar definitions: the xorshift64* lanes against the scalar generator,
+the MEASURE histogram against the per-record formula, and the session-file
+hex writer against ``float.hex``."""
+
+import io
+import sys
+import tracemalloc
+
+import numpy as np
+import pytest
+
+from qqldb.cli import Session, write_amplitudes
+from qqldb.errors import CapacityError
+from qqldb.statevec import MAX_SHOTS, StateVector, Xorshift64Star, xorshift_uniform
+
+SEEDS = [0, 1, (1 << 64) - 1]
+# around the lane boundaries: the chunk length is a power of two near sqrt(count)
+COUNTS = [1, 2, 3, 4, 5, 15, 16, 17, 63, 64, 65, 255, 256, 257, 1023, 1024, 1025, 4097, 100_000]
+
+
+def scalar_draws(seed: int, count: int) -> np.ndarray:
+    rng = Xorshift64Star(seed)
+    return np.array([rng.next_float() for _ in range(count)], dtype=np.float64)
+
+
+class TestLaneSampler:
+    @pytest.mark.parametrize("seed", SEEDS)
+    @pytest.mark.parametrize("count", COUNTS)
+    def test_draws_match_scalar_stream(self, seed, count):
+        assert xorshift_uniform(seed, count).tobytes() == scalar_draws(seed, count).tobytes()
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_picks_match_scalar_inverse_cdf(self, seed):
+        rng = np.random.default_rng(7)
+        amps = rng.normal(size=256) + 1j * rng.normal(size=256)
+        state = StateVector.from_amplitudes(amps, normalize=True)
+        cumulative = np.cumsum(state.amps.real**2 + state.amps.imag**2)
+        picks = [
+            min(int(np.searchsorted(cumulative, draw, side="right")), 255)
+            for draw in scalar_draws(seed, 3000).tolist()
+        ]
+        assert state.sample(3000, seed).tobytes() == np.array(picks, dtype=np.intp).tobytes()
+
+    @pytest.mark.parametrize("shots", [MAX_SHOTS + 1, 10**30])
+    def test_shot_ceiling_checked_before_allocation(self, shots):
+        state = StateVector.zero(16)
+        tracemalloc.start()
+        try:
+            with pytest.raises(CapacityError):
+                state.sample(shots, seed=1)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # not even the 2^16-entry probability array was made
+        assert peak < 1 << 16
+
+    def test_measure_statement_over_ceiling(self):
+        session = Session()
+        session.execute_text("CREATE TABLE t (id:2) TEMP 1;")
+        with pytest.raises(CapacityError):
+            session.execute_text(f"MEASURE {MAX_SHOTS + 1} SEED 3;")
+
+
+def per_record_histogram(session: Session, shots: int, seed: int) -> str:
+    """The MEASURE text as the per-record formula writes it: decode, sort by
+    encoded index, one label per record."""
+    schema = session.db.schema
+    histogram = session.db.measure_records(shots, seed)
+    lines = [f"{'record':<28}  {'count':>8}  fraction"]
+    for record, count in sorted(histogram.items(), key=lambda kv: schema.encode(kv[0])):
+        label = "(" + ", ".join(
+            f"{name}={value}" for (name, _), value in zip(schema.fields, record.values)
+        ) + ")"
+        lines.append(f"{label:<28}  {count:>8}  {count / shots:>10.6f}")
+    lines.append(f"{shots} shot(s), {len(histogram)} distinct record(s)")
+    return "\n".join(lines)
+
+
+class TestHistogramText:
+    @pytest.mark.parametrize(
+        "fields",
+        ["a:3, bb:5, c:4", "x:1, long_field_name:6, y:5", "p:4, q:4, r:4"],
+    )
+    @pytest.mark.parametrize("seed", [0, 5, (1 << 64) - 1])
+    def test_matches_per_record_formula(self, fields, seed):
+        session = Session()
+        session.execute_text(
+            f"CREATE TABLE t ({fields}) TEMP 2; INSERT ALL 12; SELECT s WHERE {fields[0]} = 1;"
+            f"APPLY H @ {fields[0]} BIT 0 WHEN s;"
+        )
+        (text,) = session.execute_text(f"MEASURE 5000 SEED {seed};")
+        assert text == per_record_histogram(session, 5000, seed)
+
+    def test_single_record(self):
+        session = Session()
+        session.execute_text("CREATE TABLE t (id:2) TEMP 1;")
+        (text,) = session.execute_text("MEASURE 3 SEED 1;")
+        assert text == per_record_histogram(session, 3, 1)
+
+
+def hex_lines(values: np.ndarray) -> list[str]:
+    """One session-file line per pair of doubles (real, imaginary)."""
+    amps = np.ascontiguousarray(values, dtype=np.float64).view(np.complex128)
+    buffer = io.BytesIO()
+    write_amplitudes(buffer, amps)
+    return buffer.getvalue().decode().splitlines()
+
+
+class TestHexWriter:
+    SPECIAL = [
+        0.0, -0.0, 5e-324, -5e-324, -2.2250738585072014e-308, 2.225073858507201e-308,
+        sys.float_info.max, -sys.float_info.max, 1.0, -1.5, 0.1, 1 / 3,
+    ]
+
+    @pytest.mark.parametrize("value", SPECIAL)
+    def test_special_values(self, value):
+        # a nonzero partner keeps the line in the file whatever ``value`` is
+        for real, imag in ((value, 1.0), (1.0, value)):
+            assert hex_lines(np.array([real, imag])) == [f"0 {real.hex()} {imag.hex()}"]
+
+    def test_random_doubles(self):
+        bits = np.random.default_rng(11).integers(0, 1 << 63, 40_000, dtype=np.int64)
+        bits = bits.astype(np.uint64) | (np.arange(bits.size, dtype=np.uint64) << np.uint64(63))
+        values = bits.view(np.float64)
+        values = np.where(np.isfinite(values), values, 1.0)
+        expected = [
+            f"{i} {re.hex()} {im.hex()}"
+            for i, (re, im) in enumerate(values.reshape(-1, 2).tolist())
+            if re or im
+        ]
+        assert hex_lines(values) == expected
+
+    def test_zero_amplitudes_skipped(self):
+        # amplitude i is (values[2i], values[2i + 1]); amplitude 5 is -0 - 0j
+        values = np.zeros(16)
+        values[[3, 8, 9, 10, 11]] = [0.5, -0.0, -2.0, -0.0, -0.0]
+        assert hex_lines(values) == [
+            f"1 {0.0.hex()} {0.5.hex()}",
+            f"4 {(-0.0).hex()} {(-2.0).hex()}",
+        ]
