@@ -159,10 +159,13 @@ class Session:
                 lines.append(
                     f"SAFE {key.qubit} {key.matches} {qlang.render_expr(key.expr)}"
                 )
-        with open(path, "wb") as handle:
-            handle.write(("\n".join(lines) + "\n").encode("utf-8"))
-            if self.db is not None:
-                write_amplitudes(handle, self.db.state.amps)
+        try:
+            with open(path, "wb") as handle:
+                handle.write(("\n".join(lines) + "\n").encode("utf-8"))
+                if self.db is not None:
+                    write_amplitudes(handle, self.db.state.amps)
+        except OSError as exc:
+            raise SessionFormatError(f"cannot write {path}: {exc}") from exc
         return f"saved session to {path}"
 
     def load_session(self, path: str) -> str:

@@ -78,7 +78,6 @@ def apply_partial_diffusion(
         view[:, column] = factor * mean - alpha
         partner = column | flag_bit
         view[:, partner] = -view[:, partner]
-    state._assert_norm()
     return state
 
 

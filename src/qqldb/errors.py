@@ -37,4 +37,5 @@ class CompileError(QqlError):
 
 
 class SessionFormatError(QqlError):
-    """A session file is malformed or has an unsupported version header."""
+    """A session file cannot be read or written, is malformed, or has an
+    unsupported version header."""

@@ -33,6 +33,8 @@ from .statevec import DEFAULT_EPSILON, DEFAULT_MAX_QUBITS, StateVector
 DEFAULT_TEMP_QUBITS = 3
 SUPPORT_TOL = 1e-9
 RESIDUE_TOL = 1e-12
+# Amplitudes per block of the support scan.
+SUPPORT_BLOCK = 1 << 14
 
 
 @dataclass
@@ -163,9 +165,15 @@ class QdbState:
         """Live record indices: data values carrying probability mass in the
         safe-key-0 subspace (all columns when no backup is active)."""
         view = self._view()
-        mags = view.real**2 + view.imag**2
-        mass = mags[:, self._live_columns()].sum(axis=1)
-        return np.nonzero(mass > SUPPORT_TOL * SUPPORT_TOL)[0].tolist()
+        columns = self._live_columns()
+        step = max(1, SUPPORT_BLOCK >> self.t)
+        found = []
+        # in blocks of rows, so the temporaries stay far below the register
+        for start in range(0, view.shape[0], step):
+            part = view[start : start + step]
+            mass = (part.real**2 + part.imag**2)[:, columns].sum(axis=1)
+            found.append(np.flatnonzero(mass > SUPPORT_TOL * SUPPORT_TOL) + start)
+        return np.concatenate(found).tolist()
 
     # ------------------------------------------------------------------ insert
 
@@ -178,20 +186,29 @@ class QdbState:
             raise ValueError(f"bulk exponent {r} out of range 0..{n}")
         for q in range(n - r, n):
             self.state.apply_unitary(HADAMARD, [q])
+        self.state._assert_norm()
         self._seq_fill = (1 << r) - 1 if self._seq_fill == 0 else None
         self.log.append(LogEntry("insert_bulk", {"r": r}))
         return self
 
-    def _seq_step(self, k: int) -> None:
-        # step k adds record k: Hadamard on the bit floor(log2 k), controlled
-        # on the low bits of k (positive where 1, negative where 0)
+    def _seq_steps(self, upto_k: int) -> None:
+        """Sequential steps ``_seq_fill + 1`` to ``upto_k``.  Step k adds
+        record k: a Hadamard on the bit ``p = floor(log2 k)``, controlled on
+        the p low data bits holding ``k - 2^p``.  The steps of one level p
+        share target and control qubits and differ only in the control value,
+        so they touch disjoint amplitudes and run as one gate restricted to
+        that range of values."""
         n = self.n
-        p = k.bit_length() - 1
-        target = n - 1 - p
-        pos, neg = [], []
-        for j in range(p):
-            (pos if (k >> j) & 1 else neg).append(n - 1 - j)
-        self.state.apply_controlled(HADAMARD, pos, neg, [target])
+        k = self._seq_fill + 1
+        while k <= upto_k:
+            p = k.bit_length() - 1
+            last = min(upto_k, (2 << p) - 1)
+            self.state.apply_controlled(
+                HADAMARD, targets=[n - 1 - p], run=range(n - p, n),
+                rows=range(k - (1 << p), last - (1 << p) + 1),
+            )
+            k = last + 1
+        self.state._assert_norm()
 
     def insert_sequential(self, upto_k: int) -> "QdbState":
         """Insert records one at a time until the support is {0, ..., upto_k}."""
@@ -202,8 +219,7 @@ class QdbState:
             raise QqlError("sequential insert requires a fresh or sequentially filled database")
         if upto_k <= self._seq_fill:
             raise ValueError(f"database already filled to {self._seq_fill}")
-        for k in range(self._seq_fill + 1, upto_k + 1):
-            self._seq_step(k)
+        self._seq_steps(upto_k)
         self._seq_fill = upto_k
         self.log.append(LogEntry("insert_sequential", {"upto": upto_k}))
         return self
@@ -225,8 +241,7 @@ class QdbState:
                 f"{count} records cannot cover the {self._seq_fill + 1} already present"
             )
         if count - 1 > self._seq_fill:
-            for k in range(self._seq_fill + 1, count):
-                self._seq_step(k)
+            self._seq_steps(count - 1)
         sequence = set(range(count))
         requested = set(indices)
         swaps = list(zip(sorted(sequence - requested), sorted(requested - sequence)))
@@ -331,6 +346,7 @@ class QdbState:
             self.state.apply_controlled(
                 operation.gate, [combiner_qubit], neg, list(operation.targets)
             )
+            self.state._assert_norm()
         else:
             comb_bit = self._temp_column_mask(combiner_qubit)
             live = [c for c in self._live_columns() if c & comb_bit]
@@ -389,16 +405,23 @@ class QdbState:
             raise ImpossibleOutcomeError("predicate matches every live record")
         qubit = self._alloc_temp("delete", expr)
         neg = [self.safe_key.qubit] if self.safe_key else []
-        snapshot = self.state.amps.copy()
+        # amplification is not a permutation, so only it needs a snapshot; a
+        # lone oracle is undone by applying it again
+        snapshot = self.state.amps.copy() if amplify_iters else None
         try:
             apply_oracle(self.state, table, self.data_qubits, qubit, neg_controls=neg)
             for i in range(amplify_iters):
                 if i:
                     apply_oracle(self.state, table, self.data_qubits, qubit, neg_controls=neg)
                 apply_partial_diffusion(self.state, DiffusionParams(self.n), flag_qubit=qubit)
+            if amplify_iters:
+                self.state._assert_norm()
             probability = self.state.postselect(qubit, 0, self.epsilon)
         except ImpossibleOutcomeError:
-            self.state.amps[:] = snapshot
+            if snapshot is None:
+                apply_oracle(self.state, table, self.data_qubits, qubit, neg_controls=neg)
+            else:
+                self.state.amps[:] = snapshot
             self._free_temp(qubit)
             raise
         self._free_temp(qubit)
@@ -422,6 +445,7 @@ class QdbState:
         qubit = self._alloc_temp("safe", expr)
         apply_oracle(self.state, table, self.data_qubits, qubit)
         apply_partial_diffusion(self.state, DiffusionParams(self.n), flag_qubit=qubit)
+        self.state._assert_norm()
         self.safe_key = SafeKey(qubit, expr, matches)
         self._seq_fill = None
         self.log.append(LogEntry("backup", {"qubit": qubit, "matches": matches}))

@@ -9,6 +9,7 @@ sit at the end of the register, i.e. in the least significant bits.
 
 from __future__ import annotations
 
+import itertools
 from typing import Sequence
 
 import numpy as np
@@ -104,6 +105,69 @@ def xorshift_uniform(seed: int, count: int) -> np.ndarray:
     return draws
 
 
+# Columns of one tile of the controlled-unitary kernel: a tile and its product
+# (2 x 16 * 2^k * 2^13 bytes for a k-qubit gate) stay within L2 for small k.
+TILE_COLUMNS = 1 << 13
+
+
+def _qubit_view(
+    amps: np.ndarray,
+    num_qubits: int,
+    pos_controls: Sequence[int],
+    neg_controls: Sequence[int],
+    leading: Sequence[int],
+    run: range = range(0),
+) -> np.ndarray:
+    """View of the components of ``amps`` where ``pos_controls`` are 1 and
+    ``neg_controls`` are 0.
+
+    Its axes are the qubits of ``leading`` (length 2 each, in that order), then
+    the contiguous qubit ``run`` as one axis of length ``2^len(run)`` (first
+    qubit most significant; length 1 for an empty run), then the other qubits
+    in register order, each stretch of them between those axes merged into
+    one axis.
+    """
+    own = [*pos_controls, *neg_controls, *leading]
+    run_ends = (run.start, run.stop) if run else ()
+    cuts = sorted({0, num_qubits, *own, *(q + 1 for q in own), *run_ends})
+    axis_of = {q: axis for axis, q in enumerate(cuts)}
+    shape = [1 << (b - a) for a, b in zip(cuts, cuts[1:])]
+    run_axis = axis_of[run.start] if run else len(shape)
+    if not run:
+        shape.append(1)
+    index = [slice(None)] * len(shape)
+    for q in pos_controls:
+        index[axis_of[q]] = 1
+    for q in neg_controls:
+        index[axis_of[q]] = 0
+    kept = [axis for axis, sel in enumerate(index) if isinstance(sel, slice)]
+    front = [axis_of[q] for q in leading] + [run_axis]
+    order = [kept.index(axis) for axis in front + [a for a in kept if a not in front]]
+    return amps.reshape(shape)[tuple(index)].transpose(order)
+
+
+def _tiles(shape: Sequence[int]):
+    """Index tuples that cut an array of ``shape`` into blocks of at most
+    ``TILE_COLUMNS`` elements, each spanning whole trailing axes and a slice
+    of one axis.  When every axis but the first is a power of two, every block
+    but the last has ``TILE_COLUMNS`` elements, or half as many before a last
+    one that would have held one element; so the last block ends on the same
+    remainder as the whole array, and has one element only if the array
+    has."""
+    axis, inner = len(shape) - 1, 1
+    while axis >= 0 and inner * shape[axis] <= TILE_COLUMNS:
+        inner *= shape[axis]
+        axis -= 1
+    if axis < 0:
+        return [()]
+    chunk = TILE_COLUMNS // inner
+    starts = list(range(0, shape[axis], chunk))
+    if inner == 1 and shape[axis] - starts[-1] == 1:
+        starts[-1] -= chunk // 2
+    cuts = [slice(a, b) for a, b in zip(starts, starts[1:] + [shape[axis]])]
+    return itertools.product(*map(range, shape[:axis]), cuts)
+
+
 def apply_matrix(
     amps: np.ndarray,
     matrix: np.ndarray,
@@ -111,21 +175,38 @@ def apply_matrix(
     num_qubits: int,
     pos_controls: Sequence[int] = (),
     neg_controls: Sequence[int] = (),
+    run: range = range(0),
+    rows: range | None = None,
 ) -> None:
     """Apply a ``2^k x 2^k`` matrix to ``targets`` in place, restricted to the
-    subspace where ``pos_controls`` are 1 and ``neg_controls`` are 0.
+    subspace where ``pos_controls`` are 1 and ``neg_controls`` are 0, and, with
+    ``rows``, to components whose contiguous qubit ``run`` holds a value in
+    the step-1 range ``rows``.  ``targets[0]`` is the most significant bit of
+    the gate's local index.
 
-    Works on views/strides of the amplitude buffer; never materialises a
-    ``2^m x 2^m`` operator.  ``targets[0]`` is the most significant bit of the
-    gate's local index.
+    The selected block is walked in tiles of at most ``TILE_COLUMNS`` columns:
+    each is gathered into a contiguous ``(2^k, c)`` buffer, multiplied by
+    ``matrix`` into a second one and scattered back, so no temporary is as
+    large as the register.  BLAS may round a column differently when it is a
+    whole one-column product or among the last few columns of a wider one.
+    The tiles of :func:`_tiles` keep both cases where the untiled product
+    has them, so every amplitude comes out as ``matrix @ block`` gives it.
     """
     k = len(targets)
-    moved = [*pos_controls, *neg_controls, *targets]
-    tensor = amps.reshape((2,) * num_qubits)
-    view = np.moveaxis(tensor, moved, range(len(moved)))
-    sel = (1,) * len(pos_controls) + (0,) * len(neg_controls)
-    block = view[sel]
-    view[sel] = (matrix @ block.reshape(1 << k, -1)).reshape(block.shape)
+    view = _qubit_view(amps, num_qubits, pos_controls, neg_controls, targets, run)
+    lead = (slice(None),) * k
+    if rows is not None:
+        view = view[lead + (slice(rows.start, rows.stop),)]
+    size = min(view.size, (1 << k) * TILE_COLUMNS)
+    source = np.empty(size, dtype=np.complex128)
+    product = np.empty(size, dtype=np.complex128)
+    for index in _tiles(view.shape[k:]):
+        part = view[lead + index]
+        tile = source[: part.size].reshape(part.shape)
+        tile[...] = part
+        out = product[: part.size].reshape(1 << k, -1)
+        np.matmul(matrix, tile.reshape(1 << k, -1), out=out)
+        part[...] = out.reshape(part.shape)
 
 
 def xor_flip(
@@ -143,19 +224,10 @@ def xor_flip(
 
     With ``rows``, the flip is further restricted to components whose
     contiguous qubit ``run`` (first qubit most significant) holds a value in
-    ``rows``.  The run is one axis of a reshape/moveaxis view, like the qubit
-    axes of :func:`apply_matrix`; no index array over the buffer is built.
+    ``rows``.  The run is one axis of the same view :func:`apply_matrix`
+    walks; no index array over the buffer is built.
     """
-    start = run.start if run else 0
-    width = len(run)
-    shape = (2,) * start + (1 << width,) + (2,) * (num_qubits - start - width)
-
-    def axis(q: int) -> int:
-        return q if q < start else q - width + 1
-
-    moved = [axis(q) for q in (*pos_controls, *neg_controls, target)] + [start]
-    view = np.moveaxis(amps.reshape(shape), moved, range(len(moved)))
-    block = view[(1,) * len(pos_controls) + (0,) * len(neg_controls)]
+    block = _qubit_view(amps, num_qubits, pos_controls, neg_controls, [target], run)
     if rows is None:
         low = block[0].copy()
         block[0] = block[1]
@@ -199,8 +271,13 @@ class StateVector:
         size = amps.size
         if size < 2 or size & (size - 1):
             raise ValueError(f"amplitude count {size} is not a power of two >= 2")
-        if not np.all(np.isfinite(amps.view(np.float64))):
+        parts = amps.view(np.float64)
+        if not np.all(np.isfinite(parts)):
             raise ValueError("amplitudes must be finite")
+        # no part of a unit vector exceeds 1; rejecting larger ones first keeps
+        # the norm below from overflowing
+        if not normalize and (parts.max() > 1 + NORM_TOL or parts.min() < -1 - NORM_TOL):
+            raise ValidationError(f"an amplitude part exceeds 1 + {NORM_TOL}; the norm is not 1")
         norm = np.linalg.norm(amps)
         if normalize:
             if norm == 0:
@@ -249,7 +326,6 @@ class StateVector:
                 f"gate over {matrix.shape[0]} rows does not fit {len(targets)} targets"
             )
         apply_matrix(self.amps, matrix, targets, self.num_qubits)
-        self._assert_norm()
         return self
 
     def apply_controlled(
@@ -258,20 +334,29 @@ class StateVector:
         pos_controls: Sequence[int] = (),
         neg_controls: Sequence[int] = (),
         targets: Sequence[int] = (),
+        run: range = range(0),
+        rows: range | None = None,
     ) -> "StateVector":
         """Apply a gate where every positive control is 1 and every negative
-        control is 0; identity on the rest of the space."""
+        control is 0, and, with ``rows``, where the contiguous qubit ``run``
+        (first qubit most significant) holds a value in the step-1 range
+        ``rows``; identity on the rest of the space."""
         matrix = self._as_matrix(gate)
         pos = sorted(pos_controls)
         neg = sorted(neg_controls)
         targets = list(targets)
-        self._check_qubits([*pos, *neg, *targets], "control/target")
+        self._check_qubits([*pos, *neg, *targets, *run], "control/target/run")
         if matrix.shape[0] != 1 << len(targets):
             raise ValueError(
                 f"gate over {matrix.shape[0]} rows does not fit {len(targets)} targets"
             )
-        apply_matrix(self.amps, matrix, targets, self.num_qubits, pos, neg)
-        self._assert_norm()
+        if run.step != 1:
+            raise ValueError(f"run {run} is not an ascending step-1 range of qubits")
+        if rows is not None and (
+            rows.step != 1 or rows.start < 0 or rows.stop > 1 << len(run) or not rows
+        ):
+            raise ValueError(f"rows {rows} are not a nonempty step-1 range of run values")
+        apply_matrix(self.amps, matrix, targets, self.num_qubits, pos, neg, run, rows)
         return self
 
     def apply_cnot(self, gate: CnotGate) -> "StateVector":

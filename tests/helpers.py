@@ -58,6 +58,33 @@ def dense_embed(
     return full
 
 
+def untiled_apply(
+    amps: np.ndarray,
+    matrix: np.ndarray,
+    targets: list[int],
+    num_qubits: int,
+    pos_controls: list[int] = (),
+    neg_controls: list[int] = (),
+    run: range = range(0),
+    rows: range | None = None,
+) -> None:
+    """The controlled-unitary kernel without tiles: one product
+    ``matrix @ block.reshape(2^k, -1)`` over the whole selected block of a
+    ``moveaxis`` view with one axis per qubit (the run merged into one)."""
+    k = len(targets)
+    shape = (2,) * run.start + (1 << len(run),) + (2,) * (num_qubits - run.stop)
+
+    def axis(q):
+        return q if q < run.start else q - len(run) + 1
+
+    moved = [axis(q) for q in (*pos_controls, *neg_controls, *targets)] + [run.start]
+    view = np.moveaxis(amps.reshape(shape), moved, range(len(moved)))
+    block = view[(1,) * len(pos_controls) + (0,) * len(neg_controls)]
+    if rows is not None:
+        block = block[(slice(None),) * k + (slice(rows.start, rows.stop),)]
+    block[...] = (matrix @ block.reshape(1 << k, -1)).reshape(block.shape)
+
+
 def reed_muller_brute_eval(monomials, assignment_bits: dict[int, int]) -> int:
     """Direct XOR-of-AND evaluation of a Reed-Muller form."""
     acc = 0

@@ -1,4 +1,5 @@
 import io
+import warnings
 
 import numpy as np
 import pytest
@@ -250,6 +251,18 @@ class TestLoadRejects:
             session.load_session(str(path))
         assert_unchanged(session, db, amps)
 
+    def test_overflowing_parts_rejected_without_warning(self, tmp_path):
+        # finite parts near the largest double used to overflow the norm
+        path = tmp_path / "huge.qdb"
+        path.write_text(HEADER + "0 0x1.fffffffffffffp+1023 -0x1.fffffffffffffp+1023\n")
+        session = loaded_session()
+        db, amps = session.db, session.db.state.amps.tobytes()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(SessionFormatError):
+                session.load_session(str(path))
+        assert_unchanged(session, db, amps)
+
     def test_not_utf8(self, tmp_path):
         path = tmp_path / "bad.qdb"
         path.write_bytes(HEADER.encode() + b"0 0x1.0p+0 \xff\n")
@@ -381,6 +394,16 @@ class TestRepl:
         )
         assert status == 0
         assert "1 component(s)" in output
+
+    def test_unwritable_save_path_reported(self, tmp_path):
+        path = tmp_path / "missing" / "x.qdb"
+        status, output = self.run_repl(
+            f'CREATE TABLE t (id:2) TEMP 1;\nSAVE "{path}";\nSHOW;\n', quiet=True
+        )
+        assert status == 0
+        assert f"error: cannot write {path}" in output
+        assert "1 component(s)" in output
+        assert not path.parent.exists()
 
     def test_banner_suppressed_when_quiet(self):
         _, loud = self.run_repl("SHOW;\n")

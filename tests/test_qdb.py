@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -390,6 +392,26 @@ class TestDelete:
         db = db2().insert_bulk(2)
         db.delete(Comparison("id", "=", 0))
         assert db.free_temps() == [2]
+
+    def test_failed_delete_leaves_state_untouched(self):
+        # 0.25 of the mass survives, below epsilon: the oracle is undone
+        db = QdbState(ID2, t=2, epsilon=0.5).insert_sequential(3)
+        amps, alloc, fill = db.state.amps.tobytes(), dict(db.temp_alloc), db._seq_fill
+        with pytest.raises(ImpossibleOutcomeError):
+            db.delete(Comparison("id", ">=", 1))
+        assert db.state.amps.tobytes() == amps
+        assert db.temp_alloc == alloc
+        assert db._seq_fill == fill
+
+    def test_delete_needs_no_register_copy(self):
+        db = create_db(TableSchema("t", (("k", 14),)), t=2).insert_sequential(3000)
+        tracemalloc.start()
+        try:
+            db.delete(Comparison("k", "<", 1000))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < db.state.amps.nbytes
 
     def test_amplified_delete_reports_probability(self):
         db = db3().insert_bulk(3)

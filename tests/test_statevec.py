@@ -1,3 +1,5 @@
+import sys
+import warnings
 from collections import Counter
 
 import numpy as np
@@ -10,6 +12,7 @@ from qqldb.errors import CapacityError, ImpossibleOutcomeError, ValidationError
 from qqldb.gates import CnotGate, GateMatrix, HADAMARD, NOT, identity
 from qqldb.statevec import StateVector, Xorshift64Star, apply_matrix
 
+MAX_DOUBLE = sys.float_info.max
 INV_SQRT2 = 1 / np.sqrt(2)
 
 
@@ -52,6 +55,20 @@ class TestFromAmplitudes:
         assert state.amps is not values
         assert state.amps.dtype == np.complex128 and state.amps.flags.c_contiguous
         assert state.amps.tolist() == [0, 1, 0, 0]
+
+    @pytest.mark.parametrize(
+        "values", [[MAX_DOUBLE, MAX_DOUBLE], [0, complex(0, -MAX_DOUBLE)], [1 + 1e-6, 0]]
+    )
+    def test_part_above_one_rejected_without_overflow(self, values):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValidationError):
+                StateVector.from_amplitudes(values)
+
+    def test_normalize_unchanged(self):
+        # parts above 1 are the normalising path's input, not an error
+        state = StateVector.from_amplitudes([3, 4j], normalize=True)
+        assert np.allclose(state.amps, [0.6, 0.8j])
 
 
 class TestApplyUnitary:
