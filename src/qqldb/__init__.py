@@ -23,7 +23,7 @@ from .boolcirc import (
     truth_table,
 )
 from .cli import Session, SessionConfig, main, repl_loop, run_script
-from .diffusion import DiffusionParams, apply_partial_diffusion, dense_partial_diffusion
+from .diffusion import DiffusionParams, apply_partial_diffusion
 from .errors import (
     CapacityError,
     CompileError,
@@ -34,18 +34,7 @@ from .errors import (
     SessionFormatError,
     ValidationError,
 )
-from .gates import (
-    CnotGate,
-    GateMatrix,
-    HADAMARD,
-    NOT,
-    controlled_lift,
-    identity,
-    is_unitary,
-    permutation_gate,
-    standard_gate,
-    tensor_gates,
-)
+from .gates import HADAMARD, NOT, CnotGate, GateMatrix, is_unitary
 from .qdb import ApplyGate, ApplySwap, QdbState, create_db
 from .qlang import parse_text, render_command, render_expr, tokenize
 from .schema import Record, TableSchema

@@ -17,7 +17,7 @@ import numpy as np
 from .errors import SchemaError
 from .gates import CnotGate
 from .schema import Record, TableSchema
-from .statevec import StateVector, xor_flip
+from .statevec import StateVector, swap
 
 MAX_TABLE_VARS = 20
 
@@ -253,8 +253,9 @@ def apply_oracle(
         raise ValueError("data qubits, target and controls must be disjoint")
     if not all(0 <= q < state.num_qubits for q in (*run, *outside)):
         raise ValueError(f"oracle qubits out of range for {state.num_qubits} qubits")
-    xor_flip(
-        state.amps, state.num_qubits, target,
-        neg_controls=neg_controls, run=run, rows=np.flatnonzero(oracle.bits),
+    rows = np.flatnonzero(oracle.bits)
+    swap(
+        state.amps, state.num_qubits, (0, rows), (1, rows),
+        neg_controls=neg_controls, leading=[target], run=run,
     )
     return state

@@ -86,57 +86,66 @@ class Session:
 
     # ------------------------------------------------------------- rendering
 
-    def _record_label(self, record) -> str:
+    def _label_columns(self, indices: np.ndarray, width: int) -> tuple[str, list]:
+        """A ``%``-format of the record label ``(name=value, ...)`` of data
+        indices, left-justified to ``width`` columns, and its argument
+        columns: one of values per field, then one of padding."""
         assert self.db is not None
-        parts = ", ".join(
-            f"{name}={value}"
-            for (name, _), value in zip(self.db.schema.fields, record.values)
-        )
-        return f"({parts})"
+        fields = self.db.schema.fields
+        # the label's length is that of the names and separators plus the
+        # value digits
+        lengths = np.full(indices.size, sum(len(name) + 3 for name, _ in fields))
+        powers = 10 ** np.arange(1, 19, dtype=np.int64)
+        columns = []
+        shift = self.db.n
+        for _, bits in fields:
+            shift -= bits
+            values = (indices >> shift) & ((1 << bits) - 1)
+            lengths += np.searchsorted(powers, values, side="right") + 1
+            columns.append(values.tolist())
+        pads = [" " * k for k in range(width + 1)]
+        columns.append(list(map(pads.__getitem__, np.maximum(width - lengths, 0).tolist())))
+        label = "(" + ", ".join(f"{name.replace('%', '%%')}=%d" for name, _ in fields) + ")%s"
+        return label, columns
 
-    def render_state(self, rows, full: bool = False) -> str:
+    def render_state(self, components, full: bool = False) -> str:
+        """``components`` is the (basis indices, amplitudes) pair of
+        :meth:`QdbState.show_state`; each row is one ``%``-format of the ket,
+        the record label, the temp bits, the amplitude and its probability."""
         assert self.db is not None
         n, t = self.db.n, self.db.t
+        indices, amplitudes = components
+        probabilities = amplitudes.real**2 + amplitudes.imag**2
+        label, columns = self._label_columns(indices >> t, 24)
+        index_list = indices.tolist()
+        kets = [f"|{index:0{n + t}b}>" for index in index_list]
+        temp_pad = " " * max(4 - t, 0)
+        temps = [f"{index & ((1 << t) - 1):0{t}b}{temp_pad}" for index in index_list]
+        amps = [format_amplitude(amp, full) for amp in amplitudes.tolist()]
+        row = "%s  " + label + "  %s  %-24s  %10.6f"
         lines = [f"{'ket':<{n + t + 2}}  {'record':<24}  {'temp':<{max(t, 4)}}  "
                  f"{'amplitude':<24}  probability"]
-        total = 0.0
-        for row in rows:
-            ket = f"|{row.index:0{n + t}b}>"
-            amp = format_amplitude(row.amplitude, full)
-            lines.append(
-                f"{ket:<{n + t + 2}}  {self._record_label(row.record):<24}  "
-                f"{row.temp_bits:<{max(t, 4)}}  {amp:<24}  {row.probability:>10.6f}"
-            )
-            total += row.probability
-        lines.append(f"{len(rows)} component(s), total probability {total:.6f}")
+        lines += [
+            row % values
+            for values in zip(kets, *columns, temps, amps, probabilities.tolist())
+        ]
+        # the footer's total adds the probabilities left to right
+        total = float(np.cumsum(probabilities)[-1]) if indices.size else 0.0
+        lines.append(f"{len(index_list)} component(s), total probability {total:.6f}")
         return "\n".join(lines)
 
     def render_histogram(self, histogram, shots: int) -> str:
         """``histogram`` is the (data indices, counts) pair of
         :meth:`QdbState.measure_counts`, whose ascending indices are record
-        order; each row is one ``%``-format of field values, padding and count."""
-        assert self.db is not None
+        order; each row is one ``%``-format of the record label, count and
+        fraction."""
         indices, counts = histogram
-        fields = self.db.schema.fields
-        # the label "(name=value, ...)" is left-justified to 28 columns; its
-        # length is that of the names and separators plus the value digits
-        lengths = np.full(indices.size, sum(len(name) + 3 for name, _ in fields))
-        powers = 10 ** np.arange(1, 19, dtype=np.int64)
-        columns = []
-        shift = self.db.n
-        for _, width in fields:
-            shift -= width
-            values = (indices >> shift) & ((1 << width) - 1)
-            lengths += np.searchsorted(powers, values, side="right") + 1
-            columns.append(values.tolist())
-        pads = [" " * k for k in range(29)]
-        padding = map(pads.__getitem__, np.maximum(28 - lengths, 0).tolist())
-        row = "(" + ", ".join(f"{name.replace('%', '%%')}=%d" for name, _ in fields) + ")"
-        row += "%s  %8d  %10.6f"
+        label, columns = self._label_columns(indices, 28)
+        row = label + "  %8d  %10.6f"
         lines = [f"{'record':<28}  {'count':>8}  fraction"]
         lines += [
             row % values
-            for values in zip(*columns, padding, counts.tolist(), (counts / shots).tolist())
+            for values in zip(*columns, counts.tolist(), (counts / shots).tolist())
         ]
         lines.append(f"{shots} shot(s), {indices.size} distinct record(s)")
         return "\n".join(lines)

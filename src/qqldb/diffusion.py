@@ -8,8 +8,9 @@ The operator over ``n`` data qubits plus one flag qubit is
 with |0><0| the rank-1 projector on the all-zeros state of the full n+1-qubit
 space.  Applied to ``sum_j a_j |j>|0> + b_j |j>|1>`` it sends
 ``a_j -> (1 - e^{i phi}) <a> - a_j`` and ``b_j -> -b_j`` where ``<a>`` is the
-mean of the flag-0 amplitudes.  The fast path computes exactly that in two
-passes; the dense construction exists for verification only.
+mean of the flag-0 amplitudes.  That is computed directly, in two passes over
+the flag-0 and flag-1 views of the register; the dense matrix is built only by
+the tests.
 """
 
 from __future__ import annotations
@@ -20,9 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CapacityError
-from .gates import DENSE_LIMIT_QUBITS, GateMatrix, HADAMARD
-from .statevec import StateVector
+from .statevec import StateVector, qubit_view
 
 
 @dataclass(frozen=True)
@@ -67,31 +66,13 @@ def apply_partial_diffusion(
     if flag < n or flag >= m:
         raise ValueError(f"flag qubit {flag} must lie in the tail qubits {n}..{m - 1}")
     factor = params.factor
-    view = state.amps.reshape(1 << n, 1 << (m - n))
-    tail = m - n
-    flag_bit = 1 << (m - 1 - flag)
-    for column in range(1 << tail):
-        if column & flag_bit:
-            continue
-        alpha = view[:, column]
-        mean = alpha.mean()
-        view[:, column] = factor * mean - alpha
-        partner = column | flag_bit
-        view[:, partner] = -view[:, partner]
+    data = range(0, n)
+    zero = qubit_view(state.amps, m, (), [flag], (), data)
+    # one 1-D mean per spectator column: a mean over axis 0 sums in another
+    # order and rounds differently
+    for index in np.ndindex(zero.shape[1:]):
+        alpha = zero[(slice(None), *index)]
+        alpha[...] = factor * alpha.mean() - alpha
+    one = qubit_view(state.amps, m, [flag], (), (), data)
+    np.negative(one, out=one)
     return state
-
-
-def dense_partial_diffusion(params: DiffusionParams) -> GateMatrix:
-    """Exact matrix product of the three factors, for n + 1 within the dense
-    limit."""
-    n = params.n
-    if n + 1 > DENSE_LIMIT_QUBITS:
-        raise CapacityError(f"dense diffusion over {n + 1} qubits exceeds the dense limit")
-    dim = 1 << (n + 1)
-    spread = HADAMARD.matrix
-    for _ in range(n - 1):
-        spread = np.kron(spread, HADAMARD.matrix)
-    spread = np.kron(spread, np.eye(2, dtype=np.complex128))
-    core = -np.eye(dim, dtype=np.complex128)
-    core[0, 0] += params.factor
-    return GateMatrix(spread @ core @ spread)

@@ -1,16 +1,15 @@
-"""Unitary building blocks: standard gates, tensor products, controlled lifts,
-multi-controlled-NOT descriptors and permutation matrices.
+"""Unitary building blocks: validated small gate matrices, the NOT and
+Hadamard gates, and multi-controlled-NOT descriptors.
 
-Dense matrices are a verification tool, capped at ``DENSE_LIMIT_QUBITS``; the
-execution path works with :class:`CnotGate` descriptors and stride kernels in
-:mod:`qqldb.statevec`.
+A :class:`GateMatrix` is capped at ``DENSE_LIMIT_QUBITS``; the execution path
+applies gates and :class:`CnotGate` descriptors with the in-place kernels of
+:mod:`qqldb.statevec`.  Dense constructors over whole registers live with the
+tests.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable
-
 import numpy as np
 
 from .errors import CapacityError, ValidationError
@@ -56,12 +55,6 @@ class GateMatrix:
     def num_qubits(self) -> int:
         return self.matrix.shape[0].bit_length() - 1
 
-    def isclose(self, other: "GateMatrix | np.ndarray", tol: float = 1e-12) -> bool:
-        other_mat = other.matrix if isinstance(other, GateMatrix) else np.asarray(other)
-        return self.matrix.shape == other_mat.shape and bool(
-            np.max(np.abs(self.matrix - other_mat)) <= tol
-        )
-
 
 @dataclass(frozen=True)
 class CnotGate:
@@ -83,73 +76,3 @@ _SQRT2 = np.sqrt(2.0)
 
 NOT = GateMatrix(np.array([[0, 1], [1, 0]]))
 HADAMARD = GateMatrix(np.array([[1, 1], [1, -1]]) / _SQRT2)
-
-
-def identity(num_qubits: int = 1) -> GateMatrix:
-    if num_qubits < 1 or num_qubits > DENSE_LIMIT_QUBITS:
-        raise CapacityError(f"identity size {num_qubits} outside dense limit")
-    return GateMatrix(np.eye(1 << num_qubits))
-
-
-def standard_gate(name: str, num_qubits: int = 1) -> GateMatrix:
-    """Look up a named gate: ``not``, ``hadamard`` (alias ``h``) or ``identity``."""
-    key = name.strip().lower()
-    if key == "not":
-        return NOT
-    if key in ("hadamard", "h"):
-        return HADAMARD
-    if key in ("identity", "i"):
-        return identity(num_qubits)
-    raise ValueError(f"unknown gate name {name!r}")
-
-
-def tensor_gates(u: GateMatrix, v: GateMatrix) -> GateMatrix:
-    """Kronecker product; the first factor owns the most significant bits."""
-    total = u.num_qubits + v.num_qubits
-    if total > DENSE_LIMIT_QUBITS:
-        raise CapacityError(f"tensor of {total} qubits exceeds dense limit")
-    return GateMatrix(np.kron(u.matrix, v.matrix))
-
-
-_KET0_PROJ = np.array([[1, 0], [0, 0]], dtype=np.complex128)
-_KET1_PROJ = np.array([[0, 0], [0, 1]], dtype=np.complex128)
-
-
-def controlled_lift(u: GateMatrix, control_value: int = 1) -> GateMatrix:
-    """Extend ``u`` with one control qubit appended as the last (least
-    significant) qubit: ``u`` acts where the control equals ``control_value``,
-    identity elsewhere.
-    """
-    if control_value not in (0, 1):
-        raise ValueError("control_value must be 0 or 1")
-    if u.num_qubits + 1 > DENSE_LIMIT_QUBITS:
-        raise CapacityError("controlled lift exceeds dense limit")
-    eye = np.eye(u.matrix.shape[0])
-    if control_value == 1:
-        mat = np.kron(u.matrix, _KET1_PROJ) + np.kron(eye, _KET0_PROJ)
-    else:
-        mat = np.kron(u.matrix, _KET0_PROJ) + np.kron(eye, _KET1_PROJ)
-    return GateMatrix(mat)
-
-
-def permutation_gate(swaps: Iterable[tuple[int, int]], num_qubits: int) -> GateMatrix:
-    """Identity with the listed basis-index column pairs swapped.
-
-    The pairs must be disjoint transpositions, which makes the result
-    self-inverse.
-    """
-    if num_qubits > DENSE_LIMIT_QUBITS:
-        raise CapacityError(f"{num_qubits}-qubit permutation exceeds dense limit")
-    dim = 1 << num_qubits
-    seen: set[int] = set()
-    mat = np.eye(dim, dtype=np.complex128)
-    for a, b in swaps:
-        for idx in (a, b):
-            if idx < 0 or idx >= dim:
-                raise ValueError(f"basis index {idx} out of range for {num_qubits} qubits")
-            if idx in seen:
-                raise ValueError(f"basis index {idx} appears in more than one swap pair")
-            seen.add(idx)
-        mat[:, [a, b]] = mat[:, [b, a]]
-    return GateMatrix(mat)
-

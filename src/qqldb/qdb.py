@@ -28,30 +28,13 @@ from .diffusion import DiffusionParams, apply_partial_diffusion
 from .errors import CapacityError, ImpossibleOutcomeError, QqlError, SchemaError
 from .gates import HADAMARD, GateMatrix
 from .schema import Record, TableSchema
-from .statevec import DEFAULT_EPSILON, DEFAULT_MAX_QUBITS, StateVector
+from .statevec import DEFAULT_EPSILON, DEFAULT_MAX_QUBITS, StateVector, qubit_view, swap
 
 DEFAULT_TEMP_QUBITS = 3
 SUPPORT_TOL = 1e-9
 RESIDUE_TOL = 1e-12
 # Amplitudes per block of the support scan.
 SUPPORT_BLOCK = 1 << 14
-
-
-@dataclass
-class LogEntry:
-    op: str
-    info: dict
-
-
-@dataclass(frozen=True)
-class StateRow:
-    """One nonzero component: record bits, temp bits, amplitude, probability."""
-
-    index: int
-    record: Record
-    temp_bits: str
-    amplitude: complex
-    probability: float
 
 
 @dataclass
@@ -90,7 +73,7 @@ RecordLike = Union[Record, int]
 
 class QdbState:
     """A database session: state vector over ``n + t`` qubits plus temp-qubit
-    allocation, the optional safe key, and an operation log.
+    allocation and the optional safe key.
 
     Single writer; every operation mutates in place.  Amplitude
     non-uniformity after sequential inserts and after a backup is inherent and
@@ -121,7 +104,6 @@ class QdbState:
         self.state = state if state is not None else StateVector.zero(n + t, max_qubits)
         self.temp_alloc: dict[int, TempUse] = {}
         self.safe_key: SafeKey | None = None
-        self.log: list[LogEntry] = []
         self._seq_fill: int | None = 0
 
     # ------------------------------------------------------------------ layout
@@ -148,30 +130,23 @@ class QdbState:
     def _free_temp(self, qubit: int) -> None:
         self.temp_alloc.pop(qubit, None)
 
-    def _temp_column_mask(self, qubit: int) -> int:
-        """Bit of ``qubit`` inside a temp-column index (temp qubits only)."""
-        return 1 << (self.t - 1 - (qubit - self.n))
-
-    def _view(self) -> np.ndarray:
-        return self.state.amps.reshape(1 << self.n, 1 << self.t)
-
-    def _live_columns(self) -> list[int]:
-        if self.safe_key is None:
-            return list(range(1 << self.t))
-        safe_bit = self._temp_column_mask(self.safe_key.qubit)
-        return [c for c in range(1 << self.t) if not c & safe_bit]
+    def _live_controls(self) -> list[int]:
+        """The safe key as a negative control when a backup is active: the
+        live database is the safe-key-0 subspace."""
+        return [self.safe_key.qubit] if self.safe_key else []
 
     def support(self) -> list[int]:
         """Live record indices: data values carrying probability mass in the
-        safe-key-0 subspace (all columns when no backup is active)."""
-        view = self._view()
-        columns = self._live_columns()
+        safe-key-0 subspace (the whole register when no backup is active)."""
+        view = qubit_view(
+            self.state.amps, self.state.num_qubits, (), self._live_controls(), (), range(self.n)
+        )
         step = max(1, SUPPORT_BLOCK >> self.t)
         found = []
         # in blocks of rows, so the temporaries stay far below the register
         for start in range(0, view.shape[0], step):
             part = view[start : start + step]
-            mass = (part.real**2 + part.imag**2)[:, columns].sum(axis=1)
+            mass = (part.real**2 + part.imag**2).reshape(len(part), -1).sum(axis=1)
             found.append(np.flatnonzero(mass > SUPPORT_TOL * SUPPORT_TOL) + start)
         return np.concatenate(found).tolist()
 
@@ -188,7 +163,6 @@ class QdbState:
             self.state.apply_unitary(HADAMARD, [q])
         self.state._assert_norm()
         self._seq_fill = (1 << r) - 1 if self._seq_fill == 0 else None
-        self.log.append(LogEntry("insert_bulk", {"r": r}))
         return self
 
     def _seq_steps(self, upto_k: int) -> None:
@@ -221,7 +195,6 @@ class QdbState:
             raise ValueError(f"database already filled to {self._seq_fill}")
         self._seq_steps(upto_k)
         self._seq_fill = upto_k
-        self.log.append(LogEntry("insert_sequential", {"upto": upto_k}))
         return self
 
     def insert_values(self, records: Sequence[RecordLike]) -> "QdbState":
@@ -245,9 +218,8 @@ class QdbState:
         sequence = set(range(count))
         requested = set(indices)
         swaps = list(zip(sorted(sequence - requested), sorted(requested - sequence)))
-        self._swap_records(swaps, self._live_columns())
+        self._swap_records(swaps)
         self._seq_fill = count - 1 if requested == sequence else None
-        self.log.append(LogEntry("insert_values", {"records": sorted(requested)}))
         return self
 
     def _as_index(self, record: RecordLike) -> int:
@@ -260,16 +232,19 @@ class QdbState:
 
     # ------------------------------------------------------------------ update
 
-    def _swap_records(self, pairs: Sequence[tuple[int, int]], columns: Sequence[int]) -> None:
-        """Exchange the data rows of every disjoint index pair within the given
-        temp columns, as one fancy-index assignment on the (2^n data x 2^t
-        temp) view."""
+    def _swap_records(
+        self, pairs: Sequence[tuple[int, int]], pos_controls: Sequence[int] = ()
+    ) -> None:
+        """Exchange the data rows of every disjoint index pair where the temp
+        qubits ``pos_controls`` are 1 and, under a backup, the safe key is 0:
+        one swap of the row sets on the data run."""
         if not pairs:
             return
         a, b = np.array(pairs, dtype=np.int64).T
-        rows, sources = np.concatenate([a, b]), np.concatenate([b, a])
-        view = self._view()
-        view[np.ix_(rows, columns)] = view[np.ix_(sources, columns)]
+        swap(
+            self.state.amps, self.state.num_qubits, a, b,
+            pos_controls, self._live_controls(), run=range(self.n),
+        )
 
     def update(self, pairs: Sequence[tuple[RecordLike, RecordLike]]) -> "QdbState":
         """Relabel records by disjoint transpositions; amplitudes ride along
@@ -291,9 +266,8 @@ class QdbState:
                     raise SchemaError(
                         f"record {dst} already exists; update would break uniqueness"
                     )
-        self._swap_records(swaps, self._live_columns())
+        self._swap_records(swaps)
         self._seq_fill = None
-        self.log.append(LogEntry("update", {"pairs": swaps}))
         return self
 
     # ------------------------------------------------------------------ select / apply
@@ -305,7 +279,6 @@ class QdbState:
         table = truth_table(expr, self.schema)
         qubit = self._alloc_temp("select", expr)
         apply_oracle(self.state, table, self.data_qubits, qubit)
-        self.log.append(LogEntry("select", {"qubit": qubit}))
         return qubit
 
     def apply_where(
@@ -341,16 +314,13 @@ class QdbState:
         for gate in gates:
             self.state.apply_cnot(gate)
 
-        neg = [self.safe_key.qubit] if self.safe_key else []
         if isinstance(operation, ApplyGate):
             self.state.apply_controlled(
-                operation.gate, [combiner_qubit], neg, list(operation.targets)
+                operation.gate, [combiner_qubit], self._live_controls(), list(operation.targets)
             )
             self.state._assert_norm()
         else:
-            comb_bit = self._temp_column_mask(combiner_qubit)
-            live = [c for c in self._live_columns() if c & comb_bit]
-            self._swap_records([(operation.index_a, operation.index_b)], live)
+            self._swap_records([(operation.index_a, operation.index_b)], [combiner_qubit])
 
         for gate in reversed(gates):
             self.state.apply_cnot(gate)
@@ -367,7 +337,6 @@ class QdbState:
                 else:
                     self.temp_alloc[qubit] = TempUse("residue")
         self._seq_fill = None
-        self.log.append(LogEntry("apply_where", {"flags": sorted(flag_map)}))
         return self
 
     def _check_operation(self, operation: Union[ApplyGate, ApplySwap]) -> None:
@@ -404,7 +373,7 @@ class QdbState:
         if live and all(table.bits[r] for r in live):
             raise ImpossibleOutcomeError("predicate matches every live record")
         qubit = self._alloc_temp("delete", expr)
-        neg = [self.safe_key.qubit] if self.safe_key else []
+        neg = self._live_controls()
         # amplification is not a permutation, so only it needs a snapshot; a
         # lone oracle is undone by applying it again
         snapshot = self.state.amps.copy() if amplify_iters else None
@@ -426,9 +395,6 @@ class QdbState:
             raise
         self._free_temp(qubit)
         self._seq_fill = None
-        self.log.append(
-            LogEntry("delete", {"probability": probability, "amplify": amplify_iters})
-        )
         return probability
 
     # ------------------------------------------------------------------ backup / restore
@@ -448,7 +414,6 @@ class QdbState:
         self.state._assert_norm()
         self.safe_key = SafeKey(qubit, expr, matches)
         self._seq_fill = None
-        self.log.append(LogEntry("backup", {"qubit": qubit, "matches": matches}))
         return self
 
     def restore(self, purge: bool = False) -> float | None:
@@ -473,7 +438,6 @@ class QdbState:
             self._free_temp(safe.qubit)
             self.safe_key = None
         self._seq_fill = None
-        self.log.append(LogEntry("restore", {"purge": purge, "probability": probability}))
         return probability
 
     # ------------------------------------------------------------------ read-out
@@ -484,7 +448,6 @@ class QdbState:
         order), and how often each was drawn."""
         picks = self.state.sample(shots, seed)
         indices, counts = np.unique(picks >> self.t, return_counts=True)
-        self.log.append(LogEntry("measure", {"shots": shots, "seed": seed}))
         return indices, counts
 
     def measure_records(self, shots: int, seed: int) -> Counter:
@@ -492,22 +455,12 @@ class QdbState:
         indices, counts = self.measure_counts(shots, seed)
         return Counter(dict(zip(map(self.schema.decode, indices.tolist()), counts.tolist())))
 
-    def show_state(self) -> list[StateRow]:
-        """All components with |amplitude| >= 1e-12, ascending by basis index."""
+    def show_state(self) -> tuple[np.ndarray, np.ndarray]:
+        """Basis indices of the components with |amplitude| >= 1e-12,
+        ascending, and their amplitudes."""
         amps = self.state.amps
-        mags = amps.real**2 + amps.imag**2
-        rows = []
-        for index in np.nonzero(mags >= 1e-24)[0].tolist():
-            rows.append(
-                StateRow(
-                    index=index,
-                    record=self.schema.decode(index >> self.t),
-                    temp_bits=format(index & ((1 << self.t) - 1), f"0{self.t}b"),
-                    amplitude=complex(amps[index]),
-                    probability=float(mags[index]),
-                )
-            )
-        return rows
+        indices = np.flatnonzero(amps.real**2 + amps.imag**2 >= 1e-24)
+        return indices, amps[indices]
 
 
 def create_db(

@@ -33,7 +33,7 @@ from typing import Callable, Optional, Union
 from .boolcirc import And, BoolExpr, Comparison, Const, Not, Or, Var
 from .errors import CompileError, QqlSyntaxError, SchemaError
 from .gates import HADAMARD, NOT as NOT_GATE
-from .qdb import ApplyGate, ApplySwap, QdbState
+from .qdb import DEFAULT_TEMP_QUBITS, ApplyGate, ApplySwap, QdbState
 from .schema import TableSchema
 
 KEYWORDS = {
@@ -636,7 +636,7 @@ def compile_command(command: Command, session) -> Callable[[], str]:
             schema = TableSchema(command.name, command.fields)
         except SchemaError as exc:
             raise CompileError(str(exc)) from exc
-        temp = command.temp if command.temp is not None else 3
+        temp = command.temp if command.temp is not None else DEFAULT_TEMP_QUBITS
 
         def run_create() -> str:
             session.open_table(schema, temp)
@@ -666,7 +666,12 @@ def compile_command(command: Command, session) -> Callable[[], str]:
         pairs = [
             (_resolve_record(a, schema), _resolve_record(b, schema)) for a, b in command.pairs
         ]
-        return lambda: _fmt_update(db.update(pairs), len(pairs))
+
+        def run_update() -> str:
+            db.update(pairs)
+            return f"ok: updated {len(pairs)} pair(s)"
+
+        return run_update
     if isinstance(command, Delete):
         expr = _validated(command.expr, schema)
 
@@ -758,6 +763,3 @@ def compile_command(command: Command, session) -> Callable[[], str]:
 def _fmt_insert(db: QdbState, what: str) -> str:
     return f"ok: insert {what}; support size {len(db.support())}"
 
-
-def _fmt_update(db: QdbState, pair_count: int) -> str:
-    return f"ok: updated {pair_count} pair(s)"

@@ -44,10 +44,6 @@ class TableSchema:
     def num_bits(self) -> int:
         return sum(w for _, w in self.fields)
 
-    @property
-    def field_names(self) -> tuple[str, ...]:
-        return tuple(n for n, _ in self.fields)
-
     def width_of(self, field: str) -> int:
         for field_name, width in self.fields:
             if field_name == field:
@@ -104,9 +100,6 @@ class TableSchema:
             values.append(remaining & ((1 << width) - 1))
             remaining >>= width
         return Record(tuple(reversed(values)))
-
-    def as_dict(self, record: Record) -> dict[str, int]:
-        return {name: value for (name, _), value in zip(self.fields, record.values)}
 
     def value_of(self, record: Record, field: str) -> int:
         for (field_name, _), value in zip(self.fields, record.values):

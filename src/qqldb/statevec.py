@@ -110,7 +110,7 @@ def xorshift_uniform(seed: int, count: int) -> np.ndarray:
 TILE_COLUMNS = 1 << 13
 
 
-def _qubit_view(
+def qubit_view(
     amps: np.ndarray,
     num_qubits: int,
     pos_controls: Sequence[int],
@@ -119,7 +119,8 @@ def _qubit_view(
     run: range = range(0),
 ) -> np.ndarray:
     """View of the components of ``amps`` where ``pos_controls`` are 1 and
-    ``neg_controls`` are 0.
+    ``neg_controls`` are 0: the package's one way to address a subspace, such
+    as "safe key = 0", for the kernels, the support scan and the diffusion.
 
     Its axes are the qubits of ``leading`` (length 2 each, in that order), then
     the contiguous qubit ``run`` as one axis of length ``2^len(run)`` (first
@@ -193,7 +194,7 @@ def apply_matrix(
     has them, so every amplitude comes out as ``matrix @ block`` gives it.
     """
     k = len(targets)
-    view = _qubit_view(amps, num_qubits, pos_controls, neg_controls, targets, run)
+    view = qubit_view(amps, num_qubits, pos_controls, neg_controls, targets, run)
     lead = (slice(None),) * k
     if rows is not None:
         view = view[lead + (slice(rows.start, rows.stop),)]
@@ -209,33 +210,31 @@ def apply_matrix(
         part[...] = out.reshape(part.shape)
 
 
-def xor_flip(
+def swap(
     amps: np.ndarray,
     num_qubits: int,
-    target: int,
+    first,
+    second,
     pos_controls: Sequence[int] = (),
     neg_controls: Sequence[int] = (),
+    leading: Sequence[int] = (),
     run: range = range(0),
-    rows: np.ndarray | None = None,
 ) -> None:
-    """Flip ``target`` in place where ``pos_controls`` are 1 and
-    ``neg_controls`` are 0: a basis permutation, so amplitudes are moved, never
-    recomputed.
+    """Exchange the index sets ``first`` and ``second`` of the
+    :func:`qubit_view` of ``amps`` in place: a basis permutation, so
+    amplitudes are moved, never recomputed.
 
-    With ``rows``, the flip is further restricted to components whose
-    contiguous qubit ``run`` (first qubit most significant) holds a value in
-    ``rows``.  The run is one axis of the same view :func:`apply_matrix`
-    walks; no index array over the buffer is built.
+    A CNOT exchanges the halves ``0``/``1`` of its target axis, an oracle the
+    same halves at the truth table's rows of its data run, a record swap the
+    data rows ``a``/``b`` of the run ``range(0, n)``.
     """
-    block = _qubit_view(amps, num_qubits, pos_controls, neg_controls, [target], run)
-    if rows is None:
-        low = block[0].copy()
-        block[0] = block[1]
-        block[1] = low
-    else:
-        low = block[0, rows]
-        block[0, rows] = block[1, rows]
-        block[1, rows] = low
+    view = qubit_view(amps, num_qubits, pos_controls, neg_controls, leading, run)
+    saved = view[first]
+    # a basic index selects a view of the buffer, an array index a copy
+    if np.may_share_memory(saved, amps):
+        saved = saved.copy()
+    view[first] = view[second]
+    view[second] = saved
 
 
 class StateVector:
@@ -362,7 +361,7 @@ class StateVector:
     def apply_cnot(self, gate: CnotGate) -> "StateVector":
         """Multi-controlled NOT: a pure basis permutation, done in place."""
         self._check_qubits([*gate.controls, gate.target], "cnot")
-        xor_flip(self.amps, self.num_qubits, gate.target, sorted(gate.controls))
+        swap(self.amps, self.num_qubits, 0, 1, sorted(gate.controls), leading=[gate.target])
         return self
 
     def probability_of(self, qubit: int, bit: int) -> float:

@@ -2,9 +2,13 @@
 
 from __future__ import annotations
 
+from typing import Iterable
+
 import numpy as np
 
-from qqldb.gates import GateMatrix
+from qqldb.diffusion import DiffusionParams
+from qqldb.errors import CapacityError
+from qqldb.gates import DENSE_LIMIT_QUBITS, HADAMARD, NOT, GateMatrix
 
 
 def random_unitary(num_qubits: int, rng: np.random.Generator) -> GateMatrix:
@@ -94,3 +98,101 @@ def reed_muller_brute_eval(monomials, assignment_bits: dict[int, int]) -> int:
             term &= assignment_bits[var]
         acc ^= term
     return acc
+
+
+# ---------------------------------------------------------------- dense builders
+# Dense matrices over whole (small) registers: the reference the in-place
+# kernels are checked against.  Each is capped at the GateMatrix dense limit.
+
+
+def gates_close(gate: GateMatrix, other: "GateMatrix | np.ndarray", tol: float = 1e-12) -> bool:
+    """Same shape and entries within ``tol``."""
+    other_mat = other.matrix if isinstance(other, GateMatrix) else np.asarray(other)
+    return gate.matrix.shape == other_mat.shape and bool(
+        np.max(np.abs(gate.matrix - other_mat)) <= tol
+    )
+
+
+def identity(num_qubits: int = 1) -> GateMatrix:
+    if num_qubits < 1 or num_qubits > DENSE_LIMIT_QUBITS:
+        raise CapacityError(f"identity size {num_qubits} outside dense limit")
+    return GateMatrix(np.eye(1 << num_qubits))
+
+
+def standard_gate(name: str, num_qubits: int = 1) -> GateMatrix:
+    """Look up a named gate: ``not``, ``hadamard`` (alias ``h``) or ``identity``."""
+    key = name.strip().lower()
+    if key == "not":
+        return NOT
+    if key in ("hadamard", "h"):
+        return HADAMARD
+    if key in ("identity", "i"):
+        return identity(num_qubits)
+    raise ValueError(f"unknown gate name {name!r}")
+
+
+def tensor_gates(u: GateMatrix, v: GateMatrix) -> GateMatrix:
+    """Kronecker product; the first factor owns the most significant bits."""
+    total = u.num_qubits + v.num_qubits
+    if total > DENSE_LIMIT_QUBITS:
+        raise CapacityError(f"tensor of {total} qubits exceeds dense limit")
+    return GateMatrix(np.kron(u.matrix, v.matrix))
+
+
+_KET0_PROJ = np.array([[1, 0], [0, 0]], dtype=np.complex128)
+_KET1_PROJ = np.array([[0, 0], [0, 1]], dtype=np.complex128)
+
+
+def controlled_lift(u: GateMatrix, control_value: int = 1) -> GateMatrix:
+    """Extend ``u`` with one control qubit appended as the last (least
+    significant) qubit: ``u`` acts where the control equals ``control_value``,
+    identity elsewhere.
+    """
+    if control_value not in (0, 1):
+        raise ValueError("control_value must be 0 or 1")
+    if u.num_qubits + 1 > DENSE_LIMIT_QUBITS:
+        raise CapacityError("controlled lift exceeds dense limit")
+    eye = np.eye(u.matrix.shape[0])
+    if control_value == 1:
+        mat = np.kron(u.matrix, _KET1_PROJ) + np.kron(eye, _KET0_PROJ)
+    else:
+        mat = np.kron(u.matrix, _KET0_PROJ) + np.kron(eye, _KET1_PROJ)
+    return GateMatrix(mat)
+
+
+def permutation_gate(swaps: Iterable[tuple[int, int]], num_qubits: int) -> GateMatrix:
+    """Identity with the listed basis-index column pairs swapped.
+
+    The pairs must be disjoint transpositions, which makes the result
+    self-inverse.
+    """
+    if num_qubits > DENSE_LIMIT_QUBITS:
+        raise CapacityError(f"{num_qubits}-qubit permutation exceeds dense limit")
+    dim = 1 << num_qubits
+    seen: set[int] = set()
+    mat = np.eye(dim, dtype=np.complex128)
+    for a, b in swaps:
+        for idx in (a, b):
+            if idx < 0 or idx >= dim:
+                raise ValueError(f"basis index {idx} out of range for {num_qubits} qubits")
+            if idx in seen:
+                raise ValueError(f"basis index {idx} appears in more than one swap pair")
+            seen.add(idx)
+        mat[:, [a, b]] = mat[:, [b, a]]
+    return GateMatrix(mat)
+
+
+def dense_partial_diffusion(params: DiffusionParams) -> GateMatrix:
+    """Exact matrix product of the three factors of the partial diffusion
+    operator, for n + 1 within the dense limit."""
+    n = params.n
+    if n + 1 > DENSE_LIMIT_QUBITS:
+        raise CapacityError(f"dense diffusion over {n + 1} qubits exceeds the dense limit")
+    dim = 1 << (n + 1)
+    spread = HADAMARD.matrix
+    for _ in range(n - 1):
+        spread = np.kron(spread, HADAMARD.matrix)
+    spread = np.kron(spread, np.eye(2, dtype=np.complex128))
+    core = -np.eye(dim, dtype=np.complex128)
+    core[0, 0] += params.factor
+    return GateMatrix(spread @ core @ spread)

@@ -10,7 +10,7 @@ import time
 import numpy as np
 import pytest
 
-from helpers import dense_embed, random_state
+from helpers import dense_embed, dense_partial_diffusion, permutation_gate, random_state
 from refmodel import RefDb
 from qqldb.boolcirc import (
     And,
@@ -26,8 +26,8 @@ from qqldb.boolcirc import (
     truth_table,
 )
 from qqldb.cli import Session, SessionConfig, run_script
-from qqldb.diffusion import DiffusionParams, apply_partial_diffusion, dense_partial_diffusion
-from qqldb.gates import CnotGate, HADAMARD, permutation_gate
+from qqldb.diffusion import DiffusionParams, apply_partial_diffusion
+from qqldb.gates import CnotGate, HADAMARD
 from qqldb.qdb import QdbState, create_db
 from qqldb.qlang import render_expr
 from qqldb.schema import TableSchema
@@ -511,8 +511,10 @@ def test_criterion_08_delete_probability_and_support():
         matching = {r for r in live if pred(r)}
         if matching == set(live):
             continue
+        indices, amplitudes = db.show_state()
+        probabilities = amplitudes.real**2 + amplitudes.imag**2
         matching_mass = sum(
-            row.probability for row in db.show_state() if pred(row.record.values[0])
+            p for r, p in zip((indices >> db.t).tolist(), probabilities.tolist()) if pred(r)
         )
         probability = db.delete(expr)
         assert probability == pytest.approx(1 - matching_mass, abs=1e-12), f"case {case}"

@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import random_state
-from qqldb.diffusion import DiffusionParams, apply_partial_diffusion, dense_partial_diffusion
+from helpers import dense_partial_diffusion, random_state
+from qqldb.diffusion import DiffusionParams, apply_partial_diffusion
 from qqldb.errors import CapacityError
 from qqldb.gates import is_unitary
 from qqldb.statevec import StateVector
@@ -122,6 +122,37 @@ class TestAction:
         state = StateVector(n + t, start.copy())
         apply_partial_diffusion(state, params, flag_qubit=2)
         assert np.max(np.abs(state.amps - expected)) < 1e-12
+
+    @pytest.mark.parametrize("n, t, flag", [(2, 3, 3), (3, 4, 5), (1, 5, 2), (10, 3, 11)])
+    def test_spectators_on_both_sides_of_the_flag(self, n, t, flag):
+        # against the dense operator on (data, flag) for each spectator value,
+        # and bit for bit against one mean per column of the (2^n x 2^t) view
+        rng = np.random.default_rng(100 * n + flag)
+        m = n + t
+        for phi in (math.pi, 0.0, float(rng.uniform(0, 2 * math.pi))):
+            params = DiffusionParams(n, phi)
+            start = random_state(m, rng)
+            state = StateVector(m, start.copy())
+            apply_partial_diffusion(state, params, flag_qubit=flag)
+
+            flag_bit = 1 << (m - 1 - flag)
+            columns = start.copy().reshape(1 << n, 1 << t)
+            for column in range(1 << t):
+                if not column & flag_bit:
+                    alpha = columns[:, column]
+                    alpha[...] = params.factor * alpha.mean() - alpha
+                    columns[:, column | flag_bit] = -columns[:, column | flag_bit]
+            assert state.amps.tobytes() == columns.tobytes()
+
+            if n + 1 <= 8:
+                dense = dense_partial_diffusion(params).matrix
+                for column in range(1 << t):
+                    if not column & flag_bit:
+                        idxs = [
+                            (d << t) | column | (f * flag_bit) for d in range(1 << n) for f in (0, 1)
+                        ]
+                        expected = dense @ start[idxs]
+                        assert np.max(np.abs(state.amps[idxs] - expected)) < 1e-12
 
     def test_rejects_flag_in_data_region(self):
         state = StateVector.zero(3)

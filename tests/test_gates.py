@@ -3,20 +3,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import dense_embed, random_unitary
-from qqldb.errors import CapacityError, ValidationError
-from qqldb.gates import (
-    CnotGate,
-    GateMatrix,
-    HADAMARD,
-    NOT,
+from helpers import (
     controlled_lift,
+    dense_embed,
+    gates_close,
     identity,
-    is_unitary,
     permutation_gate,
+    random_unitary,
     standard_gate,
     tensor_gates,
 )
+from qqldb.errors import CapacityError, ValidationError
+from qqldb.gates import HADAMARD, NOT, CnotGate, GateMatrix, is_unitary
 from qqldb.statevec import StateVector
 
 # 3-qubit relabeling |011> <-> |111>: identity with columns 3 and 7 swapped
@@ -98,7 +96,7 @@ class TestIsUnitary:
 
 class TestTensorGates:
     def test_identity_tensor_identity(self):
-        assert tensor_gates(identity(1), identity(1)).isclose(identity(2))
+        assert gates_close(tensor_gates(identity(1), identity(1)), identity(2))
 
     def test_not_tensor_identity_action(self):
         gate = tensor_gates(NOT, identity(1))
@@ -134,7 +132,7 @@ class TestControlledLift:
         expected = np.kron(NOT.matrix, [[0, 0], [0, 1]]) + np.kron(
             np.eye(2), [[1, 0], [0, 0]]
         )
-        assert lifted.isclose(expected)
+        assert gates_close(lifted, expected)
         for x in range(2):
             for c in range(2):
                 vec = np.zeros(4, dtype=complex)
@@ -143,7 +141,7 @@ class TestControlledLift:
                 assert out[2 * (x ^ c) + c] == pytest.approx(1.0)
 
     def test_lift_identity_is_identity(self):
-        assert controlled_lift(identity(2), 1).isclose(np.eye(8))
+        assert gates_close(controlled_lift(identity(2), 1), np.eye(8))
 
     def test_control_zero_leaves_state(self):
         rng = np.random.default_rng(8)
@@ -176,7 +174,7 @@ class TestCnotDense:
             assert gate[expected_row, col] == 1.0
 
     def test_empty_controls_is_not(self):
-        assert NOT.isclose(dense_embed(NOT.matrix, [0], 1))
+        assert gates_close(NOT, dense_embed(NOT.matrix, [0], 1))
 
     def test_xor_truth_table(self):
         gate = dense_embed(NOT.matrix, [1], 2, [0])
@@ -201,13 +199,13 @@ class TestCnotDense:
 
 class TestPermutationGate:
     def test_swap_3_7_reproduces_known_matrix(self):
-        assert permutation_gate([(3, 7)], 3).isclose(UPDATE_3_7)
+        assert gates_close(permutation_gate([(3, 7)], 3), UPDATE_3_7)
 
     def test_two_swaps_reproduce_known_matrix(self):
-        assert permutation_gate([(0, 4), (2, 1)], 3).isclose(UPDATE_TWO_SWAP)
+        assert gates_close(permutation_gate([(0, 4), (2, 1)], 3), UPDATE_TWO_SWAP)
 
     def test_empty_swap_list_is_identity(self):
-        assert permutation_gate([], 3).isclose(np.eye(8))
+        assert gates_close(permutation_gate([], 3), np.eye(8))
 
     def test_overlapping_pairs_rejected(self):
         with pytest.raises(ValueError):

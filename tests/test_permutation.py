@@ -1,4 +1,4 @@
-"""Every XOR flip and record swap moves amplitudes bit for bit.
+"""Every CNOT, oracle and record swap moves amplitudes bit for bit.
 
 Each operation is checked against ``amps[perm]``, with ``perm`` built index by
 index from the definition, on random states that contain signed zeros.
@@ -7,9 +7,9 @@ index from the definition, on random states that contain signed zeros.
 import numpy as np
 import pytest
 
-from qqldb.boolcirc import TruthTable, apply_oracle
+from qqldb.boolcirc import Const, TruthTable, apply_oracle
 from qqldb.gates import CnotGate
-from qqldb.qdb import QdbState
+from qqldb.qdb import QdbState, SafeKey
 from qqldb.schema import TableSchema
 from qqldb.statevec import StateVector
 
@@ -72,19 +72,28 @@ def test_oracle_is_exact_permutation(seed):
 
 @pytest.mark.parametrize("seed", range(30))
 def test_record_swap_is_exact_permutation(seed):
+    # random positive temp controls, and the safe key as the negative one
     rng = np.random.default_rng(200 + seed)
     n, t = int(rng.integers(1, 7)), int(rng.integers(1, 4))
+    m = n + t
     records = [int(r) for r in rng.permutation(1 << n)]
     count = int(rng.integers(0, len(records) // 2 + 1))
     pairs = [(records[2 * i], records[2 * i + 1]) for i in range(count)]
-    columns = [c for c in range(1 << t) if rng.random() < 0.6]
-    amps = signed_zero_state(n + t, rng)
+    temps = [int(q) for q in rng.permutation(range(n, m))]
+    safe = temps.pop() if rng.random() < 0.5 else None
+    pos = [q for q in temps if rng.random() < 0.5]
+    amps = signed_zero_state(m, rng)
     partner = {a: b for a, b in pairs} | {b: a for a, b in pairs}
-    perm = np.array([
-        (partner.get(i >> t, i >> t) << t) | (i & ((1 << t) - 1))
-        if (i & ((1 << t) - 1)) in columns else i
-        for i in range(1 << (n + t))
-    ])
-    db = QdbState(TableSchema("p", (("id", n),)), t=t, state=StateVector(n + t, amps.copy()))
-    db._swap_records(pairs, columns)
+
+    def moved(i):
+        live = safe is None or not bit(i, safe, m)
+        if not live or not all(bit(i, q, m) for q in pos):
+            return i
+        return (partner.get(i >> t, i >> t) << t) | (i & ((1 << t) - 1))
+
+    perm = np.array([moved(i) for i in range(1 << m)])
+    db = QdbState(TableSchema("p", (("id", n),)), t=t, state=StateVector(m, amps.copy()))
+    if safe is not None:
+        db.safe_key = SafeKey(safe, Const(1), 0)
+    db._swap_records(pairs, pos)
     assert db.state.amps.tobytes() == amps[perm].tobytes()

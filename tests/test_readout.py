@@ -1,7 +1,7 @@
 """Byte-identity of the vectorised read-out and persistence paths against
 their scalar definitions: the xorshift64* lanes against the scalar generator,
-the MEASURE histogram against the per-record formula, and the session-file
-hex writer against ``float.hex``."""
+the MEASURE histogram and the SHOW table against their per-record formulas,
+and the session-file hex writer against ``float.hex``."""
 
 import io
 import sys
@@ -10,7 +10,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from qqldb.cli import Session, write_amplitudes
+from qqldb.cli import Session, format_amplitude, write_amplitudes
 from qqldb.errors import CapacityError
 from qqldb.statevec import MAX_SHOTS, StateVector, Xorshift64Star, xorshift_uniform
 
@@ -97,6 +97,56 @@ class TestHistogramText:
         session.execute_text("CREATE TABLE t (id:2) TEMP 1;")
         (text,) = session.execute_text("MEASURE 3 SEED 1;")
         assert text == per_record_histogram(session, 3, 1)
+
+
+def per_row_state(session: Session, full: bool) -> str:
+    """The SHOW text as the per-row formula writes it: decode each nonzero
+    component's record, format each field, add the probabilities left to
+    right."""
+    db = session.db
+    n, t = db.n, db.t
+    amps = db.state.amps
+    lines = [f"{'ket':<{n + t + 2}}  {'record':<24}  {'temp':<{max(t, 4)}}  "
+             f"{'amplitude':<24}  probability"]
+    total, count = 0.0, 0
+    for index in range(amps.size):
+        amp = complex(amps[index])
+        probability = amp.real * amp.real + amp.imag * amp.imag
+        if probability < 1e-24:
+            continue
+        record = db.schema.decode(index >> t)
+        label = "(" + ", ".join(
+            f"{name}={value}" for (name, _), value in zip(db.schema.fields, record.values)
+        ) + ")"
+        temp = format(index & ((1 << t) - 1), f"0{t}b")
+        lines.append(
+            f"{f'|{index:0{n + t}b}>':<{n + t + 2}}  {label:<24}  {temp:<{max(t, 4)}}  "
+            f"{format_amplitude(amp, full):<24}  {probability:>10.6f}"
+        )
+        total += probability
+        count += 1
+    lines.append(f"{count} component(s), total probability {total:.6f}")
+    return "\n".join(lines)
+
+
+class TestStateText:
+    @pytest.mark.parametrize(
+        "fields, temp",
+        [("id:3", 1), ("a:3, bb:5, c:2", 2), ("x:1, long_field_name:6, y:3", 5), ("p:2, q:2", 7)],
+    )
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_matches_per_row_formula(self, fields, temp, seed):
+        session = Session()
+        session.execute_text(f"CREATE TABLE t ({fields}) TEMP {temp};")
+        size = session.db.state.amps.size
+        rng = np.random.default_rng(seed)
+        amps = rng.normal(size=size) + 1j * rng.normal(size=size) * (rng.random(size) < 0.5)
+        amps[rng.random(size) < 0.4] = 0
+        amps[rng.random(size) < 0.05] = 1e-13
+        session.db.state = StateVector.from_amplitudes(amps, normalize=True)
+        for full in (False, True):
+            (text,) = session.execute_text("SHOW FULL;" if full else "SHOW;")
+            assert text == per_row_state(session, full)
 
 
 def hex_lines(values: np.ndarray) -> list[str]:

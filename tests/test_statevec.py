@@ -7,9 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import dense_embed, random_state, random_unitary
+from helpers import dense_embed, identity, random_state, random_unitary
 from qqldb.errors import CapacityError, ImpossibleOutcomeError, ValidationError
-from qqldb.gates import CnotGate, GateMatrix, HADAMARD, NOT, identity
+from qqldb.gates import CnotGate, GateMatrix, HADAMARD, NOT
 from qqldb.statevec import StateVector, Xorshift64Star, apply_matrix
 
 MAX_DOUBLE = sys.float_info.max
