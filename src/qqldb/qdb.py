@@ -360,37 +360,28 @@ class QdbState:
     # ------------------------------------------------------------------ delete
 
     def delete(self, expr: BoolExpr, amplify_iters: int = 0) -> float:
-        """Mark matching records on a temp flag, optionally run
-        oracle/diffusion rounds, then post-select the flag on 0.  Returns the
-        outcome probability at measurement time."""
+        """Mark matching records on a temp flag and post-select the flag on 0.
+        Returns the outcome probability or, with ``amplify_iters`` q > 0, its
+        value after q amplification rounds; those leave the kept state as is."""
         validate_expr(expr, self.schema)
         if amplify_iters < 0:
             raise ValueError("amplify_iters must be >= 0")
-        if amplify_iters > 0 and self.safe_key is not None:
-            raise QqlError("amplification is not supported while a backup is active")
+        try:
+            rounds = float(2 * amplify_iters + 1)
+        except OverflowError:
+            raise CapacityError("AMPLIFY count too large: 2q + 1 exceeds the float range") from None
         table = truth_table(expr, self.schema)
         live = self.support()
         if live and all(table.bits[r] for r in live):
             raise ImpossibleOutcomeError("predicate matches every live record")
         qubit = self._alloc_temp("delete", expr)
         neg = self._live_controls()
-        # amplification is not a permutation, so only it needs a snapshot; a
-        # lone oracle is undone by applying it again
-        snapshot = self.state.amps.copy() if amplify_iters else None
+        apply_oracle(self.state, table, self.data_qubits, qubit, neg_controls=neg)
         try:
-            apply_oracle(self.state, table, self.data_qubits, qubit, neg_controls=neg)
-            for i in range(amplify_iters):
-                if i:
-                    apply_oracle(self.state, table, self.data_qubits, qubit, neg_controls=neg)
-                apply_partial_diffusion(self.state, DiffusionParams(self.n), flag_qubit=qubit)
-            if amplify_iters:
-                self.state._assert_norm()
-            probability = self.state.postselect(qubit, 0, self.epsilon)
+            probability = self.state.postselect(qubit, 0, self.epsilon, rounds)
         except ImpossibleOutcomeError:
-            if snapshot is None:
-                apply_oracle(self.state, table, self.data_qubits, qubit, neg_controls=neg)
-            else:
-                self.state.amps[:] = snapshot
+            # the oracle is a swap, so applying it again undoes it exactly
+            apply_oracle(self.state, table, self.data_qubits, qubit, neg_controls=neg)
             self._free_temp(qubit)
             raise
         self._free_temp(qubit)

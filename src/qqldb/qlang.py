@@ -44,6 +44,13 @@ KEYWORDS = {
 }
 
 _COMPARISON_OPS = (">=", "<=", "!=", ">", "<", "=")
+# The parser and the engine walk predicates recursively: a predicate deeper
+# than this, counting each AND, OR, NOT and pair of parentheses as a level, is
+# a syntax error, so no walk comes near Python's recursion limit.
+MAX_EXPR_DEPTH = 100
+# Longest integer literal: by default Python converts no text of more than
+# 4300 digits to an int.
+MAX_INT_DIGITS = 1000
 
 
 @dataclass(frozen=True)
@@ -91,10 +98,13 @@ def tokenize(text: str) -> list[Token]:
             column += j - i
             i = j
             continue
-        if ch.isdigit():
+        # ASCII only: str.isdigit also accepts digits such as "²" that int rejects
+        if "0" <= ch <= "9":
             j = i
-            while j < length and text[j].isdigit():
+            while j < length and "0" <= text[j] <= "9":
                 j += 1
+            if j - i > MAX_INT_DIGITS:
+                error(f"integer literal of more than {MAX_INT_DIGITS} digits")
             tokens.append(Token("int", text[i:j], line, start_col))
             column += j - i
             i = j
@@ -262,6 +272,7 @@ class _Parser:
     def __init__(self, tokens: list[Token]):
         self.tokens = tokens
         self.pos = 0
+        self.nesting = 0
 
     def peek(self) -> Token:
         return self.tokens[self.pos]
@@ -449,6 +460,18 @@ class _Parser:
     # expressions --------------------------------------------------------
 
     def parse_expr(self, bare_vars: bool) -> BoolExpr:
+        token = self.peek()
+        expr = self._or_chain(bare_vars)
+        if _depth(expr) > MAX_EXPR_DEPTH:
+            self._too_deep(token)
+        return expr
+
+    def _too_deep(self, token: Token):
+        raise QqlSyntaxError(
+            f"predicate nested deeper than {MAX_EXPR_DEPTH} levels", token.line, token.column
+        )
+
+    def _or_chain(self, bare_vars: bool) -> BoolExpr:
         expr = self._and_chain(bare_vars)
         while self.accept_keyword("OR"):
             expr = Or(expr, self._and_chain(bare_vars))
@@ -468,8 +491,12 @@ class _Parser:
     def _atom(self, bare_vars: bool) -> BoolExpr:
         token = self.peek()
         if token.kind == "punct" and token.text == "(":
+            if self.nesting == MAX_EXPR_DEPTH:
+                self._too_deep(token)
             self.advance()
-            expr = self.parse_expr(bare_vars)
+            self.nesting += 1
+            expr = self._or_chain(bare_vars)
+            self.nesting -= 1
             self.expect("punct", ")")
             return expr
         if token.kind == "int":
@@ -485,6 +512,19 @@ class _Parser:
                 return Var(token.text)
             self.fail("a comparison operator")
         self.fail("a comparison" + (" or select name" if bare_vars else ""))
+
+
+def _depth(expr: BoolExpr) -> int:
+    """Levels of a predicate tree, counted without recursion."""
+    deepest, stack = 0, [(expr, 1)]
+    while stack:
+        node, level = stack.pop()
+        deepest = max(deepest, level)
+        if isinstance(node, (And, Or)):
+            stack += [(node.left, level + 1), (node.right, level + 1)]
+        elif isinstance(node, Not):
+            stack.append((node.expr, level + 1))
+    return deepest
 
 
 def parse(tokens: list[Token]) -> list[Command]:

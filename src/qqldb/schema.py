@@ -60,8 +60,9 @@ class TableSchema:
             offset += width
         raise SchemaError(f"unknown field {field!r} in table {self.name!r}")
 
-    def record(self, **values: int) -> Record:
-        """Build a record from keyword field values; omitted fields are 0."""
+    def record(self, /, **values: int) -> Record:
+        """Build a record from keyword field values; omitted fields are 0.
+        ``self`` is positional-only, so a field may be named ``self``."""
         known = dict(self.fields)
         for field_name in values:
             if field_name not in known:

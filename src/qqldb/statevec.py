@@ -10,6 +10,7 @@ sit at the end of the register, i.e. in the least significant bits.
 from __future__ import annotations
 
 import itertools
+import math
 from typing import Sequence
 
 import numpy as np
@@ -229,12 +230,22 @@ def swap(
     data rows ``a``/``b`` of the run ``range(0, n)``.
     """
     view = qubit_view(amps, num_qubits, pos_controls, neg_controls, leading, run)
-    saved = view[first]
-    # a basic index selects a view of the buffer, an array index a copy
-    if np.may_share_memory(saved, amps):
-        saved = saved.copy()
-    view[first] = view[second]
-    view[second] = saved
+    one, other = view[first], view[second]
+    # an array index selects a copy
+    if not np.may_share_memory(one, amps):
+        view[first] = other
+        view[second] = one
+        return
+    # a basic index selects views: exchange them a tile at a time through two
+    # buffers, as numpy would copy a whole overlapping source first
+    buffers = np.empty((2, min(one.size, TILE_COLUMNS)), dtype=amps.dtype)
+    for index in _tiles(one.shape):
+        a, b = one[index], other[index]
+        saved, moved = (buffer[: a.size].reshape(a.shape) for buffer in buffers)
+        saved[...] = a
+        moved[...] = b
+        a[...] = moved
+        b[...] = saved
 
 
 class StateVector:
@@ -373,18 +384,25 @@ class StateVector:
         slice_ = view[:, bit, :]
         return float(np.sum(slice_.real**2 + slice_.imag**2))
 
-    def postselect(self, qubit: int, bit: int, epsilon: float = DEFAULT_EPSILON) -> float:
+    def postselect(self, qubit: int, bit: int, epsilon: float = DEFAULT_EPSILON,
+                   rounds: float = 1) -> float:
         """Project ``qubit`` onto ``bit``, renormalize, and return the
-        pre-projection probability of that outcome."""
+        outcome's probability sin^2(theta) or, with ``rounds`` > 1, its
+        probability sin^2(rounds * theta) after amplitude amplification
+        (Brassard et al., quant-ph/0005055).  A figure below ``epsilon``
+        raises before anything changes; a probability above 1 counts as 1."""
         prob = self.probability_of(qubit, bit)
-        if prob < epsilon:
+        figure = prob
+        if rounds != 1:
+            figure = math.sin(rounds * math.asin(min(1.0, math.sqrt(prob)))) ** 2
+        if figure < epsilon:
             raise ImpossibleOutcomeError(
-                f"outcome {bit} on qubit {qubit} has probability {prob:.3e} < {epsilon:.3e}"
+                f"outcome {bit} on qubit {qubit} has probability {figure:.3e} < {epsilon:.3e}"
             )
         view = self.amps.reshape(1 << qubit, 2, -1)
         view[:, 1 - bit, :] = 0.0
         self.amps /= np.sqrt(prob)
-        return prob
+        return figure
 
     def sample(self, shots: int, seed: int) -> np.ndarray:
         """Draw ``shots`` i.i.d. basis indices from ``|amps|^2`` by inverse CDF

@@ -3,9 +3,10 @@
 Models the database as a sparse map from (record, temp-bits) to a real
 amplitude and applies every operation through its defining arithmetic: key
 relabelings for oracles/updates/swaps, explicit two-way splits for Hadamard
-layers, the inversion-about-the-mean closed form for diffusion, and drop plus
-renormalize for post-selection.  No state vectors, no gate kernels; support
-extraction gives the set-of-records view the engine is compared against.
+layers, the inversion-about-the-mean closed form for diffusion, round by round
+amplitude amplification for DELETE ... AMPLIFY, and drop plus renormalize for
+post-selection.  No state vectors, no gate kernels; support extraction gives
+the set-of-records view the engine is compared against.
 """
 
 from __future__ import annotations
@@ -209,10 +210,20 @@ class RefDb:
                 self.alloc[j] = ("residue", None)
         self.seq_fill = None
 
-    def delete(self, pred) -> float:
+    def delete(self, pred, amplify: int = 0) -> float:
+        """Flag the matches, run ``amplify`` rounds of amplitude amplification
+        of the kept part, then post-select the flag on 0.  A round negates the
+        kept components and reflects about the marked state ``m``:
+        ``v -> 2 <m|v> m - v``."""
         j = self.free_temps()[0]
         self.alloc[j] = ("delete", pred)
         self._oracle(pred, j, safe_zero_only=self.safe_temp is not None)
+        marked = dict(self.amps)
+        bit = self._temp_bit(j)
+        for _ in range(amplify):
+            negated = {key: amp if key[1] & bit else -amp for key, amp in self.amps.items()}
+            overlap = sum(marked[key] * amp for key, amp in negated.items())
+            self.amps = {key: 2 * overlap * marked[key] - amp for key, amp in negated.items()}
         probability = self._postselect(j, 0)
         del self.alloc[j]
         self.seq_fill = None

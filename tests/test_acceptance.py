@@ -5,6 +5,7 @@ classical gate-list replays, closed-form amplitude arithmetic, and the sparse
 reference interpreter in refmodel.py.
 """
 
+import math
 import time
 
 import numpy as np
@@ -341,11 +342,17 @@ class Mirror:
             for (rec, temps), a in self.ref.amps.items()
             if not pred(rec) or temps & safe_bit
         )
-        if kept_mass < 1e-6:
+        q = int(self.rng.integers(0, 4))
+        # the closed form only filters draws; the printed probability is
+        # checked against the reference's amplification rounds
+        if math.sin((2 * q + 1) * math.asin(min(1.0, math.sqrt(kept_mass)))) ** 2 < 1e-6:
             return False
-        self.run(
-            f"DELETE WHERE {render_expr(expr)};", lambda: self.ref.delete(pred)
-        )
+        tail = f" AMPLIFY {q}" if q else ""
+        statement = f"DELETE WHERE {render_expr(expr)}{tail};"
+        (out,) = self.session.execute_text(statement)
+        probability = self.ref.delete(pred, q)
+        assert abs(float(out.rsplit(" ", 1)[1]) - probability) <= 5e-7 + 1e-12, statement
+        self.check(statement)
         return True
 
     def do_select_apply(self) -> bool:

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from qqldb.cli import Session, SessionConfig, format_amplitude, main, repl_loop, run_script
 from qqldb.errors import CapacityError, ImpossibleOutcomeError, SessionFormatError
-from qqldb.qlang import Show
+from qqldb.qlang import MAX_EXPR_DEPTH, Show
 
 BACKUP_DEMO = """
 CREATE TABLE t (id:2) TEMP 1;
@@ -92,6 +92,80 @@ class TestRunScript:
         a, _ = run_script(path, Session(SessionConfig(seed=1)))
         b, _ = run_script(path, Session(SessionConfig(seed=2)))
         assert a != b
+
+    def test_amplified_delete_keeps_plain_delete_rows(self, tmp_path):
+        # kept mass 0.625; one round reports 0.625 * (3 - 4 * 0.625)^2
+        script = (
+            "CREATE TABLE w (k:4) TEMP 2;\n"
+            "INSERT VALUES |0001>, |0011>, |0111>, |1000>, |1010>;\n"
+            "DELETE WHERE k >= 8{}\nSHOW;\n"
+        )
+        amplified, status = run_script(
+            write_script(tmp_path, script.format(" AMPLIFY 1;"), "a.qql"), Session()
+        )
+        plain, _ = run_script(write_script(tmp_path, script.format(";"), "p.qql"), Session())
+        assert status == 0
+        assert amplified.splitlines()[2] == "deleted; outcome probability 0.156250"
+        assert plain.splitlines()[2] == "deleted; outcome probability 0.625000"
+        rows = amplified.splitlines()[4:]
+        assert [row.split()[1] for row in rows[:-1]] == ["(k=1)", "(k=3)", "(k=7)"]
+        assert [row.split()[-1] for row in rows[:-1]] == ["0.400000", "0.400000", "0.200000"]
+        assert amplified.splitlines()[3:] == plain.splitlines()[3:]
+
+    def test_huge_amplify_count_is_an_error(self, tmp_path):
+        path = write_script(
+            tmp_path, "CREATE TABLE t (k:2) TEMP 2;\nINSERT ALL 2;\n"
+            f"DELETE WHERE k = 1 AMPLIFY 1{'0' * 400};\nSHOW;\n",
+        )
+        transcript, status = run_script(path, Session())
+        assert status == 1
+        assert transcript.splitlines()[-1].startswith("error: AMPLIFY count too large")
+
+
+HOSTILE = {
+    "parentheses": "SELECT c WHERE " + "(" * 3000 + "1" + ")" * 3000 + ";\n",
+    "conjunction": "SELECT c WHERE " + " AND ".join(["k=1"] * 3000) + ";\n",
+    "long integer": "MEASURE 1" + "0" * 5000 + ";\n",
+    "field named self": "INSERT VALUES (self = 1);\n",
+}
+
+
+class TestHostileText:
+    """Query text the shell must reject with an error line, never a
+    traceback."""
+
+    @pytest.mark.parametrize("statement", HOSTILE.values(), ids=HOSTILE.keys())
+    def test_script_reports_error(self, tmp_path, statement):
+        path = write_script(tmp_path, "CREATE TABLE t (k:2) TEMP 2;\n" + statement)
+        transcript, status = run_script(path, Session())
+        assert status == 1
+        assert transcript.splitlines()[-1].startswith("error: ")
+
+    @pytest.mark.parametrize("statement", HOSTILE.values(), ids=HOSTILE.keys())
+    def test_shell_reports_error_and_goes_on(self, statement):
+        stdout = io.StringIO()
+        text = "CREATE TABLE t (k:2) TEMP 2;\n" + statement + "SHOW;\n"
+        status = repl_loop(Session(SessionConfig(quiet=True)), io.StringIO(text), stdout)
+        lines = stdout.getvalue().splitlines()
+        assert status == 0
+        assert lines[1].startswith("error: ")
+        assert lines[-1] == "1 component(s), total probability 1.000000"
+
+    def test_deepest_accepted_predicate_runs_everywhere(self, tmp_path):
+        """A predicate at the depth limit parses, compiles, runs, is saved as
+        the safe key and loads again."""
+        chain = " OR ".join(f"k = {i % 4}" for i in range(MAX_EXPR_DEPTH))
+        nested = "(" * (MAX_EXPR_DEPTH - 1) + "k = 1" + ")" * (MAX_EXPR_DEPTH - 1)
+        path = tmp_path / "deep.qdb"
+        session = Session()
+        session.execute_text(
+            f"CREATE TABLE t (k:2) TEMP 3; INSERT ALL 2; SELECT c WHERE {nested};"
+            f"APPLY NOT @ k WHEN c; BACKUP WHERE {chain}; DELETE WHERE {nested};"
+            f'SAVE "{path}";'
+        )
+        loaded = Session()
+        loaded.execute_text(f'LOAD "{path}";')
+        assert loaded.db.safe_key == session.db.safe_key
 
 
 class TestSaveLoad:

@@ -4,6 +4,8 @@ Each operation is checked against ``amps[perm]``, with ``perm`` built index by
 index from the definition, on random states that contain signed zeros.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -43,6 +45,39 @@ def test_cnot_is_exact_permutation(seed):
     perm = flip_perm(m, gate.target, lambda i: all(bit(i, q, m) for q in gate.controls))
     state = StateVector(m, amps.copy()).apply_cnot(gate)
     assert state.amps.tobytes() == amps[perm].tobytes()
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_cnot_across_tiles_is_exact_permutation(seed):
+    # halves of up to 2^14 amplitudes: several tiles each
+    rng = np.random.default_rng(300 + seed)
+    m = int(rng.integers(14, 16))
+    qubits = [int(q) for q in rng.permutation(m)]
+    k = int(rng.integers(0, 3))
+    gate = CnotGate(frozenset(qubits[:k]), qubits[k])
+    amps = signed_zero_state(m, rng)
+    index = np.arange(1 << m)
+    hit = np.ones(1 << m, dtype=bool)
+    for q in gate.controls:
+        hit &= (index >> (m - 1 - q)) & 1 == 1
+    perm = np.where(hit, index ^ (1 << (m - 1 - gate.target)), index)
+    state = StateVector(m, amps.copy()).apply_cnot(gate)
+    assert state.amps.tobytes() == amps[perm].tobytes()
+
+
+@pytest.mark.parametrize("m, target", [(18, 5), (20, 18)])
+def test_uncontrolled_cnot_copies_no_half_register(m, target):
+    """An uncontrolled CNOT, such as the constant term of APPLY's combiner on
+    its temp qubit, exchanges its halves a tile at a time."""
+    state = StateVector.zero(m)
+    tracemalloc.start()
+    try:
+        state.apply_cnot(CnotGate(frozenset(), target))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < state.amps.nbytes / 8
+    assert state.amps[1 << (m - 1 - target)] == 1
 
 
 @pytest.mark.parametrize("seed", range(30))

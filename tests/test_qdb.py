@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from helpers import dense_embed, identity, random_state
+from refmodel import RefDb
 from qqldb.boolcirc import And, Comparison, Const, Not, Var
 from qqldb.errors import (
     CapacityError,
@@ -403,6 +404,22 @@ class TestDelete:
         assert db.temp_alloc == alloc
         assert db._seq_fill == fill
 
+    # a kept mass of 0.25 is sin^2(theta) for theta = pi / 6: one round of
+    # amplification makes it sin^2(pi / 2) = 1, two or three rounds 0.25
+    @pytest.mark.parametrize("amplify", [2, 3])
+    def test_floor_applies_to_the_amplified_probability(self, amplify):
+        db = QdbState(ID2, t=2, epsilon=0.5).insert_sequential(3)
+        amps, alloc, fill = db.state.amps.tobytes(), dict(db.temp_alloc), db._seq_fill
+        with pytest.raises(ImpossibleOutcomeError):
+            db.delete(Comparison("id", ">=", 1), amplify)
+        assert db.state.amps.tobytes() == amps
+        assert db.temp_alloc == alloc
+        assert db._seq_fill == fill
+        probability = db.delete(Comparison("id", ">=", 1), amplify_iters=1)
+        assert probability == pytest.approx(1.0, abs=1e-12)
+        assert db.support() == [0]
+        assert db.state.amps[0] == 1.0
+
     def test_delete_needs_no_register_copy(self):
         db = create_db(TableSchema("t", (("k", 14),)), t=2).insert_sequential(3000)
         tracemalloc.start()
@@ -413,11 +430,87 @@ class TestDelete:
             tracemalloc.stop()
         assert peak < db.state.amps.nbytes
 
+    def test_amplified_delete_needs_no_register_copy(self):
+        db = create_db(TableSchema("t", (("k", 14),)), t=2).insert_sequential(3000)
+        tracemalloc.start()
+        try:
+            db.delete(Comparison("k", "<", 1000), amplify_iters=10**30)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < db.state.amps.nbytes
+
     def test_amplified_delete_reports_probability(self):
+        # kept mass p = 7/8; one round gives sin^2(3 theta) = p (3 - 4p)^2
         db = db3().insert_bulk(3)
+        plain = db3().insert_bulk(3)
         probability = db.delete(Comparison("id", "=", 5), amplify_iters=1)
-        assert 0 < probability <= 1
-        assert abs(db.state.norm() - 1) < 1e-9
+        plain.delete(Comparison("id", "=", 5))
+        assert probability == pytest.approx(0.875 * (3 - 4 * 0.875) ** 2, abs=1e-12)
+        assert db.state.amps.tobytes() == plain.state.amps.tobytes()
+
+    @pytest.mark.parametrize("amplify", [2**1023, 10**400])
+    def test_huge_amplify_count_rejected_before_any_change(self, amplify):
+        db = db2(t=2).insert_bulk(2)
+        db.backup(Comparison("id", "=", 3))
+        amps, alloc, key = db.state.amps.tobytes(), dict(db.temp_alloc), db.safe_key
+        with pytest.raises(CapacityError):
+            db.delete(Comparison("id", "=", 0), amplify)
+        assert db.state.amps.tobytes() == amps
+        assert db.temp_alloc == alloc
+        assert db.safe_key == key
+        assert db._seq_fill is None
+
+    def test_amplify_count_near_the_float_limit_runs(self):
+        db = db2(t=2).insert_bulk(2)
+        probability = db.delete(Comparison("id", "=", 0), 2**1022)
+        assert 0 <= probability <= 1
+        assert db.support() == [1, 2, 3]
+
+    def test_amplified_delete_matches_reference_rounds(self):
+        """On random real states, half of them under a backup: the register
+        after DELETE ... AMPLIFY q is plain DELETE's bit for bit, and the
+        reported probability is that of the reference model's q rounds."""
+        rng = np.random.default_rng(61)
+        case = 0
+        while case < 200:
+            n = int(rng.integers(1, 6))
+            schema = TableSchema("t", (("id", n),))
+            alpha = rng.normal(size=1 << n)
+            alpha[rng.random(1 << n) < 0.3] = 0.0
+            if not alpha.any():
+                continue
+            alpha /= np.linalg.norm(alpha)
+            amps = np.zeros(1 << (n + 2), dtype=complex)
+            amps[0::4] = alpha
+            db = QdbState(schema, t=2, state=StateVector(n + 2, amps))
+            ref = RefDb(n, 2)
+            ref.amps = {(r, 0): float(a) for r, a in enumerate(alpha) if a}
+            if case % 2:
+                literal = int(rng.integers(0, 1 << n))
+                db.backup(Comparison("id", "<=", literal))
+                ref.backup(lambda r, v=literal: r <= v)
+            live = set(db.support())
+            literal = int(rng.integers(0, 1 << n))
+            if all(r >= literal for r in live):
+                continue
+            plain = QdbState(schema, t=2, state=db.state.copy())
+            plain.safe_key, plain.temp_alloc = db.safe_key, dict(db.temp_alloc)
+            q = int(rng.integers(0, 6))
+            probability = db.delete(Comparison("id", ">=", literal), q)
+            plain_probability = plain.delete(Comparison("id", ">=", literal))
+            expected = ref.delete(lambda r: r >= literal, q)
+            assert abs(probability - expected) < 1e-12, case
+            if q == 0:
+                assert probability == plain_probability, case
+            assert db.state.amps.tobytes() == plain.state.amps.tobytes(), case
+            assert set(db.support()) <= live, case
+            assert db.support() == ref.support(), case
+            # the reference's rounds may leave a global sign of -1
+            view = db.state.amps.reshape(1 << n, 4)
+            overlap = sum(view[key] * amp for key, amp in ref.amps.items())
+            assert abs(abs(overlap) - 1) < 1e-12, case
+            case += 1
 
 
 class TestBackup:
@@ -490,11 +583,19 @@ class TestSafeControlledOperations:
         assert safe_mass_after > safe_mass_before  # renormalized upward, not erased
         assert 3 in db.support()
 
-    def test_amplified_delete_rejected_under_backup(self):
+    def test_amplified_delete_leaves_safe_untouched(self):
         db = db2(t=2).insert_bulk(2)
         db.backup(Comparison("id", "=", 3))
-        with pytest.raises(QqlError):
-            db.delete(Comparison("id", "=", 0), amplify_iters=2)
+        plain = QdbState(ID2, t=2, state=db.state.copy())
+        plain.safe_key, plain.temp_alloc = db.safe_key, dict(db.temp_alloc)
+        safe_before = db.state.amps.reshape(4, 4)[:, 2].copy()
+        kept = plain.delete(Comparison("id", "=", 0))
+        probability = db.delete(Comparison("id", "=", 0), amplify_iters=2)
+        assert probability == pytest.approx(np.sin(5 * np.arcsin(np.sqrt(kept))) ** 2, abs=1e-12)
+        assert db.state.amps.tobytes() == plain.state.amps.tobytes()
+        # the protected copy is only renormalized with the rest of the kept mass
+        assert np.allclose(db.state.amps.reshape(4, 4)[:, 2], safe_before / np.sqrt(kept))
+        assert 3 in db.support() and 0 not in db.support()
 
 
 class TestRestore:

@@ -6,6 +6,9 @@ from qqldb.boolcirc import And, Comparison, Const, Not, Or, Var
 from qqldb.cli import Session, SessionConfig
 from qqldb.errors import CompileError, QqlSyntaxError
 from qqldb.qlang import (
+    KEYWORDS,
+    MAX_EXPR_DEPTH,
+    MAX_INT_DIGITS,
     Apply,
     Backup,
     BitGate,
@@ -24,6 +27,7 @@ from qqldb.qlang import (
     Show,
     SwapGate,
     Update,
+    compile_command,
     parse_predicate,
     parse_text,
     render_command,
@@ -246,6 +250,91 @@ class TestRoundTrip:
     @settings(max_examples=300, deadline=None)
     def test_expr_round_trip(self, expr):
         assert parse_predicate(render_expr(expr)) == expr
+
+
+# Words that crashed the shell before, sit beyond a limit or at the edge of
+# the grammar, drawn as often as all other words together.
+EDGE_WORDS = [
+    "1" * 5000, "\u00b2", "(self", "(" * 400, " AND ".join(["age = 1"] * 1200), "-1", '"',
+]
+WORDS = st.one_of(
+    st.sampled_from(EDGE_WORDS),
+    st.sampled_from([*sorted(KEYWORDS), "age", "member", "c1", "x", "0", "1", "300", "|0101>",
+                     "|01>", "(", ")", ",", ":", ";", "@", "=", "!=", "<", '"x.qdb"', "--", "\n"]),
+    st.text(max_size=4),
+)
+
+
+def mutate(text: str, index: int, word: str, replace: bool) -> str:
+    """``text`` with its space-separated word ``index`` replaced by, or
+    preceded by, ``word``."""
+    words = text.split(" ")
+    index %= len(words)
+    words[index : index + replace] = [word]
+    return " ".join(words)
+
+
+# Statements with one hole, each where some word of EDGE_WORDS once did harm.
+HOLES = [
+    "MEASURE {} SEED 1;", "INSERT ALL {};", "DELETE WHERE age = {} AMPLIFY 1;",
+    "DELETE WHERE age = 1 AMPLIFY {};", "APPLY H @ age BIT {} WHEN c1;", "SELECT c2 WHERE {};",
+    "SELECT c2 WHERE {} age = 1);", "BACKUP WHERE NOT ({});", "APPLY NOT @ age WHEN {};",
+    "INSERT VALUES {} = 1);", "UPDATE SET {} TO |0101>;", "CREATE TABLE {} (a:1);", "SAVE {};",
+]
+TEXTS = st.one_of(
+    st.builds(str.format, st.sampled_from(HOLES), WORDS),
+    st.builds(mutate, COMMANDS.map(render_command), st.integers(0, 20), WORDS, st.booleans()),
+    st.lists(st.one_of(WORDS, COMMANDS.map(render_command)), max_size=4).map(" ".join),
+)
+
+
+def compiles_or_is_rejected(text: str) -> None:
+    """``text`` parses and binds against a fixed schema, or raises
+    QqlSyntaxError or CompileError; any other exception fails the test."""
+    session = fresh_session()
+    session.execute_text("CREATE TABLE people (age:3, member:1) TEMP 3;")
+    session.execute_text("SELECT c1 WHERE age > 2;")
+    try:
+        commands = parse_text(text)
+    except QqlSyntaxError:
+        return
+    for command in commands:
+        try:
+            compile_command(command, session)
+        except CompileError:
+            pass
+
+
+class TestFuzz:
+    @given(TEXTS)
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    def test_text_compiles_or_is_rejected(self, text):
+        compiles_or_is_rejected(text)
+
+    @pytest.mark.parametrize("hole", HOLES)
+    def test_edge_words_in_every_hole(self, hole):
+        for word in EDGE_WORDS:
+            compiles_or_is_rejected(hole.format(word))
+
+    @pytest.mark.parametrize("too_deep", [False, True])
+    def test_depth_limit(self, too_deep):
+        depth = MAX_EXPR_DEPTH + too_deep
+        for text in (
+            " OR ".join(["age = 1"] * depth),
+            "(" * depth + "age = 1" + ")" * depth,
+            "NOT (" * (depth - 1) + "age = 1" + ")" * (depth - 1),
+        ):
+            if too_deep:
+                with pytest.raises(QqlSyntaxError, match="nested deeper"):
+                    parse_text(f"DELETE WHERE {text};")
+            else:
+                parse_text(f"DELETE WHERE {text};")
+
+    def test_integer_literal_length_limit(self):
+        longest = "9" * MAX_INT_DIGITS
+        assert parse_text(f"MEASURE {longest};") == [Measure(int(longest))]
+        with pytest.raises(QqlSyntaxError, match="integer literal"):
+            parse_text(f"MEASURE 1{'0' * MAX_INT_DIGITS};")
 
 
 def fresh_session(**config) -> Session:
