@@ -20,6 +20,10 @@ from .schema import Record, TableSchema
 from .statevec import StateVector, swap
 
 MAX_TABLE_VARS = 20
+# Deepest predicate tree, counting each AND, OR and NOT as a level: the
+# evaluators and the renderer walk predicates recursively, and this bound
+# keeps them far from Python's recursion limit.
+MAX_EXPR_DEPTH = 100
 
 _OPS = {
     ">": lambda a, b: a > b,
@@ -112,26 +116,43 @@ class ReedMullerForm:
         )
 
 
+def walk_expr(expr: BoolExpr):
+    """Every node of a predicate tree with its level, the root's being 1, in
+    pre-order and without recursion."""
+    stack = [(expr, 1)]
+    while stack:
+        node, level = stack.pop()
+        yield node, level
+        if isinstance(node, (And, Or)):
+            stack += [(node.right, level + 1), (node.left, level + 1)]
+        elif isinstance(node, Not):
+            stack.append((node.expr, level + 1))
+
+
+def expr_depth(expr: BoolExpr) -> int:
+    """Level of the deepest node."""
+    return max(level for _, level in walk_expr(expr))
+
+
 def validate_expr(expr: BoolExpr, schema: TableSchema) -> None:
-    """Check field references and literal widths against the schema."""
-    if isinstance(expr, Comparison):
-        width = schema.width_of(expr.field)
-        if expr.literal < 0 or expr.literal >= 1 << width:
-            raise SchemaError(
-                f"literal {expr.literal} does not fit field {expr.field!r} of width {width}"
-            )
-    elif isinstance(expr, Var):
-        schema.width_of(expr.name)
-    elif isinstance(expr, (And, Or)):
-        validate_expr(expr.left, schema)
-        validate_expr(expr.right, schema)
-    elif isinstance(expr, Not):
-        validate_expr(expr.expr, schema)
-    elif isinstance(expr, Const):
-        if expr.value not in (0, 1):
-            raise ValueError("constant must be 0 or 1")
-    else:
-        raise TypeError(f"not a BoolExpr: {expr!r}")
+    """Check the depth, field references and literal widths against the
+    schema."""
+    for node, level in walk_expr(expr):
+        if level > MAX_EXPR_DEPTH:
+            raise SchemaError(f"predicate nested deeper than {MAX_EXPR_DEPTH} levels")
+        if isinstance(node, Comparison):
+            width = schema.width_of(node.field)
+            if node.literal < 0 or node.literal >= 1 << width:
+                raise SchemaError(
+                    f"literal {node.literal} does not fit field {node.field!r} of width {width}"
+                )
+        elif isinstance(node, Var):
+            schema.width_of(node.name)
+        elif isinstance(node, Const):
+            if node.value not in (0, 1):
+                raise ValueError("constant must be 0 or 1")
+        elif not isinstance(node, (And, Or, Not)):
+            raise TypeError(f"not a BoolExpr: {node!r}")
 
 
 def eval_expr(expr: BoolExpr, record: Record, schema: TableSchema) -> int:

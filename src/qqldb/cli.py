@@ -208,10 +208,9 @@ class Session:
             db.temp_alloc[safe_key.qubit] = TempUse("safe", safe_key.expr)
             db._seq_fill = None
         else:
-            support = db.support()
-            db._seq_fill = (
-                len(support) - 1 if support == list(range(len(support))) else None
-            )
+            live = db.support(as_array=True)
+            # a unit-norm register without a backup has at least one live row
+            db._seq_fill = live.size - 1 if live[-1] == live.size - 1 else None
         self.db = db
         self.selects = {}
         return f"loaded session from {path}"

@@ -26,7 +26,7 @@ from .boolcirc import (
 )
 from .diffusion import DiffusionParams, apply_partial_diffusion
 from .errors import CapacityError, ImpossibleOutcomeError, QqlError, SchemaError
-from .gates import HADAMARD, GateMatrix
+from .gates import HADAMARD, NOT, GateMatrix
 from .schema import Record, TableSchema
 from .statevec import DEFAULT_EPSILON, DEFAULT_MAX_QUBITS, StateVector, qubit_view, swap
 
@@ -135,9 +135,10 @@ class QdbState:
         live database is the safe-key-0 subspace."""
         return [self.safe_key.qubit] if self.safe_key else []
 
-    def support(self) -> list[int]:
-        """Live record indices: data values carrying probability mass in the
-        safe-key-0 subspace (the whole register when no backup is active)."""
+    def support(self, *, as_array: bool = False) -> Union[list[int], np.ndarray]:
+        """Live record indices, ascending: data values carrying probability
+        mass in the safe-key-0 subspace (the whole register when no backup is
+        active).  A list, or with ``as_array`` an int64 index array."""
         view = qubit_view(
             self.state.amps, self.state.num_qubits, (), self._live_controls(), (), range(self.n)
         )
@@ -148,7 +149,8 @@ class QdbState:
             part = view[start : start + step]
             mass = (part.real**2 + part.imag**2).reshape(len(part), -1).sum(axis=1)
             found.append(np.flatnonzero(mass > SUPPORT_TOL * SUPPORT_TOL) + start)
-        return np.concatenate(found).tolist()
+        live = np.concatenate(found)
+        return live if as_array else live.tolist()
 
     # ------------------------------------------------------------------ insert
 
@@ -197,15 +199,15 @@ class QdbState:
         self._seq_fill = upto_k
         return self
 
-    def insert_values(self, records: Sequence[RecordLike]) -> "QdbState":
+    def insert_values(self, records: Union[Sequence[RecordLike], np.ndarray]) -> "QdbState":
         """Make the support exactly the requested record set: sequential
         insertion of the right count, then one permutation that relabels the
         sequence onto the targets."""
         count = len(records)
         if count < 1 or count > 1 << self.n:
             raise CapacityError(f"{count} records do not fit {self.n} data bits")
-        indices = [self._as_index(r) for r in records]
-        if len(set(indices)) != len(indices):
+        indices = np.sort(self._as_indices(records))
+        if np.any(indices[1:] == indices[:-1]):
             raise ValueError("duplicate records in INSERT VALUES")
         if self._seq_fill is None:
             raise QqlError("insert requires a fresh or sequentially filled database")
@@ -215,11 +217,13 @@ class QdbState:
             )
         if count - 1 > self._seq_fill:
             self._seq_steps(count - 1)
-        sequence = set(range(count))
-        requested = set(indices)
-        swaps = list(zip(sorted(sequence - requested), sorted(requested - sequence)))
-        self._swap_records(swaps)
-        self._seq_fill = count - 1 if requested == sequence else None
+        # the sequence's unrequested records move onto the requested ones
+        # beyond it, both ascending
+        vacant = np.ones(count, dtype=bool)
+        vacant[indices[indices < count]] = False
+        beyond = indices[indices >= count]
+        self._swap_records(np.stack([np.flatnonzero(vacant), beyond], axis=1))
+        self._seq_fill = None if beyond.size else count - 1
         return self
 
     def _as_index(self, record: RecordLike) -> int:
@@ -230,29 +234,45 @@ class QdbState:
             raise SchemaError(f"record index {index} out of range for {self.n} data bits")
         return index
 
+    def _as_indices(self, records: Union[Sequence[RecordLike], np.ndarray]) -> np.ndarray:
+        """:meth:`_as_index` of every record, as an int64 array; an integer
+        array is checked as a whole, and its first index out of range raises."""
+        if not (isinstance(records, np.ndarray) and records.dtype.kind == "i"):
+            return np.array([self._as_index(r) for r in records], dtype=np.int64)
+        indices = records.astype(np.int64, copy=False)
+        outside = np.flatnonzero((indices < 0) | (indices >= 1 << self.n))
+        if outside.size:
+            self._as_index(int(indices.reshape(-1)[outside[0]]))
+        return indices
+
     # ------------------------------------------------------------------ update
 
-    def _swap_records(
-        self, pairs: Sequence[tuple[int, int]], pos_controls: Sequence[int] = ()
-    ) -> None:
-        """Exchange the data rows of every disjoint index pair where the temp
-        qubits ``pos_controls`` are 1 and, under a backup, the safe key is 0:
-        one swap of the row sets on the data run."""
-        if not pairs:
+    def _swap_records(self, pairs, pos_controls: Sequence[int] = ()) -> None:
+        """Exchange the data rows of every disjoint index pair (a sequence of
+        pairs or an integer array of shape (k, 2)) where the temp qubits
+        ``pos_controls`` are 1 and, under a backup, the safe key is 0: one
+        swap of the row sets on the data run."""
+        if len(pairs) == 0:
             return
-        a, b = np.array(pairs, dtype=np.int64).T
+        a, b = np.asarray(pairs, dtype=np.int64).reshape(-1, 2).T
         swap(
             self.state.amps, self.state.num_qubits, a, b,
             pos_controls, self._live_controls(), run=range(self.n),
         )
 
-    def update(self, pairs: Sequence[tuple[RecordLike, RecordLike]]) -> "QdbState":
+    def update(
+        self, pairs: Union[Sequence[tuple[RecordLike, RecordLike]], np.ndarray]
+    ) -> "QdbState":
         """Relabel records by disjoint transpositions; amplitudes ride along
         untouched.  Under an active backup the permutation is controlled on
-        the safe key being 0, so the protected copy never moves."""
-        swaps = [(self._as_index(src), self._as_index(dst)) for src, dst in pairs]
-        flat = [i for pair in swaps for i in pair]
-        if len(set(flat)) != len(flat):
+        the safe key being 0, so the protected copy never moves.  ``pairs``
+        may be an integer array of shape (k, 2)."""
+        if isinstance(pairs, np.ndarray):
+            flat = pairs.reshape(-1)
+        else:
+            flat = [record for src, dst in pairs for record in (src, dst)]
+        swaps = self._as_indices(flat).reshape(-1, 2)
+        if np.unique(swaps).size != swaps.size:
             raise ValueError("update pairs must be disjoint transpositions")
         if self.safe_key is None:
             # uniqueness within the live database; a backup smears support
@@ -260,12 +280,13 @@ class QdbState:
             # A pair whose source is absent acts as the reverse move (that is
             # how applying the same update twice undoes it), so only a pair
             # with both endpoints live is a collision.
-            live = set(self.support())
-            for src, dst in swaps:
-                if src in live and dst in live:
-                    raise SchemaError(
-                        f"record {dst} already exists; update would break uniqueness"
-                    )
+            live = self.support(as_array=True)
+            collisions = np.flatnonzero(np.isin(swaps, live).all(axis=1))
+            if collisions.size:
+                raise SchemaError(
+                    f"record {swaps[collisions[0], 1]} already exists; "
+                    "update would break uniqueness"
+                )
         self._swap_records(swaps)
         self._seq_fill = None
         return self
@@ -314,7 +335,13 @@ class QdbState:
         for gate in gates:
             self.state.apply_cnot(gate)
 
-        if isinstance(operation, ApplyGate):
+        if isinstance(operation, ApplyGate) and operation.gate is NOT:
+            # a permutation: amplitudes move and nothing is recomputed
+            swap(
+                self.state.amps, self.state.num_qubits, 0, 1,
+                [combiner_qubit], self._live_controls(), leading=operation.targets,
+            )
+        elif isinstance(operation, ApplyGate):
             self.state.apply_controlled(
                 operation.gate, [combiner_qubit], self._live_controls(), list(operation.targets)
             )
@@ -371,8 +398,8 @@ class QdbState:
         except OverflowError:
             raise CapacityError("AMPLIFY count too large: 2q + 1 exceeds the float range") from None
         table = truth_table(expr, self.schema)
-        live = self.support()
-        if live and all(table.bits[r] for r in live):
+        live = self.support(as_array=True)
+        if live.size and table.bits[live].all():
             raise ImpossibleOutcomeError("predicate matches every live record")
         qubit = self._alloc_temp("delete", expr)
         neg = self._live_controls()
@@ -398,7 +425,7 @@ class QdbState:
             raise QqlError("a backup is already active; restore it first")
         validate_expr(expr, self.schema)
         table = truth_table(expr, self.schema)
-        matches = sum(1 for r in self.support() if table.bits[r])
+        matches = int(np.count_nonzero(table.bits[self.support(as_array=True)]))
         qubit = self._alloc_temp("safe", expr)
         apply_oracle(self.state, table, self.data_qubits, qubit)
         apply_partial_diffusion(self.state, DiffusionParams(self.n), flag_qubit=qubit)

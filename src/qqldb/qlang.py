@@ -27,10 +27,25 @@ back to parseable text.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
-from typing import Callable, Optional, Union
+from typing import Callable, NamedTuple, Optional, Union
 
-from .boolcirc import And, BoolExpr, Comparison, Const, Not, Or, Var
+import numpy as np
+
+from .boolcirc import (
+    MAX_EXPR_DEPTH,
+    And,
+    BoolExpr,
+    Comparison,
+    Const,
+    Not,
+    Or,
+    Var,
+    expr_depth,
+    validate_expr,
+    walk_expr,
+)
 from .errors import CompileError, QqlSyntaxError, SchemaError
 from .gates import HADAMARD, NOT as NOT_GATE
 from .qdb import DEFAULT_TEMP_QUBITS, ApplyGate, ApplySwap, QdbState
@@ -43,119 +58,74 @@ KEYWORDS = {
     "LOAD", "AND", "OR", "NOT", "BIT", "SWAP", "H",
 }
 
-_COMPARISON_OPS = (">=", "<=", "!=", ">", "<", "=")
-# The parser and the engine walk predicates recursively: a predicate deeper
-# than this, counting each AND, OR, NOT and pair of parentheses as a level, is
-# a syntax error, so no walk comes near Python's recursion limit.
-MAX_EXPR_DEPTH = 100
 # Longest integer literal: by default Python converts no text of more than
 # 4300 digits to an int.
 MAX_INT_DIGITS = 1000
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     kind: str  # keyword | ident | int | ket | op | punct | string | eof
     text: str
     line: int
     column: int
 
 
+# One alternative per token kind, each after optional blanks, tried in order;
+# "bad" takes any other character but a blank, so blanks at the end of input
+# match nothing and are skipped.  An identifier starts with a letter or "_"
+# and goes on with "\w", which is exactly str.isalnum or "_"; "uword" is a run
+# of "\w" with any other start, an identifier only if it starts with a letter.
+# Integers are ASCII digits: int rejects other digits such as "²".
+_TOKEN_RE = re.compile(
+    r"""[ \t\r]*(?:(?P<punct>[(),:;@])|(?P<ket>\|[01]+>)|(?P<word>[A-Za-z_]\w*)
+    |(?P<int>[0-9]+)|(?P<op>[<>!]=|[<>=])|(?P<newline>\n)|(?P<comment>--[^\n]*)
+    |(?P<string>"[^"\n]*")|(?P<uword>\w+)|(?P<bad>[^ \t\r]))""",
+    re.VERBOSE | re.DOTALL,
+)
+# What a "bad" character that starts a malformed token means.
+_LEXER_ERRORS = {
+    "|": "malformed ket literal; expected |b...b> with bits 0/1",
+    '"': "unterminated string literal",
+}
+
+
 def tokenize(text: str) -> list[Token]:
     """Deterministic token stream; errors carry line:column."""
     tokens: list[Token] = []
-    line, column = 1, 1
-    i = 0
-    length = len(text)
-
-    def error(message: str):
-        raise QqlSyntaxError(message, line, column)
-
-    while i < length:
-        ch = text[i]
-        if ch == "\n":
-            i += 1
-            line += 1
-            column = 1
+    line, line_start, match = 1, 0, None
+    for match in _TOKEN_RE.finditer(text):
+        kind = match.lastgroup
+        if kind == "newline":
+            line, line_start = line + 1, match.end()
             continue
-        if ch in " \t\r":
-            i += 1
-            column += 1
+        if kind == "comment":
             continue
-        if text.startswith("--", i):
-            while i < length and text[i] != "\n":
-                i += 1
-            continue
-        start_col = column
-        if ch.isalpha() or ch == "_":
-            j = i
-            while j < length and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            word = text[i:j]
-            kind = "keyword" if word.upper() in KEYWORDS else "ident"
-            word_text = word.upper() if kind == "keyword" else word
-            tokens.append(Token(kind, word_text, line, start_col))
-            column += j - i
-            i = j
-            continue
-        # ASCII only: str.isdigit also accepts digits such as "²" that int rejects
-        if "0" <= ch <= "9":
-            j = i
-            while j < length and "0" <= text[j] <= "9":
-                j += 1
-            if j - i > MAX_INT_DIGITS:
-                error(f"integer literal of more than {MAX_INT_DIGITS} digits")
-            tokens.append(Token("int", text[i:j], line, start_col))
-            column += j - i
-            i = j
-            continue
-        if ch == "|":
-            j = i + 1
-            while j < length and text[j] in "01":
-                j += 1
-            if j == i + 1 or j >= length or text[j] != ">":
-                error("malformed ket literal; expected |b...b> with bits 0/1")
-            tokens.append(Token("ket", text[i : j + 1], line, start_col))
-            column += j + 1 - i
-            i = j + 1
-            continue
-        if ch == '"':
-            j = i + 1
-            while j < length and text[j] != '"':
-                if text[j] == "\n":
-                    error("unterminated string literal")
-                j += 1
-            if j >= length:
-                error("unterminated string literal")
-            tokens.append(Token("string", text[i + 1 : j], line, start_col))
-            column += j + 1 - i
-            i = j + 1
-            continue
-        matched = False
-        for op in _COMPARISON_OPS:
-            if text.startswith(op, i):
-                tokens.append(Token("op", op, line, start_col))
-                column += len(op)
-                i += len(op)
-                matched = True
-                break
-        if matched:
-            continue
-        if ch in "(),:;@":
-            tokens.append(Token("punct", ch, line, start_col))
-            column += 1
-            i += 1
-            continue
-        error(f"illegal character {ch!r}")
-    tokens.append(Token("eof", "", line, column))
+        word = match.group(kind)
+        column = match.start(kind) - line_start + 1
+        if kind == "word" or kind == "uword" and word[0].isalpha():
+            upper = word.upper()
+            kind, word = ("keyword", upper) if upper in KEYWORDS else ("ident", word)
+        elif kind == "string":
+            word = word[1:-1]
+        elif kind == "int" and len(word) > MAX_INT_DIGITS:
+            raise QqlSyntaxError(
+                f"integer literal of more than {MAX_INT_DIGITS} digits", line, column
+            )
+        elif kind == "bad" or kind == "uword":
+            raise QqlSyntaxError(
+                _LEXER_ERRORS.get(word[0], f"illegal character {word[0]!r}"), line, column
+            )
+        tokens.append(Token(kind, word, line, column))
+    # a comment does not move the column, so one at the end of input holds it
+    end = match.start("comment") if match and match.lastgroup == "comment" else len(text)
+    tokens.append(Token("eof", "", line, end - line_start + 1))
     return tokens
 
 
 # ---------------------------------------------------------------------- AST
 
 
-@dataclass(frozen=True)
-class KetRec:
+class KetRec(NamedTuple):
     bits: str  # e.g. "011"
 
 
@@ -287,12 +257,15 @@ class _Parser:
         shown = token.text or "end of input"
         raise QqlSyntaxError(f"expected {expected}, found {shown!r}", token.line, token.column)
 
-    def accept_keyword(self, word: str) -> bool:
-        token = self.peek()
-        if token.kind == "keyword" and token.text == word:
-            self.advance()
+    def accept(self, kind: str, text: str) -> bool:
+        token = self.tokens[self.pos]
+        if token.kind == kind and token.text == text:
+            self.pos += 1
             return True
         return False
+
+    def accept_keyword(self, word: str) -> bool:
+        return self.accept("keyword", word)
 
     def expect_keyword(self, word: str) -> Token:
         if self.peek().kind == "keyword" and self.peek().text == word:
@@ -349,8 +322,7 @@ class _Parser:
         name = self.expect_ident()
         self.expect("punct", "(")
         fields = [self._field()]
-        while self.peek().kind == "punct" and self.peek().text == ",":
-            self.advance()
+        while self.accept("punct", ","):
             fields.append(self._field())
         self.expect("punct", ")")
         temp = self.expect_int() if self.accept_keyword("TEMP") else None
@@ -368,21 +340,18 @@ class _Parser:
             return InsertSeq(self.expect_int())
         self.expect_keyword("VALUES")
         records = [self._rec()]
-        while self.peek().kind == "punct" and self.peek().text == ",":
-            self.advance()
+        while self.accept("punct", ","):
             records.append(self._rec())
         return InsertValues(tuple(records))
 
     def _rec(self) -> RecSpec:
-        token = self.peek()
+        token = self.tokens[self.pos]
         if token.kind == "ket":
-            self.advance()
+            self.pos += 1
             return KetRec(token.text[1:-1])
-        if token.kind == "punct" and token.text == "(":
-            self.advance()
+        if self.accept("punct", "("):
             assignments = [self._assignment()]
-            while self.peek().kind == "punct" and self.peek().text == ",":
-                self.advance()
+            while self.accept("punct", ","):
                 assignments.append(self._assignment())
             self.expect("punct", ")")
             return FieldRec(tuple(assignments))
@@ -396,8 +365,7 @@ class _Parser:
     def _update(self) -> Command:
         self.expect_keyword("SET")
         pairs = [self._pair()]
-        while self.peek().kind == "punct" and self.peek().text == ",":
-            self.advance()
+        while self.accept("punct", ","):
             pairs.append(self._pair())
         return Update(tuple(pairs))
 
@@ -462,7 +430,7 @@ class _Parser:
     def parse_expr(self, bare_vars: bool) -> BoolExpr:
         token = self.peek()
         expr = self._or_chain(bare_vars)
-        if _depth(expr) > MAX_EXPR_DEPTH:
+        if expr_depth(expr) > MAX_EXPR_DEPTH:
             self._too_deep(token)
         return expr
 
@@ -512,19 +480,6 @@ class _Parser:
                 return Var(token.text)
             self.fail("a comparison operator")
         self.fail("a comparison" + (" or select name" if bare_vars else ""))
-
-
-def _depth(expr: BoolExpr) -> int:
-    """Levels of a predicate tree, counted without recursion."""
-    deepest, stack = 0, [(expr, 1)]
-    while stack:
-        node, level = stack.pop()
-        deepest = max(deepest, level)
-        if isinstance(node, (And, Or)):
-            stack += [(node.left, level + 1), (node.right, level + 1)]
-        elif isinstance(node, Not):
-            stack.append((node.expr, level + 1))
-    return deepest
 
 
 def parse(tokens: list[Token]) -> list[Command]:
@@ -625,22 +580,16 @@ def render_command(command: Command) -> str:
 # ----------------------------------------------------------------- compiler
 
 
-def _collect_vars(expr: BoolExpr, into: set[str]) -> None:
-    if isinstance(expr, Var):
-        into.add(expr.name)
-    elif isinstance(expr, Comparison):
-        into.add(expr.field)
-    elif isinstance(expr, (And, Or)):
-        _collect_vars(expr.left, into)
-        _collect_vars(expr.right, into)
-    elif isinstance(expr, Not):
-        _collect_vars(expr.expr, into)
-
-
 def _need_db(session) -> QdbState:
     if session.db is None:
         raise CompileError("no table is open; run CREATE TABLE first")
     return session.db
+
+
+def _bind_records(records, schema: TableSchema) -> np.ndarray:
+    """A record list as one array of basis indices; the first record that
+    does not fit the schema raises."""
+    return np.array([_resolve_record(rec, schema) for rec in records], dtype=np.int64)
 
 
 def _resolve_record(rec: RecSpec, schema: TableSchema) -> int:
@@ -657,8 +606,6 @@ def _resolve_record(rec: RecSpec, schema: TableSchema) -> int:
 
 
 def _validated(expr: BoolExpr, schema: TableSchema) -> BoolExpr:
-    from .boolcirc import validate_expr
-
     try:
         validate_expr(expr, schema)
     except SchemaError as exc:
@@ -700,12 +647,11 @@ def compile_command(command: Command, session) -> Callable[[], str]:
     if isinstance(command, InsertSeq):
         return lambda: _fmt_insert(db.insert_sequential(command.k), f"sequential to {command.k}")
     if isinstance(command, InsertValues):
-        indices = [_resolve_record(r, schema) for r in command.records]
+        indices = _bind_records(command.records, schema)
         return lambda: _fmt_insert(db.insert_values(indices), f"{len(indices)} values")
     if isinstance(command, Update):
-        pairs = [
-            (_resolve_record(a, schema), _resolve_record(b, schema)) for a, b in command.pairs
-        ]
+        pairs = _bind_records([rec for pair in command.pairs for rec in pair], schema)
+        pairs = pairs.reshape(-1, 2)
 
         def run_update() -> str:
             db.update(pairs)
@@ -733,8 +679,11 @@ def compile_command(command: Command, session) -> Callable[[], str]:
 
         return run_select
     if isinstance(command, Apply):
-        names: set[str] = set()
-        _collect_vars(command.when, names)
+        names = {
+            node.name if isinstance(node, Var) else node.field
+            for node, _ in walk_expr(command.when)
+            if isinstance(node, (Var, Comparison))
+        }
         missing = sorted(n for n in names if n not in session.selects)
         if missing:
             raise CompileError(f"unknown select name(s): {', '.join(missing)}")
@@ -801,5 +750,5 @@ def compile_command(command: Command, session) -> Callable[[], str]:
 
 
 def _fmt_insert(db: QdbState, what: str) -> str:
-    return f"ok: insert {what}; support size {len(db.support())}"
+    return f"ok: insert {what}; support size {db.support(as_array=True).size}"
 

@@ -8,6 +8,7 @@ the most significant bits, mirroring the register's qubit order.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from .errors import SchemaError
 
@@ -40,7 +41,7 @@ class TableSchema:
             if width < 1:
                 raise SchemaError(f"field {field_name!r} must be at least 1 bit wide")
 
-    @property
+    @cached_property
     def num_bits(self) -> int:
         return sum(w for _, w in self.fields)
 

@@ -430,15 +430,14 @@ class StateVector:
             raise CapacityError(f"tensor of {total} qubits exceeds capacity {max_qubits}")
         return StateVector(total, np.kron(self.amps, other.amps))
 
-    def support(self, tol: float = 1e-9) -> list[int]:
-        """Basis indices with non-negligible amplitude, ascending."""
-        mags = self.amps.real**2 + self.amps.imag**2
-        return np.nonzero(mags > tol * tol)[0].tolist()
-
     def __repr__(self) -> str:
         terms = []
-        for idx in self.support(tol=1e-6)[:8]:
-            amp = self.amps[idx]
-            terms.append(f"{amp:.3g}|{idx:0{self.num_qubits}b}>")
+        # the first 8 components above 1e-6 in magnitude, found tile by tile
+        for start in range(0, self.amps.size, TILE_COLUMNS):
+            tile = self.amps[start : start + TILE_COLUMNS]
+            for idx in np.flatnonzero(tile.real**2 + tile.imag**2 > 1e-12)[: 8 - len(terms)]:
+                terms.append(f"{tile[idx]:.3g}|{start + idx:0{self.num_qubits}b}>")
+            if len(terms) == 8:
+                break
         body = " + ".join(terms) if terms else "0"
         return f"StateVector({self.num_qubits} qubits: {body})"

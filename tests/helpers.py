@@ -7,8 +7,9 @@ from typing import Iterable
 import numpy as np
 
 from qqldb.diffusion import DiffusionParams
-from qqldb.errors import CapacityError
+from qqldb.errors import CapacityError, QqlSyntaxError
 from qqldb.gates import DENSE_LIMIT_QUBITS, HADAMARD, NOT, GateMatrix
+from qqldb.qlang import KEYWORDS, MAX_INT_DIGITS, Token
 
 
 def random_unitary(num_qubits: int, rng: np.random.Generator) -> GateMatrix:
@@ -196,3 +197,97 @@ def dense_partial_diffusion(params: DiffusionParams) -> GateMatrix:
     core = -np.eye(dim, dtype=np.complex128)
     core[0, 0] += params.factor
     return GateMatrix(spread @ core @ spread)
+
+
+# ---------------------------------------------------------------- lexer
+
+
+def reference_tokenize(text: str) -> list[Token]:
+    """The query-language lexer as a loop over characters: the reference the
+    regular-expression lexer ``qlang.tokenize`` is checked against."""
+    tokens: list[Token] = []
+    line, column = 1, 1
+    i = 0
+    length = len(text)
+
+    def error(message: str):
+        raise QqlSyntaxError(message, line, column)
+
+    while i < length:
+        ch = text[i]
+        if ch == "\n":
+            i += 1
+            line += 1
+            column = 1
+            continue
+        if ch in " \t\r":
+            i += 1
+            column += 1
+            continue
+        if text.startswith("--", i):
+            while i < length and text[i] != "\n":
+                i += 1
+            continue
+        start_col = column
+        if ch.isalpha() or ch == "_":
+            j = i
+            while j < length and (text[j].isalnum() or text[j] == "_"):
+                j += 1
+            word = text[i:j]
+            kind = "keyword" if word.upper() in KEYWORDS else "ident"
+            word_text = word.upper() if kind == "keyword" else word
+            tokens.append(Token(kind, word_text, line, start_col))
+            column += j - i
+            i = j
+            continue
+        # ASCII only: str.isdigit also accepts digits such as "²" that int rejects
+        if "0" <= ch <= "9":
+            j = i
+            while j < length and "0" <= text[j] <= "9":
+                j += 1
+            if j - i > MAX_INT_DIGITS:
+                error(f"integer literal of more than {MAX_INT_DIGITS} digits")
+            tokens.append(Token("int", text[i:j], line, start_col))
+            column += j - i
+            i = j
+            continue
+        if ch == "|":
+            j = i + 1
+            while j < length and text[j] in "01":
+                j += 1
+            if j == i + 1 or j >= length or text[j] != ">":
+                error("malformed ket literal; expected |b...b> with bits 0/1")
+            tokens.append(Token("ket", text[i : j + 1], line, start_col))
+            column += j + 1 - i
+            i = j + 1
+            continue
+        if ch == '"':
+            j = i + 1
+            while j < length and text[j] != '"':
+                if text[j] == "\n":
+                    error("unterminated string literal")
+                j += 1
+            if j >= length:
+                error("unterminated string literal")
+            tokens.append(Token("string", text[i + 1 : j], line, start_col))
+            column += j + 1 - i
+            i = j + 1
+            continue
+        matched = False
+        for op in (">=", "<=", "!=", ">", "<", "="):
+            if text.startswith(op, i):
+                tokens.append(Token("op", op, line, start_col))
+                column += len(op)
+                i += len(op)
+                matched = True
+                break
+        if matched:
+            continue
+        if ch in "(),:;@":
+            tokens.append(Token("punct", ch, line, start_col))
+            column += 1
+            i += 1
+            continue
+        error(f"illegal character {ch!r}")
+    tokens.append(Token("eof", "", line, column))
+    return tokens

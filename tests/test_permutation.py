@@ -9,11 +9,12 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from qqldb.boolcirc import Const, TruthTable, apply_oracle
-from qqldb.gates import CnotGate
-from qqldb.qdb import QdbState, SafeKey
+from helpers import untiled_apply
+from qqldb.boolcirc import Comparison, Const, TruthTable, Var, apply_oracle
+from qqldb.gates import NOT, CnotGate, GateMatrix
+from qqldb.qdb import ApplyGate, QdbState, SafeKey
 from qqldb.schema import TableSchema
-from qqldb.statevec import StateVector
+from qqldb.statevec import StateVector, swap
 
 
 def signed_zero_state(num_qubits: int, rng: np.random.Generator) -> np.ndarray:
@@ -22,6 +23,13 @@ def signed_zero_state(num_qubits: int, rng: np.random.Generator) -> np.ndarray:
     amps[rng.random(size) < 0.3] = complex(-0.0, 0.0)
     amps[rng.random(size) < 0.2] = complex(0.0, -0.0)
     return amps
+
+
+def unsigned_zero_bytes(amps: np.ndarray) -> bytes:
+    """The register's bytes with every -0.0 part read as +0.0."""
+    parts = amps.view(np.float64).copy()
+    parts[parts == 0] = 0.0
+    return parts.tobytes()
 
 
 def bit(index: int, qubit: int, num_qubits: int) -> int:
@@ -132,3 +140,39 @@ def test_record_swap_is_exact_permutation(seed):
         db.safe_key = SafeKey(safe, Const(1), 0)
     db._swap_records(pairs, pos)
     assert db.state.amps.tobytes() == amps[perm].tobytes()
+
+
+@pytest.mark.parametrize("seed", range(8))
+@pytest.mark.parametrize("num_pos, num_neg", [(0, 0), (1, 0), (0, 1), (2, 1)])
+def test_not_gate_as_swap_matches_the_matrix_product(seed, num_pos, num_neg):
+    """APPLY NOT runs as a swap; the product with the NOT matrix computes
+    ``0 * x + 1 * y``, the same value up to the sign of a zero."""
+    rng = np.random.default_rng(400 + seed)
+    m = int(rng.integers(1 + num_pos + num_neg, 9))
+    target, *rest = (int(q) for q in rng.permutation(m))
+    pos, neg = rest[:num_pos], rest[num_pos : num_pos + num_neg]
+    amps = signed_zero_state(m, rng)
+    expected = amps.copy()
+    untiled_apply(expected, NOT.matrix, [target], m, pos, neg)
+    swap(amps, m, 0, 1, pos, neg, leading=[target])
+    assert unsigned_zero_bytes(amps) == unsigned_zero_bytes(expected)
+
+
+@pytest.mark.parametrize("backup", [False, True])
+def test_apply_not_matches_the_matrix_product(backup):
+    """The engine's NOT payload against an equal gate matrix, which takes
+    the controlled-unitary kernel."""
+    rng = np.random.default_rng(7)
+    schema = TableSchema("p", (("a", 3), ("b", 3)))
+    amps = signed_zero_state(9, rng)
+    amps /= np.linalg.norm(amps)
+    results = []
+    for gate in (NOT, GateMatrix(NOT.matrix)):
+        db = QdbState(schema, t=3, state=StateVector(9, amps.copy()))
+        if backup:
+            db.backup(Comparison("b", ">=", 5))
+        c1 = db.select(Comparison("a", "<", 4))
+        db.apply_where({"c1": c1}, Var("c1"), ApplyGate(gate, (4,)))
+        results.append(db.state.amps)
+    assert unsigned_zero_bytes(results[0]) == unsigned_zero_bytes(results[1])
+    assert results[0].tobytes() != amps.tobytes()

@@ -5,7 +5,7 @@ import pytest
 
 from helpers import dense_embed, identity, random_state
 from refmodel import RefDb
-from qqldb.boolcirc import And, Comparison, Const, Not, Var
+from qqldb.boolcirc import MAX_EXPR_DEPTH, And, Comparison, Const, Not, Or, Var
 from qqldb.errors import (
     CapacityError,
     ImpossibleOutcomeError,
@@ -189,6 +189,20 @@ class TestInsertValues:
         db.insert_values([Record((1, 1)), Record((0, 1))])
         assert db.support() == [1, 3]
 
+    @pytest.mark.parametrize(
+        "records", [[5, 2, 7], [1, 2, 0], [7], [1, 9, -1], [-1, 9], [3, 6, 3], list(range(9))]
+    )
+    def test_integer_array_checked_like_a_list(self, records):
+        outcomes = []
+        for given in (records, np.array(records, dtype=np.int64)):
+            db = db3()
+            try:
+                db.insert_values(given)
+                outcomes.append((db.state.amps.tobytes(), db._seq_fill))
+            except (QqlError, ValueError) as exc:
+                outcomes.append((type(exc), str(exc), db.state.amps.tobytes()))
+        assert outcomes[0] == outcomes[1]
+
 
 class TestUpdate:
     def test_known_five_record_example(self):
@@ -233,6 +247,29 @@ class TestUpdate:
         db = db2().insert_bulk(1)  # support {0, 1}
         db.update([(Record((1,)), Record((3,)))])
         assert db.support() == [0, 3]
+
+    def test_first_colliding_pair_is_reported(self):
+        db = db3().insert_values([1, 2, 3, 4])
+        with pytest.raises(SchemaError, match="record 4 already exists"):
+            db.update([(5, 6), (3, 4), (1, 2)])
+
+    @pytest.mark.parametrize(
+        "pairs",
+        [
+            [(0, 4), (2, 1)], [(5, 6), (3, 4), (1, 2)], [(1, 2), (2, 7)], [(1, 8)],
+            [(-1, 7), (9, 0)],
+        ],
+    )
+    def test_integer_array_checked_like_a_list(self, pairs):
+        outcomes = []
+        for given in (pairs, np.array(pairs, dtype=np.int64)):
+            db = db3().insert_values([0, 2, 3, 4])
+            try:
+                db.update(given)
+                outcomes.append(db.state.amps.tobytes())
+            except (QqlError, ValueError) as exc:
+                outcomes.append((type(exc), str(exc), db.state.amps.tobytes()))
+        assert outcomes[0] == outcomes[1]
 
 
 class TestSelect:
@@ -690,3 +727,41 @@ class TestShowState:
         indices, amplitudes = db.show_state()
         assert indices.tolist() == [1, 9]
         assert amplitudes.tolist() == [0.6, 0.8j]
+
+
+def nested(kind, depth: int):
+    """A left-deep chain of ``kind`` (And, Or or Not) whose deepest leaf sits
+    at level ``depth``."""
+    expr = Comparison("id", "=", 1)
+    for level in range(depth - 1):
+        expr = Not(expr) if kind is Not else kind(expr, Comparison("id", "=", level % 3))
+    return expr
+
+
+class TestPredicateDepth:
+    """Predicates built through the API are held to the parser's depth bound
+    before anything changes."""
+
+    @pytest.mark.parametrize("kind", [And, Or, Not])
+    def test_deepest_accepted_predicate_runs(self, kind):
+        expr = nested(kind, MAX_EXPR_DEPTH)
+        db = db3(t=3).insert_bulk(3)
+        db.select(expr)
+        db.backup(expr)
+        db.delete(expr)
+
+    @pytest.mark.parametrize("depth", [MAX_EXPR_DEPTH + 1, 3000])
+    @pytest.mark.parametrize("kind", [And, Or, Not])
+    @pytest.mark.parametrize("backup", [False, True])
+    def test_deeper_predicate_rejected_before_any_change(self, kind, depth, backup):
+        db = db3(t=3).insert_bulk(3)
+        if backup:
+            db.backup(Comparison("id", "=", 2))
+        amps, alloc, key = db.state.amps.tobytes(), dict(db.temp_alloc), db.safe_key
+        expr = nested(kind, depth)
+        operations = [db.select, db.delete] + ([] if backup else [db.backup])
+        for operation in operations:
+            with pytest.raises(SchemaError, match="nested deeper"):
+                operation(expr)
+            assert db.state.amps.tobytes() == amps
+            assert db.temp_alloc == alloc and db.safe_key == key

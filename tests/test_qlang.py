@@ -1,5 +1,6 @@
 import pytest
-from hypothesis import given, settings
+from helpers import reference_tokenize
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qqldb.boolcirc import And, Comparison, Const, Not, Or, Var
@@ -84,6 +85,53 @@ class TestTokenize:
     def test_unterminated_string(self):
         with pytest.raises(QqlSyntaxError):
             tokenize('SAVE "unclosed')
+
+
+def lexed(tokenizer, text: str):
+    """The (kind, text, line, column) list, or the error's message, line and
+    column."""
+    try:
+        return [(t.kind, t.text, t.line, t.column) for t in tokenizer(text)]
+    except QqlSyntaxError as exc:
+        return (exc.message, exc.line, exc.column)
+
+
+# Pieces of the grammar, for texts that mostly lex; the free text draws any
+# code point.
+LEXEMES = st.sampled_from([
+    "SELECT", "select", "age", "_x1", "ſelect", "a\u00b2", "\u0663", "\u00b2", "12abc", "0",
+    "|0101>", "|>", "|01", "|012>", '"x.qdb"', '"open', '"two\nlines"', "--", "-- note",
+    ">=", "<=", "!=", "!", ">", "<", "=", "(", ")", ",", ":", ";", "@", " ", "\t", "\r", "\n",
+    "\x0b", "\u00a0",
+])
+LEX_TEXTS = st.one_of(st.text(), st.lists(st.one_of(LEXEMES, st.text(max_size=3))).map("".join))
+
+
+class TestTokenizeMatchesReference:
+    """The regular-expression lexer against the character loop it replaced:
+    the same tokens, or the same error at the same place."""
+
+    @given(LEX_TEXTS)
+    @settings(max_examples=500, deadline=None, derandomize=True)
+    @example("\u00b2")
+    @example("\u0663")
+    @example("a\u00b2 \u0663a")
+    @example("12abc")
+    @example("SHOW;\t\r\nMEASURE\t10;")
+    @example("SHOW; \x0b")
+    @example("SHOW; \t ")
+    @example("SHOW;\n  -- trailing comment")
+    @example("SHOW; --")
+    @example('SAVE "unclosed')
+    @example('SAVE "two\nlines";')
+    @example("INSERT VALUES |0101>, |>;")
+    @example("UPDATE SET |01")
+    @example("|012>")
+    @example("MEASURE " + "9" * MAX_INT_DIGITS + ";")
+    @example("MEASURE " + "9" * (MAX_INT_DIGITS + 1) + ";")
+    @example("")
+    def test_same_tokens_or_error(self, text):
+        assert lexed(tokenize, text) == lexed(reference_tokenize, text)
 
 
 class TestParse:

@@ -1,4 +1,5 @@
 import sys
+import tracemalloc
 import warnings
 from collections import Counter
 
@@ -306,6 +307,32 @@ class TestTensor:
         a = StateVector.zero(2)
         with pytest.raises(CapacityError):
             a.tensor(StateVector.zero(2), max_qubits=3)
+
+
+class TestRepr:
+    def test_first_eight_terms(self):
+        amps = np.zeros(1 << 4, dtype=complex)
+        amps[[3, 9]] = [0.6, 0.8j]
+        assert repr(StateVector.from_amplitudes(amps)) == (
+            "StateVector(4 qubits: 0.6+0j|0011> + 0+0.8j|1001>)"
+        )
+        uniform = StateVector.zero(4).apply_unitary(HADAMARD, [3]).apply_unitary(HADAMARD, [2])
+        uniform.apply_unitary(HADAMARD, [1]).apply_unitary(HADAMARD, [0])
+        assert repr(uniform).count("|") == 8 and repr(uniform).endswith("0.25+0j|0111>)")
+
+    def test_scan_reads_tiles_not_the_register(self):
+        # the nonzero components sit in the last tile of a 2^20-amplitude register
+        amps = np.zeros(1 << 20, dtype=complex)
+        amps[-2:] = [0.6, 0.8]
+        state = StateVector.from_amplitudes(amps)
+        tracemalloc.start()
+        try:
+            text = repr(state)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert text.endswith(f"0.6+0j|{'1' * 19}0> + 0.8+0j|{'1' * 20}>)")
+        assert peak < amps.nbytes / 8
 
 
 class TestEntanglementWitness:

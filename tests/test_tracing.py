@@ -34,7 +34,29 @@ def test_tracer_wraps_every_binding_site():
     assert all(owner.__dict__[attr] is fn for owner, attr, fn in originals)
 
 
-def test_write_chain_round_has_no_failed_statement(tmp_path, monkeypatch):
+def test_backup_records_every_layer_span():
+    # the per-layer metrics read these spans; an engine path that stops going
+    # through a wrapped name would read 0 there without saving anything
+    from qqldb.cli import Session
+
+    tracer = load_perfbench("tracing").Tracer()
+    tracer.install()
+    try:
+        session = Session()
+        session.execute_text("CREATE TABLE t (id:2) TEMP 1; INSERT ALL 2;")
+        tracer.statement = 1
+        session.execute_text("BACKUP WHERE id = 3;")
+        tracer.statement = None
+    finally:
+        tracer.uninstall()
+    names = {span[0] for span in tracer.spans}
+    for expected in ("qlang.parse", "qlang.bind", "qdb.backup", "qdb.support",
+                     "boolcirc.table", "boolcirc.oracle", "diffusion.apply"):
+        assert expected in names
+
+
+def play_round(tmp_path, monkeypatch, workload: str):
+    """One round of a benchmark workload; returns its harness."""
     # the workloads import their checks by module name and save under
     # perfbench/out relative to the working directory
     monkeypatch.syspath_prepend(str(PERFBENCH))
@@ -42,6 +64,18 @@ def test_write_chain_round_has_no_failed_statement(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     run, workloads = load_perfbench("run"), load_perfbench("workloads")
     harness = run.Harness()
-    workloads.write_chain(harness, 7, 0)
+    getattr(workloads, workload)(harness, 7, 0)
+    return harness
+
+
+def test_write_chain_round_has_no_failed_statement(tmp_path, monkeypatch):
+    harness = play_round(tmp_path, monkeypatch, "write_chain")
     assert harness.attempted == 17
+    assert harness.failed == 0, dict(harness.faults)
+
+
+def test_large_mix_round_has_no_failed_statement(tmp_path, monkeypatch):
+    # LOAD, INSERT, BACKUP and DELETE at 2^21 amplitudes
+    harness = play_round(tmp_path, monkeypatch, "large_mix")
+    assert harness.attempted == 13
     assert harness.failed == 0, dict(harness.faults)
