@@ -10,7 +10,7 @@ one in-place basis permutation.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, Sequence, Union
+from typing import Sequence
 
 import numpy as np
 
@@ -157,16 +157,22 @@ def validate_expr(expr: BoolExpr, schema: TableSchema) -> None:
 
 def eval_expr(expr: BoolExpr, record: Record, schema: TableSchema) -> int:
     """Classical evaluation on a single record; comparisons are unsigned."""
+    if expr_depth(expr) > MAX_EXPR_DEPTH:
+        raise SchemaError(f"predicate nested deeper than {MAX_EXPR_DEPTH} levels")
+    return _eval(expr, record, schema)
+
+
+def _eval(expr: BoolExpr, record: Record, schema: TableSchema) -> int:
     if isinstance(expr, Comparison):
         return int(_OPS[expr.op](schema.value_of(record, expr.field), expr.literal))
     if isinstance(expr, Var):
         return int(schema.value_of(record, expr.name) != 0)
     if isinstance(expr, And):
-        return eval_expr(expr.left, record, schema) & eval_expr(expr.right, record, schema)
+        return _eval(expr.left, record, schema) & _eval(expr.right, record, schema)
     if isinstance(expr, Or):
-        return eval_expr(expr.left, record, schema) | eval_expr(expr.right, record, schema)
+        return _eval(expr.left, record, schema) | _eval(expr.right, record, schema)
     if isinstance(expr, Not):
-        return 1 - eval_expr(expr.expr, record, schema)
+        return 1 - _eval(expr.expr, record, schema)
     if isinstance(expr, Const):
         return int(expr.value)
     raise TypeError(f"not a BoolExpr: {expr!r}")
@@ -198,11 +204,12 @@ def _eval_vectorized(expr: BoolExpr, schema: TableSchema, indices: np.ndarray) -
 
 
 def truth_table(expr: BoolExpr, schema: TableSchema) -> TruthTable:
-    """Materialize the predicate over every record of the schema."""
+    """Check the predicate with :func:`validate_expr`, then materialize it
+    over every record of the schema."""
+    validate_expr(expr, schema)
     n = schema.num_bits
     if n > MAX_TABLE_VARS:
         raise SchemaError(f"{n} data bits exceed the {MAX_TABLE_VARS}-bit table bound")
-    validate_expr(expr, schema)
     indices = np.arange(1 << n, dtype=np.int64)
     return TruthTable(n, _eval_vectorized(expr, schema, indices))
 
@@ -227,22 +234,19 @@ def to_reed_muller(table: TruthTable) -> ReedMullerForm:
 
 def compile_to_cnots(
     form: ReedMullerForm,
-    var_qubits: Union[Sequence[int], Mapping[int, int]],
+    var_qubits: Sequence[int],
     target: int,
 ) -> list[CnotGate]:
-    """One multi-controlled NOT per monomial, onto a fixed target qubit.
+    """One multi-controlled NOT per monomial, onto a fixed target qubit;
+    variable j is the qubit ``var_qubits[j]``.
 
     Gate order is irrelevant to the computed function (XOR commutes); gates
     are emitted largest monomial first for determinism.
     """
-    if isinstance(var_qubits, Mapping):
-        lookup = dict(var_qubits)
-    else:
-        lookup = {j: q for j, q in enumerate(var_qubits)}
-    if target in lookup.values():
+    if target in var_qubits:
         raise ValueError(f"target qubit {target} collides with a variable qubit")
     ordered = sorted(form.monomials, key=lambda m: (-len(m), sorted(m)))
-    return [CnotGate(frozenset(lookup[j] for j in monomial), target) for monomial in ordered]
+    return [CnotGate(frozenset(var_qubits[j] for j in monomial), target) for monomial in ordered]
 
 
 def apply_oracle(

@@ -49,13 +49,13 @@ def format_amplitude(value: complex, full: bool = False) -> str:
 
 class Session:
     """One interactive database session: at most one open table, a select-name
-    registry, a transcript, and a seed stream for unseeded measurements."""
+    registry, and a seed stream for unseeded measurements.  Outputs are
+    returned to the caller, not kept."""
 
     def __init__(self, config: SessionConfig | None = None):
         self.config = config or SessionConfig()
         self.db: QdbState | None = None
         self.selects: dict[str, int] = {}
-        self.transcript: list[str] = []
         self._seed_stream = Xorshift64Star(self.config.seed)
 
     # ------------------------------------------------------------- execution
@@ -73,10 +73,7 @@ class Session:
         self.selects = {}
 
     def execute_command(self, command: qlang.Command) -> str:
-        action = qlang.compile_command(command, self)
-        output = action()
-        self.transcript.append(output)
-        return output
+        return qlang.compile_command(command, self)()
 
     def execute_text(self, text: str) -> list[str]:
         outputs = []

@@ -18,11 +18,11 @@ import numpy as np
 
 from .boolcirc import (
     BoolExpr,
+    TruthTable,
     apply_oracle,
     compile_to_cnots,
     to_reed_muller,
     truth_table,
-    validate_expr,
 )
 from .diffusion import DiffusionParams, apply_partial_diffusion
 from .errors import CapacityError, ImpossibleOutcomeError, QqlError, SchemaError
@@ -99,7 +99,6 @@ class QdbState:
             raise ValueError("provided state does not match schema plus temp count")
         self.schema = schema
         self.t = t
-        self.max_qubits = max_qubits
         self.epsilon = epsilon
         self.state = state if state is not None else StateVector.zero(n + t, max_qubits)
         self.temp_alloc: dict[int, TempUse] = {}
@@ -119,16 +118,15 @@ class QdbState:
     def free_temps(self) -> list[int]:
         return [q for q in range(self.n, self.n + self.t) if q not in self.temp_alloc]
 
-    def _alloc_temp(self, purpose: str, expr: BoolExpr | None = None) -> int:
+    def _first_free_temp(self, purpose: str) -> int:
+        """The temp qubit a statement will use; nothing is recorded.  Only a
+        temp that outlives its statement enters ``temp_alloc``, and only once
+        the statement's kernels have run, so a failed statement leaves the
+        allocation as it was."""
         free = self.free_temps()
         if not free:
             raise QqlError(f"no free temporary qubit for {purpose}")
-        qubit = free[0]
-        self.temp_alloc[qubit] = TempUse(purpose, expr)
-        return qubit
-
-    def _free_temp(self, qubit: int) -> None:
-        self.temp_alloc.pop(qubit, None)
+        return free[0]
 
     def _live_controls(self) -> list[int]:
         """The safe key as a negative control when a backup is active: the
@@ -296,10 +294,10 @@ class QdbState:
     def select(self, expr: BoolExpr) -> int:
         """Entangle a fresh temp qubit with the predicate: matching records
         end up flagged |1>.  Returns the flag's qubit index."""
-        validate_expr(expr, self.schema)
         table = truth_table(expr, self.schema)
-        qubit = self._alloc_temp("select", expr)
+        qubit = self._first_free_temp("select")
         apply_oracle(self.state, table, self.data_qubits, qubit)
+        self.temp_alloc[qubit] = TempUse("select", expr)
         return qubit
 
     def apply_where(
@@ -307,16 +305,15 @@ class QdbState:
         flags: Mapping[str, int],
         combiner: BoolExpr,
         operation: Union[ApplyGate, ApplySwap],
-        uncompute_flags: bool = True,
     ) -> "QdbState":
         """Combine select flags onto one extra temp qubit and apply the
         operation controlled on it (and on the safe key being 0 when a backup
         is active).
 
-        The combiner circuit is always uncomputed.  Flag oracles are
-        re-applied afterwards by default; a flag whose record moved across
-        its own predicate cannot return to |0> exactly, and such a qubit is
-        kept allocated as residue instead of being handed out again.
+        The combiner circuit is uncomputed, then the flag oracles are
+        re-applied; a flag whose record moved across its own predicate
+        cannot return to |0> exactly, and such a qubit is kept allocated as
+        residue instead of being handed out again.
         """
         flag_map = dict(flags)
         for name, qubit in flag_map.items():
@@ -324,14 +321,11 @@ class QdbState:
             if use is None or use.purpose != "select":
                 raise QqlError(f"{name!r} ({qubit}) is not an active select flag")
         mini = TableSchema("_flags", tuple((name, 1) for name in flag_map))
-        validate_expr(combiner, mini)
+        form = to_reed_muller(truth_table(combiner, mini))
+        flag_tables = [truth_table(self.temp_alloc[q].expr, self.schema) for q in flag_map.values()]
         self._check_operation(operation)
-        combiner_qubit = self._alloc_temp("combiner")
-        gates = compile_to_cnots(
-            to_reed_muller(truth_table(combiner, mini)),
-            [flag_map[name] for name in flag_map],
-            combiner_qubit,
-        )
+        combiner_qubit = self._first_free_temp("combiner")
+        gates = compile_to_cnots(form, list(flag_map.values()), combiner_qubit)
         for gate in gates:
             self.state.apply_cnot(gate)
 
@@ -351,18 +345,13 @@ class QdbState:
 
         for gate in reversed(gates):
             self.state.apply_cnot(gate)
-        self._free_temp(combiner_qubit)
 
-        if uncompute_flags:
-            for qubit in flag_map.values():
-                expr = self.temp_alloc[qubit].expr
-                apply_oracle(
-                    self.state, truth_table(expr, self.schema), self.data_qubits, qubit
-                )
-                if self.state.probability_of(qubit, 1) < RESIDUE_TOL:
-                    self._free_temp(qubit)
-                else:
-                    self.temp_alloc[qubit] = TempUse("residue")
+        for qubit, table in zip(flag_map.values(), flag_tables):
+            apply_oracle(self.state, table, self.data_qubits, qubit)
+            if self.state.probability_of(qubit, 1) < RESIDUE_TOL:
+                del self.temp_alloc[qubit]
+            else:
+                self.temp_alloc[qubit] = TempUse("residue")
         self._seq_fill = None
         return self
 
@@ -390,30 +379,33 @@ class QdbState:
         """Mark matching records on a temp flag and post-select the flag on 0.
         Returns the outcome probability or, with ``amplify_iters`` q > 0, its
         value after q amplification rounds; those leave the kept state as is."""
-        validate_expr(expr, self.schema)
+        table = truth_table(expr, self.schema)
         if amplify_iters < 0:
             raise ValueError("amplify_iters must be >= 0")
         try:
             rounds = float(2 * amplify_iters + 1)
         except OverflowError:
             raise CapacityError("AMPLIFY count too large: 2q + 1 exceeds the float range") from None
-        table = truth_table(expr, self.schema)
         live = self.support(as_array=True)
         if live.size and table.bits[live].all():
             raise ImpossibleOutcomeError("predicate matches every live record")
-        qubit = self._alloc_temp("delete", expr)
-        neg = self._live_controls()
-        apply_oracle(self.state, table, self.data_qubits, qubit, neg_controls=neg)
-        try:
-            probability = self.state.postselect(qubit, 0, self.epsilon, rounds)
-        except ImpossibleOutcomeError:
-            # the oracle is a swap, so applying it again undoes it exactly
-            apply_oracle(self.state, table, self.data_qubits, qubit, neg_controls=neg)
-            self._free_temp(qubit)
-            raise
-        self._free_temp(qubit)
+        qubit = self._first_free_temp("delete")
+        probability = self._drop_marked(table, qubit, self._live_controls(), rounds)
         self._seq_fill = None
         return probability
+
+    def _drop_marked(
+        self, table: TruthTable, qubit: int, neg_controls: Sequence[int] = (), rounds: float = 1
+    ) -> float:
+        """Mark the table's records on ``qubit`` with the oracle, then
+        post-select it on 0.  On an impossible outcome the oracle, a swap, is
+        applied again, which undoes it exactly, and the error propagates."""
+        apply_oracle(self.state, table, self.data_qubits, qubit, neg_controls=neg_controls)
+        try:
+            return self.state.postselect(qubit, 0, self.epsilon, rounds)
+        except ImpossibleOutcomeError:
+            apply_oracle(self.state, table, self.data_qubits, qubit, neg_controls=neg_controls)
+            raise
 
     # ------------------------------------------------------------------ backup / restore
 
@@ -423,13 +415,13 @@ class QdbState:
         entangled with |1> and re-spreads a working copy in the |0> subspace."""
         if self.safe_key is not None:
             raise QqlError("a backup is already active; restore it first")
-        validate_expr(expr, self.schema)
         table = truth_table(expr, self.schema)
         matches = int(np.count_nonzero(table.bits[self.support(as_array=True)]))
-        qubit = self._alloc_temp("safe", expr)
+        qubit = self._first_free_temp("safe")
         apply_oracle(self.state, table, self.data_qubits, qubit)
         apply_partial_diffusion(self.state, DiffusionParams(self.n), flag_qubit=qubit)
         self.state._assert_norm()
+        self.temp_alloc[qubit] = TempUse("safe", expr)
         self.safe_key = SafeKey(qubit, expr, matches)
         self._seq_fill = None
         return self
@@ -444,17 +436,13 @@ class QdbState:
             raise QqlError("no active backup to restore")
         safe = self.safe_key
         table = truth_table(safe.expr, self.schema)
-        apply_oracle(self.state, table, self.data_qubits, safe.qubit)
         probability = None
         if purge:
-            try:
-                probability = self.state.postselect(safe.qubit, 0, self.epsilon)
-            except ImpossibleOutcomeError:
-                # the oracle is a swap, so applying it again undoes it exactly
-                apply_oracle(self.state, table, self.data_qubits, safe.qubit)
-                raise
-            self._free_temp(safe.qubit)
+            probability = self._drop_marked(table, safe.qubit)
+            del self.temp_alloc[safe.qubit]
             self.safe_key = None
+        else:
+            apply_oracle(self.state, table, self.data_qubits, safe.qubit)
         self._seq_fill = None
         return probability
 

@@ -502,7 +502,13 @@ def parse_predicate(text: str) -> BoolExpr:
 # ----------------------------------------------------------------- rendering
 
 
-def render_expr(expr: BoolExpr, _parent: str = "or") -> str:
+def render_expr(expr: BoolExpr) -> str:
+    if expr_depth(expr) > MAX_EXPR_DEPTH:
+        raise SchemaError(f"predicate nested deeper than {MAX_EXPR_DEPTH} levels")
+    return _render(expr, "or")
+
+
+def _render(expr: BoolExpr, parent: str) -> str:
     if isinstance(expr, Comparison):
         return f"{expr.field} {expr.op} {expr.literal}"
     if isinstance(expr, Var):
@@ -510,18 +516,18 @@ def render_expr(expr: BoolExpr, _parent: str = "or") -> str:
     if isinstance(expr, Const):
         return str(expr.value)
     if isinstance(expr, Not):
-        inner = render_expr(expr.expr, "not")
+        inner = _render(expr.expr, "not")
         if isinstance(expr.expr, (And, Or, Not)):
             inner = f"({inner})"
         return f"NOT {inner}"
     if isinstance(expr, And):
-        body = f"{render_expr(expr.left, 'and')} AND {render_expr(expr.right, 'and_r')}"
-        if _parent in ("not", "and_r"):
+        body = f"{_render(expr.left, 'and')} AND {_render(expr.right, 'and_r')}"
+        if parent in ("not", "and_r"):
             return f"({body})"
         return body
     if isinstance(expr, Or):
-        body = f"{render_expr(expr.left, 'or')} OR {render_expr(expr.right, 'or_r')}"
-        if _parent in ("not", "and", "and_r", "or_r"):
+        body = f"{_render(expr.left, 'or')} OR {_render(expr.right, 'or_r')}"
+        if parent in ("not", "and", "and_r", "or_r"):
             return f"({body})"
         return body
     raise TypeError(f"not a BoolExpr: {expr!r}")

@@ -28,6 +28,7 @@ from qqldb.boolcirc import (
 )
 from qqldb.cli import Session, SessionConfig, run_script
 from qqldb.diffusion import DiffusionParams, apply_partial_diffusion
+from qqldb.errors import QqlError
 from qqldb.gates import CnotGate, HADAMARD
 from qqldb.qdb import QdbState, create_db
 from qqldb.qlang import render_expr
@@ -544,6 +545,80 @@ def test_criterion_09_set_model_conformance():
             statements += 1
         scripts += 1
     report(9, f"{scripts} randomized scripts ({statements} statements) agree with the reference")
+
+
+def engine_snapshot(mirror: Mirror):
+    db = mirror.db
+    return (db, db.state.amps.tobytes(), dict(db.temp_alloc), db.safe_key, db._seq_fill,
+            dict(mirror.session.selects))
+
+
+def failing_statements(mirror: Mirror, missing: str) -> list[str]:
+    """Statements that must fail in the mirror's current state."""
+    db, n = mirror.db, mirror.n
+    name, width = mirror.schema.fields[0]
+    live = db.support()
+    statements = [
+        "DELETE WHERE nosuch = 0;",
+        f"SELECT z WHERE {name} = {1 << width};",
+        f"DELETE WHERE {name} >= 0;",
+        f"APPLY NOT @ {name} WHEN nosuch;",
+        "MEASURE 16777217;",
+        f'LOAD "{missing}";',
+    ]
+    if db.safe_key is None and len(live) >= 2:
+        statements.append(f"UPDATE SET |{live[0]:0{n}b}> TO |{live[-1]:0{n}b}>;")
+    if db._seq_fill is None:
+        statements.append(f"INSERT SEQ {(1 << n) - 1};")
+    if db.safe_key is None:
+        statements.append("RESTORE;")
+    else:
+        statements.append(f"BACKUP WHERE {name} = 0;")
+    if not db.free_temps():
+        statements.append(f"SELECT z WHERE {name} = 0;")
+        if mirror.session.selects:
+            statements.append(f"APPLY NOT @ {name} WHEN {min(mirror.session.selects)};")
+    return statements
+
+
+def inject_failures(mirror: Mirror, missing: str) -> list[str]:
+    """Run each failing statement; returns their error messages."""
+    messages = []
+    for statement in failing_statements(mirror, missing):
+        before = engine_snapshot(mirror)
+        with pytest.raises(QqlError) as failure:
+            mirror.session.execute_text(statement)
+        assert engine_snapshot(mirror) == before, statement
+        mirror.check(statement)
+        messages.append(str(failure.value))
+    return messages
+
+
+def test_failed_statements_change_nothing(tmp_path):
+    # ROADMAP aim 3: a statement either completes or leaves the register,
+    # the temp allocation, the safe key, the sequence fill and the select
+    # names as they were, and the script goes on agreeing with the reference
+    rng = np.random.default_rng(2024)
+    missing = str(tmp_path / "missing.qdb")
+    messages = []
+    for _ in range(200):
+        mirror = Mirror(seed=int(rng.integers(0, 2**31)))
+        for _ in range(int(rng.integers(5, 11))):
+            mirror.step()
+            messages += inject_failures(mirror, missing)
+        # take every free temp with a select flag, then fail for want of one
+        while mirror.db.free_temps():
+            mirror.select_count += 1
+            expr = random_predicate(mirror.rng, mirror.schema)
+            pred = predicate_fn(expr, mirror.schema)
+            mirror.run(f"SELECT c{mirror.select_count} WHERE {render_expr(expr)};",
+                       lambda: mirror.ref.select(pred))
+        messages += inject_failures(mirror, missing)
+    for cause in ("unknown field", "does not fit field", "matches every live record",
+                  "unknown select name", "shots exceed", "cannot read", "already exists",
+                  "sequential insert requires", "no active backup", "already active",
+                  "no free temporary qubit for select", "no free temporary qubit for combiner"):
+        assert any(cause in message for message in messages), cause
 
 
 # --------------------------------------------------------------------- 10

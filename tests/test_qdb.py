@@ -5,7 +5,9 @@ import pytest
 
 from helpers import dense_embed, identity, random_state
 from refmodel import RefDb
-from qqldb.boolcirc import MAX_EXPR_DEPTH, And, Comparison, Const, Not, Or, Var
+from qqldb import boolcirc
+from qqldb.boolcirc import MAX_EXPR_DEPTH, And, Comparison, Const, Not, Or, Var, eval_expr
+from qqldb.cli import Session
 from qqldb.errors import (
     CapacityError,
     ImpossibleOutcomeError,
@@ -14,6 +16,7 @@ from qqldb.errors import (
 )
 from qqldb.gates import HADAMARD, NOT
 from qqldb.qdb import ApplyGate, ApplySwap, QdbState, create_db
+from qqldb.qlang import parse_predicate, render_expr
 from qqldb.schema import Record, TableSchema
 from qqldb.statevec import StateVector
 
@@ -390,6 +393,22 @@ class TestApplyWhere:
         with pytest.raises(QqlError):
             db.apply_where({"c1": c1}, Var("c1"), ApplyGate(NOT, (1,)))
 
+    def test_combiner_table_over_the_bound_changes_nothing(self, monkeypatch):
+        # the combiner's table is built, and fails, before its temp is taken
+        session = Session()
+        session.execute_text(
+            "CREATE TABLE t (id:2) TEMP 4; INSERT ALL 2;"
+            "SELECT c1 WHERE id >= 1; SELECT c2 WHERE id <= 2; SELECT c3 WHERE id != 2;"
+        )
+        db = session.db
+        before = (db.state.amps.tobytes(), dict(db.temp_alloc), db.safe_key,
+                  db._seq_fill, dict(session.selects))
+        monkeypatch.setattr(boolcirc, "MAX_TABLE_VARS", 2)
+        with pytest.raises(SchemaError, match="table bound"):
+            session.execute_text("APPLY NOT @ id BIT 0 WHEN c1 AND c2 AND c3;")
+        assert (db.state.amps.tobytes(), db.temp_alloc, db.safe_key,
+                db._seq_fill, session.selects) == before
+
 
 class TestDelete:
     def test_uniform_delete_single_record(self):
@@ -749,6 +768,21 @@ class TestPredicateDepth:
         db.select(expr)
         db.backup(expr)
         db.delete(expr)
+
+    @pytest.mark.parametrize("kind", [And, Or, Not])
+    def test_renderer_and_evaluator_take_the_deepest_accepted_predicate(self, kind):
+        expr = nested(kind, MAX_EXPR_DEPTH)
+        assert parse_predicate(render_expr(expr)) == expr
+        assert eval_expr(expr, ID3.decode(1), ID3) in (0, 1)
+
+    @pytest.mark.parametrize("kind", [And, Or, Not])
+    def test_renderer_and_evaluator_reject_a_deep_predicate(self, kind):
+        # both recurse; the bound keeps them far from the recursion limit
+        expr = nested(kind, 3000)
+        with pytest.raises(SchemaError, match="nested deeper"):
+            render_expr(expr)
+        with pytest.raises(SchemaError, match="nested deeper"):
+            eval_expr(expr, ID3.decode(1), ID3)
 
     @pytest.mark.parametrize("depth", [MAX_EXPR_DEPTH + 1, 3000])
     @pytest.mark.parametrize("kind", [And, Or, Not])

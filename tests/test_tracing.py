@@ -55,6 +55,12 @@ def test_backup_records_every_layer_span():
         assert expected in names
 
 
+def test_benchmark_selftest_tracer_binding(monkeypatch):
+    # the self-test imports its siblings by module name
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    load_perfbench("selftest").check_tracer_binding()
+
+
 def play_round(tmp_path, monkeypatch, workload: str):
     """One round of a benchmark workload; returns its harness."""
     # the workloads import their checks by module name and save under
