@@ -35,7 +35,7 @@ from .errors import (
     ValidationError,
 )
 from .gates import HADAMARD, NOT, CnotGate, GateMatrix, is_unitary
-from .qdb import ApplyGate, ApplySwap, QdbState, create_db
+from .qdb import ApplyGate, ApplySwap, QdbState
 from .qlang import parse_text, render_command, render_expr, tokenize
 from .schema import Record, TableSchema
 from .statevec import StateVector, Xorshift64Star

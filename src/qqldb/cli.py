@@ -18,7 +18,7 @@ import numpy as np
 from . import qlang
 from .boolcirc import validate_expr
 from .errors import CapacityError, QqlError, SessionFormatError, ValidationError
-from .qdb import QdbState, SafeKey, TempUse, create_db
+from .qdb import QdbState, SafeKey
 from .schema import TableSchema
 from .statevec import DEFAULT_EPSILON, DEFAULT_MAX_QUBITS, StateVector, Xorshift64Star
 
@@ -48,14 +48,13 @@ def format_amplitude(value: complex, full: bool = False) -> str:
 
 
 class Session:
-    """One interactive database session: at most one open table, a select-name
-    registry, and a seed stream for unseeded measurements.  Outputs are
-    returned to the caller, not kept."""
+    """One interactive database session: at most one open table and a seed
+    stream for unseeded measurements.  Outputs are returned to the caller,
+    not kept."""
 
     def __init__(self, config: SessionConfig | None = None):
         self.config = config or SessionConfig()
         self.db: QdbState | None = None
-        self.selects: dict[str, int] = {}
         self._seed_stream = Xorshift64Star(self.config.seed)
 
     # ------------------------------------------------------------- execution
@@ -64,22 +63,13 @@ class Session:
         return self._seed_stream.next_u64()
 
     def open_table(self, schema: TableSchema, temp: int) -> None:
-        self.db = create_db(
-            schema,
-            t=temp,
-            max_qubits=self.config.max_qubits,
-            epsilon=self.config.epsilon,
-        )
-        self.selects = {}
+        self.db = QdbState(schema, temp, self.config.max_qubits, self.config.epsilon)
 
     def execute_command(self, command: qlang.Command) -> str:
         return qlang.compile_command(command, self)()
 
     def execute_text(self, text: str) -> list[str]:
-        outputs = []
-        for command in qlang.parse_text(text):
-            outputs.append(self.execute_command(command))
-        return outputs
+        return [self.execute_command(command) for command in qlang.parse_text(text)]
 
     # ------------------------------------------------------------- rendering
 
@@ -186,30 +176,15 @@ class Session:
             raise SessionFormatError(f"{path} is not UTF-8 text: {exc}") from exc
         if loaded is None:
             self.db = None
-            self.selects = {}
             return f"loaded empty session from {path}"
         schema, temp, safe_key, amps = loaded
         try:
             state = StateVector.from_amplitudes(amps)
         except ValidationError as exc:
             raise SessionFormatError(f"malformed session file: {exc}") from exc
-        db = QdbState(
-            schema,
-            t=temp,
-            max_qubits=self.config.max_qubits,
-            epsilon=self.config.epsilon,
-            state=state,
+        self.db = QdbState.loaded(
+            schema, temp, state, safe_key, self.config.max_qubits, self.config.epsilon
         )
-        if safe_key is not None:
-            db.safe_key = safe_key
-            db.temp_alloc[safe_key.qubit] = TempUse("safe", safe_key.expr)
-            db._seq_fill = None
-        else:
-            live = db.support(as_array=True)
-            # a unit-norm register without a backup has at least one live row
-            db._seq_fill = live.size - 1 if live[-1] == live.size - 1 else None
-        self.db = db
-        self.selects = {}
         return f"loaded session from {path}"
 
 

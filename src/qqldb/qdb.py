@@ -33,7 +33,7 @@ from .statevec import DEFAULT_EPSILON, DEFAULT_MAX_QUBITS, StateVector, qubit_vi
 DEFAULT_TEMP_QUBITS = 3
 SUPPORT_TOL = 1e-9
 RESIDUE_TOL = 1e-12
-# Amplitudes per block of the support scan.
+# Amplitudes per block of a blocked scan of the register.
 SUPPORT_BLOCK = 1 << 14
 
 
@@ -41,6 +41,7 @@ SUPPORT_BLOCK = 1 << 14
 class TempUse:
     purpose: str
     expr: BoolExpr | None = None
+    name: str | None = None  # a select flag's name
 
 
 @dataclass(frozen=True)
@@ -87,7 +88,9 @@ class QdbState:
         max_qubits: int = DEFAULT_MAX_QUBITS,
         epsilon: float = DEFAULT_EPSILON,
         state: StateVector | None = None,
+        safe_key: SafeKey | None = None,
     ):
+        """``safe_key`` is a backup ``state`` holds; the fill is read off the records."""
         if t < 1:
             raise ValueError("need at least one temporary qubit")
         n = schema.num_bits
@@ -102,8 +105,32 @@ class QdbState:
         self.epsilon = epsilon
         self.state = state if state is not None else StateVector.zero(n + t, max_qubits)
         self.temp_alloc: dict[int, TempUse] = {}
-        self.safe_key: SafeKey | None = None
+        self.safe_key = safe_key
         self._seq_fill: int | None = 0
+        if safe_key is not None:
+            self.temp_alloc[safe_key.qubit] = TempUse("safe", safe_key.expr)
+            self._seq_fill = None
+        elif state is not None:
+            live = self.support(as_array=True)
+            self._seq_fill = live.size - 1 if live.size and live[-1] == live.size - 1 else None
+
+    @classmethod
+    def loaded(cls, schema: TableSchema, t: int, state: StateVector, safe_key: SafeKey | None,
+               max_qubits: int = DEFAULT_MAX_QUBITS, epsilon: float = DEFAULT_EPSILON):
+        """The engine of a session file, which keeps the amplitudes and the
+        safe key but not what the other temps held: a temp whose |1> mass is
+        at least ``RESIDUE_TOL`` (APPLY's rule for its flags) is held as a
+        nameless residue.  One pass, in blocks of whole temp patterns."""
+        db = cls(schema, t, max_qubits, epsilon, state, safe_key)
+        amps, patterns = state.amps, np.zeros(1 << t)
+        step = max(SUPPORT_BLOCK, 1 << t)
+        for start in range(0, amps.size, step):
+            part = amps[start : start + step]
+            patterns += (part.real**2 + part.imag**2).reshape(-1, 1 << t).sum(axis=0)
+        for j in range(t):
+            if patterns.reshape(1 << j, 2, -1)[:, 1].sum() >= RESIDUE_TOL:
+                db.temp_alloc.setdefault(db.n + j, TempUse("residue"))
+        return db
 
     # ------------------------------------------------------------------ layout
 
@@ -114,6 +141,11 @@ class QdbState:
     @property
     def data_qubits(self) -> list[int]:
         return list(range(self.n))
+
+    @property
+    def selects(self) -> dict[str, int]:
+        """Select names to their flag qubits, as a new dict."""
+        return {use.name: q for q, use in self.temp_alloc.items() if use.name}
 
     def free_temps(self) -> list[int]:
         return [q for q in range(self.n, self.n + self.t) if q not in self.temp_alloc]
@@ -127,6 +159,13 @@ class QdbState:
         if not free:
             raise QqlError(f"no free temporary qubit for {purpose}")
         return free[0]
+
+    def _check_temps_free(self) -> None:
+        # Hadamards in every temp branch would copy a held flag onto the new
+        # records and re-spread a backup's protected copy
+        if self.temp_alloc:
+            held = ", ".join(map(str, sorted(self.temp_alloc)))
+            raise QqlError(f"insert requires every temporary qubit to be free (held: {held})")
 
     def _live_controls(self) -> list[int]:
         """The safe key as a negative control when a backup is active: the
@@ -159,10 +198,13 @@ class QdbState:
         n = self.n
         if r < 0 or r > n:
             raise ValueError(f"bulk exponent {r} out of range 0..{n}")
+        if self._seq_fill != 0:
+            raise QqlError("bulk insert requires a fresh database")
+        self._check_temps_free()
         for q in range(n - r, n):
             self.state.apply_unitary(HADAMARD, [q])
         self.state._assert_norm()
-        self._seq_fill = (1 << r) - 1 if self._seq_fill == 0 else None
+        self._seq_fill = (1 << r) - 1
         return self
 
     def _seq_steps(self, upto_k: int) -> None:
@@ -193,6 +235,7 @@ class QdbState:
             raise QqlError("sequential insert requires a fresh or sequentially filled database")
         if upto_k <= self._seq_fill:
             raise ValueError(f"database already filled to {self._seq_fill}")
+        self._check_temps_free()
         self._seq_steps(upto_k)
         self._seq_fill = upto_k
         return self
@@ -213,6 +256,7 @@ class QdbState:
             raise ValueError(
                 f"{count} records cannot cover the {self._seq_fill + 1} already present"
             )
+        self._check_temps_free()
         if count - 1 > self._seq_fill:
             self._seq_steps(count - 1)
         # the sequence's unrequested records move onto the requested ones
@@ -291,13 +335,14 @@ class QdbState:
 
     # ------------------------------------------------------------------ select / apply
 
-    def select(self, expr: BoolExpr) -> int:
+    def select(self, expr: BoolExpr, name: str | None = None) -> int:
         """Entangle a fresh temp qubit with the predicate: matching records
-        end up flagged |1>.  Returns the flag's qubit index."""
+        end up flagged |1>.  Returns the flag's qubit index; a ``name`` makes
+        the flag appear in :attr:`selects`."""
         table = truth_table(expr, self.schema)
         qubit = self._first_free_temp("select")
         apply_oracle(self.state, table, self.data_qubits, qubit)
-        self.temp_alloc[qubit] = TempUse("select", expr)
+        self.temp_alloc[qubit] = TempUse("select", expr, name)
         return qubit
 
     def apply_where(
@@ -468,12 +513,3 @@ class QdbState:
         indices = np.flatnonzero(amps.real**2 + amps.imag**2 >= 1e-24)
         return indices, amps[indices]
 
-
-def create_db(
-    schema: TableSchema,
-    t: int = DEFAULT_TEMP_QUBITS,
-    max_qubits: int = DEFAULT_MAX_QUBITS,
-    epsilon: float = DEFAULT_EPSILON,
-) -> QdbState:
-    """All-zeros register over n + t qubits; the all-zeros record is present."""
-    return QdbState(schema, t=t, max_qubits=max_qubits, epsilon=epsilon)

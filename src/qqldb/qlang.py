@@ -50,6 +50,7 @@ from .errors import CompileError, QqlSyntaxError, SchemaError
 from .gates import HADAMARD, NOT as NOT_GATE
 from .qdb import DEFAULT_TEMP_QUBITS, ApplyGate, ApplySwap, QdbState
 from .schema import TableSchema
+from .statevec import check_shots
 
 KEYWORDS = {
     "CREATE", "TABLE", "TEMP", "INSERT", "ALL", "SEQ", "VALUES", "UPDATE",
@@ -656,8 +657,7 @@ def compile_command(command: Command, session) -> Callable[[], str]:
         indices = _bind_records(command.records, schema)
         return lambda: _fmt_insert(db.insert_values(indices), f"{len(indices)} values")
     if isinstance(command, Update):
-        pairs = _bind_records([rec for pair in command.pairs for rec in pair], schema)
-        pairs = pairs.reshape(-1, 2)
+        pairs = _bind_records([r for pair in command.pairs for r in pair], schema).reshape(-1, 2)
 
         def run_update() -> str:
             db.update(pairs)
@@ -666,36 +666,24 @@ def compile_command(command: Command, session) -> Callable[[], str]:
         return run_update
     if isinstance(command, Delete):
         expr = _validated(command.expr, schema)
-
-        def run_delete() -> str:
-            probability = db.delete(expr, command.amplify)
-            return f"deleted; outcome probability {probability:.6f}"
-
-        return run_delete
+        return lambda: f"deleted; outcome probability {db.delete(expr, command.amplify):.6f}"
     if isinstance(command, Select):
         expr = _validated(command.expr, schema)
-        name = command.name
-        if name in session.selects:
-            raise CompileError(f"select name {name!r} is already in use")
-
-        def run_select() -> str:
-            qubit = db.select(expr)
-            session.selects[name] = qubit
-            return f"selected {name} on flag qubit {qubit}"
-
-        return run_select
+        if command.name in db.selects:
+            raise CompileError(f"select name {command.name!r} is already in use")
+        return lambda: f"selected {command.name} on flag qubit {db.select(expr, command.name)}"
     if isinstance(command, Apply):
         names = {
             node.name if isinstance(node, Var) else node.field
             for node, _ in walk_expr(command.when)
             if isinstance(node, (Var, Comparison))
         }
-        missing = sorted(n for n in names if n not in session.selects)
+        missing = sorted(names - db.selects.keys())
         if missing:
             raise CompileError(f"unknown select name(s): {', '.join(missing)}")
         if not names:
             raise CompileError("WHEN clause references no select flags")
-        flags = {name: session.selects[name] for name in sorted(names)}
+        flags = {name: db.selects[name] for name in sorted(names)}
         if isinstance(command.gate, BitGate):
             try:
                 width = schema.width_of(command.gate.field)
@@ -718,11 +706,6 @@ def compile_command(command: Command, session) -> Callable[[], str]:
 
         def run_apply() -> str:
             db.apply_where(flags, when, operation)
-            session.selects = {
-                nm: q
-                for nm, q in session.selects.items()
-                if q in db.temp_alloc and db.temp_alloc[q].purpose == "select"
-            }
             return f"applied on flags {', '.join(sorted(flags))}"
 
         return run_apply
@@ -745,9 +728,9 @@ def compile_command(command: Command, session) -> Callable[[], str]:
         return run_restore
     if isinstance(command, Measure):
         def run_measure() -> str:
+            check_shots(command.shots)  # before the seed stream moves
             seed = command.seed if command.seed is not None else session.next_measure_seed()
-            histogram = db.measure_counts(command.shots, seed)
-            return session.render_histogram(histogram, command.shots)
+            return session.render_histogram(db.measure_counts(command.shots, seed), command.shots)
 
         return run_measure
     if isinstance(command, Show):

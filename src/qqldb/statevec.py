@@ -29,6 +29,14 @@ _MASK64 = (1 << 64) - 1
 _BITS64 = np.arange(64, dtype=np.uint64)
 
 
+def check_shots(shots: int) -> None:
+    """Reject a shot count :meth:`StateVector.sample` cannot draw."""
+    if shots < 1:
+        raise ValueError("shots must be >= 1")
+    if shots > MAX_SHOTS:
+        raise CapacityError(f"{shots} shots exceed the limit of {MAX_SHOTS}")
+
+
 class Xorshift64Star:
     """xorshift64* generator (shift triple 12/25/27, multiplier 0x2545F4914F6CDD1D).
 
@@ -408,10 +416,7 @@ class StateVector:
         """Draw ``shots`` i.i.d. basis indices from ``|amps|^2`` by inverse CDF
         over the documented xorshift64* stream; returns them in draw order.
         Deterministic for a fixed seed."""
-        if shots < 1:
-            raise ValueError("shots must be >= 1")
-        if shots > MAX_SHOTS:
-            raise CapacityError(f"{shots} shots exceed the limit of {MAX_SHOTS}")
+        check_shots(shots)
         cumulative = np.cumsum(self.amps.real**2 + self.amps.imag**2)
         draws = xorshift_uniform(seed, shots)
         # searched in ascending order, each search starts from the previous

@@ -17,6 +17,7 @@ from typing import Callable, Mapping
 
 SQRT_HALF = math.sqrt(0.5)
 SUPPORT_TOL = 1e-9
+RESIDUE_TOL = 1e-12
 
 
 class RefDb:
@@ -204,7 +205,7 @@ class RefDb:
         for j in flags.values():
             pred = self.alloc[j][1]
             self._oracle(pred, j)
-            if self.temp_mass(j) < 1e-12:
+            if self.temp_mass(j) < RESIDUE_TOL:
                 del self.alloc[j]
             else:
                 self.alloc[j] = ("residue", None)
@@ -237,6 +238,22 @@ class RefDb:
         self.safe_temp = j
         self.safe_pred = pred
         self.seq_fill = None
+
+    def load(self):
+        """A session file keeps the amplitudes and the safe key: every other
+        temp is held, as a nameless residue, exactly when its |1> mass is at
+        least the residue tolerance, and the sequence fill is read off the
+        support."""
+        for j in range(self.t):
+            if j == self.safe_temp:
+                continue
+            if self.temp_mass(j) >= RESIDUE_TOL:
+                self.alloc[j] = ("residue", None)
+            else:
+                self.alloc.pop(j, None)
+        live = self.support()
+        sequential = self.safe_temp is None and live and live[-1] == len(live) - 1
+        self.seq_fill = len(live) - 1 if sequential else None
 
     def restore(self, purge: bool) -> float | None:
         self._oracle(self.safe_pred, self.safe_temp)

@@ -30,7 +30,7 @@ from qqldb.cli import Session, SessionConfig, run_script
 from qqldb.diffusion import DiffusionParams, apply_partial_diffusion
 from qqldb.errors import QqlError
 from qqldb.gates import CnotGate, HADAMARD
-from qqldb.qdb import QdbState, create_db
+from qqldb.qdb import QdbState
 from qqldb.qlang import render_expr
 from qqldb.schema import TableSchema
 from qqldb.statevec import StateVector
@@ -125,7 +125,7 @@ def seq_step_dense(k: int, n: int = 3) -> np.ndarray:
 
 
 def test_criterion_04_sequential_insertion():
-    db = create_db(TableSchema("t", (("id", 3),)), t=1)
+    db = QdbState(TableSchema("t", (("id", 3),)), t=1)
     for k in range(1, 8):
         db.insert_sequential(k)
         assert db.support() == list(range(k + 1)), f"after step {k}"
@@ -193,7 +193,7 @@ def test_criterion_06_backup_amplitudes():
     start = np.zeros(8, dtype=complex)
     start[0::2] = 0.5
     expected = dense @ (oracle @ start)
-    db = create_db(TableSchema("t", (("id", 2),)), t=1)
+    db = QdbState(TableSchema("t", (("id", 2),)), t=1)
     db.insert_bulk(2)
     db.backup(Comparison("id", "=", 3))
     assert np.max(np.abs(db.state.amps - expected)) < 1e-12
@@ -248,7 +248,9 @@ class Mirror:
     """Drives the engine through query text and the reference interpreter
     through mirrored closed-form calls, asserting agreement at every step."""
 
-    def __init__(self, seed: int):
+    def __init__(self, seed: int, path: str | None = None):
+        """``path`` is the session file of the SAVE/LOAD move; without it the
+        move is never drawn."""
         self.rng = np.random.default_rng(seed)
         n = int(self.rng.integers(2, 7))
         t = int(self.rng.integers(2, 4))
@@ -264,6 +266,7 @@ class Mirror:
         self.ref = RefDb(n, t)
         self.n, self.t = n, t
         self.select_count = 0
+        self.path = path
 
     @property
     def db(self) -> QdbState:
@@ -283,7 +286,7 @@ class Mirror:
     # ---- statement emitters; each returns True if it ran
 
     def do_insert_all(self) -> bool:
-        if self.db._seq_fill != 0:
+        if self.db._seq_fill != 0 or self.db.temp_alloc:
             return False
         r = int(self.rng.integers(1, self.n + 1))
         self.run(f"INSERT ALL {r};", lambda: self.ref.insert_bulk(r))
@@ -291,7 +294,7 @@ class Mirror:
 
     def do_insert_seq(self) -> bool:
         fill = self.db._seq_fill
-        if fill is None or fill >= (1 << self.n) - 1:
+        if fill is None or fill >= (1 << self.n) - 1 or self.db.temp_alloc:
             return False
         upto = int(self.rng.integers(fill + 1, 1 << self.n))
         self.run(f"INSERT SEQ {upto};", lambda: self.ref.insert_seq(upto))
@@ -299,7 +302,7 @@ class Mirror:
 
     def do_insert_values(self) -> bool:
         fill = self.db._seq_fill
-        if fill is None:
+        if fill is None or self.db.temp_alloc:
             return False
         low, high = max(1, fill + 1), 1 << self.n
         if low > high:
@@ -378,7 +381,7 @@ class Mirror:
             right = Var(names[1]) if self.rng.random() < 0.7 else Not(Var(names[1]))
             combiner = And(left, right) if self.rng.random() < 0.6 else Or(left, right)
         flags_local = {
-            name: self.session.selects[name] - self.n for name in sorted(names)
+            name: self.db.selects[name] - self.n for name in sorted(names)
         }
         fn = combiner_evaluator(combiner)
 
@@ -438,6 +441,13 @@ class Mirror:
         self.run("SHOW;", lambda: None)
         return True
 
+    def do_save_load(self) -> bool:
+        if self.path is None:
+            return False
+        self.run(f'SAVE "{self.path}";', lambda: None)
+        self.run(f'LOAD "{self.path}";', self.ref.load)
+        return True
+
     def step(self):
         moves = [
             (self.do_insert_all, 1),
@@ -450,6 +460,7 @@ class Mirror:
             (self.do_restore, 2),
             (self.do_measure, 1),
             (self.do_show, 1),
+            (self.do_save_load, 1),
         ]
         names = np.arange(len(moves))
         weights = np.array([w for _, w in moves], dtype=float)
@@ -504,7 +515,7 @@ def test_criterion_08_delete_probability_and_support():
     for case in range(100):
         n = int(rng.integers(2, 7))
         schema = TableSchema("t", (("id", n),))
-        db = create_db(schema, t=1)
+        db = QdbState(schema, t=1)
         style = rng.random()
         if style < 0.4:
             db.insert_bulk(int(rng.integers(1, n + 1)))
@@ -533,12 +544,12 @@ def test_criterion_08_delete_probability_and_support():
 # --------------------------------------------------------------------- 9
 
 
-def test_criterion_09_set_model_conformance():
+def test_criterion_09_set_model_conformance(tmp_path):
     rng = np.random.default_rng(9)
     scripts = 0
     statements = 0
     while scripts < 1000:
-        mirror = Mirror(seed=int(rng.integers(0, 2**31)))
+        mirror = Mirror(seed=int(rng.integers(0, 2**31)), path=str(tmp_path / "mirror.qdb"))
         steps = int(rng.integers(5, 11))
         for _ in range(steps):
             mirror.step()
@@ -549,8 +560,9 @@ def test_criterion_09_set_model_conformance():
 
 def engine_snapshot(mirror: Mirror):
     db = mirror.db
+    # temp_alloc holds the select names
     return (db, db.state.amps.tobytes(), dict(db.temp_alloc), db.safe_key, db._seq_fill,
-            dict(mirror.session.selects))
+            mirror.session._seed_stream._state)
 
 
 def failing_statements(mirror: Mirror, missing: str) -> list[str]:
@@ -570,14 +582,18 @@ def failing_statements(mirror: Mirror, missing: str) -> list[str]:
         statements.append(f"UPDATE SET |{live[0]:0{n}b}> TO |{live[-1]:0{n}b}>;")
     if db._seq_fill is None:
         statements.append(f"INSERT SEQ {(1 << n) - 1};")
+    elif db.temp_alloc and db._seq_fill < (1 << n) - 1:
+        statements.append(f"INSERT SEQ {db._seq_fill + 1};")
+    if db._seq_fill != 0 or db.temp_alloc:
+        statements.append("INSERT ALL 1;")
     if db.safe_key is None:
         statements.append("RESTORE;")
     else:
         statements.append(f"BACKUP WHERE {name} = 0;")
     if not db.free_temps():
         statements.append(f"SELECT z WHERE {name} = 0;")
-        if mirror.session.selects:
-            statements.append(f"APPLY NOT @ {name} WHEN {min(mirror.session.selects)};")
+        if db.selects:
+            statements.append(f"APPLY NOT @ {name} WHEN {min(db.selects)};")
     return statements
 
 
@@ -596,13 +612,14 @@ def inject_failures(mirror: Mirror, missing: str) -> list[str]:
 
 def test_failed_statements_change_nothing(tmp_path):
     # ROADMAP aim 3: a statement either completes or leaves the register,
-    # the temp allocation, the safe key, the sequence fill and the select
-    # names as they were, and the script goes on agreeing with the reference
+    # the temp allocation, the safe key, the sequence fill, the select names
+    # and the seed stream as they were, and the script goes on agreeing with
+    # the reference
     rng = np.random.default_rng(2024)
     missing = str(tmp_path / "missing.qdb")
     messages = []
     for _ in range(200):
-        mirror = Mirror(seed=int(rng.integers(0, 2**31)))
+        mirror = Mirror(seed=int(rng.integers(0, 2**31)), path=str(tmp_path / "mirror.qdb"))
         for _ in range(int(rng.integers(5, 11))):
             mirror.step()
             messages += inject_failures(mirror, missing)
@@ -617,6 +634,8 @@ def test_failed_statements_change_nothing(tmp_path):
     for cause in ("unknown field", "does not fit field", "matches every live record",
                   "unknown select name", "shots exceed", "cannot read", "already exists",
                   "sequential insert requires", "no active backup", "already active",
+                  "bulk insert requires a fresh database",
+                  "insert requires every temporary qubit to be free",
                   "no free temporary qubit for select", "no free temporary qubit for combiner"):
         assert any(cause in message for message in messages), cause
 
@@ -664,7 +683,7 @@ def test_criterion_10_determinism_and_persistence(tmp_path):
 def test_criterion_11_performance_floor():
     n = 20
     schema = TableSchema("big", (("id", n),))
-    db = create_db(schema, t=1, max_qubits=22)
+    db = QdbState(schema, t=1, max_qubits=22)
     db.insert_bulk(n)
     expr = And(Comparison("id", ">=", 1 << 10), Comparison("id", "<", 3 << 10))
     start = time.perf_counter()

@@ -1,5 +1,6 @@
 import io
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -7,7 +8,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from qqldb.cli import Session, SessionConfig, format_amplitude, main, repl_loop, run_script
-from qqldb.errors import CapacityError, ImpossibleOutcomeError, SessionFormatError
+from qqldb.errors import CapacityError, CompileError, ImpossibleOutcomeError, SessionFormatError
 from qqldb.qlang import MAX_EXPR_DEPTH, Show
 
 BACKUP_DEMO = """
@@ -16,6 +17,8 @@ INSERT ALL 2;
 BACKUP WHERE id = 3;
 SHOW;
 """
+
+ROOT = Path(__file__).resolve().parent.parent
 
 PIPELINE = """
 CREATE TABLE t (id:3) TEMP 1;
@@ -93,6 +96,14 @@ class TestRunScript:
         b, _ = run_script(path, Session(SessionConfig(seed=2)))
         assert a != b
 
+    def test_failed_unseeded_measure_draws_no_seed(self):
+        plain, failed = Session(), Session()
+        for session in (plain, failed):
+            session.execute_text("CREATE TABLE t (k:2) TEMP 1; INSERT ALL 2;")
+        with pytest.raises(CapacityError, match="16777217 shots exceed"):
+            failed.execute_text("MEASURE 16777217;")
+        assert failed.execute_text("MEASURE 5;") == plain.execute_text("MEASURE 5;")
+
     def test_amplified_delete_keeps_plain_delete_rows(self, tmp_path):
         # kept mass 0.625; one round reports 0.625 * (3 - 4 * 0.625)^2
         script = (
@@ -120,6 +131,17 @@ class TestRunScript:
         transcript, status = run_script(path, Session())
         assert status == 1
         assert transcript.splitlines()[-1].startswith("error: AMPLIFY count too large")
+
+
+@pytest.mark.parametrize("name", ["backup_demo", "select_apply_demo", "sequential_insert_demo"])
+def test_script_transcript_matches_golden(name):
+    """The transcript of each script in ``scripts/`` under the default seed,
+    byte for byte as in ``tests/golden/<name>.txt``; regenerate one with
+    ``python -m qqldb --script scripts/<name>.qql > tests/golden/<name>.txt``
+    only for a deliberate change of output."""
+    transcript, status = run_script(str(ROOT / "scripts" / f"{name}.qql"), Session())
+    assert status == 0
+    assert transcript.encode() == (ROOT / "tests" / "golden" / f"{name}.txt").read_bytes()
 
 
 HOSTILE = {
@@ -225,6 +247,33 @@ class TestSaveLoad:
         other.load_session(path)
         other.execute_text("INSERT SEQ 5;")
         assert other.db.support() == list(range(6))
+
+    def test_load_holds_a_residue_flag(self, tmp_path):
+        # c's flag cannot return to |0> after the APPLY moves k=0 to k=1; the
+        # file does not say so, and LOAD finds it by its mass
+        path = tmp_path / "residue.qdb"
+        script = (
+            "CREATE TABLE t (k:2) TEMP 2; INSERT ALL 2; SELECT c WHERE k = 0;"
+            'APPLY NOT @ k BIT 0 WHEN c;{} SELECT d WHERE k = 2; APPLY NOT @ k BIT 0 WHEN d;'
+        )
+        for middle in ("", f' SAVE "{path}"; LOAD "{path}";'):
+            transcript, status = run_script(write_script(tmp_path, script.format(middle)), Session())
+            assert status == 1
+            assert transcript.splitlines()[-2:] == [
+                "selected d on flag qubit 3", "error: no free temporary qubit for combiner"]
+
+    def test_load_holds_a_live_flag_without_its_name(self, tmp_path):
+        path = str(tmp_path / "flag.qdb")
+        session = Session()
+        session.execute_text(
+            f'CREATE TABLE t (k:2) TEMP 2; INSERT ALL 2; SELECT c WHERE k = 0; SAVE "{path}";'
+            f'LOAD "{path}";'
+        )
+        assert session.db.temp_alloc[2].purpose == "residue"
+        assert session.db.selects == {}
+        assert session.execute_text("SELECT d WHERE k = 1;") == ["selected d on flag qubit 3"]
+        with pytest.raises(CompileError, match="unknown select name"):
+            session.execute_text("APPLY NOT @ k WHEN c;")
 
     def test_metadata_only_file_without_table(self, tmp_path):
         session = Session()

@@ -15,7 +15,7 @@ from qqldb.errors import (
     SchemaError,
 )
 from qqldb.gates import HADAMARD, NOT
-from qqldb.qdb import ApplyGate, ApplySwap, QdbState, create_db
+from qqldb.qdb import ApplyGate, ApplySwap, QdbState, TempUse
 from qqldb.qlang import parse_predicate, render_expr
 from qqldb.schema import Record, TableSchema
 from qqldb.statevec import StateVector
@@ -26,16 +26,16 @@ INV_SQRT2 = 1 / np.sqrt(2)
 
 
 def db2(t=1) -> QdbState:
-    return create_db(ID2, t=t)
+    return QdbState(ID2, t=t)
 
 
 def db3(t=1) -> QdbState:
-    return create_db(ID3, t=t)
+    return QdbState(ID3, t=t)
 
 
 class TestCreate:
     def test_zero_state(self):
-        db = create_db(ID3, t=1)
+        db = QdbState(ID3, t=1)
         assert db.state.num_qubits == 4
         assert db.state.amps[0] == 1.0
         assert db.support() == [0]
@@ -43,13 +43,68 @@ class TestCreate:
     def test_capacity(self):
         wide = TableSchema("wide", (("a", 21),))
         with pytest.raises(CapacityError):
-            create_db(wide, t=2, max_qubits=22)
+            QdbState(wide, t=2, max_qubits=22)
 
     def test_width_sum(self):
         two_fields = TableSchema("t", (("a", 2), ("b", 1)))
-        db = create_db(two_fields, t=2)
+        db = QdbState(two_fields, t=2)
         assert db.state.num_qubits == 5
         assert db.n == 3
+
+
+class TestCreateFromState:
+    """The constructor given a state reads the sequence fill off it, and
+    :meth:`QdbState.loaded` also holds every temp that carries |1> mass."""
+
+    @staticmethod
+    def state_on(records, n, t):
+        amps = np.zeros(1 << (n + t), dtype=complex)
+        amps[np.array(records) << t] = 1 / np.sqrt(len(records))
+        return StateVector(n + t, amps)
+
+    def test_fill_is_read_off_the_records(self):
+        # a state holding only record 3 is not a sequence: INSERT SEQ refuses
+        db = QdbState(ID2, t=1, state=self.state_on([3], 2, 1))
+        with pytest.raises(QqlError, match="sequential insert requires"):
+            db.insert_sequential(2)
+        assert db.support() == [3]
+        db = QdbState(ID3, t=1, state=self.state_on([0, 1, 2], 3, 1))
+        assert db.insert_sequential(4).support() == [0, 1, 2, 3, 4]
+
+    def test_loaded_holds_temps_by_the_residue_rule(self):
+        n, t = 2, 3
+        amps = np.zeros(1 << (n + t), dtype=complex)
+        # temp n carries 1e-11 of mass, temp n + 1 carries 1e-13, n + 2 none
+        amps[(1 << t) | 0b100] = np.sqrt(1e-11)
+        amps[(2 << t) | 0b010] = np.sqrt(1e-13)
+        amps[3 << t] = np.sqrt(1 - 1e-11 - 1e-13)
+        db = QdbState.loaded(ID2, t, StateVector(n + t, amps), None)
+        assert db.temp_alloc == {n: TempUse("residue")}
+        assert db.selects == {} and db.safe_key is None
+        assert db.free_temps() == [n + 1, n + 2]
+
+    def test_loaded_keeps_the_safe_key_and_no_fill(self):
+        db = db2(t=2).insert_bulk(2)
+        db.backup(Comparison("id", "=", 3))
+        key = db.safe_key
+        loaded = QdbState.loaded(ID2, 2, db.state.copy(), key)
+        assert loaded.safe_key == key and loaded._seq_fill is None
+        assert loaded.temp_alloc == {key.qubit: TempUse("safe", key.expr)}
+
+    @pytest.mark.parametrize("t", [1, 2, 5, 15, 16])
+    def test_loaded_masses_match_probability_of(self, t):
+        # blocks of 2^14 amplitudes hold whole temp patterns also when t > 14
+        rng = np.random.default_rng(t)
+        n = 17 - t
+        amps = rng.normal(size=1 << (n + t)) + 0j
+        empty = [q for q in range(n, n + t) if rng.random() < 0.5]
+        for q in empty:
+            amps.reshape(1 << q, 2, -1)[:, 1] = 0
+        amps /= np.linalg.norm(amps)
+        db = QdbState.loaded(TableSchema("t", (("k", n),)), t, StateVector(n + t, amps), None)
+        expected = [q for q in range(n, n + t) if db.state.probability_of(q, 1) >= 1e-12]
+        assert sorted(db.temp_alloc) == expected
+        assert sorted(set(range(n, n + t)) - set(expected)) == sorted(empty)
 
 
 class TestInsertBulk:
@@ -72,6 +127,52 @@ class TestInsertBulk:
     def test_exponent_out_of_range(self):
         with pytest.raises(ValueError):
             db3().insert_bulk(4)
+
+
+class TestInsertNeedsFreeTemps:
+    """An INSERT's Hadamards act in every temp branch, so every INSERT
+    refuses while a temp is held, and INSERT ALL also on a non-fresh
+    database; the refusal comes before any kernel."""
+
+    @staticmethod
+    def refused(setup: str, statement: str, cause: str) -> Session:
+        session = Session()
+        session.execute_text(setup)
+        db = session.db
+        before = (db.state.amps.tobytes(), dict(db.temp_alloc), db.safe_key, db._seq_fill)
+        with pytest.raises(QqlError, match=cause):
+            session.execute_text(statement)
+        assert (db.state.amps.tobytes(), db.temp_alloc, db.safe_key, db._seq_fill) == before
+        return session
+
+    def test_insert_all_under_a_select_flag(self):
+        # the flag would be copied onto every new record
+        session = self.refused("CREATE TABLE t (k:2) TEMP 2; SELECT c WHERE k = 0;",
+                               "INSERT ALL 2;", "every temporary qubit to be free")
+        assert session.db.selects == {"c": 2}
+
+    @pytest.mark.parametrize("statement", ["INSERT SEQ 2;", "INSERT VALUES |01>, |10>;"])
+    def test_insert_under_a_select_flag(self, statement):
+        self.refused("CREATE TABLE t (k:2) TEMP 2; SELECT c WHERE k = 0;",
+                     statement, "every temporary qubit to be free")
+
+    def test_insert_all_under_a_backup(self):
+        # the Hadamards would re-spread the protected copy; the restore then
+        # gives what it gives without the refused statement
+        setup = "CREATE TABLE t (k:2) TEMP 1; INSERT VALUES |01>, |10>; BACKUP WHERE k = 1;"
+        session = self.refused(setup, "INSERT ALL 1;", "bulk insert requires a fresh database")
+        plain = Session()
+        plain.execute_text(setup)
+        assert session.execute_text("RESTORE PURGE; SHOW;") == plain.execute_text(
+            "RESTORE PURGE; SHOW;")
+
+    def test_insert_all_on_a_filled_database(self):
+        self.refused("CREATE TABLE t (k:2) TEMP 1; INSERT SEQ 1;",
+                     "INSERT ALL 1;", "bulk insert requires a fresh database")
+
+    def test_insert_all_on_the_fresh_record(self):
+        db = db2().insert_bulk(0)
+        assert db.insert_bulk(2).support() == [0, 1, 2, 3]
 
 
 class TestInsertSequential:
@@ -141,7 +242,7 @@ class TestSequentialStepMatrices:
     @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
     def test_engine_matches_dense_matrices_exhaustively(self, n):
         schema = TableSchema("t", (("id", n),))
-        db = create_db(schema, t=1)
+        db = QdbState(schema, t=1)
         dense_state = np.zeros(1 << n, dtype=complex)
         dense_state[0] = 1.0
         for k in range(1, 1 << n):
@@ -188,7 +289,7 @@ class TestInsertValues:
         assert np.allclose(db.state.amps, expected)
 
     def test_record_objects_accepted(self):
-        db = create_db(TableSchema("t", (("a", 2), ("b", 1))), t=1)
+        db = QdbState(TableSchema("t", (("a", 2), ("b", 1))), t=1)
         db.insert_values([Record((1, 1)), Record((0, 1))])
         assert db.support() == [1, 3]
 
@@ -402,12 +503,12 @@ class TestApplyWhere:
         )
         db = session.db
         before = (db.state.amps.tobytes(), dict(db.temp_alloc), db.safe_key,
-                  db._seq_fill, dict(session.selects))
+                  db._seq_fill, dict(db.selects))
         monkeypatch.setattr(boolcirc, "MAX_TABLE_VARS", 2)
         with pytest.raises(SchemaError, match="table bound"):
             session.execute_text("APPLY NOT @ id BIT 0 WHEN c1 AND c2 AND c3;")
         assert (db.state.amps.tobytes(), db.temp_alloc, db.safe_key,
-                db._seq_fill, session.selects) == before
+                db._seq_fill, db.selects) == before
 
 
 class TestDelete:
@@ -477,7 +578,7 @@ class TestDelete:
         assert db.state.amps[0] == 1.0
 
     def test_delete_needs_no_register_copy(self):
-        db = create_db(TableSchema("t", (("k", 14),)), t=2).insert_sequential(3000)
+        db = QdbState(TableSchema("t", (("k", 14),)), t=2).insert_sequential(3000)
         tracemalloc.start()
         try:
             db.delete(Comparison("k", "<", 1000))
@@ -487,7 +588,7 @@ class TestDelete:
         assert peak < db.state.amps.nbytes
 
     def test_amplified_delete_needs_no_register_copy(self):
-        db = create_db(TableSchema("t", (("k", 14),)), t=2).insert_sequential(3000)
+        db = QdbState(TableSchema("t", (("k", 14),)), t=2).insert_sequential(3000)
         tracemalloc.start()
         try:
             db.delete(Comparison("k", "<", 1000), amplify_iters=10**30)

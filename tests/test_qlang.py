@@ -466,7 +466,7 @@ class TestCompile:
             "SELECT c1 WHERE id >= 2;"
             "APPLY NOT @ id BIT 0 WHEN c1;"
         )
-        assert session.selects == {}
+        assert session.db.selects == {}
 
     def test_gate_spec_bit_targets_low_bit(self):
         # NOT @ age BIT 0 flips the least significant bit of the field
