@@ -9,6 +9,7 @@ round-trips.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from dataclasses import dataclass
 from itertools import islice
@@ -24,8 +25,9 @@ from .statevec import DEFAULT_EPSILON, DEFAULT_MAX_QUBITS, StateVector, Xorshift
 
 FORMAT_HEADER = "QQLDB 1"
 # Amplitude lines formatted (SAVE) or parsed (LOAD) per block: the block's
-# byte matrix or token lists stay a few MiB whatever the register size.
-SAVE_CHUNK = 1 << 16
+# byte matrix, word arrays or token lists stay below a MiB whatever the
+# register size.
+SAVE_CHUNK = 1 << 12
 LOAD_CHUNK = 1 << 12
 
 
@@ -194,60 +196,232 @@ def write_amplitudes(handle, amps: np.ndarray) -> None:
 
     The lines are built as bytes from the float bit patterns, ``SAVE_CHUNK``
     lines at a time: each line is a row of a byte matrix whose unused columns
-    hold 0, a byte no line contains, and the rows are joined by dropping them.
+    hold 0, a byte no line contains, and the rows are joined by deleting them.
+    The columns are filled from uint64 words of 8 bytes each, whose digits
+    are computed with shifts, masks and multiplications.
     """
-    nonzero = np.flatnonzero(amps)
+    nonzero = np.flatnonzero(amps != 0)
     if not nonzero.size:
         return
-    digits = len(str(int(nonzero[-1])))
-    hex_digits = np.frombuffer(b"0123456789abcdef", dtype=np.uint8)
-    hex_pairs = np.stack([np.repeat(hex_digits, 16), np.tile(hex_digits, 16)], axis=1)
-    # "p<exponent>" by biased exponent; exponent 0 (zero, subnormals) prints -1022
-    exponents = np.array([f"p{e - 1023:+d}".encode() for e in range(2048)], dtype="S6")
-    exponents[0] = b"p-1022"
-    exponents = exponents.view(np.uint8).reshape(2048, 6)
+    groups = -(-len(str(int(nonzero[-1]))) // 8)
+    width = 8 * groups
     for start in range(0, nonzero.size, SAVE_CHUNK):
         indices = nonzero[start:start + SAVE_CHUNK]
-        lines = np.zeros((indices.size, digits + 51), dtype=np.uint8)
-        _decimal_columns(lines[:, :digits], indices)
-        parts = amps[indices].view(np.uint64).reshape(-1, 2)
-        for part, first in ((0, digits + 1), (1, digits + 26)):
-            lines[:, first - 1] = ord(" ")
-            _hex_columns(lines[:, first:first + 24], parts[:, part], hex_digits, hex_pairs, exponents)
+        lines = np.zeros((indices.size, width + 51), dtype=np.uint8)
+        index = _decimal_words(indices, groups).astype("<u8", copy=False)
+        lines[:, :width] = index.view(np.uint8).reshape(-1, width)
+        parts = _hex_words(amps[indices].view(np.uint64).reshape(-1)).astype("<u8", copy=False)
+        parts = parts.view(np.uint8).reshape(-1, 2, 24)
+        lines[:, width] = lines[:, width + 25] = ord(" ")
+        lines[:, width + 1:width + 25] = parts[:, 0]
+        lines[:, width + 26:width + 50] = parts[:, 1]
         lines[:, -1] = ord("\n")
-        handle.write(lines[lines != 0].tobytes())
+        handle.write(lines.tobytes().translate(None, b"\0"))
 
 
-def _decimal_columns(out: np.ndarray, values: np.ndarray) -> None:
-    """Decimal digits of non-negative ``values`` into the columns of ``out``,
-    right-aligned, with the leading zeros left 0."""
-    rest = values
-    for column in range(out.shape[1] - 1, -1, -1):
-        rest, digit = np.divmod(rest, 10)
-        out[:, column] = digit + ord("0")
-    leading = out[:, :-1]
-    leading[np.logical_and.accumulate(leading == ord("0"), axis=1)] = 0
+def _bytes(b: int) -> int:
+    """The word with the byte ``b`` in each of its 8 bytes."""
+    return b * 0x0101010101010101
 
 
-def _hex_columns(out, bits, hex_digits, hex_pairs, exponents) -> None:
-    """``float.hex`` of each double, given as its uint64 bit pattern, into the
-    24 columns of ``out``: ``[-]0x1.<13 hex digits>p<exp>``, ``0x0.`` for
-    subnormals, and ``[-]0x0.0p+0`` for zeros; unused columns stay 0."""
+# The words of the low k bytes, for k = 0..8: bytes are read and written in
+# little-endian words, so the low byte is the first.
+_LOW_BYTES = np.array([(1 << 8 * k) - 1 for k in range(9)], dtype=np.uint64)
+
+
+def _decimal_words(values: np.ndarray, groups: int) -> np.ndarray:
+    """The decimal digits of non-negative ``values`` as ASCII, right-aligned
+    in ``groups`` uint64 words of 8 digits each, most significant word first
+    and the first digit of a word in its low byte; leading zeros are 0."""
+    words = np.empty((values.size, groups), dtype=np.uint64)
+    rest = values.astype(np.uint64)
+    for g in reversed(range(groups)):
+        group = rest
+        if g:
+            rest, group = np.divmod(rest, np.uint64(10**8))
+        # one digit per byte: halves of 4 digits in 32-bit lanes, quarters of
+        # 2 in 16-bit lanes, then digits, each split off by a multiply-shift
+        # division that is exact below 10^8 (by 10^4), 10^4 (by 100) and
+        # 100 (by 10)
+        high = group * 3518437209 >> 45
+        x = high | (group - high * 10000) << 32
+        hundreds = x * 5243 >> 19 & 0x0000007F0000007F
+        x = hundreds | (x - hundreds * 100) << 16
+        tens = x * 103 >> 10 & 0x000F000F000F000F
+        words[:, g] = tens | (x - tens * 10) << 8
+    # bit 7 of every byte from the first significant digit on; the last
+    # digit always counts, so zero prints as "0"
+    significant = np.zeros(values.size, dtype=np.uint64)
+    for g in range(groups):
+        digits = words[:, g]
+        mark = (digits + _bytes(0x7F)) & _bytes(0x80) | significant
+        if g == groups - 1:
+            mark |= 0x80 << 56
+        mark |= mark << 8
+        mark |= mark << 16
+        mark |= mark << 32
+        words[:, g] = (digits + _bytes(ord("0"))) & (mark >> 7) * 0xFF
+        significant = (mark >> 63) * _bytes(0x80)
+    return words
+
+
+@functools.cache
+def _exponent_words() -> np.ndarray:
+    """``p<exponent>`` as ``float.hex`` writes it, as a little-endian word, by
+    biased exponent; subnormals (0) print ``p-1022``.  Read-only."""
+    words = [int.from_bytes(f"p{max(b, 1) - 1023:+d}".encode(), "little") for b in range(2048)]
+    table = np.array(words, dtype=np.uint64)
+    table.flags.writeable = False
+    return table
+
+
+def _hex_ascii(values: np.ndarray) -> np.ndarray:
+    """The 8 lowercase hex digits of 32-bit ``values``, most significant
+    first, as ASCII in uint64 words (first digit in the low byte)."""
+    x = (values | values << 16) & 0x0000FFFF0000FFFF
+    x = (x | x << 8) & 0x00FF00FF00FF00FF
+    x = (x | x << 4) & _bytes(0x0F)
+    x = x.byteswap()
+    # a nibble of 10 or more carries into bit 4 when 6 is added
+    return x + _bytes(ord("0")) + (x + _bytes(6) >> 4 & _bytes(1)) * (ord("a") - ord("0") - 10)
+
+
+def _hex_value(words: np.ndarray) -> np.ndarray:
+    """The inverse of :func:`_hex_ascii` on its outputs; any other bytes give
+    some 32-bit value."""
+    x = (words & _bytes(0x0F)) + (words >> 6 & _bytes(1)) * 9
+    x = (x & 0x000F000F000F000F) << 4 | x >> 8 & 0x000F000F000F000F
+    x = (x & 0x000000FF000000FF) << 8 | x >> 16 & 0x000000FF000000FF
+    return (x & 0xFFFF) << 16 | x >> 32
+
+
+_HEAD = int.from_bytes(b"0x0.", "little")
+
+
+def _hex_words(bits: np.ndarray) -> np.ndarray:
+    """``float.hex`` of each double, given as its uint64 bit pattern, as 24
+    bytes in three uint64 words: ``[-]0x1.<13 hex digits>p<exp>``, ``0x0.``
+    for subnormals, and ``[-]0x0.0p+0`` for zeros, at fixed columns (sign,
+    head, digits, exponent) with unused bytes 0."""
     magnitude = bits & np.uint64((1 << 63) - 1)
-    biased = (magnitude >> np.uint64(52)).astype(np.intp)
-    # big-endian bytes: byte 1 holds the first mantissa digit, bytes 2-7 the rest
-    raw = magnitude.astype(">u8").view(np.uint8).reshape(-1, 8)
-    out[bits != magnitude, 0] = ord("-")
-    out[:, 1] = ord("0")
-    out[:, 2] = ord("x")
-    out[:, 3] = np.where(biased == 0, ord("0"), ord("1"))
-    out[:, 4] = ord(".")
-    out[:, 5] = hex_digits[raw[:, 1] & 15]
-    out[:, 6:18] = hex_pairs[raw[:, 2:]].reshape(-1, 12)
-    out[:, 18:] = exponents[biased]
-    zero = magnitude == 0
-    out[zero, 6:18] = 0
-    out[zero, 18:] = exponents[1023]
+    biased = magnitude >> 52
+    # a zero keeps only its first digit, "0", and prints the exponent 0
+    nonzero = np.where(magnitude == 0, np.uint64(0), np.uint64((1 << 64) - 1))
+    high = _hex_ascii(magnitude >> 20 & 0xFFFFFFFF) & (nonzero | 0xFF)  # digits 1-8
+    low = _hex_ascii((magnitude & 0xFFFFF) << 12) & nonzero  # digits 9-13, then 3 unused
+    words = np.empty((bits.size, 3), dtype=np.uint64)
+    head = _HEAD | (biased != 0).astype(np.uint64) << 16  # "0x0." or "0x1."
+    words[:, 0] = (bits >> 63) * ord("-") | head << 8 | high << 40
+    words[:, 1] = high >> 24 | low << 40
+    exponent = _exponent_words()[biased | ~nonzero & 1023]
+    words[:, 2] = low >> 24 & 0xFFFF | exponent << 16
+    return words
+
+
+_ZERO_PART = int.from_bytes(b"0x0.0p+0", "little")
+_SEPARATORS = np.frombuffer(b"  \n", dtype=np.uint8)
+# "0" in the bytes below the top k, for k = 0..8
+_ZERO_DIGITS = np.array([_bytes(ord("0")) >> 8 * k for k in range(9)], dtype=np.uint64)
+
+
+def _in_range(words: np.ndarray, low: int, high: int) -> np.ndarray:
+    """Bit 7 of each byte of ``words`` is set where ``low <= byte <= high``;
+    the bytes are ASCII, so no sum carries into the next byte."""
+    return (words + _bytes(0x80 - low)) & ~(words + _bytes(0x7F - high)) & _bytes(0x80)
+
+
+def _hex_digits(words: np.ndarray) -> np.ndarray:
+    """Whether every byte of ASCII ``words`` is a lowercase hex digit."""
+    digit = _in_range(words, ord("0"), ord("9")) | _in_range(words, ord("a"), ord("f"))
+    return digit == _bytes(0x80)
+
+
+def _parse_lines(text: str, count: int):
+    """The basis indices and parts of ``count`` amplitude lines in the form
+    :func:`write_amplitudes` writes, or None when any line is in another
+    form.  That form is ``<index> <part> <part>\\n`` with the index in
+    decimal without leading zeros (at most 8 digits here) and each part
+    ``[-]0x1.<13 hex digits>p<exponent>`` in the normal range,
+    ``[-]0x0.<13 hex digits>p-1022`` or ``[-]0x0.0p+0``, in lowercase and
+    with the exponent signed and without leading zeros.
+
+    Every field is read from its bytes as uint64 words, 8 bytes each: the
+    digits by shifts, masks and multiplications, the double from its sign,
+    exponent and mantissa fields.  On lines in this form ``int`` and
+    ``float.fromhex`` read the same values.
+    """
+    if not text.isascii():
+        return None
+    data = text.encode("ascii")
+    # 24 bytes of padding: a part's word reads reach 23 bytes past its start
+    buf = np.frombuffer(data + bytes(24), dtype=np.uint8)
+    # the separators of every line: two spaces, then a newline
+    fields = np.flatnonzero(buf[: len(data)] <= ord(" "))
+    if fields.size != 3 * count or np.any(buf[fields].reshape(-1, 3) != _SEPARATORS):
+        return None
+    fields = fields.reshape(-1, 3)
+    starts = np.concatenate(([0], fields[:-1, 2] + 1))
+    digits = fields[:, 0] - starts
+    if digits.min() < 1 or digits.max() > 8 or np.any((buf[starts] == ord("0")) & (digits > 1)):
+        return None
+    # the 8 bytes, and the 24 bytes, from each offset of the buffer
+    words = np.ndarray((len(data),), dtype="<u8", buffer=buf, strides=(1,))
+    spans = np.ndarray((len(data),), dtype="V24", buffer=buf, strides=(1,))
+
+    # the index's digits moved to the top bytes, "0" below them
+    index = words[starts] << (8 * (8 - digits)).astype(np.uint64) | _ZERO_DIGITS[digits]
+    ok = _in_range(index, ord("0"), ord("9")) == _bytes(0x80)
+    index = (index & _bytes(0x0F)) * 2561 >> 8
+    index = (index & 0x00FF00FF00FF00FF) * 6553601 >> 16
+    index = (index & 0x0000FFFF0000FFFF) * 42949672960001 >> 32
+
+    # each part from the byte before it, a space or its sign: bytes 1-4 the
+    # head, 5-17 the digits, 18 "p", 19 the exponent's sign, 20-23 its digits
+    first = fields[:, :2].reshape(-1) + 1
+    negative = buf[first] == ord("-")
+    length = fields[:, 1:].reshape(-1) - first - negative
+    part = np.ascontiguousarray(spans[first + negative - 1].view("<u8").reshape(-1, 3).T,
+                                dtype=np.uint64)
+    high = part[0] >> 40 | part[1] << 24
+    low = part[1] >> 40 | part[2] << 24  # digits 9-13, "p", sign, a digit
+    parts_ok = _hex_digits(high) & _hex_digits(low & _LOW_BYTES[5] | 0x303030 << 40)
+    mantissa = _hex_value(high) << 20 | _hex_value(low) >> 12
+    # the exponent's value from its 1 to 4 digits, then its written form
+    exponent = part[2] >> 32 << (8 * (4 - np.clip(length - 19, 0, 4))).astype(np.uint64)
+    exponent = (exponent & 0x0F0F0F0F) * 2561 >> 8
+    exponent = ((exponent & 0x00FF00FF) * 6553601 >> 16 & 0xFFFF).astype(np.int64)
+    exponent *= 1 - 2 * ((part[2] >> 24 & 0xFF) == ord("-"))
+    # out of the normal range, the written form is not the clipped one's
+    biased = np.clip(exponent + 1023, 0, 2046).astype(np.uint64)
+    # up to 8 written bytes against at most 6 in the table: the part ends
+    # where its exponent does
+    written = part[2] >> 16 & _LOW_BYTES[np.clip(length - 17, 0, 8)]
+    parts_ok &= _exponent_words()[biased] == written
+    head = part[0] >> 8 & 0xFFFFFFFF
+    normal = head == _HEAD | 1 << 16  # "0x1."
+    parts_ok &= normal | (head == _HEAD) & (biased == 1)
+    zero = length == 8
+    parts_ok |= zero & ((part[0] >> 8 | part[1] << 56) == _ZERO_PART)
+    if not (ok.all() and parts_ok.all()):
+        return None
+    bits = negative.astype(np.uint64) << 63 | (biased * normal << 52 | mantissa) * ~zero
+    return index.astype(np.int64), bits.view(np.float64)
+
+
+def _read_tokens(lines: list[str]):
+    """The basis indices and parts of amplitude lines in any form ``int`` and
+    ``float.fromhex`` read, with any whitespace between fields."""
+    if list(map(len, map(str.split, lines))).count(3) + lines.count("\n") != len(lines):
+        raise SessionFormatError("an amplitude line does not have three fields")
+    tokens = "".join(lines).split()
+    count = len(tokens) // 3
+    try:
+        indices = np.fromiter(map(int, tokens[0::3]), dtype=np.int64, count=count)
+        del tokens[0::3]
+        values = np.fromiter(map(float.fromhex, tokens), dtype=np.float64, count=2 * count)
+    except (ValueError, OverflowError) as exc:
+        raise SessionFormatError(f"malformed amplitude line: {exc}") from exc
+    return indices, values
 
 
 def _next_line(handle, what: str) -> str:
@@ -263,7 +437,8 @@ def _read_session(handle, max_qubits: int):
     amplitudes), or None for a file without a table.  The header is checked
     before the register is allocated, and every amplitude line is checked:
     three fields, a basis index in range and above the previous line's, and
-    finite parts, read by ``int`` and ``float.fromhex``."""
+    finite parts.  A block of lines in the writer's own form is read from its
+    bytes; any other block by ``int`` and ``float.fromhex``."""
     first = handle.readline()
     if first.rstrip("\n") != FORMAT_HEADER:
         found = first.rstrip("\n") if first else "empty file"
@@ -306,17 +481,9 @@ def _read_session(handle, max_qubits: int):
     amps = np.zeros(1 << total, dtype=np.complex128)
     previous = -1
     while lines := list(islice(handle, LOAD_CHUNK)):
-        if list(map(len, map(str.split, lines))).count(3) + lines.count("\n") != len(lines):
-            raise SessionFormatError("an amplitude line does not have three fields")
-        tokens = "".join(lines).split()
-        count = len(tokens) // 3
-        try:
-            indices = np.fromiter(map(int, tokens[0::3]), dtype=np.int64, count=count)
-            del tokens[0::3]
-            values = np.fromiter(map(float.fromhex, tokens), dtype=np.float64, count=2 * count)
-        except (ValueError, OverflowError) as exc:
-            raise SessionFormatError(f"malformed amplitude line: {exc}") from exc
-        if not count:
+        parsed = _parse_lines("".join(lines), len(lines))
+        indices, values = parsed if parsed is not None else _read_tokens(lines)
+        if not indices.size:
             continue
         if indices[0] < 0:
             raise SessionFormatError(f"negative basis index {indices[0]}")

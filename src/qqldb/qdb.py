@@ -91,6 +91,14 @@ class QdbState:
         safe_key: SafeKey | None = None,
     ):
         """``safe_key`` is a backup ``state`` holds; the fill is read off the records."""
+        self._adopt(schema, t, max_qubits, epsilon, state, safe_key)
+        if state is not None and safe_key is None:
+            self._read_state()
+
+    def _adopt(self, schema: TableSchema, t: int, max_qubits: int, epsilon: float,
+               state: StateVector | None, safe_key: SafeKey | None) -> None:
+        """Check the sizes and set the fields of a fresh database, on a zero
+        register or on ``state``, whose fill is then still to be read."""
         if t < 1:
             raise ValueError("need at least one temporary qubit")
         n = schema.num_bits
@@ -110,9 +118,6 @@ class QdbState:
         if safe_key is not None:
             self.temp_alloc[safe_key.qubit] = TempUse("safe", safe_key.expr)
             self._seq_fill = None
-        elif state is not None:
-            live = self.support(as_array=True)
-            self._seq_fill = live.size - 1 if live.size and live[-1] == live.size - 1 else None
 
     @classmethod
     def loaded(cls, schema: TableSchema, t: int, state: StateVector, safe_key: SafeKey | None,
@@ -120,17 +125,35 @@ class QdbState:
         """The engine of a session file, which keeps the amplitudes and the
         safe key but not what the other temps held: a temp whose |1> mass is
         at least ``RESIDUE_TOL`` (APPLY's rule for its flags) is held as a
-        nameless residue.  One pass, in blocks of whole temp patterns."""
-        db = cls(schema, t, max_qubits, epsilon, state, safe_key)
-        amps, patterns = state.amps, np.zeros(1 << t)
-        step = max(SUPPORT_BLOCK, 1 << t)
-        for start in range(0, amps.size, step):
-            part = amps[start : start + step]
-            patterns += (part.real**2 + part.imag**2).reshape(-1, 1 << t).sum(axis=0)
+        nameless residue.  One pass over the register reads this and the fill."""
+        db = cls.__new__(cls)
+        db._adopt(schema, t, max_qubits, epsilon, state, safe_key)
+        patterns = db._read_state()
         for j in range(t):
             if patterns.reshape(1 << j, 2, -1)[:, 1].sum() >= RESIDUE_TOL:
                 db.temp_alloc.setdefault(db.n + j, TempUse("residue"))
         return db
+
+    def _read_state(self) -> np.ndarray:
+        """Read the fill off the live records unless a backup is active, and
+        return the probability of each temp pattern.  One pass over the
+        register in blocks of whole rows of temp patterns; each row's and each
+        pattern's mass is summed as :meth:`support` and a per-pattern pass
+        would sum it."""
+        amps, width = self.state.amps, 1 << self.t
+        patterns, live = np.zeros(width), []
+        step = max(SUPPORT_BLOCK, width)
+        for start in range(0, amps.size, step):
+            part = amps[start : start + step]
+            mass = (part.real**2 + part.imag**2).reshape(-1, width)
+            patterns += mass.sum(axis=0)
+            if self.safe_key is None:
+                rows = mass.sum(axis=1)
+                live.append(np.flatnonzero(rows > SUPPORT_TOL * SUPPORT_TOL) + start // width)
+        if self.safe_key is None:
+            live = np.concatenate(live)
+            self._seq_fill = live.size - 1 if live.size and live[-1] == live.size - 1 else None
+        return patterns
 
     # ------------------------------------------------------------------ layout
 
@@ -338,7 +361,10 @@ class QdbState:
     def select(self, expr: BoolExpr, name: str | None = None) -> int:
         """Entangle a fresh temp qubit with the predicate: matching records
         end up flagged |1>.  Returns the flag's qubit index; a ``name`` makes
-        the flag appear in :attr:`selects`."""
+        the flag appear in :attr:`selects`; a name already there raises
+        before anything changes."""
+        if name and name in self.selects:
+            raise QqlError(f"select name {name!r} is already in use")
         table = truth_table(expr, self.schema)
         qubit = self._first_free_temp("select")
         apply_oracle(self.state, table, self.data_qubits, qubit)

@@ -24,6 +24,8 @@ NORM_TOL = 1e-9
 # Fixed ceiling on the shots of one sample: the sampler holds a few arrays of
 # ``shots`` 8-byte entries, so 2^24 shots stay within a few hundred MiB.
 MAX_SHOTS = 1 << 24
+# Amplitudes per block of the sampler's cumulative sum.
+SAMPLE_BLOCK = 1 << 14
 
 _MASK64 = (1 << 64) - 1
 _BITS64 = np.arange(64, dtype=np.uint64)
@@ -415,17 +417,34 @@ class StateVector:
     def sample(self, shots: int, seed: int) -> np.ndarray:
         """Draw ``shots`` i.i.d. basis indices from ``|amps|^2`` by inverse CDF
         over the documented xorshift64* stream; returns them in draw order.
-        Deterministic for a fixed seed."""
+        Deterministic for a fixed seed.
+
+        The cumulative sum is built and searched ``SAMPLE_BLOCK`` amplitudes
+        at a time, the running total added into each block's first term:
+        the same additions in the same order as ``np.cumsum``, so the picks
+        are those of one search of the whole sum, without a register-sized
+        array."""
         check_shots(shots)
-        cumulative = np.cumsum(self.amps.real**2 + self.amps.imag**2)
         draws = xorshift_uniform(seed, shots)
-        # searched in ascending order, each search starts from the previous
-        # result; the picks are scattered back into draw order
+        # searched in ascending order, each block takes the draws below its
+        # last sum; the picks are scattered back into draw order
         order = np.argsort(draws)
         draws = draws[order]
+        # a draw at or above the total picks the last index
+        sorted_picks = np.full(shots, self.amps.size - 1, dtype=np.intp)
+        total, done = 0.0, 0
+        for start in range(0, self.amps.size, SAMPLE_BLOCK):
+            part = self.amps[start : start + SAMPLE_BLOCK]
+            cumulative = part.real**2 + part.imag**2
+            cumulative[0] += total
+            np.cumsum(cumulative, out=cumulative)
+            total = cumulative[-1]
+            end = np.searchsorted(draws, total, side="left")
+            found = np.searchsorted(cumulative, draws[done:end], side="right")
+            sorted_picks[done:end] = found + start
+            done = end
         picks = np.empty(shots, dtype=np.intp)
-        picks[order] = np.searchsorted(cumulative, draws, side="right")
-        np.clip(picks, 0, cumulative.size - 1, out=picks)
+        picks[order] = sorted_picks
         return picks
 
     def tensor(self, other: "StateVector", max_qubits: int = DEFAULT_MAX_QUBITS) -> "StateVector":

@@ -2,14 +2,20 @@
 
 from __future__ import annotations
 
+from itertools import islice
 from typing import Iterable
 
 import numpy as np
 
+from qqldb import qlang
+from qqldb.boolcirc import validate_expr
+from qqldb.cli import FORMAT_HEADER, LOAD_CHUNK
 from qqldb.diffusion import DiffusionParams
-from qqldb.errors import CapacityError, QqlSyntaxError
+from qqldb.errors import CapacityError, QqlError, QqlSyntaxError, SessionFormatError
 from qqldb.gates import DENSE_LIMIT_QUBITS, HADAMARD, NOT, GateMatrix
+from qqldb.qdb import SafeKey
 from qqldb.qlang import KEYWORDS, MAX_INT_DIGITS, Token
+from qqldb.schema import TableSchema
 
 
 def random_unitary(num_qubits: int, rng: np.random.Generator) -> GateMatrix:
@@ -291,3 +297,88 @@ def reference_tokenize(text: str) -> list[Token]:
         error(f"illegal character {ch!r}")
     tokens.append(Token("eof", "", line, column))
     return tokens
+
+
+# ---------------------------------------------------------------- session files
+
+
+def reference_read_session(handle, max_qubits: int):
+    """The session-file reader with every amplitude line read by ``int`` and
+    ``float.fromhex``, in blocks of ``LOAD_CHUNK`` lines: the reference the
+    byte reader ``cli._read_session`` is checked against.  Returns (schema,
+    temp, safe key or None, amplitudes), or None for a file without a
+    table."""
+
+    def next_line(what: str) -> str:
+        for line in handle:
+            if line != "\n":
+                return line.rstrip("\n")
+        raise SessionFormatError(f"missing {what} line")
+
+    first = handle.readline()
+    if first.rstrip("\n") != FORMAT_HEADER:
+        found = first.rstrip("\n") if first else "empty file"
+        raise SessionFormatError(f"unsupported session header: {found!r}")
+    schema_parts = next_line("SCHEMA").split()
+    if schema_parts[:1] != ["SCHEMA"]:
+        raise SessionFormatError("missing SCHEMA line")
+    if schema_parts[1:] == ["none"]:
+        return None
+    temp_parts = next_line("TEMP").split()
+    safe_parts = next_line("SAFE").split(maxsplit=2)
+    if temp_parts[:1] != ["TEMP"]:
+        raise SessionFormatError("missing TEMP line")
+    if safe_parts[:1] != ["SAFE"]:
+        raise SessionFormatError("missing SAFE line")
+    try:
+        schema = TableSchema(
+            schema_parts[1],
+            tuple((chunk.split(":")[0], int(chunk.split(":")[1])) for chunk in schema_parts[2:]),
+        )
+        temp = int(temp_parts[1])
+        safe_key = None
+        if safe_parts[1] != "none":
+            matches_text, expr_text = safe_parts[2].split(maxsplit=1)
+            expr = qlang.parse_predicate(expr_text)
+            validate_expr(expr, schema)
+            safe_key = SafeKey(int(safe_parts[1]), expr, int(matches_text))
+    except (QqlError, ValueError, IndexError) as exc:
+        raise SessionFormatError(f"malformed session file: {exc}") from exc
+    if temp < 1:
+        raise SessionFormatError(f"TEMP {temp} is below one temporary qubit")
+    total = schema.num_bits + temp
+    if total > max_qubits:
+        raise CapacityError(
+            f"{schema.num_bits} data + {temp} temp qubits exceed the "
+            f"{max_qubits}-qubit capacity"
+        )
+    if safe_key is not None and not schema.num_bits <= safe_key.qubit < total:
+        raise SessionFormatError(f"safe qubit {safe_key.qubit} is not a temp qubit")
+    amps = np.zeros(1 << total, dtype=np.complex128)
+    previous = -1
+    while lines := list(islice(handle, LOAD_CHUNK)):
+        if list(map(len, map(str.split, lines))).count(3) + lines.count("\n") != len(lines):
+            raise SessionFormatError("an amplitude line does not have three fields")
+        tokens = "".join(lines).split()
+        count = len(tokens) // 3
+        try:
+            indices = np.fromiter(map(int, tokens[0::3]), dtype=np.int64, count=count)
+            del tokens[0::3]
+            values = np.fromiter(map(float.fromhex, tokens), dtype=np.float64, count=2 * count)
+        except (ValueError, OverflowError) as exc:
+            raise SessionFormatError(f"malformed amplitude line: {exc}") from exc
+        if not count:
+            continue
+        if indices[0] < 0:
+            raise SessionFormatError(f"negative basis index {indices[0]}")
+        if indices[0] <= previous or np.any(indices[1:] <= indices[:-1]):
+            raise SessionFormatError("basis indices are not strictly ascending")
+        if indices[-1] >= amps.size:
+            raise SessionFormatError(
+                f"basis index {indices[-1]} out of range for {total} qubits"
+            )
+        if not np.all(np.isfinite(values)):
+            raise SessionFormatError("amplitudes must be finite")
+        amps[indices] = values.view(np.complex128)
+        previous = indices[-1]
+    return schema, temp, safe_key, amps

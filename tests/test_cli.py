@@ -1,14 +1,33 @@
 import io
+import sys
 import warnings
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
+from helpers import reference_read_session
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from qqldb.cli import Session, SessionConfig, format_amplitude, main, repl_loop, run_script
-from qqldb.errors import CapacityError, CompileError, ImpossibleOutcomeError, SessionFormatError
+from qqldb import cli
+from qqldb.cli import (
+    LOAD_CHUNK,
+    Session,
+    SessionConfig,
+    format_amplitude,
+    main,
+    repl_loop,
+    run_script,
+    write_amplitudes,
+)
+from qqldb.errors import (
+    CapacityError,
+    CompileError,
+    ImpossibleOutcomeError,
+    QqlError,
+    SessionFormatError,
+)
 from qqldb.qlang import MAX_EXPR_DEPTH, Show
 
 BACKUP_DEMO = """
@@ -450,6 +469,189 @@ class TestLoadRejects:
         else:
             assert session.db.schema.name == "t"
             assert abs(session.db.state.norm() - 1.0) <= 1e-9
+
+
+def saved_file(path: Path, amps: np.ndarray, t: int = 2) -> bytes:
+    """Write ``amps`` as SAVE writes a one-field table with ``t`` temps;
+    returns the file's bytes."""
+    n = amps.size.bit_length() - 1 - t
+    buffer = io.BytesIO()
+    buffer.write(f"QQLDB 1\nSCHEMA t k:{n}\nTEMP {t}\nSAFE none\n".encode())
+    write_amplitudes(buffer, amps)
+    path.write_bytes(buffer.getvalue())
+    return buffer.getvalue()
+
+
+def random_register(rng: np.random.Generator, qubits: int) -> np.ndarray:
+    """A unit register with zero amplitudes, zero and negative-zero parts,
+    real and imaginary ones, and subnormal parts."""
+    size = 1 << qubits
+    amps = rng.normal(size=size) + 1j * rng.normal(size=size)
+    amps[rng.random(size) < 0.3] = 0
+    amps.real[rng.random(size) < 0.2] = 0
+    amps.imag[rng.random(size) < 0.2] = -0.0
+    amps /= np.linalg.norm(amps)
+    tiny = (amps.imag == 0) & (rng.random(size) < 0.2)
+    amps.imag[tiny] = 5e-324 * rng.integers(1, 1 << 40, size=tiny.sum())
+    return amps
+
+
+def load_outcome(path: Path):
+    """What LOAD makes of a file: the register bytes, schema, temps, safe key
+    and fill of the engine, or the class and message of the error."""
+    session = Session()
+    try:
+        session.load_session(str(path))
+    except QqlError as exc:
+        return type(exc), str(exc)
+    db = session.db
+    return db.state.amps.tobytes(), db.schema, db.t, db.safe_key, db.temp_alloc, db._seq_fill
+
+
+def assert_loads_as_reference(path: Path) -> None:
+    outcome = load_outcome(path)
+    with mock.patch.object(cli, "_read_session", reference_read_session):
+        assert outcome == load_outcome(path)
+
+
+LINES = (
+    b"4 0x1.0000000000000p-1 0x0.0p+0\n"
+    b"8 -0x1.0000000000000p-1 0x1.0000000000000p-1\n"
+    b"12 0x1.0000000000000p-1 0x0.0p+0\n"
+)
+# LINES edited out of the writer's form, so the block is read by int and
+# float.fromhex.
+EDITS = {
+    name: LINES.replace(old, new, 1)
+    for name, (old, new) in {
+        "uppercase hex": (b"0x1.0000000000000p-1 0x0", b"0X1.0000000000000P-1 0x0"),
+        "12 digits": (b"0x1.0000000000000p-1", b"0x1.000000000000p-1"),
+        "14 digits": (b"0x1.0000000000000p-1", b"0x1.00000000000000p-1"),
+        "leading zero in the index": (b"4 0x", b"04 0x"),
+        "9-digit index": (b"12 ", b"000000012 "),
+        "leading zero in the exponent": (b"p-1 ", b"p-01 "),
+        "plus sign": (b" 0x1.", b" +0x1."),
+        "plus sign on the index": (b"4 0x", b"+4 0x"),
+        "exponent 1024": (b"p-1 ", b"p+1024 "),
+        "normal head below the normal range": (b"p-1 ", b"p-1023 "),
+        "subnormal head with another exponent": (b"0x1.0000000000000p-1 ",
+                                                 b"0x0.8000000000000p+0 "),
+        "zero in another form": (b"0x0.0p+0", b"0x0p+0"),
+        "tab": (b" 0x", b"\t0x"),
+        "two spaces": (b" 0x", b"  0x"),
+        "blank line": (b"\n8 ", b"\n\n8 "),
+        "trailing space": (b"0x0.0p+0\n", b"0x0.0p+0 \n"),
+        "non-ASCII space": (b"4 0x", "4\u00a00x".encode()),
+        "non-UTF-8": (b"4 0x", b"4\xff0x"),
+        "missing field": (b" 0x0.0p+0\n8", b"\n8"),
+        "index not ascending": (b"12 ", b"8 "),
+    }.items()
+}
+EDITS["no final newline"] = LINES[:-1]
+
+
+class TestByteReader:
+    """LOAD reads a file written in SAVE's own line form from its bytes, and
+    any other file as the reference reader (int and float.fromhex) does."""
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_saved_register_loads_as_reference(self, tmp_path, seed):
+        rng = np.random.default_rng(seed)
+        amps = random_register(rng, 6 + 3 * seed)
+        saved_file(tmp_path / "f.qdb", amps)
+        assert_loads_as_reference(tmp_path / "f.qdb")
+        session = Session()
+        session.load_session(str(tmp_path / "f.qdb"))
+        expected = np.where(amps == 0, 0, amps)  # zero amplitudes are not saved
+        assert session.db.state.amps.tobytes() == expected.tobytes()
+
+    def test_lines_in_the_writer_form(self, tmp_path):
+        amps = np.zeros(64, dtype=complex)
+        amps[[4, 8, 12]] = [0.5, -0.5 + 0.5j, 0.5]
+        assert saved_file(tmp_path / "f.qdb", amps).endswith(LINES)
+
+    @pytest.mark.parametrize("edit", sorted(EDITS))
+    def test_edited_file_loads_as_reference(self, tmp_path, edit):
+        assert EDITS[edit] != LINES
+        path = tmp_path / "edited.qdb"
+        path.write_bytes(b"QQLDB 1\nSCHEMA t k:4\nTEMP 2\nSAFE none\n" + EDITS[edit])
+        assert_loads_as_reference(path)
+
+    @pytest.mark.parametrize("newline", [b"\r\n", b"\r"])
+    def test_other_newlines_load_as_reference(self, tmp_path, newline):
+        data = saved_file(tmp_path / "f.qdb", random_register(np.random.default_rng(3), 8))
+        path = tmp_path / "crlf.qdb"
+        path.write_bytes(data.replace(b"\n", newline))
+        assert_loads_as_reference(path)
+        assert load_outcome(path)[0] == load_outcome(tmp_path / "f.qdb")[0]
+
+    @pytest.mark.parametrize("fault", ["parse", "ascending", "range", "both"])
+    def test_fault_in_a_later_block(self, tmp_path, fault):
+        # 2^13 nonzero amplitudes are two blocks; the faults sit in the second,
+        # and with "both" an earlier one in the first
+        data = saved_file(tmp_path / "f.qdb", random_register(np.random.default_rng(5), 13) + 1e-3)
+        lines = data.split(b"\n")
+        late = 4 + LOAD_CHUNK + 100
+        index = lines[late].split(b" ")[0]
+        lines[late] = {
+            "parse": lines[late].replace(b"p", b"q", 1),
+            "ascending": lines[late].replace(index, b"1", 1),
+            "range": lines[late].replace(index, b"999999", 1),
+            "both": lines[late].replace(b"p", b"q", 1),
+        }[fault]
+        if fault == "both":
+            lines[10] = lines[10].replace(lines[10].split(b" ")[0], b"5", 1)
+        path = tmp_path / "fault.qdb"
+        path.write_bytes(b"\n".join(lines))
+        assert_loads_as_reference(path)
+        assert load_outcome(path)[0] is SessionFormatError
+
+    @settings(max_examples=120, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        qubits=st.integers(3, 9),
+        edits=st.lists(
+            st.tuples(st.floats(0, 1, exclude_max=True),
+                      st.sampled_from(b"0123456789abcdefABCDEFpPxX.+- \t\n\r\x00\xff\xc3")),
+            max_size=2,
+        ),
+    )
+    def test_mutated_file_loads_as_reference(self, tmp_path, seed, qubits, edits):
+        data = bytearray(saved_file(tmp_path / "f.qdb", random_register(
+            np.random.default_rng(seed), qubits)))
+        header = data.index(b"SAFE none\n") + len(b"SAFE none\n")
+        for where, byte in edits:
+            at = header + int(where * (len(data) - header))
+            if at < len(data):
+                data[at] = byte
+        path = tmp_path / "mutated.qdb"
+        path.write_bytes(bytes(data))
+        assert_loads_as_reference(path)
+
+
+class TestBytePathGuard:
+    """Every block SAVE writes is read by the byte parser: a drift between
+    writer and reader would otherwise only show as a slower LOAD."""
+
+    def test_saved_blocks_never_fall_back(self, tmp_path):
+        rng = np.random.default_rng(17)
+        parts = rng.normal(size=2 * (3 * LOAD_CHUNK))
+        parts[1::7] = 0.0
+        specials = [0.0, -0.0, 5e-324, -5e-324, 2.225073858507201e-308,
+                    -2.2250738585072014e-308, sys.float_info.max, -sys.float_info.max, 1.0, -1.0]
+        # each next to a nonzero part, so that its line is written
+        pairs = [(value, 0.5) for value in specials] + [(-0.5, value) for value in specials]
+        parts[: 2 * len(pairs)] = np.ravel(pairs)
+        amps = np.zeros(1 << 14, dtype=complex)
+        amps[:parts.size // 2] = parts.view(np.complex128)
+        saved_file(tmp_path / "f.qdb", amps)
+        with open(tmp_path / "f.qdb", encoding="utf-8") as handle, mock.patch.object(
+            cli, "_read_tokens", side_effect=AssertionError("a block fell back")
+        ):
+            loaded = cli._read_session(handle, 22)
+        expected = np.where(amps == 0, 0, amps)
+        assert loaded[3].tobytes() == expected.tobytes()
 
 
 class TestFailedRestore:

@@ -15,7 +15,7 @@ from qqldb.errors import (
     SchemaError,
 )
 from qqldb.gates import HADAMARD, NOT
-from qqldb.qdb import ApplyGate, ApplySwap, QdbState, TempUse
+from qqldb.qdb import ApplyGate, ApplySwap, QdbState, SafeKey, TempUse
 from qqldb.qlang import parse_predicate, render_expr
 from qqldb.schema import Record, TableSchema
 from qqldb.statevec import StateVector
@@ -90,6 +90,38 @@ class TestCreateFromState:
         loaded = QdbState.loaded(ID2, 2, db.state.copy(), key)
         assert loaded.safe_key == key and loaded._seq_fill is None
         assert loaded.temp_alloc == {key.qubit: TempUse("safe", key.expr)}
+
+    @pytest.mark.parametrize("t", [1, 2, 3, 14, 15])
+    @pytest.mark.parametrize("backup", [False, True])
+    def test_loaded_fill_and_residue_match_two_passes(self, t, backup):
+        # the support scan for the fill, then a pass for the temp patterns,
+        # as LOAD read them before it read both in one pass
+        rng = np.random.default_rng(t)
+        n = 16 - t
+        amps = np.zeros(1 << (n + t), dtype=complex)
+        rows = np.arange(1 << n)
+        scattered = rng.choice(rows, min(50, rows.size), replace=False)
+        for live in (rows[: rng.integers(1, 1 << n)], scattered):
+            amps[:] = 0
+            amps.reshape(1 << n, -1)[live, 0] = rng.normal(size=live.size)
+            amps.reshape(1 << n, -1)[live[::3], -1] = 1e-7 * rng.normal(size=live[::3].size)
+            amps /= np.linalg.norm(amps)
+            schema = TableSchema("t", (("k", n),))
+            key = SafeKey(n, Const(1), 1) if backup else None
+            db = QdbState.loaded(schema, t, StateVector(n + t, amps.copy()), key)
+            plain = QdbState(schema, t, state=StateVector(n + t, amps.copy()), safe_key=key)
+            fill = None
+            if not backup:
+                found = plain.support(as_array=True)
+                fill = found.size - 1 if found.size and found[-1] == found.size - 1 else None
+            patterns = np.zeros(1 << t)
+            step = max(1 << 14, 1 << t)
+            for start in range(0, amps.size, step):
+                part = amps[start : start + step]
+                patterns += (part.real**2 + part.imag**2).reshape(-1, 1 << t).sum(axis=0)
+            held = {n + j for j in range(t) if patterns.reshape(1 << j, 2, -1)[:, 1].sum() >= 1e-12}
+            assert db._seq_fill == plain._seq_fill == fill
+            assert set(db.temp_alloc) == held | ({n} if backup else set())
 
     @pytest.mark.parametrize("t", [1, 2, 5, 15, 16])
     def test_loaded_masses_match_probability_of(self, t):
@@ -410,6 +442,17 @@ class TestSelect:
         db.select(Const(1))
         with pytest.raises(QqlError):
             db.select(Const(1))
+
+    def test_name_in_use_changes_nothing(self):
+        db = db2(t=3).insert_bulk(2)
+        db.select(Comparison("id", "=", 0), "c")
+        amps, temps = db.state.amps.tobytes(), dict(db.temp_alloc)
+        with pytest.raises(QqlError, match="select name 'c' is already in use"):
+            db.select(Comparison("id", "=", 1), "c")
+        assert db.state.amps.tobytes() == amps and db.temp_alloc == temps
+        assert db.selects == {"c": 2}
+        # nameless flags may be many
+        assert db.select(Const(1)) == 3
 
 
 def classical_apply_where(support, pred1, pred2, bit_mask):

@@ -10,9 +10,16 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from qqldb.cli import Session, format_amplitude, write_amplitudes
-from qqldb.errors import CapacityError
-from qqldb.statevec import MAX_SHOTS, StateVector, Xorshift64Star, xorshift_uniform
+from qqldb import statevec
+from qqldb.cli import Session, _decimal_words, format_amplitude, write_amplitudes
+from qqldb.errors import CapacityError, SessionFormatError
+from qqldb.statevec import (
+    MAX_SHOTS,
+    SAMPLE_BLOCK,
+    StateVector,
+    Xorshift64Star,
+    xorshift_uniform,
+)
 
 SEEDS = [0, 1, (1 << 64) - 1]
 # around the lane boundaries: the chunk length is a power of two near sqrt(count)
@@ -41,6 +48,53 @@ class TestLaneSampler:
             for draw in scalar_draws(seed, 3000).tolist()
         ]
         assert state.sample(3000, seed).tobytes() == np.array(picks, dtype=np.intp).tobytes()
+
+    def test_blocked_search_matches_one_search(self, monkeypatch):
+        # runs of zero amplitudes, some across block boundaries, and draws
+        # equal to cumulative values (at block ends too), in no run, at the
+        # total and above it
+        rng = np.random.default_rng(3)
+        size = 4 * SAMPLE_BLOCK
+        amps = rng.normal(size=size) + 1j * rng.normal(size=size)
+        for start, stop in [(0, 10), (SAMPLE_BLOCK - 5, 2 * SAMPLE_BLOCK + 7), (size - 40, size)]:
+            amps[start:stop] = 0
+        amps[rng.random(size) < 0.3] = 0
+        amps /= np.linalg.norm(amps)
+        cumulative = np.cumsum(amps.real**2 + amps.imag**2)
+        ends = np.arange(1, 5) * SAMPLE_BLOCK - 1
+        draws = np.concatenate([
+            cumulative[ends], cumulative[ends[:-1] + 1], cumulative[rng.integers(0, size, 500)],
+            [0.0, cumulative[-1], np.nextafter(cumulative[-1], 2), 1.0, 1.5],
+            rng.random(2000),
+        ])
+        rng.shuffle(draws)
+        monkeypatch.setattr(statevec, "xorshift_uniform", lambda seed, count: draws.copy())
+        picks = StateVector(size.bit_length() - 1, amps).sample(draws.size, seed=1)
+        expected = np.minimum(np.searchsorted(cumulative, draws, side="right"), size - 1)
+        assert picks.tobytes() == expected.astype(np.intp).tobytes()
+
+    @pytest.mark.parametrize("qubits", [1, 13, 14, 15, 17])
+    def test_picks_match_one_search_on_sparse_states(self, qubits):
+        rng = np.random.default_rng(qubits)
+        amps = rng.normal(size=1 << qubits) * (rng.random(1 << qubits) < 0.1)
+        amps[rng.integers(0, 1 << qubits)] = 1
+        state = StateVector.from_amplitudes(amps, normalize=True)
+        cumulative = np.cumsum(state.amps.real**2 + state.amps.imag**2)
+        draws = xorshift_uniform(11, 5000)
+        expected = np.minimum(np.searchsorted(cumulative, draws, side="right"), amps.size - 1)
+        assert state.sample(5000, 11).tobytes() == expected.astype(np.intp).tobytes()
+
+    def test_no_register_sized_temporary(self):
+        state = StateVector.from_amplitudes(np.full(1 << 20, 2.0**-10, dtype=complex))
+        shots = 1000
+        tracemalloc.start()
+        try:
+            state.sample(shots, seed=5)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # an eighth of the 16 MiB register, plus a few arrays of shots
+        assert peak < state.amps.nbytes // 8 + 8 * 8 * shots
 
     @pytest.mark.parametrize("shots", [MAX_SHOTS + 1, 10**30])
     def test_shot_ceiling_checked_before_allocation(self, shots):
@@ -181,6 +235,17 @@ class TestHexWriter:
         ]
         assert hex_lines(values) == expected
 
+    def test_non_finite_parts_keep_their_form(self, tmp_path):
+        # no unit register has them; written as before, LOAD rejects them
+        assert hex_lines(np.array([np.inf, -np.nan])) == [
+            "0 0x1.0000000000000p+1024 -0x1.8000000000000p+1024"
+        ]
+        path = tmp_path / "inf.qdb"
+        path.write_text("QQLDB 1\nSCHEMA t id:2\nTEMP 1\nSAFE none\n"
+                        "0 0x1.0000000000000p+1024 0x0.0p+0\n")
+        with pytest.raises(SessionFormatError, match="malformed amplitude line"):
+            Session().load_session(str(path))
+
     def test_zero_amplitudes_skipped(self):
         # amplitude i is (values[2i], values[2i + 1]); amplitude 5 is -0 - 0j
         values = np.zeros(16)
@@ -189,3 +254,21 @@ class TestHexWriter:
             f"1 {0.0.hex()} {0.5.hex()}",
             f"4 {(-0.0).hex()} {(-2.0).hex()}",
         ]
+
+
+class TestDecimalWriter:
+    @pytest.mark.parametrize("groups", [1, 2, 3])
+    def test_digits_match_str(self, groups):
+        rng = np.random.default_rng(groups)
+        top = 10 ** min(8 * groups, 18)
+        values = np.concatenate([
+            [0, 1, 9, 10, 99, 100, 10**7, 10**8 - 1],
+            [10**k for k in range(8, 18) if 10**k < top],
+            [10**k - 1 for k in range(9, 19) if 10**k <= top],
+            rng.integers(0, top, 2000),
+        ]).astype(np.int64)
+        words = _decimal_words(values, groups).view(np.uint8).reshape(values.size, 8 * groups)
+        texts = [row.tobytes().replace(b"\0", b"").decode() for row in words]
+        assert texts == [str(v) for v in values.tolist()]
+        # the digits are right-aligned: only leading bytes are 0
+        assert all(row.tobytes().lstrip(b"\0").isdigit() for row in words)
