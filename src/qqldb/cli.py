@@ -394,9 +394,10 @@ def _parse_lines(text: str, count: int):
     # out of the normal range, the written form is not the clipped one's
     biased = np.clip(exponent + 1023, 0, 2046).astype(np.uint64)
     # up to 8 written bytes against at most 6 in the table: the part ends
-    # where its exponent does
+    # where its exponent does, and no part in the form is over 23 bytes long,
+    # so none has bytes past the words read here
     written = part[2] >> 16 & _LOW_BYTES[np.clip(length - 17, 0, 8)]
-    parts_ok &= _exponent_words()[biased] == written
+    parts_ok &= (_exponent_words()[biased] == written) & (length <= 23)
     head = part[0] >> 8 & 0xFFFFFFFF
     normal = head == _HEAD | 1 << 16  # "0x1."
     parts_ok &= normal | (head == _HEAD) & (biased == 1)

@@ -545,6 +545,9 @@ EDITS = {
         "non-UTF-8": (b"4 0x", b"4\xff0x"),
         "missing field": (b" 0x0.0p+0\n8", b"\n8"),
         "index not ascending": (b"12 ", b"8 "),
+        "5-digit exponent": (b"0x0.0p+0\n", b"0x1.0000000000000p-10220\n"),
+        "letters after the exponent": (b"p-1 ", b"p-1000z "),
+        "letters after a 4-digit exponent": (b"p-1 ", b"p+1023zz "),
     }.items()
 }
 EDITS["no final newline"] = LINES[:-1]
@@ -576,6 +579,20 @@ class TestByteReader:
         path = tmp_path / "edited.qdb"
         path.write_bytes(b"QQLDB 1\nSCHEMA t k:4\nTEMP 2\nSAFE none\n" + EDITS[edit])
         assert_loads_as_reference(path)
+
+    @pytest.mark.parametrize("byte", [b"0", b"z", b"."])
+    def test_byte_after_a_part_loads_as_reference(self, tmp_path, byte):
+        # one line per part form: zero, subnormal, and 1- to 4-digit exponents
+        values = [0.0, -5e-324, 1.0, 2.0**-10, -(2.0**100), 2.0**-1000, 2.0**1023, 0.75]
+        amps = np.zeros(32, dtype=complex)
+        amps[:len(values)] = np.array(values) + 0.5j
+        lines = saved_file(tmp_path / "f.qdb", amps).split(b"\n")
+        for at in range(4, 4 + len(values)):
+            index, real, imag = lines[at].split(b" ")
+            edited = lines[:at] + [b" ".join([index, real + byte, imag])] + lines[at + 1:]
+            path = tmp_path / f"edited{at}.qdb"
+            path.write_bytes(b"\n".join(edited))
+            assert_loads_as_reference(path)
 
     @pytest.mark.parametrize("newline", [b"\r\n", b"\r"])
     def test_other_newlines_load_as_reference(self, tmp_path, newline):
@@ -613,17 +630,21 @@ class TestByteReader:
         qubits=st.integers(3, 9),
         edits=st.lists(
             st.tuples(st.floats(0, 1, exclude_max=True),
-                      st.sampled_from(b"0123456789abcdefABCDEFpPxX.+- \t\n\r\x00\xff\xc3")),
+                      st.sampled_from(b"0123456789abcdefABCDEFpPxX.+- \t\n\r\x00\xff\xc3"),
+                      st.booleans()),
             max_size=2,
         ),
     )
     def test_mutated_file_loads_as_reference(self, tmp_path, seed, qubits, edits):
+        # each edit replaces a byte, or inserts one, which can lengthen a part
         data = bytearray(saved_file(tmp_path / "f.qdb", random_register(
             np.random.default_rng(seed), qubits)))
         header = data.index(b"SAFE none\n") + len(b"SAFE none\n")
-        for where, byte in edits:
+        for where, byte, insert in edits:
             at = header + int(where * (len(data) - header))
-            if at < len(data):
+            if insert:
+                data.insert(at, byte)
+            elif at < len(data):
                 data[at] = byte
         path = tmp_path / "mutated.qdb"
         path.write_bytes(bytes(data))
