@@ -225,7 +225,7 @@ class QdbState:
             raise QqlError("bulk insert requires a fresh database")
         self._check_temps_free()
         for q in range(n - r, n):
-            self.state.apply_unitary(HADAMARD, [q])
+            self.state.apply_controlled(HADAMARD, targets=[q])
         self.state._assert_norm()
         self._seq_fill = (1 << r) - 1
         return self

@@ -235,27 +235,31 @@ def swap(
     :func:`qubit_view` of ``amps`` in place: a basis permutation, so
     amplitudes are moved, never recomputed.
 
-    A CNOT exchanges the halves ``0``/``1`` of its target axis, an oracle the
-    same halves at the truth table's rows of its data run, a record swap the
-    data rows ``a``/``b`` of the run ``range(0, n)``.
+    Each set is leading integers, then the rows of the next axis (an integer
+    is one row): a CNOT exchanges the halves ``0``/``1`` of its target axis,
+    an oracle the rows ``(0, rows)``/``(1, rows)`` of the truth table's ones
+    on its data run, a record swap the data rows ``a``/``b`` of the run
+    ``range(0, n)``.  Row ``i`` of one set trades places with row ``i`` of
+    the other, a tile at a time through two buffers, so no set is copied
+    whole.
     """
     view = qubit_view(amps, num_qubits, pos_controls, neg_controls, leading, run)
-    one, other = view[first], view[second]
-    # an array index selects a copy
-    if not np.may_share_memory(one, amps):
-        view[first] = other
-        view[second] = one
-        return
-    # a basic index selects views: exchange them a tile at a time through two
-    # buffers, as numpy would copy a whole overlapping source first
-    buffers = np.empty((2, min(one.size, TILE_COLUMNS)), dtype=amps.dtype)
-    for index in _tiles(one.shape):
-        a, b = one[index], other[index]
+    *lead, rows = np.index_exp[first]
+    one, rows_one = view[tuple(lead)], np.atleast_1d(rows)
+    *lead, rows = np.index_exp[second]
+    other, rows_other = view[tuple(lead)], np.atleast_1d(rows)
+    shape = (rows_one.size, *one.shape[1:])
+    buffers = np.empty((2, min(math.prod(shape), TILE_COLUMNS)), dtype=amps.dtype)
+    for index in _tiles(shape):
+        head, *tail = index or (slice(None),)
+        # a row slice selects copies, a single row views
+        at_one, at_other = (rows_one[head], *tail), (rows_other[head], *tail)
+        a = one[at_one]
         saved, moved = (buffer[: a.size].reshape(a.shape) for buffer in buffers)
         saved[...] = a
-        moved[...] = b
-        a[...] = moved
-        b[...] = saved
+        moved[...] = other[at_other]
+        one[at_one] = moved
+        other[at_other] = saved
 
 
 class StateVector:
@@ -315,7 +319,8 @@ class StateVector:
 
     def _assert_norm(self):
         norm = self.norm()
-        if abs(norm - 1.0) > NORM_TOL:
+        # written so that a NaN norm fails too
+        if not abs(norm - 1.0) <= NORM_TOL:
             raise ValidationError(f"norm drifted to {norm}; unitarity bug upstream")
 
     def _check_qubits(self, qubits: Sequence[int], label: str):
@@ -338,15 +343,7 @@ class StateVector:
 
     def apply_unitary(self, gate, targets: Sequence[int]) -> "StateVector":
         """Apply a gate to the ordered target qubits, identity elsewhere."""
-        matrix = self._as_matrix(gate)
-        targets = list(targets)
-        self._check_qubits(targets, "target")
-        if matrix.shape[0] != 1 << len(targets):
-            raise ValueError(
-                f"gate over {matrix.shape[0]} rows does not fit {len(targets)} targets"
-            )
-        apply_matrix(self.amps, matrix, targets, self.num_qubits)
-        return self
+        return self.apply_controlled(gate, targets=targets)
 
     def apply_controlled(
         self,
@@ -446,13 +443,6 @@ class StateVector:
         picks = np.empty(shots, dtype=np.intp)
         picks[order] = sorted_picks
         return picks
-
-    def tensor(self, other: "StateVector", max_qubits: int = DEFAULT_MAX_QUBITS) -> "StateVector":
-        """Combined register: ``self`` supplies the high bits, ``other`` the low."""
-        total = self.num_qubits + other.num_qubits
-        if total > max_qubits:
-            raise CapacityError(f"tensor of {total} qubits exceeds capacity {max_qubits}")
-        return StateVector(total, np.kron(self.amps, other.amps))
 
     def __repr__(self) -> str:
         terms = []

@@ -142,6 +142,106 @@ def test_record_swap_is_exact_permutation(seed):
     assert db.state.amps.tobytes() == amps[perm].tobytes()
 
 
+# (m, data run start, data run length, target, negative controls, table density):
+# row sets of one or several tiles, with and without negative controls, an
+# empty table, and a two-row table on a register whose rows are wider than a
+# tile
+TILED_ORACLES = [
+    (14, 0, 12, 12, [13], 0.5),
+    (15, 0, 14, 14, [], 0.7),
+    (16, 0, 14, 15, [], 0.5),
+    (16, 1, 13, 0, [15], 0.9),
+    (16, 2, 12, 1, [0], 0.6),
+    (16, 0, 15, 15, [], 0.0),
+    (16, 7, 1, 0, [], 1.0),
+]
+
+
+@pytest.mark.parametrize("case", range(len(TILED_ORACLES)))
+def test_oracle_across_tiles_is_exact_permutation(case):
+    m, start, v, target, neg, density = TILED_ORACLES[case]
+    rng = np.random.default_rng(500 + case)
+    bits = rng.random(1 << v) < density
+    amps = signed_zero_state(m, rng)
+    index = np.arange(1 << m)
+    hit = bits[(index >> (m - start - v)) & ((1 << v) - 1)]
+    for q in neg:
+        hit &= bit(index, q, m) == 0
+    perm = np.where(hit, index ^ (1 << (m - 1 - target)), index)
+    state = StateVector(m, amps.copy())
+    apply_oracle(state, TruthTable(v, bits), list(range(start, start + v)), target, neg)
+    assert state.amps.tobytes() == amps[perm].tobytes()
+
+
+# (data qubits n, temp qubits t, pairs, positive temp controls, safe key temp):
+# row sets of one or several tiles, and records wider than a tile
+TILED_RECORD_SWAPS = [
+    (12, 2, 2048, [], None),
+    (13, 2, 3000, [], None),
+    (12, 3, 2000, [], 14),
+    (13, 3, 4000, [14], None),
+    (13, 3, 4096, [], 15),
+    (14, 2, 7000, [15], None),
+    (1, 15, 1, [5], None),
+    (2, 14, 2, [], 10),
+]
+
+
+@pytest.mark.parametrize("case", range(len(TILED_RECORD_SWAPS)))
+def test_record_swap_across_tiles_is_exact_permutation(case):
+    n, t, count, pos, safe = TILED_RECORD_SWAPS[case]
+    m = n + t
+    rng = np.random.default_rng(600 + case)
+    # pairs in random order, each with its larger record as often first as second
+    pairs = rng.permutation(1 << n)[: 2 * count].reshape(-1, 2)
+    amps = signed_zero_state(m, rng)
+    partner = np.arange(1 << n)
+    partner[pairs[:, 0]], partner[pairs[:, 1]] = pairs[:, 1], pairs[:, 0]
+    index = np.arange(1 << m)
+    live = np.ones(1 << m, dtype=bool)
+    for q in pos:
+        live &= bit(index, q, m) == 1
+    if safe is not None:
+        live &= bit(index, safe, m) == 0
+    perm = np.where(live, (partner[index >> t] << t) | (index & ((1 << t) - 1)), index)
+    db = QdbState(TableSchema("p", (("id", n),)), t=t, state=StateVector(m, amps.copy()))
+    if safe is not None:
+        db.safe_key = SafeKey(safe, Const(1), 0)
+    db._swap_records(pairs, pos)
+    assert db.state.amps.tobytes() == amps[perm].tobytes()
+
+
+def traced_peak(operation) -> int:
+    tracemalloc.start()
+    try:
+        operation()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_oracle_copies_no_row_set_whole():
+    """An oracle on a predicate true for half the records exchanges its rows
+    a tile at a time: no copy of either half."""
+    n, t = 17, 3
+    state = StateVector.zero(n + t)
+    table = TruthTable(n, np.arange(1 << n) < 1 << (n - 1))
+    peak = traced_peak(lambda: apply_oracle(state, table, list(range(n)), n, [n + 2]))
+    assert peak < state.amps.nbytes / 8
+    assert state.amps[1 << (t - 1)] == 1
+
+
+def test_record_swap_copies_no_row_set_whole():
+    """2^16 pairs that relabel every record move a tile at a time."""
+    n, t = 17, 3
+    pairs = np.random.default_rng(9).permutation(1 << n).reshape(-1, 2)
+    db = QdbState(TableSchema("p", (("id", n),)), t=t)
+    peak = traced_peak(lambda: db._swap_records(pairs))
+    assert peak < db.state.amps.nbytes / 8
+    (row,) = np.flatnonzero(pairs == 0)
+    assert db.state.amps[pairs[row // 2, 1 - row % 2] << t] == 1
+
+
 @pytest.mark.parametrize("seed", range(8))
 @pytest.mark.parametrize("num_pos, num_neg", [(0, 0), (1, 0), (0, 1), (2, 1)])
 def test_not_gate_as_swap_matches_the_matrix_product(seed, num_pos, num_neg):

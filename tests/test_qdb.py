@@ -13,6 +13,7 @@ from qqldb.errors import (
     ImpossibleOutcomeError,
     QqlError,
     SchemaError,
+    ValidationError,
 )
 from qqldb.gates import HADAMARD, NOT
 from qqldb.qdb import ApplyGate, ApplySwap, QdbState, SafeKey, TempUse
@@ -159,6 +160,14 @@ class TestInsertBulk:
     def test_exponent_out_of_range(self):
         with pytest.raises(ValueError):
             db3().insert_bulk(4)
+
+    def test_nan_amplitude_fails_the_norm_check(self):
+        # NaN compares false with everything, so a norm check written as
+        # "drift > tolerance" would let it through
+        db = db3()
+        db.state.amps[-1] = np.nan
+        with pytest.raises(ValidationError, match="nan"):
+            db.insert_bulk(2)
 
 
 class TestInsertNeedsFreeTemps:

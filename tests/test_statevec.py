@@ -283,32 +283,6 @@ class TestSampling:
         assert rng.next_u64() == ((1 << 25) | 1) * Xorshift64Star.MULTIPLIER % (1 << 64)
 
 
-class TestTensor:
-    def test_zero_tensor_one(self):
-        a = StateVector.from_amplitudes([1, 0])
-        b = StateVector.from_amplitudes([0, 1])
-        assert np.allclose(a.tensor(b).amps, [0, 1, 0, 0])  # |01>
-
-    def test_one_tensor_one(self):
-        one = StateVector.from_amplitudes([0, 1])
-        assert np.allclose(one.tensor(one).amps, [0, 0, 0, 1])  # |11>
-
-    def test_plus_tensor_zero(self):
-        plus = StateVector.from_amplitudes([INV_SQRT2, INV_SQRT2])
-        zero = StateVector.from_amplitudes([1, 0])
-        product = plus.tensor(zero)
-        # expand (a0|0>+a1|1>)(x)|0> by hand
-        expected = np.zeros(4, dtype=complex)
-        expected[0] = plus.amps[0] * 1
-        expected[2] = plus.amps[1] * 1
-        assert np.allclose(product.amps, expected)
-
-    def test_capacity(self):
-        a = StateVector.zero(2)
-        with pytest.raises(CapacityError):
-            a.tensor(StateVector.zero(2), max_qubits=3)
-
-
 class TestRepr:
     def test_first_eight_terms(self):
         amps = np.zeros(1 << 4, dtype=complex)
