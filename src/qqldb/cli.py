@@ -184,8 +184,8 @@ class Session:
             state = StateVector.from_amplitudes(amps)
         except ValidationError as exc:
             raise SessionFormatError(f"malformed session file: {exc}") from exc
-        self.db = QdbState.loaded(
-            schema, temp, state, safe_key, self.config.max_qubits, self.config.epsilon
+        self.db = QdbState(
+            schema, temp, self.config.max_qubits, self.config.epsilon, state, safe_key
         )
         return f"loaded session from {path}"
 

@@ -90,15 +90,12 @@ class QdbState:
         state: StateVector | None = None,
         safe_key: SafeKey | None = None,
     ):
-        """``safe_key`` is a backup ``state`` holds; the fill is read off the records."""
-        self._adopt(schema, t, max_qubits, epsilon, state, safe_key)
-        if state is not None and safe_key is None:
-            self._read_state()
-
-    def _adopt(self, schema: TableSchema, t: int, max_qubits: int, epsilon: float,
-               state: StateVector | None, safe_key: SafeKey | None) -> None:
-        """Check the sizes and set the fields of a fresh database, on a zero
-        register or on ``state``, whose fill is then still to be read."""
+        """A database on a zero register, or on ``state``, a register from
+        outside such as a session file's.  That keeps the amplitudes and the
+        backup's ``safe_key``, but not what the other temps held: one pass over
+        it reads the fill off the records unless a backup is active, and holds
+        each other temp whose |1> mass is at least ``RESIDUE_TOL`` (APPLY's
+        rule for its flags) as a nameless residue."""
         if t < 1:
             raise ValueError("need at least one temporary qubit")
         n = schema.num_bits
@@ -111,35 +108,23 @@ class QdbState:
         self.schema = schema
         self.t = t
         self.epsilon = epsilon
-        self.state = state if state is not None else StateVector.zero(n + t, max_qubits)
         self.temp_alloc: dict[int, TempUse] = {}
         self.safe_key = safe_key
         self._seq_fill: int | None = 0
         if safe_key is not None:
             self.temp_alloc[safe_key.qubit] = TempUse("safe", safe_key.expr)
             self._seq_fill = None
+        if state is None:
+            self.state = StateVector.zero(n + t, max_qubits)
+        else:
+            self.state = state
+            self._read_state()
 
-    @classmethod
-    def loaded(cls, schema: TableSchema, t: int, state: StateVector, safe_key: SafeKey | None,
-               max_qubits: int = DEFAULT_MAX_QUBITS, epsilon: float = DEFAULT_EPSILON):
-        """The engine of a session file, which keeps the amplitudes and the
-        safe key but not what the other temps held: a temp whose |1> mass is
-        at least ``RESIDUE_TOL`` (APPLY's rule for its flags) is held as a
-        nameless residue.  One pass over the register reads this and the fill."""
-        db = cls.__new__(cls)
-        db._adopt(schema, t, max_qubits, epsilon, state, safe_key)
-        patterns = db._read_state()
-        for j in range(t):
-            if patterns.reshape(1 << j, 2, -1)[:, 1].sum() >= RESIDUE_TOL:
-                db.temp_alloc.setdefault(db.n + j, TempUse("residue"))
-        return db
-
-    def _read_state(self) -> np.ndarray:
+    def _read_state(self) -> None:
         """Read the fill off the live records unless a backup is active, and
-        return the probability of each temp pattern.  One pass over the
-        register in blocks of whole rows of temp patterns; each row's and each
-        pattern's mass is summed as :meth:`support` and a per-pattern pass
-        would sum it."""
+        hold the temps that carry mass.  One pass over the register in blocks
+        of whole rows of temp patterns; each row's and each pattern's mass is
+        summed as :meth:`support` and a per-pattern pass would sum it."""
         amps, width = self.state.amps, 1 << self.t
         patterns, live = np.zeros(width), []
         step = max(SUPPORT_BLOCK, width)
@@ -153,7 +138,9 @@ class QdbState:
         if self.safe_key is None:
             live = np.concatenate(live)
             self._seq_fill = live.size - 1 if live.size and live[-1] == live.size - 1 else None
-        return patterns
+        for j in range(self.t):
+            if patterns.reshape(1 << j, 2, -1)[:, 1].sum() >= RESIDUE_TOL:
+                self.temp_alloc.setdefault(self.n + j, TempUse("residue"))
 
     # ------------------------------------------------------------------ layout
 

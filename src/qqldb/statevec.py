@@ -16,7 +16,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import CapacityError, ImpossibleOutcomeError, ValidationError
-from .gates import CnotGate, GateMatrix, is_unitary
+from .gates import CnotGate, GateMatrix
 
 DEFAULT_MAX_QUBITS = 22
 DEFAULT_EPSILON = 1e-12
@@ -287,27 +287,27 @@ class StateVector:
         return cls(num_qubits, amps)
 
     @classmethod
-    def from_amplitudes(cls, values, normalize: bool = False) -> "StateVector":
-        """State over the given amplitudes.  A C-contiguous ``complex128``
+    def from_amplitudes(cls, values) -> "StateVector":
+        """State over the given unit vector.  A C-contiguous ``complex128``
         array is taken over as the buffer, not copied; anything else is
-        converted."""
+        converted.  One norm pass checks it; only a norm off 1 is looked into,
+        to name a part that is not finite or that exceeds 1."""
         amps = np.ascontiguousarray(values, dtype=np.complex128)
         size = amps.size
         if size < 2 or size & (size - 1):
             raise ValueError(f"amplitude count {size} is not a power of two >= 2")
-        parts = amps.view(np.float64)
-        if not np.all(np.isfinite(parts)):
-            raise ValueError("amplitudes must be finite")
-        # no part of a unit vector exceeds 1; rejecting larger ones first keeps
-        # the norm below from overflowing
-        if not normalize and (parts.max() > 1 + NORM_TOL or parts.min() < -1 - NORM_TOL):
-            raise ValidationError(f"an amplitude part exceeds 1 + {NORM_TOL}; the norm is not 1")
-        norm = np.linalg.norm(amps)
-        if normalize:
-            if norm == 0:
-                raise ValueError("cannot normalize the zero vector")
-            amps = amps / norm
-        elif abs(norm - 1.0) > NORM_TOL:
+        # a part that is not finite, or huge, makes the norm NaN or infinite
+        with np.errstate(over="ignore", invalid="ignore"):
+            norm = np.linalg.norm(amps)
+        if not abs(norm - 1.0) <= NORM_TOL:
+            parts = amps.view(np.float64)
+            if not np.all(np.isfinite(parts)):
+                raise ValueError("amplitudes must be finite")
+            # no part of a unit vector exceeds 1: name such a part, not an overflowed norm
+            if parts.max() > 1 + NORM_TOL or parts.min() < -1 - NORM_TOL:
+                raise ValidationError(
+                    f"an amplitude part exceeds 1 + {NORM_TOL}; the norm is not 1"
+                )
             raise ValidationError(f"state norm {norm} is not 1 within {NORM_TOL}")
         return cls(size.bit_length() - 1, amps)
 
@@ -332,22 +332,13 @@ class StateVector:
                 raise ValueError(f"duplicate {label} qubit {q}")
             seen.add(q)
 
-    @staticmethod
-    def _as_matrix(gate) -> np.ndarray:
-        if isinstance(gate, GateMatrix):
-            return gate.matrix
-        mat = np.asarray(gate, dtype=np.complex128)
-        if not is_unitary(mat):
-            raise ValidationError("matrix is not unitary within tolerance")
-        return mat
-
-    def apply_unitary(self, gate, targets: Sequence[int]) -> "StateVector":
+    def apply_unitary(self, gate: GateMatrix, targets: Sequence[int]) -> "StateVector":
         """Apply a gate to the ordered target qubits, identity elsewhere."""
         return self.apply_controlled(gate, targets=targets)
 
     def apply_controlled(
         self,
-        gate,
+        gate: GateMatrix,
         pos_controls: Sequence[int] = (),
         neg_controls: Sequence[int] = (),
         targets: Sequence[int] = (),
@@ -357,8 +348,11 @@ class StateVector:
         """Apply a gate where every positive control is 1 and every negative
         control is 0, and, with ``rows``, where the contiguous qubit ``run``
         (first qubit most significant) holds a value in the step-1 range
-        ``rows``; identity on the rest of the space."""
-        matrix = self._as_matrix(gate)
+        ``rows``; identity on the rest of the space.  ``gate`` is a
+        :class:`GateMatrix`, whose constructor checks that it is unitary."""
+        if not isinstance(gate, GateMatrix):
+            raise ValidationError(f"gate must be a GateMatrix, not {type(gate).__name__}")
+        matrix = gate.matrix
         pos = sorted(pos_controls)
         neg = sorted(neg_controls)
         targets = list(targets)

@@ -490,6 +490,8 @@ def random_register(rng: np.random.Generator, qubits: int) -> np.ndarray:
     amps[rng.random(size) < 0.3] = 0
     amps.real[rng.random(size) < 0.2] = 0
     amps.imag[rng.random(size) < 0.2] = -0.0
+    if not amps.any():
+        amps[0] = 1  # a few qubits can draw all zeros, which have no unit multiple
     amps /= np.linalg.norm(amps)
     tiny = (amps.imag == 0) & (rng.random(size) < 0.2)
     amps.imag[tiny] = 5e-324 * rng.integers(1, 1 << 40, size=tiny.sum())

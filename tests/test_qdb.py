@@ -54,8 +54,8 @@ class TestCreate:
 
 
 class TestCreateFromState:
-    """The constructor given a state reads the sequence fill off it, and
-    :meth:`QdbState.loaded` also holds every temp that carries |1> mass."""
+    """The constructor given a state reads the sequence fill off it and holds
+    every temp that carries |1> mass."""
 
     @staticmethod
     def state_on(records, n, t):
@@ -79,7 +79,7 @@ class TestCreateFromState:
         amps[(1 << t) | 0b100] = np.sqrt(1e-11)
         amps[(2 << t) | 0b010] = np.sqrt(1e-13)
         amps[3 << t] = np.sqrt(1 - 1e-11 - 1e-13)
-        db = QdbState.loaded(ID2, t, StateVector(n + t, amps), None)
+        db = QdbState(ID2, t, state=StateVector(n + t, amps))
         assert db.temp_alloc == {n: TempUse("residue")}
         assert db.selects == {} and db.safe_key is None
         assert db.free_temps() == [n + 1, n + 2]
@@ -88,9 +88,41 @@ class TestCreateFromState:
         db = db2(t=2).insert_bulk(2)
         db.backup(Comparison("id", "=", 3))
         key = db.safe_key
-        loaded = QdbState.loaded(ID2, 2, db.state.copy(), key)
+        loaded = QdbState(ID2, 2, state=db.state.copy(), safe_key=key)
         assert loaded.safe_key == key and loaded._seq_fill is None
         assert loaded.temp_alloc == {key.qubit: TempUse("safe", key.expr)}
+
+    def test_select_refuses_the_only_temp_while_it_carries_mass(self):
+        # record 1 stored with its temp at |1>: a flag written onto that temp
+        # would mix with what it holds
+        amps = np.zeros(8, dtype=complex)
+        amps[(1 << 1) | 1] = 1
+        db = QdbState(ID2, 1, state=StateVector(3, amps.copy()))
+        with pytest.raises(QqlError, match="no free temporary qubit"):
+            db.select(Comparison("id", "=", 1))
+        assert db.state.amps.tobytes() == amps.tobytes()
+        assert db.temp_alloc == {2: TempUse("residue")}
+
+    def test_select_takes_the_temp_after_a_residue(self):
+        n, t = 2, 3
+        amps = np.zeros(1 << (n + t), dtype=complex)
+        amps[(1 << t) | 0b100] = amps[2 << t] = INV_SQRT2
+        db = QdbState(ID2, t, state=StateVector(n + t, amps))
+        assert db.temp_alloc == {n: TempUse("residue")}
+        assert db.select(Comparison("id", "=", 1)) == n + 1
+
+    def test_residue_rule_beside_a_safe_key(self):
+        # a backup and a select flag outlive the engine; the register alone
+        # keeps the flag's mass, which the new engine holds as a residue
+        db = db2(t=3).insert_bulk(2)
+        db.backup(Comparison("id", "=", 3))
+        key = db.safe_key
+        assert db.select(Comparison("id", "<", 2)) == key.qubit + 1
+        rebuilt = QdbState(ID2, 3, state=db.state.copy(), safe_key=key)
+        assert rebuilt.temp_alloc == {
+            key.qubit: TempUse("safe", key.expr), key.qubit + 1: TempUse("residue"),
+        }
+        assert rebuilt.select(Comparison("id", "=", 0)) == key.qubit + 2
 
     @pytest.mark.parametrize("t", [1, 2, 3, 14, 15])
     @pytest.mark.parametrize("backup", [False, True])
@@ -109,11 +141,10 @@ class TestCreateFromState:
             amps /= np.linalg.norm(amps)
             schema = TableSchema("t", (("k", n),))
             key = SafeKey(n, Const(1), 1) if backup else None
-            db = QdbState.loaded(schema, t, StateVector(n + t, amps.copy()), key)
-            plain = QdbState(schema, t, state=StateVector(n + t, amps.copy()), safe_key=key)
+            db = QdbState(schema, t, state=StateVector(n + t, amps.copy()), safe_key=key)
             fill = None
             if not backup:
-                found = plain.support(as_array=True)
+                found = db.support(as_array=True)
                 fill = found.size - 1 if found.size and found[-1] == found.size - 1 else None
             patterns = np.zeros(1 << t)
             step = max(1 << 14, 1 << t)
@@ -121,7 +152,7 @@ class TestCreateFromState:
                 part = amps[start : start + step]
                 patterns += (part.real**2 + part.imag**2).reshape(-1, 1 << t).sum(axis=0)
             held = {n + j for j in range(t) if patterns.reshape(1 << j, 2, -1)[:, 1].sum() >= 1e-12}
-            assert db._seq_fill == plain._seq_fill == fill
+            assert db._seq_fill == fill
             assert set(db.temp_alloc) == held | ({n} if backup else set())
 
     @pytest.mark.parametrize("t", [1, 2, 5, 15, 16])
@@ -134,7 +165,7 @@ class TestCreateFromState:
         for q in empty:
             amps.reshape(1 << q, 2, -1)[:, 1] = 0
         amps /= np.linalg.norm(amps)
-        db = QdbState.loaded(TableSchema("t", (("k", n),)), t, StateVector(n + t, amps), None)
+        db = QdbState(TableSchema("t", (("k", n),)), t, state=StateVector(n + t, amps))
         expected = [q for q in range(n, n + t) if db.state.probability_of(q, 1) >= 1e-12]
         assert sorted(db.temp_alloc) == expected
         assert sorted(set(range(n, n + t)) - set(expected)) == sorted(empty)

@@ -41,7 +41,7 @@ class TestLaneSampler:
     def test_picks_match_scalar_inverse_cdf(self, seed):
         rng = np.random.default_rng(7)
         amps = rng.normal(size=256) + 1j * rng.normal(size=256)
-        state = StateVector.from_amplitudes(amps, normalize=True)
+        state = StateVector.from_amplitudes(amps / np.linalg.norm(amps))
         cumulative = np.cumsum(state.amps.real**2 + state.amps.imag**2)
         picks = [
             min(int(np.searchsorted(cumulative, draw, side="right")), 255)
@@ -78,7 +78,7 @@ class TestLaneSampler:
         rng = np.random.default_rng(qubits)
         amps = rng.normal(size=1 << qubits) * (rng.random(1 << qubits) < 0.1)
         amps[rng.integers(0, 1 << qubits)] = 1
-        state = StateVector.from_amplitudes(amps, normalize=True)
+        state = StateVector.from_amplitudes(amps / np.linalg.norm(amps))
         cumulative = np.cumsum(state.amps.real**2 + state.amps.imag**2)
         draws = xorshift_uniform(11, 5000)
         expected = np.minimum(np.searchsorted(cumulative, draws, side="right"), amps.size - 1)
@@ -197,7 +197,7 @@ class TestStateText:
         amps = rng.normal(size=size) + 1j * rng.normal(size=size) * (rng.random(size) < 0.5)
         amps[rng.random(size) < 0.4] = 0
         amps[rng.random(size) < 0.05] = 1e-13
-        session.db.state = StateVector.from_amplitudes(amps, normalize=True)
+        session.db.state = StateVector.from_amplitudes(amps / np.linalg.norm(amps))
         for full in (False, True):
             (text,) = session.execute_text("SHOW FULL;" if full else "SHOW;")
             assert text == per_row_state(session, full)

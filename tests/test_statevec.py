@@ -66,10 +66,29 @@ class TestFromAmplitudes:
             with pytest.raises(ValidationError):
                 StateVector.from_amplitudes(values)
 
-    def test_normalize_unchanged(self):
-        # parts above 1 are the normalising path's input, not an error
-        state = StateVector.from_amplitudes([3, 4j], normalize=True)
-        assert np.allclose(state.amps, [0.6, 0.8j])
+    @pytest.mark.parametrize(
+        "values, error, message",
+        [
+            ([complex(0.6, np.nan), 0.8], ValueError, "amplitudes must be finite"),
+            ([np.inf, 0], ValueError, "amplitudes must be finite"),
+            ([0, complex(0, -np.inf)], ValueError, "amplitudes must be finite"),
+            ([MAX_DOUBLE, np.nan], ValueError, "amplitudes must be finite"),
+            ([0.5, 0], ValidationError, "state norm 0.5 is not 1 within 1e-09"),
+            ([0, 0.5j, 0, 0], ValidationError, "state norm 0.5 is not 1 within 1e-09"),
+            ([MAX_DOUBLE, MAX_DOUBLE], ValidationError,
+             "an amplitude part exceeds 1 + 1e-09; the norm is not 1"),
+            ([1 + 1e-6, 0], ValidationError,
+             "an amplitude part exceeds 1 + 1e-09; the norm is not 1"),
+        ],
+    )
+    def test_rejection_class_and_message(self, values, error, message):
+        # a part that is not finite is named before one above 1, and either
+        # before the norm
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(error) as info:
+                StateVector.from_amplitudes(values)
+        assert type(info.value) is error and str(info.value) == message
 
 
 class TestApplyUnitary:
@@ -90,6 +109,13 @@ class TestApplyUnitary:
     def test_rejects_non_unitary(self):
         with pytest.raises(ValidationError):
             StateVector.zero(1).apply_unitary(np.array([[1, 1], [0, 1]]), [0])
+
+    def test_rejects_a_raw_unitary_array(self):
+        # GateMatrix's constructor is the one unitarity check
+        state = StateVector.zero(2)
+        with pytest.raises(ValidationError, match="gate must be a GateMatrix, not ndarray"):
+            state.apply_controlled(np.eye(2), pos_controls=[0], targets=[1])
+        assert state.amps.tolist() == [1, 0, 0, 0]
 
     def test_rejects_duplicate_targets(self):
         cnotish = GateMatrix(np.eye(4))

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from helpers import random_state, random_unitary, untiled_apply
-from qqldb.gates import HADAMARD
+from qqldb.gates import HADAMARD, GateMatrix
 from qqldb.qdb import QdbState
 from qqldb.schema import TableSchema
 from qqldb.statevec import TILE_COLUMNS, StateVector
@@ -122,7 +122,7 @@ class TestPerLevelSequentialInsert:
 
 def controlled(amps, matrix, targets, pos=(), neg=(), run=range(0), rows=None):
     state = StateVector(amps.size.bit_length() - 1, amps)
-    state.apply_controlled(matrix, pos, neg, targets, run=run, rows=rows)
+    state.apply_controlled(GateMatrix(matrix), pos, neg, targets, run=run, rows=rows)
 
 
 class TestTiledKernel:
