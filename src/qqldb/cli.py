@@ -181,12 +181,10 @@ class Session:
             return f"loaded empty session from {path}"
         schema, temp, safe_key, amps = loaded
         try:
-            state = StateVector.from_amplitudes(amps)
+            self.db = QdbState(schema, temp, self.config.max_qubits, self.config.epsilon,
+                               StateVector.from_amplitudes(amps), safe_key)
         except ValidationError as exc:
             raise SessionFormatError(f"malformed session file: {exc}") from exc
-        self.db = QdbState(
-            schema, temp, self.config.max_qubits, self.config.epsilon, state, safe_key
-        )
         return f"loaded session from {path}"
 
 

@@ -25,10 +25,10 @@ from .boolcirc import (
     truth_table,
 )
 from .diffusion import DiffusionParams, apply_partial_diffusion
-from .errors import CapacityError, ImpossibleOutcomeError, QqlError, SchemaError
+from .errors import CapacityError, ImpossibleOutcomeError, QqlError, SchemaError, ValidationError
 from .gates import HADAMARD, NOT, GateMatrix
 from .schema import Record, TableSchema
-from .statevec import DEFAULT_EPSILON, DEFAULT_MAX_QUBITS, StateVector, qubit_view, swap
+from .statevec import DEFAULT_EPSILON, DEFAULT_MAX_QUBITS, NORM_TOL, StateVector, qubit_view, swap
 
 DEFAULT_TEMP_QUBITS = 3
 SUPPORT_TOL = 1e-9
@@ -93,9 +93,9 @@ class QdbState:
         """A database on a zero register, or on ``state``, a register from
         outside such as a session file's.  That keeps the amplitudes and the
         backup's ``safe_key``, but not what the other temps held: one pass over
-        it reads the fill off the records unless a backup is active, and holds
-        each other temp whose |1> mass is at least ``RESIDUE_TOL`` (APPLY's
-        rule for its flags) as a nameless residue."""
+        it checks the norm and holds each other temp whose |1> mass is at
+        least ``RESIDUE_TOL`` (APPLY's rule for its flags) as a nameless
+        residue."""
         if t < 1:
             raise ValueError("need at least one temporary qubit")
         n = schema.num_bits
@@ -110,10 +110,8 @@ class QdbState:
         self.epsilon = epsilon
         self.temp_alloc: dict[int, TempUse] = {}
         self.safe_key = safe_key
-        self._seq_fill: int | None = 0
         if safe_key is not None:
             self.temp_alloc[safe_key.qubit] = TempUse("safe", safe_key.expr)
-            self._seq_fill = None
         if state is None:
             self.state = StateVector.zero(n + t, max_qubits)
         else:
@@ -121,23 +119,19 @@ class QdbState:
             self._read_state()
 
     def _read_state(self) -> None:
-        """Read the fill off the live records unless a backup is active, and
-        hold the temps that carry mass.  One pass over the register in blocks
-        of whole rows of temp patterns; each row's and each pattern's mass is
-        summed as :meth:`support` and a per-pattern pass would sum it."""
+        """Refuse a register that is not a unit vector, and hold the temps
+        that carry mass: one pass, in blocks of whole rows of temp patterns,
+        sums each pattern's mass (a part not finite, or huge, makes it NaN or
+        infinite without a warning), and the norm is read off their sum."""
         amps, width = self.state.amps, 1 << self.t
-        patterns, live = np.zeros(width), []
-        step = max(SUPPORT_BLOCK, width)
-        for start in range(0, amps.size, step):
-            part = amps[start : start + step]
-            mass = (part.real**2 + part.imag**2).reshape(-1, width)
-            patterns += mass.sum(axis=0)
-            if self.safe_key is None:
-                rows = mass.sum(axis=1)
-                live.append(np.flatnonzero(rows > SUPPORT_TOL * SUPPORT_TOL) + start // width)
-        if self.safe_key is None:
-            live = np.concatenate(live)
-            self._seq_fill = live.size - 1 if live.size and live[-1] == live.size - 1 else None
+        patterns, step = np.zeros(width), max(SUPPORT_BLOCK, width)
+        with np.errstate(over="ignore", invalid="ignore"):
+            for start in range(0, amps.size, step):
+                part = amps[start : start + step]
+                patterns += (part.real**2 + part.imag**2).reshape(-1, width).sum(axis=0)
+            norm = float(np.sqrt(patterns.sum()))
+        if not abs(norm - 1.0) <= NORM_TOL:
+            raise ValidationError(f"state norm {norm} is not 1 within {NORM_TOL}")
         for j in range(self.t):
             if patterns.reshape(1 << j, 2, -1)[:, 1].sum() >= RESIDUE_TOL:
                 self.temp_alloc.setdefault(self.n + j, TempUse("residue"))
@@ -182,10 +176,10 @@ class QdbState:
         live database is the safe-key-0 subspace."""
         return [self.safe_key.qubit] if self.safe_key else []
 
-    def support(self, *, as_array: bool = False) -> Union[list[int], np.ndarray]:
-        """Live record indices, ascending: data values carrying probability
-        mass in the safe-key-0 subspace (the whole register when no backup is
-        active).  A list, or with ``as_array`` an int64 index array."""
+    def support(self) -> np.ndarray:
+        """Live record indices, ascending, as an int64 array: data values
+        carrying probability mass in the safe-key-0 subspace (the whole
+        register when no backup is active)."""
         view = qubit_view(
             self.state.amps, self.state.num_qubits, (), self._live_controls(), (), range(self.n)
         )
@@ -196,8 +190,15 @@ class QdbState:
             part = view[start : start + step]
             mass = (part.real**2 + part.imag**2).reshape(len(part), -1).sum(axis=1)
             found.append(np.flatnonzero(mass > SUPPORT_TOL * SUPPORT_TOL) + start)
-        live = np.concatenate(found)
-        return live if as_array else live.tolist()
+        return np.concatenate(found)
+
+    def seq_fill(self) -> int | None:
+        """The sequence fill, read off the register: ``k`` when no backup is
+        active and the live records are exactly ``0..k``, otherwise None.
+        Every INSERT goes by it, so a SAVE/LOAD copy accepts the same ones."""
+        live = self.support()
+        sequential = self.safe_key is None and live.size and live[-1] == live.size - 1
+        return live.size - 1 if sequential else None
 
     # ------------------------------------------------------------------ insert
 
@@ -208,24 +209,23 @@ class QdbState:
         n = self.n
         if r < 0 or r > n:
             raise ValueError(f"bulk exponent {r} out of range 0..{n}")
-        if self._seq_fill != 0:
+        if self.seq_fill() != 0:
             raise QqlError("bulk insert requires a fresh database")
         self._check_temps_free()
         for q in range(n - r, n):
             self.state.apply_controlled(HADAMARD, targets=[q])
         self.state._assert_norm()
-        self._seq_fill = (1 << r) - 1
         return self
 
-    def _seq_steps(self, upto_k: int) -> None:
-        """Sequential steps ``_seq_fill + 1`` to ``upto_k``.  Step k adds
+    def _seq_steps(self, fill: int, upto_k: int) -> None:
+        """Sequential steps ``fill + 1`` to ``upto_k``.  Step k adds
         record k: a Hadamard on the bit ``p = floor(log2 k)``, controlled on
         the p low data bits holding ``k - 2^p``.  The steps of one level p
         share target and control qubits and differ only in the control value,
         so they touch disjoint amplitudes and run as one gate restricted to
         that range of values."""
         n = self.n
-        k = self._seq_fill + 1
+        k = fill + 1
         while k <= upto_k:
             p = k.bit_length() - 1
             last = min(upto_k, (2 << p) - 1)
@@ -241,13 +241,13 @@ class QdbState:
         n = self.n
         if upto_k < 1 or upto_k > (1 << n) - 1:
             raise ValueError(f"record index {upto_k} out of range 1..{(1 << n) - 1}")
-        if self._seq_fill is None:
+        fill = self.seq_fill()
+        if fill is None:
             raise QqlError("sequential insert requires a fresh or sequentially filled database")
-        if upto_k <= self._seq_fill:
-            raise ValueError(f"database already filled to {self._seq_fill}")
+        if upto_k <= fill:
+            raise ValueError(f"database already filled to {fill}")
         self._check_temps_free()
-        self._seq_steps(upto_k)
-        self._seq_fill = upto_k
+        self._seq_steps(fill, upto_k)
         return self
 
     def insert_values(self, records: Union[Sequence[RecordLike], np.ndarray]) -> "QdbState":
@@ -260,22 +260,20 @@ class QdbState:
         indices = np.sort(self._as_indices(records))
         if np.any(indices[1:] == indices[:-1]):
             raise ValueError("duplicate records in INSERT VALUES")
-        if self._seq_fill is None:
+        fill = self.seq_fill()
+        if fill is None:
             raise QqlError("insert requires a fresh or sequentially filled database")
-        if count - 1 < self._seq_fill:
-            raise ValueError(
-                f"{count} records cannot cover the {self._seq_fill + 1} already present"
-            )
+        if count - 1 < fill:
+            raise ValueError(f"{count} records cannot cover the {fill + 1} already present")
         self._check_temps_free()
-        if count - 1 > self._seq_fill:
-            self._seq_steps(count - 1)
+        if count - 1 > fill:
+            self._seq_steps(fill, count - 1)
         # the sequence's unrequested records move onto the requested ones
         # beyond it, both ascending
         vacant = np.ones(count, dtype=bool)
         vacant[indices[indices < count]] = False
         beyond = indices[indices >= count]
         self._swap_records(np.stack([np.flatnonzero(vacant), beyond], axis=1))
-        self._seq_fill = None if beyond.size else count - 1
         return self
 
     def _as_index(self, record: RecordLike) -> int:
@@ -332,7 +330,7 @@ class QdbState:
             # A pair whose source is absent acts as the reverse move (that is
             # how applying the same update twice undoes it), so only a pair
             # with both endpoints live is a collision.
-            live = self.support(as_array=True)
+            live = self.support()
             collisions = np.flatnonzero(np.isin(swaps, live).all(axis=1))
             if collisions.size:
                 raise SchemaError(
@@ -340,7 +338,6 @@ class QdbState:
                     "update would break uniqueness"
                 )
         self._swap_records(swaps)
-        self._seq_fill = None
         return self
 
     # ------------------------------------------------------------------ select / apply
@@ -410,7 +407,6 @@ class QdbState:
                 del self.temp_alloc[qubit]
             else:
                 self.temp_alloc[qubit] = TempUse("residue")
-        self._seq_fill = None
         return self
 
     def _check_operation(self, operation: Union[ApplyGate, ApplySwap]) -> None:
@@ -444,26 +440,29 @@ class QdbState:
             rounds = float(2 * amplify_iters + 1)
         except OverflowError:
             raise CapacityError("AMPLIFY count too large: 2q + 1 exceeds the float range") from None
-        live = self.support(as_array=True)
+        live = self.support()
         if live.size and table.bits[live].all():
             raise ImpossibleOutcomeError("predicate matches every live record")
         qubit = self._first_free_temp("delete")
-        probability = self._drop_marked(table, qubit, self._live_controls(), rounds)
-        self._seq_fill = None
-        return probability
+        return self._drop_marked(table, qubit, self._live_controls(), rounds)
 
     def _drop_marked(
         self, table: TruthTable, qubit: int, neg_controls: Sequence[int] = (), rounds: float = 1
     ) -> float:
         """Mark the table's records on ``qubit`` with the oracle, then
         post-select it on 0.  On an impossible outcome the oracle, a swap, is
-        applied again, which undoes it exactly, and the error propagates."""
+        applied again, which undoes it exactly, and the error propagates.  A
+        residue the post-selection drains below ``RESIDUE_TOL`` is released."""
         apply_oracle(self.state, table, self.data_qubits, qubit, neg_controls=neg_controls)
         try:
-            return self.state.postselect(qubit, 0, self.epsilon, rounds)
+            probability = self.state.postselect(qubit, 0, self.epsilon, rounds)
         except ImpossibleOutcomeError:
             apply_oracle(self.state, table, self.data_qubits, qubit, neg_controls=neg_controls)
             raise
+        for q, use in list(self.temp_alloc.items()):
+            if use.purpose == "residue" and self.state.probability_of(q, 1) < RESIDUE_TOL:
+                del self.temp_alloc[q]
+        return probability
 
     # ------------------------------------------------------------------ backup / restore
 
@@ -474,14 +473,13 @@ class QdbState:
         if self.safe_key is not None:
             raise QqlError("a backup is already active; restore it first")
         table = truth_table(expr, self.schema)
-        matches = int(np.count_nonzero(table.bits[self.support(as_array=True)]))
+        matches = int(np.count_nonzero(table.bits[self.support()]))
         qubit = self._first_free_temp("safe")
         apply_oracle(self.state, table, self.data_qubits, qubit)
         apply_partial_diffusion(self.state, DiffusionParams(self.n), flag_qubit=qubit)
         self.state._assert_norm()
         self.temp_alloc[qubit] = TempUse("safe", expr)
         self.safe_key = SafeKey(qubit, expr, matches)
-        self._seq_fill = None
         return self
 
     def restore(self, purge: bool = False) -> float | None:
@@ -501,7 +499,6 @@ class QdbState:
             self.safe_key = None
         else:
             apply_oracle(self.state, table, self.data_qubits, safe.qubit)
-        self._seq_fill = None
         return probability
 
     # ------------------------------------------------------------------ read-out
@@ -521,8 +518,12 @@ class QdbState:
 
     def show_state(self) -> tuple[np.ndarray, np.ndarray]:
         """Basis indices of the components with |amplitude| >= 1e-12,
-        ascending, and their amplitudes."""
+        ascending, and their amplitudes; scanned in blocks, as :meth:`support`."""
         amps = self.state.amps
-        indices = np.flatnonzero(amps.real**2 + amps.imag**2 >= 1e-24)
+        found = []
+        for start in range(0, amps.size, SUPPORT_BLOCK):
+            part = amps[start : start + SUPPORT_BLOCK]
+            found.append(np.flatnonzero(part.real**2 + part.imag**2 >= 1e-24) + start)
+        indices = np.concatenate(found)
         return indices, amps[indices]
 

@@ -739,5 +739,5 @@ def compile_command(command: Command, session) -> Callable[[], str]:
 
 
 def _fmt_insert(db: QdbState, what: str) -> str:
-    return f"ok: insert {what}; support size {db.support(as_array=True).size}"
+    return f"ok: insert {what}; support size {db.support().size}"
 

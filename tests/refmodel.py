@@ -28,7 +28,6 @@ class RefDb:
         self.safe_temp: int | None = None
         self.safe_pred: Callable[[int], bool] | None = None
         self.alloc: dict[int, tuple[str, Callable[[int], bool] | None]] = {}
-        self.seq_fill: int | None = 0
 
     # ------------------------------------------------------------- plumbing
 
@@ -49,6 +48,13 @@ class RefDb:
                 continue
             mass[rec] += amp * amp
         return sorted(r for r, m in mass.items() if m > SUPPORT_TOL * SUPPORT_TOL)
+
+    def seq_fill(self) -> int | None:
+        """``k`` when no backup is active and the live records are exactly
+        ``0..k``, otherwise None: the fill every INSERT goes by."""
+        live = self.support()
+        sequential = self.safe_temp is None and live and live[-1] == len(live) - 1
+        return len(live) - 1 if sequential else None
 
     def _clean(self):
         self.amps = {k: v for k, v in self.amps.items() if abs(v) > 1e-15}
@@ -120,6 +126,10 @@ class RefDb:
             raise ValueError("impossible outcome in reference model")
         scale = 1.0 / math.sqrt(mass)
         self.amps = {key: amp * scale for key, amp in kept.items()}
+        # a residue the post-selection drained is released, as LOAD would
+        for j, (purpose, _) in list(self.alloc.items()):
+            if purpose == "residue" and self.temp_mass(j) < RESIDUE_TOL:
+                del self.alloc[j]
         return mass
 
     def _relabel(self, mapping: Mapping[int, int], condition=None):
@@ -136,7 +146,6 @@ class RefDb:
     def insert_bulk(self, r: int):
         for significance in range(r):
             self._hadamard_record_bit(significance)
-        self.seq_fill = (1 << r) - 1 if self.seq_fill == 0 else None
 
     def _seq_step(self, k: int):
         p = k.bit_length() - 1
@@ -147,13 +156,12 @@ class RefDb:
         )
 
     def insert_seq(self, upto: int):
-        for k in range(self.seq_fill + 1, upto + 1):
+        for k in range(self.seq_fill() + 1, upto + 1):
             self._seq_step(k)
-        self.seq_fill = upto
 
     def insert_values(self, indices: list[int]):
         count = len(indices)
-        for k in range(self.seq_fill + 1, count):
+        for k in range(self.seq_fill() + 1, count):
             self._seq_step(k)
         sequence, requested = set(range(count)), set(indices)
         mapping = {}
@@ -161,7 +169,6 @@ class RefDb:
             mapping[a] = b
             mapping[b] = a
         self._relabel(mapping)
-        self.seq_fill = count - 1 if requested == sequence else None
 
     def update(self, pairs: list[tuple[int, int]]):
         mapping = {}
@@ -170,7 +177,6 @@ class RefDb:
             mapping[b] = a
         safe_bit = self._safe_bit()
         self._relabel(mapping, lambda rec, temps: not temps & safe_bit)
-        self.seq_fill = None
 
     def select(self, pred) -> int:
         j = self.free_temps()[0]
@@ -209,7 +215,6 @@ class RefDb:
                 del self.alloc[j]
             else:
                 self.alloc[j] = ("residue", None)
-        self.seq_fill = None
 
     def delete(self, pred, amplify: int = 0) -> float:
         """Flag the matches, run ``amplify`` rounds of amplitude amplification
@@ -227,7 +232,6 @@ class RefDb:
             self.amps = {key: 2 * overlap * marked[key] - amp for key, amp in negated.items()}
         probability = self._postselect(j, 0)
         del self.alloc[j]
-        self.seq_fill = None
         return probability
 
     def backup(self, pred):
@@ -237,13 +241,11 @@ class RefDb:
         self._diffusion(j)
         self.safe_temp = j
         self.safe_pred = pred
-        self.seq_fill = None
 
     def load(self):
         """A session file keeps the amplitudes and the safe key: every other
         temp is held, as a nameless residue, exactly when its |1> mass is at
-        least the residue tolerance, and the sequence fill is read off the
-        support."""
+        least the residue tolerance."""
         for j in range(self.t):
             if j == self.safe_temp:
                 continue
@@ -251,9 +253,6 @@ class RefDb:
                 self.alloc[j] = ("residue", None)
             else:
                 self.alloc.pop(j, None)
-        live = self.support()
-        sequential = self.safe_temp is None and live and live[-1] == len(live) - 1
-        self.seq_fill = len(live) - 1 if sequential else None
 
     def restore(self, purge: bool) -> float | None:
         self._oracle(self.safe_pred, self.safe_temp)
@@ -263,5 +262,4 @@ class RefDb:
             del self.alloc[self.safe_temp]
             self.safe_temp = None
             self.safe_pred = None
-        self.seq_fill = None
         return probability

@@ -5,6 +5,7 @@ classical gate-list replays, closed-form amplitude arithmetic, and the sparse
 reference interpreter in refmodel.py.
 """
 
+import copy
 import math
 import time
 
@@ -128,7 +129,7 @@ def test_criterion_04_sequential_insertion():
     db = QdbState(TableSchema("t", (("id", 3),)), t=1)
     for k in range(1, 8):
         db.insert_sequential(k)
-        assert db.support() == list(range(k + 1)), f"after step {k}"
+        assert db.support().tolist() == list(range(k + 1)), f"after step {k}"
     # first three steps compose to the bulk layer inserting four records:
     # Hadamard on both low data qubits
     product = seq_step_dense(3) @ seq_step_dense(2) @ seq_step_dense(1)
@@ -273,7 +274,7 @@ class Mirror:
         return self.session.db
 
     def check(self, statement: str):
-        assert self.db.support() == self.ref.support(), statement
+        assert self.db.support().tolist() == self.ref.support(), statement
         engine_free = sorted(q - self.n for q in self.db.free_temps())
         assert engine_free == self.ref.free_temps(), statement
         assert (self.db.safe_key is not None) == (self.ref.safe_temp is not None), statement
@@ -286,14 +287,14 @@ class Mirror:
     # ---- statement emitters; each returns True if it ran
 
     def do_insert_all(self) -> bool:
-        if self.db._seq_fill != 0 or self.db.temp_alloc:
+        if self.ref.seq_fill() != 0 or self.db.temp_alloc:
             return False
         r = int(self.rng.integers(1, self.n + 1))
         self.run(f"INSERT ALL {r};", lambda: self.ref.insert_bulk(r))
         return True
 
     def do_insert_seq(self) -> bool:
-        fill = self.db._seq_fill
+        fill = self.ref.seq_fill()
         if fill is None or fill >= (1 << self.n) - 1 or self.db.temp_alloc:
             return False
         upto = int(self.rng.integers(fill + 1, 1 << self.n))
@@ -301,7 +302,7 @@ class Mirror:
         return True
 
     def do_insert_values(self) -> bool:
-        fill = self.db._seq_fill
+        fill = self.ref.seq_fill()
         if fill is None or self.db.temp_alloc:
             return False
         low, high = max(1, fill + 1), 1 << self.n
@@ -314,7 +315,7 @@ class Mirror:
         return True
 
     def do_update(self) -> bool:
-        live = self.db.support()
+        live = self.db.support().tolist()
         if not live:
             return False
         if self.db.safe_key is None:
@@ -333,7 +334,7 @@ class Mirror:
     def do_delete(self) -> bool:
         if not self.db.free_temps():
             return False
-        live = self.db.support()
+        live = self.db.support().tolist()
         if not live:
             return False
         expr = random_predicate(self.rng, self.schema)
@@ -412,7 +413,7 @@ class Mirror:
     def do_backup(self) -> bool:
         if self.db.safe_key is not None or not self.db.free_temps():
             return False
-        live = self.db.support()
+        live = self.db.support().tolist()
         if len(live) < 2:
             return False
         expr = random_predicate(self.rng, self.schema)
@@ -480,7 +481,7 @@ def test_criterion_07_restore_round_trip():
         # populate
         if not mirror.do_insert_all():
             mirror.do_insert_values() or mirror.do_insert_seq()
-        live = mirror.db.support()
+        live = mirror.db.support().tolist()
         if len(live) < 2:
             continue
         # choose a backup predicate with a proper nonempty match subset
@@ -524,7 +525,7 @@ def test_criterion_08_delete_probability_and_support():
         else:
             count = int(rng.integers(1, (1 << n) + 1))
             db.insert_values(sorted(rng.choice(1 << n, size=count, replace=False).tolist()))
-        live = db.support()
+        live = db.support().tolist()
         expr = random_predicate(rng, schema)
         pred = predicate_fn(expr, schema)
         matching = {r for r in live if pred(r)}
@@ -537,7 +538,7 @@ def test_criterion_08_delete_probability_and_support():
         )
         probability = db.delete(expr)
         assert probability == pytest.approx(1 - matching_mass, abs=1e-12), f"case {case}"
-        assert db.support() == sorted(set(live) - matching), f"case {case}"
+        assert db.support().tolist() == sorted(set(live) - matching), f"case {case}"
     report(8, "delete probability equals the non-matching mass; support is the set difference")
 
 
@@ -561,7 +562,7 @@ def test_criterion_09_set_model_conformance(tmp_path):
 def engine_snapshot(mirror: Mirror):
     db = mirror.db
     # temp_alloc holds the select names
-    return (db, db.state.amps.tobytes(), dict(db.temp_alloc), db.safe_key, db._seq_fill,
+    return (db, db.state.amps.tobytes(), dict(db.temp_alloc), db.safe_key,
             mirror.session._seed_stream._state)
 
 
@@ -569,7 +570,7 @@ def failing_statements(mirror: Mirror, missing: str) -> list[str]:
     """Statements that must fail in the mirror's current state."""
     db, n = mirror.db, mirror.n
     name, width = mirror.schema.fields[0]
-    live = db.support()
+    live = db.support().tolist()
     statements = [
         "DELETE WHERE nosuch = 0;",
         f"SELECT z WHERE {name} = {1 << width};",
@@ -580,11 +581,12 @@ def failing_statements(mirror: Mirror, missing: str) -> list[str]:
     ]
     if db.safe_key is None and len(live) >= 2:
         statements.append(f"UPDATE SET |{live[0]:0{n}b}> TO |{live[-1]:0{n}b}>;")
-    if db._seq_fill is None:
+    fill = mirror.ref.seq_fill()
+    if fill is None:
         statements.append(f"INSERT SEQ {(1 << n) - 1};")
-    elif db.temp_alloc and db._seq_fill < (1 << n) - 1:
-        statements.append(f"INSERT SEQ {db._seq_fill + 1};")
-    if db._seq_fill != 0 or db.temp_alloc:
+    elif db.temp_alloc and fill < (1 << n) - 1:
+        statements.append(f"INSERT SEQ {fill + 1};")
+    if fill != 0 or db.temp_alloc:
         statements.append("INSERT ALL 1;")
     if db.safe_key is None:
         statements.append("RESTORE;")
@@ -610,10 +612,48 @@ def inject_failures(mirror: Mirror, missing: str) -> list[str]:
     return messages
 
 
+def insert_probes(rng, n: int, fill: int | None) -> list[str]:
+    """INSERT ALL 1, INSERT SEQ one past ``fill`` (of the last record when
+    there is no fill or none past it) and INSERT VALUES of a random record
+    set, mostly large enough to cover the fill."""
+    upto = fill + 1 if fill is not None and fill + 1 < 1 << n else (1 << n) - 1
+    count = int(rng.integers((fill or 0) + 1, (1 << n) + 1))
+    kets = ", ".join(f"|{r:0{n}b}>" for r in sorted(rng.choice(1 << n, count, replace=False)))
+    return ["INSERT ALL 1;", f"INSERT SEQ {upto};", f"INSERT VALUES {kets};"]
+
+
+def insert_outcome(session: Session, statement: str):
+    try:
+        return session.execute_text(statement)
+    except (QqlError, ValueError) as exc:
+        return type(exc), str(exc)
+
+
+def test_save_load_copy_accepts_the_same_inserts(tmp_path):
+    # LOAD(SAVE(s)) answers every INSERT as s does: after each statement of
+    # 200 mirrored scripts, each probe runs on a copy of the live session
+    # and on a session loaded from its SAVE file
+    rng = np.random.default_rng(13)
+    saved = str(tmp_path / "copy.qdb")
+    probes = 0
+    for _ in range(200):
+        mirror = Mirror(seed=int(rng.integers(0, 2**31)), path=str(tmp_path / "mirror.qdb"))
+        for _ in range(int(rng.integers(5, 11))):
+            mirror.step()
+            mirror.session.execute_text(f'SAVE "{saved}";')
+            for statement in insert_probes(rng, mirror.n, mirror.ref.seq_fill()):
+                live, restored = copy.deepcopy(mirror.session), Session()
+                restored.execute_text(f'LOAD "{saved}";')
+                live_outcome = insert_outcome(live, statement)
+                assert live_outcome == insert_outcome(restored, statement), statement
+                probes += 1
+    report(9, f"{probes} INSERTs answered alike by a session and its SAVE/LOAD copy")
+
+
 def test_failed_statements_change_nothing(tmp_path):
     # ROADMAP aim 3: a statement either completes or leaves the register,
-    # the temp allocation, the safe key, the sequence fill, the select names
-    # and the seed stream as they were, and the script goes on agreeing with
+    # the temp allocation, the safe key, the select names and the seed stream
+    # as they were, and the script goes on agreeing with
     # the reference
     rng = np.random.default_rng(2024)
     missing = str(tmp_path / "missing.qdb")

@@ -265,7 +265,25 @@ class TestSaveLoad:
         other = Session()
         other.load_session(path)
         other.execute_text("INSERT SEQ 5;")
-        assert other.db.support() == list(range(6))
+        assert other.db.support().tolist() == list(range(6))
+
+    @pytest.mark.parametrize("script, probe, expected", [
+        ("CREATE TABLE t (k:4) TEMP 1; INSERT SEQ 3;"
+         "UPDATE SET |0011> TO |1001>; UPDATE SET |1001> TO |0011>;",
+         "INSERT SEQ 5;", "ok: insert sequential to 5; support size 6"),
+        ("CREATE TABLE t (k:3) TEMP 1; INSERT ALL 1; DELETE WHERE k = 1;",
+         "INSERT ALL 2;", "ok: insert bulk 4; support size 4"),
+    ])
+    def test_insert_on_records_back_at_a_sequence(self, tmp_path, script, probe, expected):
+        # the live records are {0..k} again: the session and its copy both
+        # read the fill off them
+        session = Session()
+        session.execute_text(script)
+        path = str(tmp_path / "state.qdb")
+        session.save_session(path)
+        other = Session()
+        other.load_session(path)
+        assert session.execute_text(probe) == other.execute_text(probe) == [expected]
 
     def test_load_holds_a_residue_flag(self, tmp_path):
         # c's flag cannot return to |0> after the APPLY moves k=0 to k=1; the
@@ -280,6 +298,18 @@ class TestSaveLoad:
             assert status == 1
             assert transcript.splitlines()[-2:] == [
                 "selected d on flag qubit 3", "error: no free temporary qubit for combiner"]
+
+    def test_delete_releases_the_residue_it_drains(self, tmp_path):
+        # the DELETE removes every record c's residue flag is 1 on: the
+        # session frees that temp, as a LOAD of its file does
+        path = tmp_path / "drained.qdb"
+        script = (
+            "CREATE TABLE t (k:2) TEMP 2; INSERT ALL 2; SELECT c WHERE k = 0;"
+            "APPLY NOT @ k BIT 0 WHEN c; DELETE WHERE k <= 1;{} SELECT d WHERE k = 2;"
+        )
+        for middle in ("", f' SAVE "{path}"; LOAD "{path}";'):
+            outputs = Session().execute_text(script.format(middle))
+            assert outputs[-1] == "selected d on flag qubit 2"
 
     def test_load_holds_a_live_flag_without_its_name(self, tmp_path):
         path = str(tmp_path / "flag.qdb")
@@ -435,7 +465,7 @@ class TestLoadRejects:
         path.write_text(HEADER + f"3 {literal} 0x0.0p+0\n")
         session = Session()
         session.load_session(str(path))
-        assert session.db.support() == [1]
+        assert session.db.support().tolist() == [1]
         assert session.db.state.amps[3] == 1.0
 
     @settings(max_examples=150, deadline=None,
@@ -499,15 +529,16 @@ def random_register(rng: np.random.Generator, qubits: int) -> np.ndarray:
 
 
 def load_outcome(path: Path):
-    """What LOAD makes of a file: the register bytes, schema, temps, safe key
-    and fill of the engine, or the class and message of the error."""
+    """What LOAD makes of a file: the register bytes, schema, temp count,
+    held temps and safe key of the engine, or the class and message of the
+    error."""
     session = Session()
     try:
         session.load_session(str(path))
     except QqlError as exc:
         return type(exc), str(exc)
     db = session.db
-    return db.state.amps.tobytes(), db.schema, db.t, db.safe_key, db.temp_alloc, db._seq_fill
+    return db.state.amps.tobytes(), db.schema, db.t, db.safe_key, db.temp_alloc
 
 
 def assert_loads_as_reference(path: Path) -> None:

@@ -125,7 +125,9 @@ def test_record_swap_is_exact_permutation(seed):
     temps = [int(q) for q in rng.permutation(range(n, m))]
     safe = temps.pop() if rng.random() < 0.5 else None
     pos = [q for q in temps if rng.random() < 0.5]
+    # a unit vector, as the engine requires; the division keeps every zero's sign
     amps = signed_zero_state(m, rng)
+    amps /= np.linalg.norm(amps)
     partner = {a: b for a, b in pairs} | {b: a for a, b in pairs}
 
     def moved(i):
@@ -195,6 +197,7 @@ def test_record_swap_across_tiles_is_exact_permutation(case):
     # pairs in random order, each with its larger record as often first as second
     pairs = rng.permutation(1 << n)[: 2 * count].reshape(-1, 2)
     amps = signed_zero_state(m, rng)
+    amps /= np.linalg.norm(amps)
     partner = np.arange(1 << n)
     partner[pairs[:, 0]], partner[pairs[:, 1]] = pairs[:, 1], pairs[:, 0]
     index = np.arange(1 << m)

@@ -39,7 +39,7 @@ class TestCreate:
         db = QdbState(ID3, t=1)
         assert db.state.num_qubits == 4
         assert db.state.amps[0] == 1.0
-        assert db.support() == [0]
+        assert db.support().tolist() == [0]
 
     def test_capacity(self):
         wide = TableSchema("wide", (("a", 21),))
@@ -68,9 +68,9 @@ class TestCreateFromState:
         db = QdbState(ID2, t=1, state=self.state_on([3], 2, 1))
         with pytest.raises(QqlError, match="sequential insert requires"):
             db.insert_sequential(2)
-        assert db.support() == [3]
+        assert db.support().tolist() == [3]
         db = QdbState(ID3, t=1, state=self.state_on([0, 1, 2], 3, 1))
-        assert db.insert_sequential(4).support() == [0, 1, 2, 3, 4]
+        assert db.insert_sequential(4).support().tolist() == [0, 1, 2, 3, 4]
 
     def test_loaded_holds_temps_by_the_residue_rule(self):
         n, t = 2, 3
@@ -89,7 +89,7 @@ class TestCreateFromState:
         db.backup(Comparison("id", "=", 3))
         key = db.safe_key
         loaded = QdbState(ID2, 2, state=db.state.copy(), safe_key=key)
-        assert loaded.safe_key == key and loaded._seq_fill is None
+        assert loaded.safe_key == key and loaded.seq_fill() is None
         assert loaded.temp_alloc == {key.qubit: TempUse("safe", key.expr)}
 
     def test_select_refuses_the_only_temp_while_it_carries_mass(self):
@@ -124,11 +124,27 @@ class TestCreateFromState:
         }
         assert rebuilt.select(Comparison("id", "=", 0)) == key.qubit + 2
 
+    def test_refuses_a_register_that_is_not_a_unit_vector(self):
+        # amplitudes 3 and 4: an engine on it would report a DELETE
+        # probability of 16
+        amps = np.zeros(8, dtype=complex)
+        amps[[0, 2]] = [3, 4]
+        with pytest.raises(ValidationError, match=r"^state norm 5\.0 is not 1 within 1e-09$"):
+            QdbState(ID2, 1, state=StateVector(3, amps))
+
+    @pytest.mark.parametrize("part", [np.nan, np.inf, -np.inf, 1e200, 0.5])
+    def test_refuses_a_part_that_breaks_the_norm(self, part):
+        # raised as ValidationError, not as an overflow warning of the pass
+        amps = np.zeros(8, dtype=complex)
+        amps[5] = complex(0, part)
+        with pytest.raises(ValidationError, match="^state norm .* is not 1 within 1e-09$"):
+            QdbState(ID2, 1, state=StateVector(3, amps))
+
     @pytest.mark.parametrize("t", [1, 2, 3, 14, 15])
     @pytest.mark.parametrize("backup", [False, True])
     def test_loaded_fill_and_residue_match_two_passes(self, t, backup):
-        # the support scan for the fill, then a pass for the temp patterns,
-        # as LOAD read them before it read both in one pass
+        # the fill by the rule written out, and the held temps by a pass of
+        # their own over the temp patterns
         rng = np.random.default_rng(t)
         n = 16 - t
         amps = np.zeros(1 << (n + t), dtype=complex)
@@ -142,17 +158,16 @@ class TestCreateFromState:
             schema = TableSchema("t", (("k", n),))
             key = SafeKey(n, Const(1), 1) if backup else None
             db = QdbState(schema, t, state=StateVector(n + t, amps.copy()), safe_key=key)
-            fill = None
-            if not backup:
-                found = db.support(as_array=True)
-                fill = found.size - 1 if found.size and found[-1] == found.size - 1 else None
+            found = db.support()
+            sequential = not backup and np.array_equal(found, np.arange(found.size))
+            fill = found.size - 1 if sequential else None
             patterns = np.zeros(1 << t)
             step = max(1 << 14, 1 << t)
             for start in range(0, amps.size, step):
                 part = amps[start : start + step]
                 patterns += (part.real**2 + part.imag**2).reshape(-1, 1 << t).sum(axis=0)
             held = {n + j for j in range(t) if patterns.reshape(1 << j, 2, -1)[:, 1].sum() >= 1e-12}
-            assert db._seq_fill == fill
+            assert db.seq_fill() == fill
             assert set(db.temp_alloc) == held | ({n} if backup else set())
 
     @pytest.mark.parametrize("t", [1, 2, 5, 15, 16])
@@ -174,17 +189,17 @@ class TestCreateFromState:
 class TestInsertBulk:
     def test_full_superposition(self):
         db = db3().insert_bulk(3)
-        assert db.support() == list(range(8))
+        assert db.support().tolist() == list(range(8))
         view = db.state.amps.reshape(8, 2)
         assert np.allclose(view[:, 0], 1 / np.sqrt(8))
 
     def test_zero_is_noop(self):
         db = db3().insert_bulk(0)
-        assert db.support() == [0]
+        assert db.support().tolist() == [0]
 
     def test_partial_superposition(self):
         db = db3().insert_bulk(2)
-        assert db.support() == [0, 1, 2, 3]
+        assert db.support().tolist() == [0, 1, 2, 3]
         view = db.state.amps.reshape(8, 2)
         assert np.allclose(view[[0, 1, 2, 3], 0], 0.5)
 
@@ -211,10 +226,10 @@ class TestInsertNeedsFreeTemps:
         session = Session()
         session.execute_text(setup)
         db = session.db
-        before = (db.state.amps.tobytes(), dict(db.temp_alloc), db.safe_key, db._seq_fill)
+        before = (db.state.amps.tobytes(), dict(db.temp_alloc), db.safe_key)
         with pytest.raises(QqlError, match=cause):
             session.execute_text(statement)
-        assert (db.state.amps.tobytes(), db.temp_alloc, db.safe_key, db._seq_fill) == before
+        assert (db.state.amps.tobytes(), db.temp_alloc, db.safe_key) == before
         return session
 
     def test_insert_all_under_a_select_flag(self):
@@ -244,28 +259,28 @@ class TestInsertNeedsFreeTemps:
 
     def test_insert_all_on_the_fresh_record(self):
         db = db2().insert_bulk(0)
-        assert db.insert_bulk(2).support() == [0, 1, 2, 3]
+        assert db.insert_bulk(2).support().tolist() == [0, 1, 2, 3]
 
 
 class TestInsertSequential:
     def test_two_steps_amplitudes(self):
         db = db3().insert_sequential(2)
         view = db.state.amps.reshape(8, 2)
-        assert db.support() == [0, 1, 2]
+        assert db.support().tolist() == [0, 1, 2]
         assert np.allclose(view[[0, 1, 2], 0], [0.5, INV_SQRT2, 0.5])
 
     @pytest.mark.parametrize("upto", range(1, 8))
     def test_support_is_prefix(self, upto):
         db = db3().insert_sequential(upto)
-        assert db.support() == list(range(upto + 1))
+        assert db.support().tolist() == list(range(upto + 1))
 
     def test_incremental_continuation(self):
         db = db3().insert_sequential(2).insert_sequential(6)
-        assert db.support() == list(range(7))
+        assert db.support().tolist() == list(range(7))
 
     def test_completes_register(self):
         db = db3().insert_sequential(7)
-        assert db.support() == list(range(8))
+        assert db.support().tolist() == list(range(8))
 
     def test_out_of_range(self):
         with pytest.raises(ValueError):
@@ -322,17 +337,17 @@ class TestSequentialStepMatrices:
             dense_state = seq_step_dense(k, n) @ dense_state
             engine_state = db.state.amps.reshape(1 << n, 2)[:, 0]
             assert np.max(np.abs(engine_state - dense_state)) < 1e-12
-            assert db.support() == list(range(k + 1))
+            assert db.support().tolist() == list(range(k + 1))
 
 
 class TestInsertValues:
     def test_specific_records(self):
         db = db3().insert_values([5, 2, 7])
-        assert db.support() == [2, 5, 7]
+        assert db.support().tolist() == [2, 5, 7]
 
     def test_zero_record_alone_is_noop(self):
         db = db3().insert_values([0])
-        assert db.support() == [0]
+        assert db.support().tolist() == [0]
         assert np.allclose(db.state.amps[0], 1.0)
 
     def test_capacity(self):
@@ -363,7 +378,7 @@ class TestInsertValues:
     def test_record_objects_accepted(self):
         db = QdbState(TableSchema("t", (("a", 2), ("b", 1))), t=1)
         db.insert_values([Record((1, 1)), Record((0, 1))])
-        assert db.support() == [1, 3]
+        assert db.support().tolist() == [1, 3]
 
     @pytest.mark.parametrize(
         "records", [[5, 2, 7], [1, 2, 0], [7], [1, 9, -1], [-1, 9], [3, 6, 3], list(range(9))]
@@ -374,7 +389,7 @@ class TestInsertValues:
             db = db3()
             try:
                 db.insert_values(given)
-                outcomes.append((db.state.amps.tobytes(), db._seq_fill))
+                outcomes.append(db.state.amps.tobytes())
             except (QqlError, ValueError) as exc:
                 outcomes.append((type(exc), str(exc), db.state.amps.tobytes()))
         assert outcomes[0] == outcomes[1]
@@ -386,7 +401,7 @@ class TestUpdate:
         before = db.state.amps.reshape(8, 2)[:, 0].copy()
         db.update([(3, 7)])
         after = db.state.amps.reshape(8, 2)[:, 0]
-        assert db.support() == [0, 2, 5, 6, 7]
+        assert db.support().tolist() == [0, 2, 5, 6, 7]
         # the moved record keeps its amplitude; all others untouched
         assert after[7] == pytest.approx(before[3])
         for untouched in (0, 2, 5, 6):
@@ -402,7 +417,7 @@ class TestUpdate:
     def test_two_swaps_at_once(self):
         db = db3().insert_values([0, 2, 3, 5, 6])
         db.update([(0, 4), (2, 1)])
-        assert db.support() == [1, 3, 4, 5, 6]
+        assert db.support().tolist() == [1, 3, 4, 5, 6]
 
     def test_amplitude_multiset_invariant(self):
         db = db3().insert_sequential(4)
@@ -422,7 +437,7 @@ class TestUpdate:
     def test_records_as_field_tuples(self):
         db = db2().insert_bulk(1)  # support {0, 1}
         db.update([(Record((1,)), Record((3,)))])
-        assert db.support() == [0, 3]
+        assert db.support().tolist() == [0, 3]
 
     def test_first_colliding_pair_is_reported(self):
         db = db3().insert_values([1, 2, 3, 4])
@@ -517,7 +532,7 @@ class TestApplyWhere:
         expected = classical_apply_where(
             range(8), lambda r: r >= 4, lambda r: r == 6, 0b001
         )
-        assert db.support() == expected
+        assert db.support().tolist() == expected
 
     def test_const_zero_combiner_is_noop(self):
         db = db2(t=2).insert_bulk(2)
@@ -539,7 +554,7 @@ class TestApplyWhere:
         # NOT on the low bit keeps id >= 2 membership intact
         db.apply_where({"c1": c1}, Var("c1"), ApplyGate(NOT, (1,)))
         assert db.free_temps() == [2, 3]
-        assert db.support() == [0, 1, 2, 3]
+        assert db.support().tolist() == [0, 1, 2, 3]
 
     def test_dirty_flag_kept_as_residue(self):
         db = db2(t=2).insert_bulk(2)
@@ -555,7 +570,7 @@ class TestApplyWhere:
         db.apply_where({"c1": c1}, Var("c1"), ApplySwap(1, 2))
         # only the flagged component of record 1 moves; record 2's component
         # was unflagged and stays, so record 1 vanishes from the support
-        assert db.support() == [0, 2, 3]
+        assert db.support().tolist() == [0, 2, 3]
 
     @pytest.mark.parametrize(
         "operation",
@@ -585,13 +600,11 @@ class TestApplyWhere:
             "SELECT c1 WHERE id >= 1; SELECT c2 WHERE id <= 2; SELECT c3 WHERE id != 2;"
         )
         db = session.db
-        before = (db.state.amps.tobytes(), dict(db.temp_alloc), db.safe_key,
-                  db._seq_fill, dict(db.selects))
+        before = (db.state.amps.tobytes(), dict(db.temp_alloc), db.safe_key, dict(db.selects))
         monkeypatch.setattr(boolcirc, "MAX_TABLE_VARS", 2)
         with pytest.raises(SchemaError, match="table bound"):
             session.execute_text("APPLY NOT @ id BIT 0 WHEN c1 AND c2 AND c3;")
-        assert (db.state.amps.tobytes(), db.temp_alloc, db.safe_key,
-                db._seq_fill, db.selects) == before
+        assert (db.state.amps.tobytes(), db.temp_alloc, db.safe_key, db.selects) == before
 
 
 class TestDelete:
@@ -599,7 +612,7 @@ class TestDelete:
         db = db2().insert_bulk(2)
         probability = db.delete(Comparison("id", "=", 3))
         assert probability == pytest.approx(0.75, abs=1e-12)
-        assert db.support() == [0, 1, 2]
+        assert db.support().tolist() == [0, 1, 2]
         view = db.state.amps.reshape(4, 2)
         assert np.allclose(view[[0, 1, 2], 0], 1 / np.sqrt(3))
 
@@ -614,7 +627,7 @@ class TestDelete:
         with pytest.raises(ImpossibleOutcomeError):
             db.delete(Const(1))
         # failed delete must leave the state untouched and the temp free
-        assert db.support() == [0, 1, 2, 3]
+        assert db.support().tolist() == [0, 1, 2, 3]
         assert db.free_temps() == [2]
 
     def test_probability_equals_nonmatching_mass(self):
@@ -637,27 +650,25 @@ class TestDelete:
     def test_failed_delete_leaves_state_untouched(self):
         # 0.25 of the mass survives, below epsilon: the oracle is undone
         db = QdbState(ID2, t=2, epsilon=0.5).insert_sequential(3)
-        amps, alloc, fill = db.state.amps.tobytes(), dict(db.temp_alloc), db._seq_fill
+        amps, alloc = db.state.amps.tobytes(), dict(db.temp_alloc)
         with pytest.raises(ImpossibleOutcomeError):
             db.delete(Comparison("id", ">=", 1))
         assert db.state.amps.tobytes() == amps
         assert db.temp_alloc == alloc
-        assert db._seq_fill == fill
 
     # a kept mass of 0.25 is sin^2(theta) for theta = pi / 6: one round of
     # amplification makes it sin^2(pi / 2) = 1, two or three rounds 0.25
     @pytest.mark.parametrize("amplify", [2, 3])
     def test_floor_applies_to_the_amplified_probability(self, amplify):
         db = QdbState(ID2, t=2, epsilon=0.5).insert_sequential(3)
-        amps, alloc, fill = db.state.amps.tobytes(), dict(db.temp_alloc), db._seq_fill
+        amps, alloc = db.state.amps.tobytes(), dict(db.temp_alloc)
         with pytest.raises(ImpossibleOutcomeError):
             db.delete(Comparison("id", ">=", 1), amplify)
         assert db.state.amps.tobytes() == amps
         assert db.temp_alloc == alloc
-        assert db._seq_fill == fill
         probability = db.delete(Comparison("id", ">=", 1), amplify_iters=1)
         assert probability == pytest.approx(1.0, abs=1e-12)
-        assert db.support() == [0]
+        assert db.support().tolist() == [0]
         assert db.state.amps[0] == 1.0
 
     def test_delete_needs_no_register_copy(self):
@@ -699,13 +710,12 @@ class TestDelete:
         assert db.state.amps.tobytes() == amps
         assert db.temp_alloc == alloc
         assert db.safe_key == key
-        assert db._seq_fill is None
 
     def test_amplify_count_near_the_float_limit_runs(self):
         db = db2(t=2).insert_bulk(2)
         probability = db.delete(Comparison("id", "=", 0), 2**1022)
         assert 0 <= probability <= 1
-        assert db.support() == [1, 2, 3]
+        assert db.support().tolist() == [1, 2, 3]
 
     def test_amplified_delete_matches_reference_rounds(self):
         """On random real states, half of them under a backup: the register
@@ -745,7 +755,7 @@ class TestDelete:
                 assert probability == plain_probability, case
             assert db.state.amps.tobytes() == plain.state.amps.tobytes(), case
             assert set(db.support()) <= live, case
-            assert db.support() == ref.support(), case
+            assert db.support().tolist() == ref.support(), case
             # the reference's rounds may leave a global sign of -1
             view = db.state.amps.reshape(1 << n, 4)
             overlap = sum(view[key] * amp for key, amp in ref.amps.items())
@@ -930,6 +940,32 @@ class TestShowState:
         indices, amplitudes = db.show_state()
         assert indices.tolist() == [1, 9]
         assert amplitudes.tolist() == [0.6, 0.8j]
+
+    def test_blocks_match_one_scan(self):
+        # 2^17 amplitudes, several scan blocks; parts on both sides of 1e-12
+        rng = np.random.default_rng(17)
+        amps = random_state(17, rng)
+        amps[rng.random(amps.size) < 0.5] = 0
+        tiny = rng.random(amps.size) < 0.2
+        amps[tiny] = 1e-12 * rng.uniform(0.5, 1.5, tiny.sum()) * (1 + 1j) / np.sqrt(2)
+        amps /= np.linalg.norm(amps)
+        db = QdbState(TableSchema("t", (("k", 15),)), t=2, state=StateVector(17, amps))
+        indices, amplitudes = db.show_state()
+        expected = np.flatnonzero(amps.real**2 + amps.imag**2 >= 1e-24)
+        assert indices.tobytes() == expected.tobytes()
+        assert amplitudes.tobytes() == amps[expected].tobytes()
+
+    def test_scan_needs_no_register_sized_temporary(self):
+        # 2^20 amplitudes, 2^10 live records
+        db = QdbState(TableSchema("t", (("k", 18),)), t=2).insert_sequential(1023)
+        tracemalloc.start()
+        try:
+            indices, _ = db.show_state()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert indices.size == 1024
+        assert peak < db.state.amps.nbytes / 8
 
 
 def nested(kind, depth: int):

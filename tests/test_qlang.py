@@ -442,7 +442,7 @@ class TestCompile:
             "CREATE TABLE t (id:2) TEMP 1; INSERT ALL 2; DELETE WHERE id = 3;"
         )
         assert "0.750000" in outputs[-1]
-        assert session.db.support() == [0, 1, 2]
+        assert session.db.support().tolist() == [0, 1, 2]
 
     def test_fig5_pipeline_end_to_end(self):
         session = fresh_session()
@@ -456,7 +456,7 @@ class TestCompile:
         expected = sorted(
             (r ^ 1 if (r >= 4 and r != 6) else r) for r in range(8)
         )
-        assert session.db.support() == sorted(set(expected))
+        assert session.db.support().tolist() == sorted(set(expected))
 
     def test_apply_consumes_clean_flags(self):
         session = fresh_session()
@@ -477,7 +477,7 @@ class TestCompile:
             "SELECT c1 WHERE age = 4;"
             "APPLY NOT @ age BIT 0 WHEN c1;"
         )
-        assert session.db.support() == [5]
+        assert session.db.support().tolist() == [5]
 
     def test_h_gate_spec(self):
         session = fresh_session()
@@ -486,4 +486,4 @@ class TestCompile:
             "SELECT c1 WHERE age = 0;"
             "APPLY H @ age WHEN c1;"
         )
-        assert session.db.support() == [0, 1]
+        assert session.db.support().tolist() == [0, 1]

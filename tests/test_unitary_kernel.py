@@ -35,13 +35,16 @@ def per_step_reference(amps: np.ndarray, n: int, t: int, first: int, last: int) 
         untiled_apply(amps, HADAMARD.matrix, [n - 1 - p], n + t, pos, neg)
 
 
-def table(n: int, t: int, fill: int, rng=None) -> QdbState:
-    """A database over ``n`` data and ``t`` temp qubits, sequentially filled
-    to ``fill``; with ``rng`` its register holds a random state instead."""
+def table(n: int, t: int, fill: int = 0, rng=None) -> QdbState:
+    """A fresh database over ``n`` data and ``t`` temp qubits; with ``rng``,
+    records 0 .. ``fill`` hold random amplitudes in every temp column and no
+    other record is live, so the engine reads its fill as ``fill``.  The
+    register is set after construction: the temps stay free."""
     db = QdbState(TableSchema("t", (("k", n),)), t=t)
     if rng is not None:
-        db.state.amps[:] = random_state(n + t, rng)
-    db._seq_fill = fill
+        rows = random_state(n + t, rng).reshape(1 << n, -1)
+        rows[fill + 1 :] = 0
+        db.state.amps[:] = rows.reshape(-1) / np.linalg.norm(rows)
     return db
 
 
@@ -59,7 +62,7 @@ class TestPerLevelSequentialInsert:
         for fill, upto in level_cases(n):
             if fill:
                 continue
-            db = table(n, t, 0)
+            db = table(n, t)
             expected = db.state.amps.copy()
             db.insert_sequential(upto)
             per_step_reference(expected, n, t, 1, upto)
@@ -68,18 +71,32 @@ class TestPerLevelSequentialInsert:
     @pytest.mark.parametrize("t", [1, 2, 3])
     @pytest.mark.parametrize("n", [3, 5])
     def test_random_state_matches_per_step(self, n, t):
+        # the steps alone, on a register random in every record
         rng = np.random.default_rng(n * 10 + t)
+        for fill, upto in level_cases(n):
+            db = table(n, t)
+            db.state.amps[:] = random_state(n + t, rng)
+            expected = db.state.amps.copy()
+            db._seq_steps(fill, upto)
+            per_step_reference(expected, n, t, fill + 1, upto)
+            assert same(db.state.amps, expected), (fill, upto)
+
+    @pytest.mark.parametrize("t", [1, 2, 3])
+    def test_random_records_continue_per_step(self, t):
+        # INSERT SEQ reads the fill off records 0 .. fill with random amplitudes
+        n = 5
+        rng = np.random.default_rng(50 + t)
         for fill, upto in level_cases(n):
             db = table(n, t, fill, rng)
             expected = db.state.amps.copy()
             db.insert_sequential(upto)
             per_step_reference(expected, n, t, fill + 1, upto)
             assert same(db.state.amps, expected), (fill, upto)
-            assert db._seq_fill == upto
+            assert db.seq_fill() == upto
 
     def test_large_register(self):
         # 2^16 amplitudes: the top levels span several tiles
-        db = table(14, 2, 0)
+        db = table(14, 2)
         expected = db.state.amps.copy()
         db.insert_sequential(3000)
         per_step_reference(expected, 14, 2, 1, 3000)
@@ -115,7 +132,7 @@ class TestPerLevelSequentialInsert:
 
         monkeypatch.setattr(StateVector, "apply_controlled", counted_gate)
         monkeypatch.setattr(StateVector, "_assert_norm", counted_norm)
-        table(14, 2, 0).insert_sequential(3000)
+        table(14, 2).insert_sequential(3000)
         # levels 0 .. 11 hold steps 1 .. 3000
         assert calls == {"gate": 12, "norm": 1}
 
