@@ -182,7 +182,7 @@ class Session:
         schema, temp, safe_key, amps = loaded
         try:
             self.db = QdbState(schema, temp, self.config.max_qubits, self.config.epsilon,
-                               StateVector.from_amplitudes(amps), safe_key)
+                               StateVector(schema.num_bits + temp, amps), safe_key)
         except ValidationError as exc:
             raise SessionFormatError(f"malformed session file: {exc}") from exc
         return f"loaded session from {path}"

@@ -93,12 +93,13 @@ class QdbState:
         """A database on a zero register, or on ``state``, a register from
         outside such as a session file's.  That keeps the amplitudes and the
         backup's ``safe_key``, but not what the other temps held: one pass over
-        it checks the norm and holds each other temp whose |1> mass is at
-        least ``RESIDUE_TOL`` (APPLY's rule for its flags) as a nameless
-        residue."""
+        it checks the norm, and :meth:`_release_temps` holds each other temp
+        that carries mass as a nameless residue."""
+        n = schema.num_bits
+        if safe_key is not None and not n <= safe_key.qubit < n + t:
+            raise ValueError(f"safe qubit {safe_key.qubit} is not a temp qubit")
         if t < 1:
             raise ValueError("need at least one temporary qubit")
-        n = schema.num_bits
         if n + t > max_qubits:
             raise CapacityError(
                 f"{n} data + {t} temp qubits exceed the {max_qubits}-qubit capacity"
@@ -116,13 +117,12 @@ class QdbState:
             self.state = StateVector.zero(n + t, max_qubits)
         else:
             self.state = state
-            self._read_state()
+            self._release_temps()
 
-    def _read_state(self) -> None:
-        """Refuse a register that is not a unit vector, and hold the temps
-        that carry mass: one pass, in blocks of whole rows of temp patterns,
-        sums each pattern's mass (a part not finite, or huge, makes it NaN or
-        infinite without a warning), and the norm is read off their sum."""
+    def _read_state(self) -> np.ndarray:
+        """The mass of each temp pattern, summed by one pass in blocks of whole
+        rows of them; the norm, read off their sum, must be 1 (a part not
+        finite, or huge, makes it NaN or infinite without a warning)."""
         amps, width = self.state.amps, 1 << self.t
         patterns, step = np.zeros(width), max(SUPPORT_BLOCK, width)
         with np.errstate(over="ignore", invalid="ignore"):
@@ -132,9 +132,18 @@ class QdbState:
             norm = float(np.sqrt(patterns.sum()))
         if not abs(norm - 1.0) <= NORM_TOL:
             raise ValidationError(f"state norm {norm} is not 1 within {NORM_TOL}")
+        return patterns
+
+    def _release_temps(self) -> None:
+        """Hold each temp but the safe key exactly while its |1> mass is at
+        least ``RESIDUE_TOL``, select flags included; one without a use is held
+        as a nameless residue.  LOAD, APPLY and post-selections go by it."""
+        patterns = self._read_state()
         for j in range(self.t):
             if patterns.reshape(1 << j, 2, -1)[:, 1].sum() >= RESIDUE_TOL:
                 self.temp_alloc.setdefault(self.n + j, TempUse("residue"))
+            elif self.n + j not in self._live_controls():
+                self.temp_alloc.pop(self.n + j, None)
 
     # ------------------------------------------------------------------ layout
 
@@ -214,7 +223,7 @@ class QdbState:
         self._check_temps_free()
         for q in range(n - r, n):
             self.state.apply_controlled(HADAMARD, targets=[q])
-        self.state._assert_norm()
+        self._read_state()
         return self
 
     def _seq_steps(self, fill: int, upto_k: int) -> None:
@@ -234,7 +243,7 @@ class QdbState:
                 rows=range(k - (1 << p), last - (1 << p) + 1),
             )
             k = last + 1
-        self.state._assert_norm()
+        self._read_state()
 
     def insert_sequential(self, upto_k: int) -> "QdbState":
         """Insert records one at a time until the support is {0, ..., upto_k}."""
@@ -367,8 +376,8 @@ class QdbState:
 
         The combiner circuit is uncomputed, then the flag oracles are
         re-applied; a flag whose record moved across its own predicate
-        cannot return to |0> exactly, and such a qubit is kept allocated as
-        residue instead of being handed out again.
+        cannot return to |0> exactly, and :meth:`_release_temps` keeps such a
+        qubit allocated as residue instead of handing it out again.
         """
         flag_map = dict(flags)
         for name, qubit in flag_map.items():
@@ -394,7 +403,7 @@ class QdbState:
             self.state.apply_controlled(
                 operation.gate, [combiner_qubit], self._live_controls(), list(operation.targets)
             )
-            self.state._assert_norm()
+            self._read_state()  # before the swaps: right after a zgemm they run slow
         else:
             self._swap_records([(operation.index_a, operation.index_b)], [combiner_qubit])
 
@@ -403,10 +412,8 @@ class QdbState:
 
         for qubit, table in zip(flag_map.values(), flag_tables):
             apply_oracle(self.state, table, self.data_qubits, qubit)
-            if self.state.probability_of(qubit, 1) < RESIDUE_TOL:
-                del self.temp_alloc[qubit]
-            else:
-                self.temp_alloc[qubit] = TempUse("residue")
+            self.temp_alloc[qubit] = TempUse("residue")
+        self._release_temps()
         return self
 
     def _check_operation(self, operation: Union[ApplyGate, ApplySwap]) -> None:
@@ -451,17 +458,15 @@ class QdbState:
     ) -> float:
         """Mark the table's records on ``qubit`` with the oracle, then
         post-select it on 0.  On an impossible outcome the oracle, a swap, is
-        applied again, which undoes it exactly, and the error propagates.  A
-        residue the post-selection drains below ``RESIDUE_TOL`` is released."""
+        applied again, which undoes it exactly, and the error propagates."""
         apply_oracle(self.state, table, self.data_qubits, qubit, neg_controls=neg_controls)
         try:
             probability = self.state.postselect(qubit, 0, self.epsilon, rounds)
         except ImpossibleOutcomeError:
             apply_oracle(self.state, table, self.data_qubits, qubit, neg_controls=neg_controls)
             raise
-        for q, use in list(self.temp_alloc.items()):
-            if use.purpose == "residue" and self.state.probability_of(q, 1) < RESIDUE_TOL:
-                del self.temp_alloc[q]
+        if self.temp_alloc.keys() - set(self._live_controls()):
+            self._release_temps()
         return probability
 
     # ------------------------------------------------------------------ backup / restore
@@ -477,7 +482,7 @@ class QdbState:
         qubit = self._first_free_temp("safe")
         apply_oracle(self.state, table, self.data_qubits, qubit)
         apply_partial_diffusion(self.state, DiffusionParams(self.n), flag_qubit=qubit)
-        self.state._assert_norm()
+        self._read_state()
         self.temp_alloc[qubit] = TempUse("safe", expr)
         self.safe_key = SafeKey(qubit, expr, matches)
         return self

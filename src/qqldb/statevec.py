@@ -317,12 +317,6 @@ class StateVector:
     def norm(self) -> float:
         return float(np.linalg.norm(self.amps))
 
-    def _assert_norm(self):
-        norm = self.norm()
-        # written so that a NaN norm fails too
-        if not abs(norm - 1.0) <= NORM_TOL:
-            raise ValidationError(f"norm drifted to {norm}; unitarity bug upstream")
-
     def _check_qubits(self, qubits: Sequence[int], label: str):
         seen = set()
         for q in qubits:

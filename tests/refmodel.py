@@ -126,11 +126,20 @@ class RefDb:
             raise ValueError("impossible outcome in reference model")
         scale = 1.0 / math.sqrt(mass)
         self.amps = {key: amp * scale for key, amp in kept.items()}
-        # a residue the post-selection drained is released, as LOAD would
-        for j, (purpose, _) in list(self.alloc.items()):
-            if purpose == "residue" and self.temp_mass(j) < RESIDUE_TOL:
-                del self.alloc[j]
+        self._release()
         return mass
+
+    def _release(self):
+        """Hold each temp but the safe key exactly while its |1> mass is at
+        least the residue tolerance, as a nameless residue when it had no
+        use: a drained temp is freed, select flags included."""
+        for j in range(self.t):
+            if j == self.safe_temp:
+                continue
+            if self.temp_mass(j) >= RESIDUE_TOL:
+                self.alloc.setdefault(j, ("residue", None))
+            else:
+                self.alloc.pop(j, None)
 
     def _relabel(self, mapping: Mapping[int, int], condition=None):
         new: dict[tuple[int, int], float] = {}
@@ -211,10 +220,8 @@ class RefDb:
         for j in flags.values():
             pred = self.alloc[j][1]
             self._oracle(pred, j)
-            if self.temp_mass(j) < RESIDUE_TOL:
-                del self.alloc[j]
-            else:
-                self.alloc[j] = ("residue", None)
+            self.alloc[j] = ("residue", None)
+        self._release()
 
     def delete(self, pred, amplify: int = 0) -> float:
         """Flag the matches, run ``amplify`` rounds of amplitude amplification
@@ -222,7 +229,6 @@ class RefDb:
         kept components and reflects about the marked state ``m``:
         ``v -> 2 <m|v> m - v``."""
         j = self.free_temps()[0]
-        self.alloc[j] = ("delete", pred)
         self._oracle(pred, j, safe_zero_only=self.safe_temp is not None)
         marked = dict(self.amps)
         bit = self._temp_bit(j)
@@ -230,9 +236,7 @@ class RefDb:
             negated = {key: amp if key[1] & bit else -amp for key, amp in self.amps.items()}
             overlap = sum(marked[key] * amp for key, amp in negated.items())
             self.amps = {key: 2 * overlap * marked[key] - amp for key, amp in negated.items()}
-        probability = self._postselect(j, 0)
-        del self.alloc[j]
-        return probability
+        return self._postselect(j, 0)
 
     def backup(self, pred):
         j = self.free_temps()[0]
@@ -246,13 +250,8 @@ class RefDb:
         """A session file keeps the amplitudes and the safe key: every other
         temp is held, as a nameless residue, exactly when its |1> mass is at
         least the residue tolerance."""
-        for j in range(self.t):
-            if j == self.safe_temp:
-                continue
-            if self.temp_mass(j) >= RESIDUE_TOL:
-                self.alloc[j] = ("residue", None)
-            else:
-                self.alloc.pop(j, None)
+        self.alloc = {j: use for j, use in self.alloc.items() if j == self.safe_temp}
+        self._release()
 
     def restore(self, purge: bool) -> float | None:
         self._oracle(self.safe_pred, self.safe_temp)

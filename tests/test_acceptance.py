@@ -331,13 +331,19 @@ class Mirror:
         self.run(stmt, lambda: self.ref.update([(src, dst)]))
         return True
 
-    def do_delete(self) -> bool:
-        if not self.db.free_temps():
+    def do_delete(self, keep_select: bool = False) -> bool:
+        """DELETE WHERE a random predicate.  With ``keep_select`` a named
+        SELECT runs first and its flag is held across the DELETE, whose
+        predicate is half the time the select's own: that drains the flag,
+        which is then freed, as a LOAD of the session file frees it."""
+        if len(self.db.free_temps()) < 1 + keep_select:
             return False
         live = self.db.support().tolist()
         if not live:
             return False
-        expr = random_predicate(self.rng, self.schema)
+        expr = selected = random_predicate(self.rng, self.schema)
+        if keep_select and self.rng.random() < 0.5:
+            expr = random_predicate(self.rng, self.schema)
         pred = predicate_fn(expr, self.schema)
         if all(pred(r) for r in live):
             return False
@@ -352,6 +358,13 @@ class Mirror:
         # checked against the reference's amplification rounds
         if math.sin((2 * q + 1) * math.asin(min(1.0, math.sqrt(kept_mass)))) ** 2 < 1e-6:
             return False
+        if keep_select:
+            self.select_count += 1
+            select_pred = predicate_fn(selected, self.schema)
+            self.run(
+                f"SELECT c{self.select_count} WHERE {render_expr(selected)};",
+                lambda: self.ref.select(select_pred),
+            )
         tail = f" AMPLIFY {q}" if q else ""
         statement = f"DELETE WHERE {render_expr(expr)}{tail};"
         (out,) = self.session.execute_text(statement)
@@ -359,6 +372,9 @@ class Mirror:
         assert abs(float(out.rsplit(" ", 1)[1]) - probability) <= 5e-7 + 1e-12, statement
         self.check(statement)
         return True
+
+    def do_select_delete(self) -> bool:
+        return self.do_delete(keep_select=True)
 
     def do_select_apply(self) -> bool:
         k = int(self.rng.integers(1, 3))
@@ -457,6 +473,7 @@ class Mirror:
             (self.do_update, 3),
             (self.do_delete, 3),
             (self.do_select_apply, 3),
+            (self.do_select_delete, 1),
             (self.do_backup, 2),
             (self.do_restore, 2),
             (self.do_measure, 1),

@@ -311,6 +311,22 @@ class TestSaveLoad:
             outputs = Session().execute_text(script.format(middle))
             assert outputs[-1] == "selected d on flag qubit 2"
 
+    def test_delete_releases_the_select_it_drains(self, tmp_path):
+        # the DELETE removes the one record c flags: the session frees c's
+        # temp and name, as a LOAD of its file does
+        path = str(tmp_path / "drained.qdb")
+        session = Session()
+        session.execute_text(
+            "CREATE TABLE t (k:2) TEMP 2; INSERT SEQ 2; SELECT c WHERE k = 2; DELETE WHERE k = 2;"
+        )
+        session.save_session(path)
+        restored = Session()
+        restored.load_session(path)
+        for copy in (session, restored):
+            with pytest.raises(CompileError, match=r"^unknown select name\(s\): c$"):
+                copy.execute_text("APPLY NOT @ k WHEN c;")
+            assert copy.execute_text("INSERT SEQ 3;") == ["ok: insert sequential to 3; support size 4"]
+
     def test_load_holds_a_live_flag_without_its_name(self, tmp_path):
         path = str(tmp_path / "flag.qdb")
         session = Session()
@@ -328,7 +344,8 @@ class TestSaveLoad:
         session = Session()
         path = str(tmp_path / "empty.qdb")
         session.save_session(path)
-        content = open(path).read()
+        with open(path) as handle:
+            content = handle.read()
         assert content.splitlines()[0] == "QQLDB 1"
         other = Session()
         other.load_session(path)

@@ -124,6 +124,15 @@ class TestCreateFromState:
         }
         assert rebuilt.select(Comparison("id", "=", 0)) == key.qubit + 2
 
+    @pytest.mark.parametrize("qubit", [0, 1, 3, 7, -1])
+    def test_refuses_a_safe_key_off_the_temps(self, qubit):
+        # a data qubit would become the live-subspace control; a qubit off
+        # the register would fail in a later statement
+        state = db2().insert_bulk(2).state
+        key = SafeKey(qubit, Comparison("id", "=", 3), 1)
+        with pytest.raises(ValueError, match=f"^safe qubit {qubit} is not a temp qubit$"):
+            QdbState(ID2, 1, state=state, safe_key=key)
+
     def test_refuses_a_register_that_is_not_a_unit_vector(self):
         # amplitudes 3 and 4: an engine on it would report a DELETE
         # probability of 16
@@ -605,6 +614,26 @@ class TestApplyWhere:
         with pytest.raises(SchemaError, match="table bound"):
             session.execute_text("APPLY NOT @ id BIT 0 WHEN c1 AND c2 AND c3;")
         assert (db.state.amps.tobytes(), db.temp_alloc, db.safe_key, db.selects) == before
+
+    def test_apply_needs_no_register_sized_temporary(self):
+        # 2^20 amplitudes; the flags are read in one blocked pass, not by a
+        # sum over a half-register each
+        session = Session()
+        session.execute_text(
+            "CREATE TABLE big (a:9, b:8) TEMP 3; INSERT ALL 17;"
+            "SELECT x WHERE a < 256; SELECT y WHERE b >= 100;"
+        )
+        register = session.db.state.amps.nbytes
+        for setup, apply in (("", "APPLY H @ a BIT 0 WHEN x AND y;"),
+                             ("SELECT z WHERE a < 10;", "APPLY NOT @ b BIT 1 WHEN z;")):
+            session.execute_text(setup)
+            tracemalloc.start()
+            try:
+                session.execute_text(apply)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < register / 4, apply
 
 
 class TestDelete:

@@ -120,7 +120,7 @@ class TestPerLevelSequentialInsert:
 
     def test_one_gate_and_one_norm_check_per_level(self, monkeypatch):
         calls = {"gate": 0, "norm": 0}
-        gate, norm = StateVector.apply_controlled, StateVector._assert_norm
+        gate, norm = StateVector.apply_controlled, QdbState._read_state
 
         def counted_gate(self, *args, **kwargs):
             calls["gate"] += 1
@@ -131,7 +131,7 @@ class TestPerLevelSequentialInsert:
             return norm(self)
 
         monkeypatch.setattr(StateVector, "apply_controlled", counted_gate)
-        monkeypatch.setattr(StateVector, "_assert_norm", counted_norm)
+        monkeypatch.setattr(QdbState, "_read_state", counted_norm)
         table(14, 2).insert_sequential(3000)
         # levels 0 .. 11 hold steps 1 .. 3000
         assert calls == {"gate": 12, "norm": 1}
