@@ -25,6 +25,7 @@ from .boolcirc import (
 from .cli import Session, SessionConfig, main, repl_loop, run_script
 from .diffusion import DiffusionParams, apply_partial_diffusion
 from .errors import (
+    ArgumentError,
     CapacityError,
     CompileError,
     ImpossibleOutcomeError,

@@ -18,6 +18,12 @@ class ImpossibleOutcomeError(QqlError):
     """Post-selection requested an outcome whose probability is below epsilon."""
 
 
+class ArgumentError(QqlError, ValueError):
+    """A statement's argument is out of its range or does not fit the records
+    already present: an INSERT count or record list, a shot count.  Also a
+    ValueError, so a caller that catches ValueError still catches it."""
+
+
 class SchemaError(QqlError):
     """A predicate or record does not fit the active table schema."""
 

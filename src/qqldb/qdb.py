@@ -25,7 +25,14 @@ from .boolcirc import (
     truth_table,
 )
 from .diffusion import DiffusionParams, apply_partial_diffusion
-from .errors import CapacityError, ImpossibleOutcomeError, QqlError, SchemaError, ValidationError
+from .errors import (
+    ArgumentError,
+    CapacityError,
+    ImpossibleOutcomeError,
+    QqlError,
+    SchemaError,
+    ValidationError,
+)
 from .gates import HADAMARD, NOT, GateMatrix
 from .schema import Record, TableSchema
 from .statevec import DEFAULT_EPSILON, DEFAULT_MAX_QUBITS, NORM_TOL, StateVector, qubit_view, swap
@@ -214,15 +221,29 @@ class QdbState:
     def insert_bulk(self, r: int) -> "QdbState":
         """Insert ``2^r`` records at once: a Hadamard on each of the r least
         significant data qubits, yielding records 0 .. 2^r - 1 on a fresh
-        database."""
+        database.  On the register |0...0>, bit for bit, that layer has a
+        closed form, written by one strided fill; any other fresh register
+        (a LOAD's or an API caller's) runs the r Hadamards."""
         n = self.n
         if r < 0 or r > n:
-            raise ValueError(f"bulk exponent {r} out of range 0..{n}")
+            raise ArgumentError(f"bulk exponent {r} out of range 0..{n}")
         if self.seq_fill() != 0:
             raise QqlError("bulk insert requires a fresh database")
         self._check_temps_free()
-        for q in range(n - r, n):
-            self.state.apply_controlled(HADAMARD, targets=[q])
+        amps = self.state.amps
+        if amps[0] == 1 and not np.any(amps.view(np.uint64)[1:]):
+            # every Hadamard meets pairs (x, +0), which the kernel maps to
+            # round(s*x) with a +0 imaginary part: each record gets s applied
+            # r times, rounded each time.  Another amplitude at index 0, such
+            # as 1j, can come out with a zero of the other sign, so only an
+            # exact 1 takes this path
+            s, value = HADAMARD.matrix[0, 0].real, 1.0
+            for _ in range(r):
+                value *= s
+            amps[: (1 << r) << self.t : 1 << self.t] = value
+        else:
+            for q in range(n - r, n):
+                self.state.apply_controlled(HADAMARD, targets=[q])
         self._read_state()
         return self
 
@@ -249,12 +270,12 @@ class QdbState:
         """Insert records one at a time until the support is {0, ..., upto_k}."""
         n = self.n
         if upto_k < 1 or upto_k > (1 << n) - 1:
-            raise ValueError(f"record index {upto_k} out of range 1..{(1 << n) - 1}")
+            raise ArgumentError(f"record index {upto_k} out of range 1..{(1 << n) - 1}")
         fill = self.seq_fill()
         if fill is None:
             raise QqlError("sequential insert requires a fresh or sequentially filled database")
         if upto_k <= fill:
-            raise ValueError(f"database already filled to {fill}")
+            raise ArgumentError(f"database already filled to {fill}")
         self._check_temps_free()
         self._seq_steps(fill, upto_k)
         return self
@@ -268,12 +289,12 @@ class QdbState:
             raise CapacityError(f"{count} records do not fit {self.n} data bits")
         indices = np.sort(self._as_indices(records))
         if np.any(indices[1:] == indices[:-1]):
-            raise ValueError("duplicate records in INSERT VALUES")
+            raise ArgumentError("duplicate records in INSERT VALUES")
         fill = self.seq_fill()
         if fill is None:
             raise QqlError("insert requires a fresh or sequentially filled database")
         if count - 1 < fill:
-            raise ValueError(f"{count} records cannot cover the {fill + 1} already present")
+            raise ArgumentError(f"{count} records cannot cover the {fill + 1} already present")
         self._check_temps_free()
         if count - 1 > fill:
             self._seq_steps(fill, count - 1)

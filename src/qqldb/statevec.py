@@ -15,7 +15,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import CapacityError, ImpossibleOutcomeError, ValidationError
+from .errors import ArgumentError, CapacityError, ImpossibleOutcomeError, ValidationError
 from .gates import CnotGate, GateMatrix
 
 DEFAULT_MAX_QUBITS = 22
@@ -34,7 +34,7 @@ _BITS64 = np.arange(64, dtype=np.uint64)
 def check_shots(shots: int) -> None:
     """Reject a shot count :meth:`StateVector.sample` cannot draw."""
     if shots < 1:
-        raise ValueError("shots must be >= 1")
+        raise ArgumentError("shots must be >= 1")
     if shots > MAX_SHOTS:
         raise CapacityError(f"{shots} shots exceed the limit of {MAX_SHOTS}")
 

@@ -22,6 +22,7 @@ from qqldb.cli import (
     write_amplitudes,
 )
 from qqldb.errors import (
+    ArgumentError,
     CapacityError,
     CompileError,
     ImpossibleOutcomeError,
@@ -150,6 +151,32 @@ class TestRunScript:
         transcript, status = run_script(path, Session())
         assert status == 1
         assert transcript.splitlines()[-1].startswith("error: AMPLIFY count too large")
+
+
+# (statements before, refused statement, its message)
+ARGUMENT_ERRORS = [
+    ("", "INSERT ALL 99;", "bulk exponent 99 out of range 0..3"),
+    ("", "INSERT SEQ 0;", "record index 0 out of range 1..7"),
+    ("INSERT SEQ 3;", "INSERT SEQ 2;", "database already filled to 3"),
+    ("", "INSERT VALUES (a=1), (a=1);", "duplicate records in INSERT VALUES"),
+    ("INSERT SEQ 3;", "INSERT VALUES (a=1);", "1 records cannot cover the 4 already present"),
+    ("INSERT ALL 2;", "MEASURE 0 SEED 3;", "shots must be >= 1"),
+]
+
+
+@pytest.mark.parametrize("before, statement, message", ARGUMENT_ERRORS)
+def test_argument_error_is_a_qql_error(before, statement, message):
+    """A statement argument out of range, or at odds with the records present,
+    raises an ArgumentError, a QqlError that is also a ValueError, and leaves
+    the register as it was."""
+    session = Session()
+    session.execute_text("CREATE TABLE t (a:3) TEMP 2;" + before)
+    amps = session.db.state.amps.copy()
+    with pytest.raises(ArgumentError) as failure:
+        session.execute_text(statement)
+    assert isinstance(failure.value, QqlError) and isinstance(failure.value, ValueError)
+    assert str(failure.value) == message
+    assert session.db.state.amps.tobytes() == amps.tobytes()
 
 
 @pytest.mark.parametrize("name", ["backup_demo", "select_apply_demo", "sequential_insert_demo"])

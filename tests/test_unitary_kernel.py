@@ -1,8 +1,10 @@
-"""The tiled controlled-unitary kernel and the per-level sequential insert,
-compared bit for bit with untiled and per-step references.
+"""The tiled controlled-unitary kernel, the per-level sequential insert and
+the bulk insert's closed form, compared bit for bit with untiled, per-step
+and per-gate references.
 
 Amplitudes are compared as ``(amps + 0.0).tobytes()``, which maps ``-0.0`` to
 ``+0.0``: the products are the same, but BLAS may give a zero either sign.
+The closed form is compared word for word, zero signs included.
 """
 
 import tracemalloc
@@ -137,6 +139,83 @@ class TestPerLevelSequentialInsert:
         assert calls == {"gate": 12, "norm": 1}
 
 
+def hadamard_layer(state: StateVector, n: int, r: int) -> StateVector:
+    """The bulk insert's gates one at a time: a Hadamard on each data qubit
+    ``n - r`` .. ``n - 1``."""
+    for q in range(n - r, n):
+        state.apply_controlled(HADAMARD, targets=[q])
+    return state
+
+
+def count_gates(monkeypatch) -> dict:
+    """Count every ``StateVector.apply_controlled`` call from here on."""
+    calls = {"gate": 0}
+    gate = StateVector.apply_controlled
+
+    def counted(self, *args, **kwargs):
+        calls["gate"] += 1
+        return gate(self, *args, **kwargs)
+
+    monkeypatch.setattr(StateVector, "apply_controlled", counted)
+    return calls
+
+
+def words(amps: np.ndarray) -> np.ndarray:
+    return amps.view(np.uint64)
+
+
+# fresh registers that are not |0...0> bit for bit: index 0 and the dust
+# amplitude 1e-10 at index ``dust`` (none for 0)
+NOT_ZERO_KET = {
+    "minus one": (-1.0, 0),
+    "phase": (np.exp(0.7j), 0),
+    "dust on another record": (1.0, 40 << 2),
+    "dust in a temp column": (1.0, 3),
+    "negative zero imaginary part": (complex(1.0, -0.0), 0),
+}
+
+
+class TestInsertAllClosedForm:
+    """INSERT ALL on the register |0...0> writes the closed form of its
+    Hadamard layer: the layer's result word for word, zero signs included."""
+
+    @pytest.mark.parametrize("t", [1, 2, 3, 4])
+    @pytest.mark.parametrize("n", range(1, 13))
+    def test_matches_hadamard_layer(self, n, t):
+        for r in range(n + 1):
+            db = table(n, t)
+            expected = hadamard_layer(db.state.copy(), n, r).amps
+            db.insert_bulk(r)
+            if n + t == 2:
+                # the two-column product leaves -0.0 on a zero amplitude
+                assert same(db.state.amps, expected), r
+            else:
+                assert np.array_equal(words(db.state.amps), words(expected)), (n, t, r)
+
+    def test_large_register_runs_no_gate(self, monkeypatch):
+        db = QdbState(TableSchema("big", (("a", 9), ("b", 9))), t=3)
+        expected = hadamard_layer(db.state.copy(), 18, 18).amps
+        calls = count_gates(monkeypatch)
+        db.insert_bulk(18)
+        assert calls["gate"] == 0
+        assert np.array_equal(words(db.state.amps), words(expected))
+
+    @pytest.mark.parametrize("first, dust", NOT_ZERO_KET.values(), ids=NOT_ZERO_KET.keys())
+    def test_other_fresh_register_runs_the_gates(self, monkeypatch, first, dust):
+        n, t, r = 6, 2, 5
+        amps = np.zeros(1 << (n + t), dtype=np.complex128)
+        amps[0] = first
+        if dust:
+            amps[dust] = 1e-10
+        db = QdbState(TableSchema("t", (("k", n),)), t=t, state=StateVector(n + t, amps))
+        assert db.seq_fill() == 0 and not db.temp_alloc
+        expected = hadamard_layer(db.state.copy(), n, r).amps
+        calls = count_gates(monkeypatch)
+        db.insert_bulk(r)
+        assert calls["gate"] == r
+        assert np.array_equal(words(db.state.amps), words(expected))
+
+
 def controlled(amps, matrix, targets, pos=(), neg=(), run=range(0), rows=None):
     state = StateVector(amps.size.bit_length() - 1, amps)
     state.apply_controlled(GateMatrix(matrix), pos, neg, targets, run=run, rows=rows)
@@ -235,14 +314,33 @@ class TestTiledKernel:
 
 
 class TestKernelMemory:
-    def test_insert_all_allocates_tiles_only(self):
-        db = QdbState(TableSchema("t", (("k", 19),)), t=1)
-        register = db.state.amps.nbytes
+    def test_insert_all_allocates_tiles_only(self, monkeypatch):
+        # index 0 holds -1, not 1: the Hadamard layer runs, tile by tile
+        amps = np.zeros(1 << 20, dtype=np.complex128)
+        amps[0] = -1
+        db = QdbState(TableSchema("t", (("k", 19),)), t=1, state=StateVector(20, amps))
+        calls = count_gates(monkeypatch)
         tracemalloc.start()
         try:
             db.insert_bulk(19)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < register / 8
-        assert np.allclose(db.state.amps.reshape(-1, 2)[:, 0], 2 ** -9.5)
+        assert calls["gate"] == 19
+        assert peak < amps.nbytes / 8
+        assert np.allclose(db.state.amps.reshape(-1, 2)[:, 0], -(2 ** -9.5))
+
+    def test_insert_all_fill_allocates_below_a_32nd(self, monkeypatch):
+        db = QdbState(TableSchema("t", (("k", 19),)), t=1)
+        register = db.state.amps.nbytes
+        calls = count_gates(monkeypatch)
+        tracemalloc.start()
+        try:
+            db.insert_bulk(19)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert calls["gate"] == 0
+        assert peak < register / 32
+        rows = db.state.amps.reshape(-1, 2)
+        assert np.allclose(rows[:, 0], 2 ** -9.5) and not rows[:, 1].any()
