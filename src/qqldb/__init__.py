@@ -23,7 +23,7 @@ from .boolcirc import (
     truth_table,
 )
 from .cli import Session, SessionConfig, main, repl_loop, run_script
-from .diffusion import DiffusionParams, apply_partial_diffusion
+from .diffusion import apply_partial_diffusion
 from .errors import (
     ArgumentError,
     CapacityError,

@@ -18,8 +18,8 @@ import numpy as np
 
 from . import qlang
 from .boolcirc import validate_expr
-from .errors import CapacityError, QqlError, SessionFormatError, ValidationError
-from .qdb import QdbState, SafeKey
+from .errors import QqlError, SessionFormatError, ValidationError
+from .qdb import QdbState, SafeKey, check_capacity
 from .schema import TableSchema
 from .statevec import DEFAULT_EPSILON, DEFAULT_MAX_QUBITS, StateVector, Xorshift64Star
 
@@ -469,12 +469,8 @@ def _read_session(handle, max_qubits: int):
         raise SessionFormatError(f"malformed session file: {exc}") from exc
     if temp < 1:
         raise SessionFormatError(f"TEMP {temp} is below one temporary qubit")
+    check_capacity(schema.num_bits, temp, max_qubits)
     total = schema.num_bits + temp
-    if total > max_qubits:
-        raise CapacityError(
-            f"{schema.num_bits} data + {temp} temp qubits exceed the "
-            f"{max_qubits}-qubit capacity"
-        )
     if safe_key is not None and not schema.num_bits <= safe_key.qubit < total:
         raise SessionFormatError(f"safe qubit {safe_key.qubit} is not a temp qubit")
     amps = np.zeros(1 << total, dtype=np.complex128)

@@ -18,13 +18,13 @@ DENSE_LIMIT_QUBITS = 10
 UNITARY_TOL = 1e-10
 
 
-def is_unitary(matrix: np.ndarray, tol: float = UNITARY_TOL) -> bool:
+def is_unitary(matrix: np.ndarray) -> bool:
     """Check max elementwise deviation of U @ U-dagger from the identity."""
     matrix = np.asarray(matrix)
     if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
         return False
     product = matrix @ matrix.conj().T
-    return bool(np.max(np.abs(product - np.eye(matrix.shape[0]))) <= tol)
+    return bool(np.max(np.abs(product - np.eye(matrix.shape[0]))) <= UNITARY_TOL)
 
 
 @dataclass(frozen=True, eq=False)

@@ -10,6 +10,7 @@ BACKUP/RESTORE pair an oracle with partial diffusion.
 
 from __future__ import annotations
 
+import math
 from collections import Counter
 from dataclasses import dataclass
 from typing import Mapping, Sequence, Union
@@ -17,6 +18,7 @@ from typing import Mapping, Sequence, Union
 import numpy as np
 
 from .boolcirc import (
+    MAX_TABLE_VARS,
     BoolExpr,
     TruthTable,
     apply_oracle,
@@ -24,7 +26,7 @@ from .boolcirc import (
     to_reed_muller,
     truth_table,
 )
-from .diffusion import DiffusionParams, apply_partial_diffusion
+from .diffusion import apply_partial_diffusion
 from .errors import (
     ArgumentError,
     CapacityError,
@@ -35,13 +37,19 @@ from .errors import (
 )
 from .gates import HADAMARD, NOT, GateMatrix
 from .schema import Record, TableSchema
-from .statevec import DEFAULT_EPSILON, DEFAULT_MAX_QUBITS, NORM_TOL, StateVector, qubit_view, swap
+from .statevec import (
+    DEFAULT_EPSILON,
+    DEFAULT_MAX_QUBITS,
+    NORM_TOL,
+    SCAN_BLOCK,
+    StateVector,
+    qubit_view,
+    swap,
+)
 
 DEFAULT_TEMP_QUBITS = 3
 SUPPORT_TOL = 1e-9
 RESIDUE_TOL = 1e-12
-# Amplitudes per block of a blocked scan of the register.
-SUPPORT_BLOCK = 1 << 14
 
 
 @dataclass
@@ -79,6 +87,20 @@ class ApplySwap:
 RecordLike = Union[Record, int]
 
 
+def check_capacity(n: int, t: int, max_qubits: int) -> None:
+    """Refuse a register of ``n`` data and ``t`` temp qubits beyond the qubit
+    capacity, or a table too wide for any WHERE to build its truth table."""
+    if n + t > max_qubits:
+        raise CapacityError(f"{n} data + {t} temp qubits exceed the {max_qubits}-qubit capacity")
+    if n > MAX_TABLE_VARS:
+        raise CapacityError(f"{n} data bits exceed the {MAX_TABLE_VARS}-bit table bound")
+
+
+def _check_norm(norm: float) -> None:
+    if not abs(norm - 1.0) <= NORM_TOL:
+        raise ValidationError(f"state norm {norm} is not 1 within {NORM_TOL}")
+
+
 class QdbState:
     """A database session: state vector over ``n + t`` qubits plus temp-qubit
     allocation and the optional safe key.
@@ -106,11 +128,8 @@ class QdbState:
         if safe_key is not None and not n <= safe_key.qubit < n + t:
             raise ValueError(f"safe qubit {safe_key.qubit} is not a temp qubit")
         if t < 1:
-            raise ValueError("need at least one temporary qubit")
-        if n + t > max_qubits:
-            raise CapacityError(
-                f"{n} data + {t} temp qubits exceed the {max_qubits}-qubit capacity"
-            )
+            raise ArgumentError("need at least one temporary qubit")
+        check_capacity(n, t, max_qubits)
         if state is not None and state.num_qubits != n + t:
             raise ValueError("provided state does not match schema plus temp count")
         self.schema = schema
@@ -131,26 +150,35 @@ class QdbState:
         rows of them; the norm, read off their sum, must be 1 (a part not
         finite, or huge, makes it NaN or infinite without a warning)."""
         amps, width = self.state.amps, 1 << self.t
-        patterns, step = np.zeros(width), max(SUPPORT_BLOCK, width)
+        patterns, step = np.zeros(width), max(SCAN_BLOCK, width)
         with np.errstate(over="ignore", invalid="ignore"):
             for start in range(0, amps.size, step):
                 part = amps[start : start + step]
                 patterns += (part.real**2 + part.imag**2).reshape(-1, width).sum(axis=0)
-            norm = float(np.sqrt(patterns.sum()))
-        if not abs(norm - 1.0) <= NORM_TOL:
-            raise ValidationError(f"state norm {norm} is not 1 within {NORM_TOL}")
+            _check_norm(float(np.sqrt(patterns.sum())))
         return patterns
 
-    def _release_temps(self) -> None:
-        """Hold each temp but the safe key exactly while its |1> mass is at
-        least ``RESIDUE_TOL``, select flags included; one without a use is held
-        as a nameless residue.  LOAD, APPLY and post-selections go by it."""
+    def _held_temps(self) -> list[int]:
+        """The temps the release rule holds, read off one pass: the safe key,
+        and each other temp while its |1> mass is at least ``RESIDUE_TOL``,
+        select flags included."""
         patterns = self._read_state()
-        for j in range(self.t):
-            if patterns.reshape(1 << j, 2, -1)[:, 1].sum() >= RESIDUE_TOL:
-                self.temp_alloc.setdefault(self.n + j, TempUse("residue"))
-            elif self.n + j not in self._live_controls():
-                self.temp_alloc.pop(self.n + j, None)
+        return [
+            self.n + j for j in range(self.t)
+            if self.n + j in self._live_controls()
+            or patterns.reshape(1 << j, 2, -1)[:, 1].sum() >= RESIDUE_TOL
+        ]
+
+    def _release_temps(self) -> None:
+        """Free each temp the release rule does not hold; one it holds without
+        a use is held as a nameless residue.  LOAD, APPLY and post-selections
+        go by it."""
+        held = self._held_temps()
+        for q in range(self.n, self.n + self.t):
+            if q in held:
+                self.temp_alloc.setdefault(q, TempUse("residue"))
+            else:
+                self.temp_alloc.pop(q, None)
 
     # ------------------------------------------------------------------ layout
 
@@ -181,11 +209,14 @@ class QdbState:
         return free[0]
 
     def _check_temps_free(self) -> None:
-        # Hadamards in every temp branch would copy a held flag onto the new
-        # records and re-spread a backup's protected copy
+        """Refuse while the release rule holds a temp, and change nothing;
+        otherwise free every temp, as a LOAD of the register would.  Hadamards
+        in every temp branch would copy a held flag onto the new records and
+        re-spread a backup's protected copy."""
         if self.temp_alloc:
-            held = ", ".join(map(str, sorted(self.temp_alloc)))
-            raise QqlError(f"insert requires every temporary qubit to be free (held: {held})")
+            if held := ", ".join(map(str, self._held_temps())):
+                raise QqlError(f"insert requires every temporary qubit to be free (held: {held})")
+            self.temp_alloc.clear()
 
     def _live_controls(self) -> list[int]:
         """The safe key as a negative control when a backup is active: the
@@ -199,7 +230,7 @@ class QdbState:
         view = qubit_view(
             self.state.amps, self.state.num_qubits, (), self._live_controls(), (), range(self.n)
         )
-        step = max(1, SUPPORT_BLOCK >> self.t)
+        step = max(1, SCAN_BLOCK >> self.t)
         found = []
         # in blocks of rows, so the temporaries stay far below the register
         for start in range(0, view.shape[0], step):
@@ -241,10 +272,12 @@ class QdbState:
             for _ in range(r):
                 value *= s
             amps[: (1 << r) << self.t : 1 << self.t] = value
+            # the fill's norm is known without reading the register back
+            _check_norm(math.sqrt((1 << r) * value * value))
         else:
             for q in range(n - r, n):
                 self.state.apply_controlled(HADAMARD, targets=[q])
-        self._read_state()
+            self._read_state()
         return self
 
     def _seq_steps(self, fill: int, upto_k: int) -> None:
@@ -353,7 +386,7 @@ class QdbState:
             flat = [record for src, dst in pairs for record in (src, dst)]
         swaps = self._as_indices(flat).reshape(-1, 2)
         if np.unique(swaps).size != swaps.size:
-            raise ValueError("update pairs must be disjoint transpositions")
+            raise ArgumentError("update pairs must be disjoint transpositions")
         if self.safe_key is None:
             # uniqueness within the live database; a backup smears support
             # over every basis state, so the check only makes sense without one.
@@ -502,7 +535,7 @@ class QdbState:
         matches = int(np.count_nonzero(table.bits[self.support()]))
         qubit = self._first_free_temp("safe")
         apply_oracle(self.state, table, self.data_qubits, qubit)
-        apply_partial_diffusion(self.state, DiffusionParams(self.n), flag_qubit=qubit)
+        apply_partial_diffusion(self.state, self.n, qubit)
         self._read_state()
         self.temp_alloc[qubit] = TempUse("safe", expr)
         self.safe_key = SafeKey(qubit, expr, matches)
@@ -547,8 +580,8 @@ class QdbState:
         ascending, and their amplitudes; scanned in blocks, as :meth:`support`."""
         amps = self.state.amps
         found = []
-        for start in range(0, amps.size, SUPPORT_BLOCK):
-            part = amps[start : start + SUPPORT_BLOCK]
+        for start in range(0, amps.size, SCAN_BLOCK):
+            part = amps[start : start + SCAN_BLOCK]
             found.append(np.flatnonzero(part.real**2 + part.imag**2 >= 1e-24) + start)
         indices = np.concatenate(found)
         return indices, amps[indices]

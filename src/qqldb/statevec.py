@@ -24,8 +24,9 @@ NORM_TOL = 1e-9
 # Fixed ceiling on the shots of one sample: the sampler holds a few arrays of
 # ``shots`` 8-byte entries, so 2^24 shots stay within a few hundred MiB.
 MAX_SHOTS = 1 << 24
-# Amplitudes per block of the sampler's cumulative sum.
-SAMPLE_BLOCK = 1 << 14
+# Amplitudes per block of every blocked scan of the register: the engine's
+# norm, support and SHOW scans, the sampler's cumulative sum and ``repr``.
+SCAN_BLOCK = 1 << 14
 
 _MASK64 = (1 << 64) - 1
 _BITS64 = np.arange(64, dtype=np.uint64)
@@ -311,12 +312,6 @@ class StateVector:
             raise ValidationError(f"state norm {norm} is not 1 within {NORM_TOL}")
         return cls(size.bit_length() - 1, amps)
 
-    def copy(self) -> "StateVector":
-        return StateVector(self.num_qubits, self.amps.copy())
-
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.amps))
-
     def _check_qubits(self, qubits: Sequence[int], label: str):
         seen = set()
         for q in qubits:
@@ -404,7 +399,7 @@ class StateVector:
         over the documented xorshift64* stream; returns them in draw order.
         Deterministic for a fixed seed.
 
-        The cumulative sum is built and searched ``SAMPLE_BLOCK`` amplitudes
+        The cumulative sum is built and searched ``SCAN_BLOCK`` amplitudes
         at a time, the running total added into each block's first term:
         the same additions in the same order as ``np.cumsum``, so the picks
         are those of one search of the whole sum, without a register-sized
@@ -418,8 +413,8 @@ class StateVector:
         # a draw at or above the total picks the last index
         sorted_picks = np.full(shots, self.amps.size - 1, dtype=np.intp)
         total, done = 0.0, 0
-        for start in range(0, self.amps.size, SAMPLE_BLOCK):
-            part = self.amps[start : start + SAMPLE_BLOCK]
+        for start in range(0, self.amps.size, SCAN_BLOCK):
+            part = self.amps[start : start + SCAN_BLOCK]
             cumulative = part.real**2 + part.imag**2
             cumulative[0] += total
             np.cumsum(cumulative, out=cumulative)
@@ -434,11 +429,11 @@ class StateVector:
 
     def __repr__(self) -> str:
         terms = []
-        # the first 8 components above 1e-6 in magnitude, found tile by tile
-        for start in range(0, self.amps.size, TILE_COLUMNS):
-            tile = self.amps[start : start + TILE_COLUMNS]
-            for idx in np.flatnonzero(tile.real**2 + tile.imag**2 > 1e-12)[: 8 - len(terms)]:
-                terms.append(f"{tile[idx]:.3g}|{start + idx:0{self.num_qubits}b}>")
+        # the first 8 components above 1e-6 in magnitude, found block by block
+        for start in range(0, self.amps.size, SCAN_BLOCK):
+            part = self.amps[start : start + SCAN_BLOCK]
+            for idx in np.flatnonzero(part.real**2 + part.imag**2 > 1e-12)[: 8 - len(terms)]:
+                terms.append(f"{part[idx]:.3g}|{start + idx:0{self.num_qubits}b}>")
             if len(terms) == 8:
                 break
         body = " + ".join(terms) if terms else "0"

@@ -8,9 +8,8 @@ from typing import Iterable
 import numpy as np
 
 from qqldb import qlang
-from qqldb.boolcirc import validate_expr
+from qqldb.boolcirc import MAX_TABLE_VARS, validate_expr
 from qqldb.cli import FORMAT_HEADER, LOAD_CHUNK
-from qqldb.diffusion import DiffusionParams
 from qqldb.errors import CapacityError, QqlError, QqlSyntaxError, SessionFormatError
 from qqldb.gates import DENSE_LIMIT_QUBITS, HADAMARD, NOT, GateMatrix
 from qqldb.qdb import SafeKey
@@ -189,10 +188,10 @@ def permutation_gate(swaps: Iterable[tuple[int, int]], num_qubits: int) -> GateM
     return GateMatrix(mat)
 
 
-def dense_partial_diffusion(params: DiffusionParams) -> GateMatrix:
+def dense_partial_diffusion(n: int) -> GateMatrix:
     """Exact matrix product of the three factors of the partial diffusion
-    operator, for n + 1 within the dense limit."""
-    n = params.n
+    operator over ``n`` data qubits and a last flag qubit, for n + 1 within
+    the dense limit."""
     if n + 1 > DENSE_LIMIT_QUBITS:
         raise CapacityError(f"dense diffusion over {n + 1} qubits exceeds the dense limit")
     dim = 1 << (n + 1)
@@ -201,7 +200,7 @@ def dense_partial_diffusion(params: DiffusionParams) -> GateMatrix:
         spread = np.kron(spread, HADAMARD.matrix)
     spread = np.kron(spread, np.eye(2, dtype=np.complex128))
     core = -np.eye(dim, dtype=np.complex128)
-    core[0, 0] += params.factor
+    core[0, 0] += 2.0
     return GateMatrix(spread @ core @ spread)
 
 
@@ -351,6 +350,10 @@ def reference_read_session(handle, max_qubits: int):
         raise CapacityError(
             f"{schema.num_bits} data + {temp} temp qubits exceed the "
             f"{max_qubits}-qubit capacity"
+        )
+    if schema.num_bits > MAX_TABLE_VARS:
+        raise CapacityError(
+            f"{schema.num_bits} data bits exceed the {MAX_TABLE_VARS}-bit table bound"
         )
     if safe_key is not None and not schema.num_bits <= safe_key.qubit < total:
         raise SessionFormatError(f"safe qubit {safe_key.qubit} is not a temp qubit")

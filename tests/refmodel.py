@@ -129,14 +129,19 @@ class RefDb:
         self._release()
         return mass
 
+    def held(self) -> list[int]:
+        """The temps the release rule holds: the safe key, and each other temp
+        while its |1> mass is at least the residue tolerance."""
+        return [j for j in range(self.t)
+                if j == self.safe_temp or self.temp_mass(j) >= RESIDUE_TOL]
+
     def _release(self):
-        """Hold each temp but the safe key exactly while its |1> mass is at
-        least the residue tolerance, as a nameless residue when it had no
-        use: a drained temp is freed, select flags included."""
+        """Hold each temp the rule holds, as a nameless residue when it had
+        no use, and free the others: a drained temp is freed, select flags
+        included."""
+        held = self.held()
         for j in range(self.t):
-            if j == self.safe_temp:
-                continue
-            if self.temp_mass(j) >= RESIDUE_TOL:
+            if j in held:
                 self.alloc.setdefault(j, ("residue", None))
             else:
                 self.alloc.pop(j, None)
@@ -153,6 +158,8 @@ class RefDb:
     # ------------------------------------------------------------ operations
 
     def insert_bulk(self, r: int):
+        # an INSERT runs only while the rule holds no temp, and frees them all
+        self._release()
         for significance in range(r):
             self._hadamard_record_bit(significance)
 
@@ -165,10 +172,12 @@ class RefDb:
         )
 
     def insert_seq(self, upto: int):
+        self._release()
         for k in range(self.seq_fill() + 1, upto + 1):
             self._seq_step(k)
 
     def insert_values(self, indices: list[int]):
+        self._release()
         count = len(indices)
         for k in range(self.seq_fill() + 1, count):
             self._seq_step(k)

@@ -28,7 +28,7 @@ from qqldb.boolcirc import (
     truth_table,
 )
 from qqldb.cli import Session, SessionConfig, run_script
-from qqldb.diffusion import DiffusionParams, apply_partial_diffusion
+from qqldb.diffusion import apply_partial_diffusion
 from qqldb.errors import QqlError
 from qqldb.gates import CnotGate, HADAMARD
 from qqldb.qdb import QdbState
@@ -145,25 +145,19 @@ def test_criterion_05_partial_diffusion():
     rng = np.random.default_rng(5)
     for case in range(100):
         n = int(rng.integers(1, 9))
-        phi = float(rng.choice([np.pi, rng.uniform(0, 2 * np.pi)]))
-        params = DiffusionParams(n, phi)
-        dense = dense_partial_diffusion(params).matrix
+        dense = dense_partial_diffusion(n).matrix
         start = random_state(n + 1, rng)
         state = StateVector(n + 1, start.copy())
-        apply_partial_diffusion(state, params)
+        apply_partial_diffusion(state, n, n)
         assert np.max(np.abs(state.amps - dense @ start)) < 1e-12, f"case {case}"
 
     for n in (1, 4, 8):
         start = random_state(n + 1, rng)
         state = StateVector(n + 1, start.copy())
-        apply_partial_diffusion(state, DiffusionParams(n))
-        apply_partial_diffusion(state, DiffusionParams(n))
+        apply_partial_diffusion(state, n, n)
+        apply_partial_diffusion(state, n, n)
         assert np.max(np.abs(state.amps - start)) < 1e-12
-
-        zero_phi = StateVector(n + 1, start.copy())
-        apply_partial_diffusion(zero_phi, DiffusionParams(n, 0.0))
-        assert np.max(np.abs(zero_phi.amps + start)) <= 1e-15
-    report(5, "fast path matches the dense operator on 100 random states; pi^2 = I; phi=0 = -I")
+    report(5, "fast path matches the dense operator on 100 random states; D^2 = I")
 
 
 # --------------------------------------------------------------------- 6
@@ -186,11 +180,11 @@ def test_criterion_06_backup_amplitudes():
         assert np.max(np.abs(view[~marked, 0] - (2 * mean - alpha[~marked]))) < 1e-12
         assert np.max(np.abs(view[marked, 0] - 2 * mean)) < 1e-12
         assert np.max(np.abs(view[marked, 1] + alpha[marked])) < 1e-12
-        assert abs(db.state.norm() - 1) < 1e-9, f"case {case}"
+        assert abs(np.linalg.norm(db.state.amps) - 1) < 1e-9, f"case {case}"
 
     # uniform n=2 case against the independent dense-matrix oracle
     oracle = np.eye(8)[:, [0, 1, 2, 3, 4, 5, 7, 6]]  # flip flag for record 3
-    dense = dense_partial_diffusion(DiffusionParams(2)).matrix
+    dense = dense_partial_diffusion(2).matrix
     start = np.zeros(8, dtype=complex)
     start[0::2] = 0.5
     expected = dense @ (oracle @ start)
@@ -287,7 +281,7 @@ class Mirror:
     # ---- statement emitters; each returns True if it ran
 
     def do_insert_all(self) -> bool:
-        if self.ref.seq_fill() != 0 or self.db.temp_alloc:
+        if self.ref.seq_fill() != 0 or self.ref.held():
             return False
         r = int(self.rng.integers(1, self.n + 1))
         self.run(f"INSERT ALL {r};", lambda: self.ref.insert_bulk(r))
@@ -295,7 +289,7 @@ class Mirror:
 
     def do_insert_seq(self) -> bool:
         fill = self.ref.seq_fill()
-        if fill is None or fill >= (1 << self.n) - 1 or self.db.temp_alloc:
+        if fill is None or fill >= (1 << self.n) - 1 or self.ref.held():
             return False
         upto = int(self.rng.integers(fill + 1, 1 << self.n))
         self.run(f"INSERT SEQ {upto};", lambda: self.ref.insert_seq(upto))
@@ -303,7 +297,7 @@ class Mirror:
 
     def do_insert_values(self) -> bool:
         fill = self.ref.seq_fill()
-        if fill is None or self.db.temp_alloc:
+        if fill is None or self.ref.held():
             return False
         low, high = max(1, fill + 1), 1 << self.n
         if low > high:
@@ -601,9 +595,9 @@ def failing_statements(mirror: Mirror, missing: str) -> list[str]:
     fill = mirror.ref.seq_fill()
     if fill is None:
         statements.append(f"INSERT SEQ {(1 << n) - 1};")
-    elif db.temp_alloc and fill < (1 << n) - 1:
+    elif mirror.ref.held() and fill < (1 << n) - 1:
         statements.append(f"INSERT SEQ {fill + 1};")
-    if fill != 0 or db.temp_alloc:
+    if fill != 0 or mirror.ref.held():
         statements.append("INSERT ALL 1;")
     if db.safe_key is None:
         statements.append("RESTORE;")
@@ -748,7 +742,7 @@ def test_criterion_11_performance_floor():
     from qqldb.boolcirc import apply_oracle
 
     apply_oracle(db.state, table, db.data_qubits, n)
-    apply_partial_diffusion(db.state, DiffusionParams(n), flag_qubit=n)
+    apply_partial_diffusion(db.state, n, n)
     elapsed = time.perf_counter() - start
     assert elapsed < 2.0, f"oracle + diffusion took {elapsed:.3f}s"
     report(11, f"oracle + partial diffusion on 2^21 amplitudes in {elapsed:.3f}s (< 2s)")

@@ -161,6 +161,9 @@ ARGUMENT_ERRORS = [
     ("", "INSERT VALUES (a=1), (a=1);", "duplicate records in INSERT VALUES"),
     ("INSERT SEQ 3;", "INSERT VALUES (a=1);", "1 records cannot cover the 4 already present"),
     ("INSERT ALL 2;", "MEASURE 0 SEED 3;", "shots must be >= 1"),
+    ("", "UPDATE SET |001> TO |100>, |100> TO |101>;",
+     "update pairs must be disjoint transpositions"),
+    ("", "UPDATE SET |001> TO |001>;", "update pairs must be disjoint transpositions"),
 ]
 
 
@@ -179,6 +182,19 @@ def test_argument_error_is_a_qql_error(before, statement, message):
     assert session.db.state.amps.tobytes() == amps.tobytes()
 
 
+@pytest.mark.parametrize("statement, error, message", [
+    ("CREATE TABLE t (k:2) TEMP 0;", ArgumentError, "need at least one temporary qubit"),
+    # within the 22-qubit capacity, but no WHERE could build its truth table
+    ("CREATE TABLE t (k:21) TEMP 1;", CapacityError, "21 data bits exceed the 20-bit table bound"),
+])
+def test_create_refusal_is_a_qql_error(statement, error, message):
+    session = Session()
+    with pytest.raises(error) as failure:
+        session.execute_text(statement)
+    assert str(failure.value) == message
+    assert session.db is None
+
+
 @pytest.mark.parametrize("name", ["backup_demo", "select_apply_demo", "sequential_insert_demo"])
 def test_script_transcript_matches_golden(name):
     """The transcript of each script in ``scripts/`` under the default seed,
@@ -188,6 +204,34 @@ def test_script_transcript_matches_golden(name):
     transcript, status = run_script(str(ROOT / "scripts" / f"{name}.qql"), Session())
     assert status == 0
     assert transcript.encode() == (ROOT / "tests" / "golden" / f"{name}.txt").read_bytes()
+
+
+BACKUP_CHAIN = """
+CREATE TABLE t (a:3, b:2) TEMP 2;
+INSERT ALL 5;
+SELECT c WHERE a >= 2;
+DELETE WHERE b = 1;
+BACKUP WHERE a < 4 AND b = 2;
+UPDATE SET |00010> TO |11100>, |01000> TO |00001>;
+RESTORE PURGE;
+BACKUP WHERE a = 5 OR b = 0;
+UPDATE SET |10100> TO |00011>;
+RESTORE PURGE;
+"""
+
+
+def test_backup_chain_save_matches_golden(tmp_path):
+    """The SAVE file after a backup chain, byte for byte as in
+    ``tests/golden/backup_chain.qdb``.  INSERT ALL on |0...0> takes its closed
+    form and no other statement runs a Hadamard, so no BLAS product is
+    involved: the bytes are the same with any BLAS build, and pin the
+    oracles, the post-selections and BACKUP's partial diffusion, the second
+    time on amplitudes that the first one left unequal."""
+    session = Session()
+    session.execute_text(BACKUP_CHAIN)
+    path = tmp_path / "backup_chain.qdb"
+    session.execute_text(f'SAVE "{path}";')
+    assert path.read_bytes() == (ROOT / "tests" / "golden" / "backup_chain.qdb").read_bytes()
 
 
 HOSTILE = {
@@ -396,6 +440,7 @@ class TestSaveLoad:
         [
             ("SCHEMA t id:2\nTEMP 40", CapacityError),
             ("SCHEMA t a:40\nTEMP 1", CapacityError),
+            ("SCHEMA t k:21\nTEMP 1", CapacityError),
             ("SCHEMA t id:2\nTEMP 0", SessionFormatError),
             ("SCHEMA t id:2\nTEMP -3", SessionFormatError),
         ],
@@ -542,7 +587,7 @@ class TestLoadRejects:
             assert_unchanged(session, db, amps)
         else:
             assert session.db.schema.name == "t"
-            assert abs(session.db.state.norm() - 1.0) <= 1e-9
+            assert abs(np.linalg.norm(session.db.state.amps) - 1.0) <= 1e-9
 
 
 def saved_file(path: Path, amps: np.ndarray, t: int = 2) -> bytes:

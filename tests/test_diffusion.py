@@ -1,14 +1,11 @@
-import math
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import dense_partial_diffusion, random_state
-from qqldb.diffusion import DiffusionParams, apply_partial_diffusion
+from qqldb.diffusion import apply_partial_diffusion
 from qqldb.errors import CapacityError
-from qqldb.gates import is_unitary
 from qqldb.statevec import StateVector
 
 
@@ -21,64 +18,44 @@ def interleave(alpha, beta):
 
 
 class TestDenseConstruction:
-    def test_unitary_for_various_angles(self):
-        for n in (1, 2, 3):
-            for phi in (0.0, math.pi / 3, math.pi, 2.5):
-                gate = dense_partial_diffusion(DiffusionParams(n, phi))
-                assert is_unitary(gate.matrix)
-
-    def test_phi_zero_is_minus_identity(self):
-        gate = dense_partial_diffusion(DiffusionParams(1, 0.0))
-        assert np.max(np.abs(gate.matrix + np.eye(4))) <= 1e-15
-
     def test_dense_limit(self):
         with pytest.raises(CapacityError):
-            dense_partial_diffusion(DiffusionParams(10))
+            dense_partial_diffusion(10)
 
 
 class TestAction:
     def test_worked_two_qubit_example(self):
-        # alpha = (1/2, 1/2, 1/2, 0), beta = (0, 0, 0, 1/2), phi = pi:
-        # the dense operator is the oracle for the expected output
+        # alpha = (1/2, 1/2, 1/2, 0), beta = (0, 0, 0, 1/2): the dense
+        # operator is the oracle for the expected output
         alpha = np.array([0.5, 0.5, 0.5, 0.0])
         beta = np.array([0.0, 0.0, 0.0, 0.5])
         amps = interleave(alpha, beta)
-        params = DiffusionParams(2)
-        expected = dense_partial_diffusion(params).matrix @ amps
+        expected = dense_partial_diffusion(2).matrix @ amps
 
         state = StateVector(3, amps.copy())
-        apply_partial_diffusion(state, params)
+        apply_partial_diffusion(state, 2, 2)
         assert np.max(np.abs(state.amps - expected)) < 1e-12
         # and the closed form: mean 3/8, a = 2<a> - alpha, beta negated
         assert np.allclose(state.amps[0::2], [0.25, 0.25, 0.25, 0.75])
         assert np.allclose(state.amps[1::2], [0, 0, 0, -0.5])
-
-    def test_phi_zero_negates_everything(self):
-        rng = np.random.default_rng(0)
-        start = random_state(4, rng)
-        state = StateVector(4, start.copy())
-        apply_partial_diffusion(state, DiffusionParams(3, 0.0))
-        assert np.max(np.abs(state.amps + start)) <= 1e-15
 
     def test_pi_applied_twice_is_identity(self):
         rng = np.random.default_rng(1)
         for n in (1, 3, 6, 10):
             start = random_state(n + 1, rng)
             state = StateVector(n + 1, start.copy())
-            params = DiffusionParams(n)
-            apply_partial_diffusion(state, params)
-            apply_partial_diffusion(state, params)
+            apply_partial_diffusion(state, n, n)
+            apply_partial_diffusion(state, n, n)
             assert np.max(np.abs(state.amps - start)) < 1e-12
 
     @pytest.mark.parametrize("n", [1, 2, 4, 6, 8])
     def test_fast_path_matches_dense(self, n):
         rng = np.random.default_rng(n)
-        for phi in (math.pi, 0.7, 2.0):
-            params = DiffusionParams(n, phi)
-            dense = dense_partial_diffusion(params).matrix
+        dense = dense_partial_diffusion(n).matrix
+        for _ in range(3):
             start = random_state(n + 1, rng)
             state = StateVector(n + 1, start.copy())
-            apply_partial_diffusion(state, params)
+            apply_partial_diffusion(state, n, n)
             assert np.max(np.abs(state.amps - dense @ start)) < 1e-12
 
     @given(st.integers(0, 2**32 - 1))
@@ -86,10 +63,9 @@ class TestAction:
     def test_flag1_magnitudes_preserved(self, seed):
         rng = np.random.default_rng(seed)
         n = int(rng.integers(1, 7))
-        phi = float(rng.uniform(0, 2 * math.pi))
         start = random_state(n + 1, rng)
         state = StateVector(n + 1, start.copy())
-        apply_partial_diffusion(state, DiffusionParams(n, phi))
+        apply_partial_diffusion(state, n, n)
         assert np.max(np.abs(np.abs(state.amps[1::2]) - np.abs(start[1::2]))) < 1e-12
 
     def test_mean_formula_holds_exactly(self):
@@ -101,7 +77,7 @@ class TestAction:
         alpha = amps[0::2].copy()
         mean = alpha.mean()
         state = StateVector(n + 1, amps.copy())
-        apply_partial_diffusion(state, DiffusionParams(n))
+        apply_partial_diffusion(state, n, n)
         assert np.max(np.abs(state.amps[0::2] - (2 * mean - alpha))) < 1e-14
 
     def test_flag_qubit_with_spectators(self):
@@ -111,8 +87,7 @@ class TestAction:
         rng = np.random.default_rng(10)
         n, t = 2, 2  # qubits: data 0..1, temps 2..3; flag = 2, spectator = 3
         start = random_state(n + t, rng)
-        params = DiffusionParams(n)
-        dense = dense_partial_diffusion(params).matrix
+        dense = dense_partial_diffusion(n).matrix
         expected = start.copy()
         for spectator in (0, 1):
             idxs = [
@@ -120,7 +95,7 @@ class TestAction:
             ]
             expected[idxs] = dense @ start[idxs]
         state = StateVector(n + t, start.copy())
-        apply_partial_diffusion(state, params, flag_qubit=2)
+        apply_partial_diffusion(state, n, 2)
         assert np.max(np.abs(state.amps - expected)) < 1e-12
 
     @pytest.mark.parametrize("n, t, flag", [(2, 3, 3), (3, 4, 5), (1, 5, 2), (10, 3, 11)])
@@ -129,23 +104,22 @@ class TestAction:
         # and bit for bit against one mean per column of the (2^n x 2^t) view
         rng = np.random.default_rng(100 * n + flag)
         m = n + t
-        for phi in (math.pi, 0.0, float(rng.uniform(0, 2 * math.pi))):
-            params = DiffusionParams(n, phi)
+        for _ in range(3):
             start = random_state(m, rng)
             state = StateVector(m, start.copy())
-            apply_partial_diffusion(state, params, flag_qubit=flag)
+            apply_partial_diffusion(state, n, flag)
 
             flag_bit = 1 << (m - 1 - flag)
             columns = start.copy().reshape(1 << n, 1 << t)
             for column in range(1 << t):
                 if not column & flag_bit:
                     alpha = columns[:, column]
-                    alpha[...] = params.factor * alpha.mean() - alpha
+                    alpha[...] = (2.0 + 0.0j) * alpha.mean() - alpha
                     columns[:, column | flag_bit] = -columns[:, column | flag_bit]
             assert state.amps.tobytes() == columns.tobytes()
 
             if n + 1 <= 8:
-                dense = dense_partial_diffusion(params).matrix
+                dense = dense_partial_diffusion(n).matrix
                 for column in range(1 << t):
                     if not column & flag_bit:
                         idxs = [
@@ -157,4 +131,15 @@ class TestAction:
     def test_rejects_flag_in_data_region(self):
         state = StateVector.zero(3)
         with pytest.raises(ValueError):
-            apply_partial_diffusion(state, DiffusionParams(2), flag_qubit=1)
+            apply_partial_diffusion(state, 2, 1)
+
+    @pytest.mark.parametrize("n, flag, message", [
+        (0, 2, "need at least one data qubit"),
+        (3, 3, "state of 3 qubits too small for 3 data qubits plus a flag"),
+        (2, 3, "flag qubit 3 must lie in the tail qubits 2..2"),
+    ])
+    def test_rejects_a_layout_that_does_not_fit(self, n, flag, message):
+        state = StateVector.zero(3)
+        with pytest.raises(ValueError, match=message):
+            apply_partial_diffusion(state, n, flag)
+        assert state.amps[0] == 1 and not state.amps[1:].any()

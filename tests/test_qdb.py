@@ -34,6 +34,10 @@ def db3(t=1) -> QdbState:
     return QdbState(ID3, t=t)
 
 
+def copied(state: StateVector) -> StateVector:
+    return StateVector(state.num_qubits, state.amps.copy())
+
+
 class TestCreate:
     def test_zero_state(self):
         db = QdbState(ID3, t=1)
@@ -45,6 +49,14 @@ class TestCreate:
         wide = TableSchema("wide", (("a", 21),))
         with pytest.raises(CapacityError):
             QdbState(wide, t=2, max_qubits=22)
+
+    def test_table_bound(self):
+        # within the qubit capacity, but no WHERE could build a 2^21 table:
+        # refused before the register is allocated
+        wide = TableSchema("wide", (("a", 21),))
+        with pytest.raises(CapacityError, match="21 data bits exceed the 20-bit table bound"):
+            QdbState(wide, t=1, max_qubits=22)
+        assert QdbState(TableSchema("t", (("a", 20),)), t=1).n == 20
 
     def test_width_sum(self):
         two_fields = TableSchema("t", (("a", 2), ("b", 1)))
@@ -88,7 +100,7 @@ class TestCreateFromState:
         db = db2(t=2).insert_bulk(2)
         db.backup(Comparison("id", "=", 3))
         key = db.safe_key
-        loaded = QdbState(ID2, 2, state=db.state.copy(), safe_key=key)
+        loaded = QdbState(ID2, 2, state=copied(db.state), safe_key=key)
         assert loaded.safe_key == key and loaded.seq_fill() is None
         assert loaded.temp_alloc == {key.qubit: TempUse("safe", key.expr)}
 
@@ -118,7 +130,7 @@ class TestCreateFromState:
         db.backup(Comparison("id", "=", 3))
         key = db.safe_key
         assert db.select(Comparison("id", "<", 2)) == key.qubit + 1
-        rebuilt = QdbState(ID2, 3, state=db.state.copy(), safe_key=key)
+        rebuilt = QdbState(ID2, 3, state=copied(db.state), safe_key=key)
         assert rebuilt.temp_alloc == {
             key.qubit: TempUse("safe", key.expr), key.qubit + 1: TempUse("residue"),
         }
@@ -251,6 +263,28 @@ class TestInsertNeedsFreeTemps:
     def test_insert_under_a_select_flag(self, statement):
         self.refused("CREATE TABLE t (k:2) TEMP 2; SELECT c WHERE k = 0;",
                      statement, "every temporary qubit to be free")
+
+    def test_a_drained_select_flag_is_freed_first(self, tmp_path):
+        # the flag of a SELECT that matches no record carries no mass: INSERT
+        # frees it, as a LOAD of the register does, so the session and its
+        # SAVE/LOAD copy accept the INSERT alike
+        path = tmp_path / "drained.qdb"
+        live, loaded = Session(), Session()
+        live.execute_text("CREATE TABLE t (k:2) TEMP 2; INSERT SEQ 1; SELECT c WHERE k = 3;")
+        live.execute_text(f'SAVE "{path}";')
+        loaded.execute_text(f'LOAD "{path}";')
+        for session in (live, loaded):
+            outputs = session.execute_text("INSERT SEQ 2;")
+            assert outputs == ["ok: insert sequential to 2; support size 3"]
+            assert session.db.temp_alloc == {}
+        assert live.db.state.amps.tobytes() == loaded.db.state.amps.tobytes()
+
+    def test_refusal_names_the_temps_that_stay_held(self):
+        # c flags no record and would be freed, d flags record 1 and stays
+        setup = ("CREATE TABLE t (k:2) TEMP 3; INSERT SEQ 1; "
+                 "SELECT c WHERE k = 3; SELECT d WHERE k = 1;")
+        session = self.refused(setup, "INSERT SEQ 2;", r"free \(held: 3\)$")
+        assert session.db.selects == {"c": 2, "d": 3}
 
     def test_insert_all_under_a_backup(self):
         # the Hadamards would re-spread the protected copy; the restore then
@@ -773,7 +807,7 @@ class TestDelete:
             literal = int(rng.integers(0, 1 << n))
             if all(r >= literal for r in live):
                 continue
-            plain = QdbState(schema, t=2, state=db.state.copy())
+            plain = QdbState(schema, t=2, state=copied(db.state))
             plain.safe_key, plain.temp_alloc = db.safe_key, dict(db.temp_alloc)
             q = int(rng.integers(0, 6))
             probability = db.delete(Comparison("id", ">=", literal), q)
@@ -799,7 +833,7 @@ class TestBackup:
         view = db.state.amps.reshape(4, 2)
         assert np.allclose(view[:, 0], [0.25, 0.25, 0.25, 0.75])
         assert np.allclose(view[:, 1], [0, 0, 0, -0.5])
-        assert abs(db.state.norm() - 1) < 1e-9
+        assert abs(np.linalg.norm(db.state.amps) - 1) < 1e-9
 
     def test_match_count_on_safe_key(self):
         db = db3().insert_sequential(4)
@@ -865,7 +899,7 @@ class TestSafeControlledOperations:
     def test_amplified_delete_leaves_safe_untouched(self):
         db = db2(t=2).insert_bulk(2)
         db.backup(Comparison("id", "=", 3))
-        plain = QdbState(ID2, t=2, state=db.state.copy())
+        plain = QdbState(ID2, t=2, state=copied(db.state))
         plain.safe_key, plain.temp_alloc = db.safe_key, dict(db.temp_alloc)
         safe_before = db.state.amps.reshape(4, 4)[:, 2].copy()
         kept = plain.delete(Comparison("id", "=", 0))
@@ -905,7 +939,7 @@ class TestRestore:
         assert probability == pytest.approx(0.9375, abs=1e-12)
         assert db.safe_key is None
         assert db.free_temps() == [2]
-        assert abs(db.state.norm() - 1) < 1e-9
+        assert abs(np.linalg.norm(db.state.amps) - 1) < 1e-9
 
     def test_restore_without_purge_keeps_key(self):
         db = db2().insert_bulk(2)

@@ -15,7 +15,7 @@ from qqldb.cli import Session, _decimal_words, format_amplitude, write_amplitude
 from qqldb.errors import CapacityError, SessionFormatError
 from qqldb.statevec import (
     MAX_SHOTS,
-    SAMPLE_BLOCK,
+    SCAN_BLOCK,
     StateVector,
     Xorshift64Star,
     xorshift_uniform,
@@ -54,14 +54,14 @@ class TestLaneSampler:
         # equal to cumulative values (at block ends too), in no run, at the
         # total and above it
         rng = np.random.default_rng(3)
-        size = 4 * SAMPLE_BLOCK
+        size = 4 * SCAN_BLOCK
         amps = rng.normal(size=size) + 1j * rng.normal(size=size)
-        for start, stop in [(0, 10), (SAMPLE_BLOCK - 5, 2 * SAMPLE_BLOCK + 7), (size - 40, size)]:
+        for start, stop in [(0, 10), (SCAN_BLOCK - 5, 2 * SCAN_BLOCK + 7), (size - 40, size)]:
             amps[start:stop] = 0
         amps[rng.random(size) < 0.3] = 0
         amps /= np.linalg.norm(amps)
         cumulative = np.cumsum(amps.real**2 + amps.imag**2)
-        ends = np.arange(1, 5) * SAMPLE_BLOCK - 1
+        ends = np.arange(1, 5) * SCAN_BLOCK - 1
         draws = np.concatenate([
             cumulative[ends], cumulative[ends[:-1] + 1], cumulative[rng.integers(0, size, 500)],
             [0.0, cumulative[-1], np.nextafter(cumulative[-1], 2), 1.0, 1.5],

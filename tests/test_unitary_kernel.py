@@ -13,6 +13,8 @@ import numpy as np
 import pytest
 
 from helpers import random_state, random_unitary, untiled_apply
+from qqldb import qdb
+from qqldb.errors import ValidationError
 from qqldb.gates import HADAMARD, GateMatrix
 from qqldb.qdb import QdbState
 from qqldb.schema import TableSchema
@@ -138,10 +140,29 @@ class TestPerLevelSequentialInsert:
         # levels 0 .. 11 hold steps 1 .. 3000
         assert calls == {"gate": 12, "norm": 1}
 
+        # INSERT ALL's closed form checks its norm by formula, with no pass
+        # over the register; its Hadamard path reads the register once
+        db = table(14, 2)
+        calls.update(gate=0, norm=0)
+        db.insert_bulk(14)
+        assert calls == {"gate": 0, "norm": 0}
+        db = table(14, 2)
+        db.state.amps[0] = -1
+        calls.update(gate=0, norm=0)
+        db.insert_bulk(14)
+        assert calls == {"gate": 14, "norm": 1}
 
-def hadamard_layer(state: StateVector, n: int, r: int) -> StateVector:
-    """The bulk insert's gates one at a time: a Hadamard on each data qubit
-    ``n - r`` .. ``n - 1``."""
+    def test_closed_form_norm_check_refuses_a_wrong_fill(self, monkeypatch):
+        # with s = 1 in place of 1/sqrt(2) the fill's norm is 2^(r/2)
+        monkeypatch.setattr(qdb, "HADAMARD", GateMatrix(np.eye(2)))
+        with pytest.raises(ValidationError, match="state norm 2.0 is not 1"):
+            table(3, 1).insert_bulk(2)
+
+
+def hadamard_layer(amps: np.ndarray, n: int, r: int) -> StateVector:
+    """The bulk insert's gates one at a time on a copy of ``amps``: a
+    Hadamard on each data qubit ``n - r`` .. ``n - 1``."""
+    state = StateVector(amps.size.bit_length() - 1, amps.copy())
     for q in range(n - r, n):
         state.apply_controlled(HADAMARD, targets=[q])
     return state
@@ -184,7 +205,7 @@ class TestInsertAllClosedForm:
     def test_matches_hadamard_layer(self, n, t):
         for r in range(n + 1):
             db = table(n, t)
-            expected = hadamard_layer(db.state.copy(), n, r).amps
+            expected = hadamard_layer(db.state.amps, n, r).amps
             db.insert_bulk(r)
             if n + t == 2:
                 # the two-column product leaves -0.0 on a zero amplitude
@@ -194,7 +215,7 @@ class TestInsertAllClosedForm:
 
     def test_large_register_runs_no_gate(self, monkeypatch):
         db = QdbState(TableSchema("big", (("a", 9), ("b", 9))), t=3)
-        expected = hadamard_layer(db.state.copy(), 18, 18).amps
+        expected = hadamard_layer(db.state.amps, 18, 18).amps
         calls = count_gates(monkeypatch)
         db.insert_bulk(18)
         assert calls["gate"] == 0
@@ -209,7 +230,7 @@ class TestInsertAllClosedForm:
             amps[dust] = 1e-10
         db = QdbState(TableSchema("t", (("k", n),)), t=t, state=StateVector(n + t, amps))
         assert db.seq_fill() == 0 and not db.temp_alloc
-        expected = hadamard_layer(db.state.copy(), n, r).amps
+        expected = hadamard_layer(db.state.amps, n, r).amps
         calls = count_gates(monkeypatch)
         db.insert_bulk(r)
         assert calls["gate"] == r
