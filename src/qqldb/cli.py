@@ -17,8 +17,7 @@ from itertools import islice
 import numpy as np
 
 from . import qlang
-from .boolcirc import validate_expr
-from .errors import QqlError, SessionFormatError, ValidationError
+from .errors import QqlError, SessionFormatError
 from .qdb import QdbState, SafeKey, check_capacity
 from .schema import TableSchema
 from .statevec import DEFAULT_EPSILON, DEFAULT_MAX_QUBITS, StateVector, Xorshift64Star
@@ -167,8 +166,8 @@ class Session:
         return f"saved session to {path}"
 
     def load_session(self, path: str) -> str:
-        """Replace the session by the file's.  Every check, of the header and
-        of each amplitude line, runs before the current session is touched."""
+        """Replace the session by the file's.  Every check, LOAD's and the
+        engine constructor's, runs before the current session is touched."""
         try:
             with open(path, "r", encoding="utf-8") as handle:
                 loaded = _read_session(handle, self.config.max_qubits)
@@ -182,8 +181,8 @@ class Session:
         schema, temp, safe_key, amps = loaded
         try:
             self.db = QdbState(schema, temp, self.config.max_qubits, self.config.epsilon,
-                               StateVector(schema.num_bits + temp, amps), safe_key)
-        except ValidationError as exc:
+                               StateVector(amps), safe_key)
+        except QqlError as exc:
             raise SessionFormatError(f"malformed session file: {exc}") from exc
         return f"loaded session from {path}"
 
@@ -433,8 +432,9 @@ def _next_line(handle, what: str) -> str:
 
 def _read_session(handle, max_qubits: int):
     """Parse an open session file into (schema, temp, safe key or None,
-    amplitudes), or None for a file without a table.  The header is checked
-    before the register is allocated, and every amplitude line is checked:
+    amplitudes), or None for a file without a table.  The capacity and
+    ``TEMP >= 1`` are checked before the register is allocated (the safe key
+    and the norm are the engine's checks), and every amplitude line is checked:
     three fields, a basis index in range and above the previous line's, and
     finite parts.  A block of lines in the writer's own form is read from its
     bytes; any other block by ``int`` and ``float.fromhex``."""
@@ -463,7 +463,6 @@ def _read_session(handle, max_qubits: int):
         if safe_parts[1] != "none":
             matches_text, expr_text = safe_parts[2].split(maxsplit=1)
             expr = qlang.parse_predicate(expr_text)
-            validate_expr(expr, schema)
             safe_key = SafeKey(int(safe_parts[1]), expr, int(matches_text))
     except (QqlError, ValueError, IndexError) as exc:
         raise SessionFormatError(f"malformed session file: {exc}") from exc
@@ -471,8 +470,6 @@ def _read_session(handle, max_qubits: int):
         raise SessionFormatError(f"TEMP {temp} is below one temporary qubit")
     check_capacity(schema.num_bits, temp, max_qubits)
     total = schema.num_bits + temp
-    if safe_key is not None and not schema.num_bits <= safe_key.qubit < total:
-        raise SessionFormatError(f"safe qubit {safe_key.qubit} is not a temp qubit")
     amps = np.zeros(1 << total, dtype=np.complex128)
     previous = -1
     while lines := list(islice(handle, LOAD_CHUNK)):

@@ -25,6 +25,7 @@ from .boolcirc import (
     compile_to_cnots,
     to_reed_muller,
     truth_table,
+    validate_expr,
 )
 from .diffusion import apply_partial_diffusion
 from .errors import (
@@ -40,7 +41,6 @@ from .schema import Record, TableSchema
 from .statevec import (
     DEFAULT_EPSILON,
     DEFAULT_MAX_QUBITS,
-    NORM_TOL,
     SCAN_BLOCK,
     StateVector,
     qubit_view,
@@ -48,6 +48,7 @@ from .statevec import (
 )
 
 DEFAULT_TEMP_QUBITS = 3
+NORM_TOL = 1e-9
 SUPPORT_TOL = 1e-9
 RESIDUE_TOL = 1e-12
 
@@ -123,15 +124,18 @@ class QdbState:
         outside such as a session file's.  That keeps the amplitudes and the
         backup's ``safe_key``, but not what the other temps held: one pass over
         it checks the norm, and :meth:`_release_temps` holds each other temp
-        that carries mass as a nameless residue."""
+        that carries mass as a nameless residue.  The safe key's qubit and
+        predicate, the layout and the norm are checked here, and only here."""
         n = schema.num_bits
-        if safe_key is not None and not n <= safe_key.qubit < n + t:
-            raise ValueError(f"safe qubit {safe_key.qubit} is not a temp qubit")
         if t < 1:
             raise ArgumentError("need at least one temporary qubit")
         check_capacity(n, t, max_qubits)
+        if safe_key is not None:
+            if not n <= safe_key.qubit < n + t:
+                raise ArgumentError(f"safe qubit {safe_key.qubit} is not a temp qubit")
+            validate_expr(safe_key.expr, schema)
         if state is not None and state.num_qubits != n + t:
-            raise ValueError("provided state does not match schema plus temp count")
+            raise ArgumentError("provided state does not match schema plus temp count")
         self.schema = schema
         self.t = t
         self.epsilon = epsilon
@@ -317,6 +321,8 @@ class QdbState:
         """Make the support exactly the requested record set: sequential
         insertion of the right count, then one permutation that relabels the
         sequence onto the targets."""
+        if isinstance(records, np.ndarray) and records.ndim != 1:
+            raise ArgumentError(f"record indices must be a 1-D array, not {records.ndim}-D")
         count = len(records)
         if count < 1 or count > 1 << self.n:
             raise CapacityError(f"{count} records do not fit {self.n} data bits")
@@ -381,6 +387,8 @@ class QdbState:
         the safe key being 0, so the protected copy never moves.  ``pairs``
         may be an integer array of shape (k, 2)."""
         if isinstance(pairs, np.ndarray):
+            if pairs.ndim != 2 or pairs.shape[1] != 2:
+                raise ArgumentError(f"update pairs must be of shape (k, 2), not {pairs.shape}")
             flat = pairs.reshape(-1)
         else:
             flat = [record for src, dst in pairs for record in (src, dst)]
@@ -476,15 +484,17 @@ class QdbState:
         if isinstance(operation, ApplyGate):
             targets = operation.targets
             if len(set(targets)) != len(targets) or not all(0 <= q < self.n for q in targets):
-                raise ValueError(f"gate targets {targets} are not distinct data qubits")
+                raise ArgumentError(f"gate targets {targets} are not distinct data qubits")
             if operation.gate.num_qubits != len(targets):
-                raise ValueError(
+                raise ArgumentError(
                     f"{operation.gate.num_qubits}-qubit gate does not fit {len(targets)} targets"
                 )
         elif isinstance(operation, ApplySwap):
             for idx in (operation.index_a, operation.index_b):
                 if idx < 0 or idx >= 1 << self.n:
-                    raise ValueError(f"record index {idx} out of range")
+                    raise ArgumentError(f"record index {idx} out of range")
+            if operation.index_a == operation.index_b:
+                raise ArgumentError(f"record {operation.index_a} cannot be swapped with itself")
         else:
             raise TypeError(f"unsupported operation payload {operation!r}")
 

@@ -20,7 +20,6 @@ from .gates import CnotGate, GateMatrix
 
 DEFAULT_MAX_QUBITS = 22
 DEFAULT_EPSILON = 1e-12
-NORM_TOL = 1e-9
 # Fixed ceiling on the shots of one sample: the sampler holds a few arrays of
 # ``shots`` 8-byte entries, so 2^24 shots stay within a few hundred MiB.
 MAX_SHOTS = 1 << 24
@@ -270,11 +269,22 @@ class StateVector:
     A state has at most one writer at a time; all kernels are deterministic.
     """
 
-    __slots__ = ("num_qubits", "amps")
+    __slots__ = ("amps",)
 
-    def __init__(self, num_qubits: int, amps: np.ndarray):
-        self.num_qubits = num_qubits
+    def __init__(self, amps: np.ndarray):
+        """The state whose buffer is ``amps``, not a copy.  Its norm is the
+        engine's check (``QdbState``), not this one's."""
+        if not (isinstance(amps, np.ndarray) and amps.dtype == np.complex128 and amps.ndim == 1
+                and amps.flags.c_contiguous and amps.flags.writeable):
+            raise ArgumentError("amplitudes must be a writable, C-contiguous, 1-D complex128 array")
+        if amps.size < 2 or amps.size & (amps.size - 1):
+            raise ArgumentError(f"amplitude count {amps.size} is not a power of two >= 2")
         self.amps = amps
+
+    @property
+    def num_qubits(self) -> int:
+        """Read off the buffer's size, so it cannot disagree with it."""
+        return self.amps.size.bit_length() - 1
 
     @classmethod
     def zero(cls, num_qubits: int, max_qubits: int = DEFAULT_MAX_QUBITS) -> "StateVector":
@@ -285,32 +295,7 @@ class StateVector:
             )
         amps = np.zeros(1 << num_qubits, dtype=np.complex128)
         amps[0] = 1.0
-        return cls(num_qubits, amps)
-
-    @classmethod
-    def from_amplitudes(cls, values) -> "StateVector":
-        """State over the given unit vector.  A C-contiguous ``complex128``
-        array is taken over as the buffer, not copied; anything else is
-        converted.  One norm pass checks it; only a norm off 1 is looked into,
-        to name a part that is not finite or that exceeds 1."""
-        amps = np.ascontiguousarray(values, dtype=np.complex128)
-        size = amps.size
-        if size < 2 or size & (size - 1):
-            raise ValueError(f"amplitude count {size} is not a power of two >= 2")
-        # a part that is not finite, or huge, makes the norm NaN or infinite
-        with np.errstate(over="ignore", invalid="ignore"):
-            norm = np.linalg.norm(amps)
-        if not abs(norm - 1.0) <= NORM_TOL:
-            parts = amps.view(np.float64)
-            if not np.all(np.isfinite(parts)):
-                raise ValueError("amplitudes must be finite")
-            # no part of a unit vector exceeds 1: name such a part, not an overflowed norm
-            if parts.max() > 1 + NORM_TOL or parts.min() < -1 - NORM_TOL:
-                raise ValidationError(
-                    f"an amplitude part exceeds 1 + {NORM_TOL}; the norm is not 1"
-                )
-            raise ValidationError(f"state norm {norm} is not 1 within {NORM_TOL}")
-        return cls(size.bit_length() - 1, amps)
+        return cls(amps)
 
     def _check_qubits(self, qubits: Sequence[int], label: str):
         seen = set()

@@ -8,7 +8,7 @@ from typing import Iterable
 import numpy as np
 
 from qqldb import qlang
-from qqldb.boolcirc import MAX_TABLE_VARS, validate_expr
+from qqldb.boolcirc import MAX_TABLE_VARS
 from qqldb.cli import FORMAT_HEADER, LOAD_CHUNK
 from qqldb.errors import CapacityError, QqlError, QqlSyntaxError, SessionFormatError
 from qqldb.gates import DENSE_LIMIT_QUBITS, HADAMARD, NOT, GateMatrix
@@ -339,7 +339,6 @@ def reference_read_session(handle, max_qubits: int):
         if safe_parts[1] != "none":
             matches_text, expr_text = safe_parts[2].split(maxsplit=1)
             expr = qlang.parse_predicate(expr_text)
-            validate_expr(expr, schema)
             safe_key = SafeKey(int(safe_parts[1]), expr, int(matches_text))
     except (QqlError, ValueError, IndexError) as exc:
         raise SessionFormatError(f"malformed session file: {exc}") from exc
@@ -355,8 +354,6 @@ def reference_read_session(handle, max_qubits: int):
         raise CapacityError(
             f"{schema.num_bits} data bits exceed the {MAX_TABLE_VARS}-bit table bound"
         )
-    if safe_key is not None and not schema.num_bits <= safe_key.qubit < total:
-        raise SessionFormatError(f"safe qubit {safe_key.qubit} is not a temp qubit")
     amps = np.zeros(1 << total, dtype=np.complex128)
     previous = -1
     while lines := list(islice(handle, LOAD_CHUNK)):

@@ -57,7 +57,7 @@ def test_criterion_01_boolean_circuit_worked_example():
         for x1 in (0, 1):
             amps = np.zeros(8, dtype=complex)
             amps[(x0 << 2) | (x1 << 1)] = 1.0  # |x0 x1, 0>
-            state = StateVector(3, amps)
+            state = StateVector(amps)
             for gate in gates:
                 state.apply_cnot(gate)
             expected = (x0 << 2) | (x1 << 1) | (x0 | (1 - x1))
@@ -147,13 +147,13 @@ def test_criterion_05_partial_diffusion():
         n = int(rng.integers(1, 9))
         dense = dense_partial_diffusion(n).matrix
         start = random_state(n + 1, rng)
-        state = StateVector(n + 1, start.copy())
+        state = StateVector(start.copy())
         apply_partial_diffusion(state, n, n)
         assert np.max(np.abs(state.amps - dense @ start)) < 1e-12, f"case {case}"
 
     for n in (1, 4, 8):
         start = random_state(n + 1, rng)
-        state = StateVector(n + 1, start.copy())
+        state = StateVector(start.copy())
         apply_partial_diffusion(state, n, n)
         apply_partial_diffusion(state, n, n)
         assert np.max(np.abs(state.amps - start)) < 1e-12
@@ -171,7 +171,7 @@ def test_criterion_06_backup_amplitudes():
         alpha = random_state(n, rng)
         amps = np.zeros(1 << (n + 1), dtype=complex)
         amps[0::2] = alpha
-        db = QdbState(schema, t=1, state=StateVector(n + 1, amps))
+        db = QdbState(schema, t=1, state=StateVector(amps))
         threshold = int(rng.integers(1, 1 << n))
         db.backup(Comparison("id", ">=", threshold))
         marked = np.arange(1 << n) >= threshold

@@ -165,7 +165,7 @@ class TestCompileToCnots:
         for x in range(1 << v):
             amps = np.zeros(1 << (v + 1), dtype=complex)
             amps[x << 1] = 1.0  # |x, 0>
-            state = StateVector(v + 1, amps)
+            state = StateVector(amps)
             for gate in gates:
                 state.apply_cnot(gate)
             expected = (x << 1) | int(bits[x])
@@ -177,7 +177,7 @@ class TestApplyOracle:
         # uniform two data qubits, flag |0>: only |11> pairs with flag 1
         amps = np.zeros(8, dtype=complex)
         amps[[0, 2, 4, 6]] = 0.5
-        state = StateVector(3, amps)
+        state = StateVector(amps)
         table = truth_table(
             And(Comparison("x0", "=", 1), Comparison("x1", "=", 1)), BITS2
         )
@@ -189,7 +189,7 @@ class TestApplyOracle:
 
     def test_const_zero_is_identity(self):
         rng = np.random.default_rng(4)
-        state = StateVector.from_amplitudes(random_state(3, rng))
+        state = StateVector(random_state(3, rng))
         before = state.amps.copy()
         apply_oracle(state, truth_table(Const(0), BITS2), [0, 1], 2)
         assert np.allclose(state.amps, before)
@@ -202,9 +202,9 @@ class TestApplyOracle:
             table = TruthTable(v, bits)
             gates = compile_to_cnots(to_reed_muller(table), list(range(v)), v)
             start = random_state(v + 1, rng)
-            via_table = StateVector(v + 1, start.copy())
+            via_table = StateVector(start.copy())
             apply_oracle(via_table, table, list(range(v)), v)
-            via_gates = StateVector(v + 1, start.copy())
+            via_gates = StateVector(start.copy())
             for gate in gates:
                 via_gates.apply_cnot(gate)
             assert np.max(np.abs(via_table.amps - via_gates.amps)) < 1e-12
@@ -216,14 +216,14 @@ class TestApplyOracle:
         bits = rng.integers(0, 2, size=1 << v).astype(bool)
         table = TruthTable(v, bits)
         start = random_state(v + 1, rng)
-        state = StateVector(v + 1, start.copy())
+        state = StateVector(start.copy())
         apply_oracle(state, table, list(range(v)), v)
         apply_oracle(state, table, list(range(v)), v)
         assert np.max(np.abs(state.amps - start)) < 1e-12
 
     def test_data_qubits_marginals_unchanged(self):
         rng = np.random.default_rng(7)
-        state = StateVector.from_amplitudes(random_state(4, rng))
+        state = StateVector(random_state(4, rng))
         table = truth_table(Comparison("x0", "!=", 0), BITS2)
         before = [state.probability_of(q, 1) for q in (0, 1)]
         apply_oracle(state, table, [0, 1], 3)

@@ -29,7 +29,10 @@ from qqldb.errors import (
     QqlError,
     SessionFormatError,
 )
-from qqldb.qlang import MAX_EXPR_DEPTH, Show
+from qqldb.qdb import QdbState, SafeKey
+from qqldb.qlang import MAX_EXPR_DEPTH, Show, parse_predicate
+from qqldb.schema import TableSchema
+from qqldb.statevec import StateVector
 
 BACKUP_DEMO = """
 CREATE TABLE t (id:2) TEMP 1;
@@ -164,6 +167,8 @@ ARGUMENT_ERRORS = [
     ("", "UPDATE SET |001> TO |100>, |100> TO |101>;",
      "update pairs must be disjoint transpositions"),
     ("", "UPDATE SET |001> TO |001>;", "update pairs must be disjoint transpositions"),
+    ("INSERT ALL 2; SELECT c WHERE a = 1;", "APPLY SWAP |001> TO |001> WHEN c;",
+     "record 1 cannot be swapped with itself"),
 ]
 
 
@@ -171,15 +176,16 @@ ARGUMENT_ERRORS = [
 def test_argument_error_is_a_qql_error(before, statement, message):
     """A statement argument out of range, or at odds with the records present,
     raises an ArgumentError, a QqlError that is also a ValueError, and leaves
-    the register as it was."""
+    the register and the temp allocation as they were."""
     session = Session()
     session.execute_text("CREATE TABLE t (a:3) TEMP 2;" + before)
-    amps = session.db.state.amps.copy()
+    amps, alloc = session.db.state.amps.copy(), dict(session.db.temp_alloc)
     with pytest.raises(ArgumentError) as failure:
         session.execute_text(statement)
     assert isinstance(failure.value, QqlError) and isinstance(failure.value, ValueError)
     assert str(failure.value) == message
     assert session.db.state.amps.tobytes() == amps.tobytes()
+    assert session.db.temp_alloc == alloc
 
 
 @pytest.mark.parametrize("statement, error, message", [
@@ -281,6 +287,27 @@ class TestHostileText:
 
 
 class TestSaveLoad:
+    @pytest.mark.parametrize("seed", range(3))
+    @pytest.mark.parametrize("key", [None, "k >= 2", "NOT (k = 5 OR j) AND k < 7"])
+    def test_engine_the_constructor_accepts_loads(self, tmp_path, seed, key):
+        """An engine built through the API on any register and safe key its
+        constructor accepts saves a file LOAD accepts, which gives the
+        register back bit for bit (SAVE writes no zero amplitude, so a zero
+        comes back as +0)."""
+        schema = TableSchema("t", (("k", 3), ("j", 1)))
+        amps = random_register(np.random.default_rng(seed), schema.num_bits + 2)
+        safe_key = None if key is None else SafeKey(4 + seed % 2, parse_predicate(key), seed)
+        session = Session()
+        session.db = QdbState(schema, 2, state=StateVector(amps.copy()), safe_key=safe_key)
+        path = str(tmp_path / "api.qdb")
+        session.save_session(path)
+        other = Session()
+        other.load_session(path)
+        assert other.db.state.amps.tobytes() == np.where(amps == 0, 0, amps).tobytes()
+        assert (other.db.schema, other.db.t, other.db.safe_key, other.db.temp_alloc) == (
+            schema, 2, safe_key, session.db.temp_alloc
+        )
+
     def test_round_trip_exact(self, tmp_path):
         session = Session()
         session.execute_text(
@@ -508,7 +535,7 @@ class TestLoadRejects:
         path.write_text(f"QQLDB 1\nSCHEMA t id:2\nTEMP 1\n{safe}\n0 0x1.0p+0 0x0.0p+0\n")
         session = loaded_session()
         db, amps = session.db, session.db.state.amps.tobytes()
-        with pytest.raises(SessionFormatError):
+        with pytest.raises(SessionFormatError, match="^malformed session file: "):
             session.load_session(str(path))
         assert_unchanged(session, db, amps)
 

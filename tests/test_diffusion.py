@@ -32,7 +32,7 @@ class TestAction:
         amps = interleave(alpha, beta)
         expected = dense_partial_diffusion(2).matrix @ amps
 
-        state = StateVector(3, amps.copy())
+        state = StateVector(amps.copy())
         apply_partial_diffusion(state, 2, 2)
         assert np.max(np.abs(state.amps - expected)) < 1e-12
         # and the closed form: mean 3/8, a = 2<a> - alpha, beta negated
@@ -43,7 +43,7 @@ class TestAction:
         rng = np.random.default_rng(1)
         for n in (1, 3, 6, 10):
             start = random_state(n + 1, rng)
-            state = StateVector(n + 1, start.copy())
+            state = StateVector(start.copy())
             apply_partial_diffusion(state, n, n)
             apply_partial_diffusion(state, n, n)
             assert np.max(np.abs(state.amps - start)) < 1e-12
@@ -54,7 +54,7 @@ class TestAction:
         dense = dense_partial_diffusion(n).matrix
         for _ in range(3):
             start = random_state(n + 1, rng)
-            state = StateVector(n + 1, start.copy())
+            state = StateVector(start.copy())
             apply_partial_diffusion(state, n, n)
             assert np.max(np.abs(state.amps - dense @ start)) < 1e-12
 
@@ -64,7 +64,7 @@ class TestAction:
         rng = np.random.default_rng(seed)
         n = int(rng.integers(1, 7))
         start = random_state(n + 1, rng)
-        state = StateVector(n + 1, start.copy())
+        state = StateVector(start.copy())
         apply_partial_diffusion(state, n, n)
         assert np.max(np.abs(np.abs(state.amps[1::2]) - np.abs(start[1::2]))) < 1e-12
 
@@ -76,7 +76,7 @@ class TestAction:
         amps /= np.linalg.norm(amps)
         alpha = amps[0::2].copy()
         mean = alpha.mean()
-        state = StateVector(n + 1, amps.copy())
+        state = StateVector(amps.copy())
         apply_partial_diffusion(state, n, n)
         assert np.max(np.abs(state.amps[0::2] - (2 * mean - alpha))) < 1e-14
 
@@ -94,7 +94,7 @@ class TestAction:
                 (d << 2) | (f << 1) | spectator for d in range(4) for f in range(2)
             ]
             expected[idxs] = dense @ start[idxs]
-        state = StateVector(n + t, start.copy())
+        state = StateVector(start.copy())
         apply_partial_diffusion(state, n, 2)
         assert np.max(np.abs(state.amps - expected)) < 1e-12
 
@@ -106,7 +106,7 @@ class TestAction:
         m = n + t
         for _ in range(3):
             start = random_state(m, rng)
-            state = StateVector(m, start.copy())
+            state = StateVector(start.copy())
             apply_partial_diffusion(state, n, flag)
 
             flag_bit = 1 << (m - 1 - flag)

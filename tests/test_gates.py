@@ -192,7 +192,7 @@ class TestCnotDense:
             for basis in range(1 << m):
                 amps = np.zeros(1 << m, dtype=complex)
                 amps[basis] = 1.0
-                s = StateVector(m, amps.copy())
+                s = StateVector(amps.copy())
                 s.apply_cnot(gate)
                 assert np.allclose(s.amps, dense @ amps)
 

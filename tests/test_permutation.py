@@ -51,7 +51,7 @@ def test_cnot_is_exact_permutation(seed):
     gate = CnotGate(frozenset(qubits[:k]), qubits[k])
     amps = signed_zero_state(m, rng)
     perm = flip_perm(m, gate.target, lambda i: all(bit(i, q, m) for q in gate.controls))
-    state = StateVector(m, amps.copy()).apply_cnot(gate)
+    state = StateVector(amps.copy()).apply_cnot(gate)
     assert state.amps.tobytes() == amps[perm].tobytes()
 
 
@@ -69,7 +69,7 @@ def test_cnot_across_tiles_is_exact_permutation(seed):
     for q in gate.controls:
         hit &= (index >> (m - 1 - q)) & 1 == 1
     perm = np.where(hit, index ^ (1 << (m - 1 - gate.target)), index)
-    state = StateVector(m, amps.copy()).apply_cnot(gate)
+    state = StateVector(amps.copy()).apply_cnot(gate)
     assert state.amps.tobytes() == amps[perm].tobytes()
 
 
@@ -108,7 +108,7 @@ def test_oracle_is_exact_permutation(seed):
         return bits[value] and not any(bit(i, q, m) for q in neg)
 
     perm = flip_perm(m, target, flips)
-    state = StateVector(m, amps.copy())
+    state = StateVector(amps.copy())
     apply_oracle(state, TruthTable(v, bits), data, target, neg_controls=neg)
     assert state.amps.tobytes() == amps[perm].tobytes()
 
@@ -137,7 +137,7 @@ def test_record_swap_is_exact_permutation(seed):
         return (partner.get(i >> t, i >> t) << t) | (i & ((1 << t) - 1))
 
     perm = np.array([moved(i) for i in range(1 << m)])
-    db = QdbState(TableSchema("p", (("id", n),)), t=t, state=StateVector(m, amps.copy()))
+    db = QdbState(TableSchema("p", (("id", n),)), t=t, state=StateVector(amps.copy()))
     if safe is not None:
         db.safe_key = SafeKey(safe, Const(1), 0)
     db._swap_records(pairs, pos)
@@ -170,7 +170,7 @@ def test_oracle_across_tiles_is_exact_permutation(case):
     for q in neg:
         hit &= bit(index, q, m) == 0
     perm = np.where(hit, index ^ (1 << (m - 1 - target)), index)
-    state = StateVector(m, amps.copy())
+    state = StateVector(amps.copy())
     apply_oracle(state, TruthTable(v, bits), list(range(start, start + v)), target, neg)
     assert state.amps.tobytes() == amps[perm].tobytes()
 
@@ -207,7 +207,7 @@ def test_record_swap_across_tiles_is_exact_permutation(case):
     if safe is not None:
         live &= bit(index, safe, m) == 0
     perm = np.where(live, (partner[index >> t] << t) | (index & ((1 << t) - 1)), index)
-    db = QdbState(TableSchema("p", (("id", n),)), t=t, state=StateVector(m, amps.copy()))
+    db = QdbState(TableSchema("p", (("id", n),)), t=t, state=StateVector(amps.copy()))
     if safe is not None:
         db.safe_key = SafeKey(safe, Const(1), 0)
     db._swap_records(pairs, pos)
@@ -271,7 +271,7 @@ def test_apply_not_matches_the_matrix_product(backup):
     amps /= np.linalg.norm(amps)
     results = []
     for gate in (NOT, GateMatrix(NOT.matrix)):
-        db = QdbState(schema, t=3, state=StateVector(9, amps.copy()))
+        db = QdbState(schema, t=3, state=StateVector(amps.copy()))
         # every temp of the random register carries amplitude, so the
         # constructor holds them all as residues; the kernels under test only
         # need free flag qubits, whatever they carry

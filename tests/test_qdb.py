@@ -1,4 +1,6 @@
+import sys
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -9,6 +11,7 @@ from qqldb import boolcirc
 from qqldb.boolcirc import MAX_EXPR_DEPTH, And, Comparison, Const, Not, Or, Var, eval_expr
 from qqldb.cli import Session
 from qqldb.errors import (
+    ArgumentError,
     CapacityError,
     ImpossibleOutcomeError,
     QqlError,
@@ -24,6 +27,7 @@ from qqldb.statevec import StateVector
 ID2 = TableSchema("t", (("id", 2),))
 ID3 = TableSchema("t", (("id", 3),))
 INV_SQRT2 = 1 / np.sqrt(2)
+MAX_DOUBLE = sys.float_info.max
 
 
 def db2(t=1) -> QdbState:
@@ -35,7 +39,7 @@ def db3(t=1) -> QdbState:
 
 
 def copied(state: StateVector) -> StateVector:
-    return StateVector(state.num_qubits, state.amps.copy())
+    return StateVector(state.amps.copy())
 
 
 class TestCreate:
@@ -73,7 +77,7 @@ class TestCreateFromState:
     def state_on(records, n, t):
         amps = np.zeros(1 << (n + t), dtype=complex)
         amps[np.array(records) << t] = 1 / np.sqrt(len(records))
-        return StateVector(n + t, amps)
+        return StateVector(amps)
 
     def test_fill_is_read_off_the_records(self):
         # a state holding only record 3 is not a sequence: INSERT SEQ refuses
@@ -91,7 +95,7 @@ class TestCreateFromState:
         amps[(1 << t) | 0b100] = np.sqrt(1e-11)
         amps[(2 << t) | 0b010] = np.sqrt(1e-13)
         amps[3 << t] = np.sqrt(1 - 1e-11 - 1e-13)
-        db = QdbState(ID2, t, state=StateVector(n + t, amps))
+        db = QdbState(ID2, t, state=StateVector(amps))
         assert db.temp_alloc == {n: TempUse("residue")}
         assert db.selects == {} and db.safe_key is None
         assert db.free_temps() == [n + 1, n + 2]
@@ -109,7 +113,7 @@ class TestCreateFromState:
         # would mix with what it holds
         amps = np.zeros(8, dtype=complex)
         amps[(1 << 1) | 1] = 1
-        db = QdbState(ID2, 1, state=StateVector(3, amps.copy()))
+        db = QdbState(ID2, 1, state=StateVector(amps.copy()))
         with pytest.raises(QqlError, match="no free temporary qubit"):
             db.select(Comparison("id", "=", 1))
         assert db.state.amps.tobytes() == amps.tobytes()
@@ -119,7 +123,7 @@ class TestCreateFromState:
         n, t = 2, 3
         amps = np.zeros(1 << (n + t), dtype=complex)
         amps[(1 << t) | 0b100] = amps[2 << t] = INV_SQRT2
-        db = QdbState(ID2, t, state=StateVector(n + t, amps))
+        db = QdbState(ID2, t, state=StateVector(amps))
         assert db.temp_alloc == {n: TempUse("residue")}
         assert db.select(Comparison("id", "=", 1)) == n + 1
 
@@ -142,8 +146,33 @@ class TestCreateFromState:
         # the register would fail in a later statement
         state = db2().insert_bulk(2).state
         key = SafeKey(qubit, Comparison("id", "=", 3), 1)
-        with pytest.raises(ValueError, match=f"^safe qubit {qubit} is not a temp qubit$"):
+        with pytest.raises(ArgumentError, match=f"^safe qubit {qubit} is not a temp qubit$"):
             QdbState(ID2, 1, state=state, safe_key=key)
+
+    @pytest.mark.parametrize(
+        "expr, message",
+        [
+            (Comparison("zz", "=", 1), "unknown field 'zz' in table 't'"),
+            (Comparison("id", "=", 4), "literal 4 does not fit field 'id' of width 2"),
+            (Or(Var("id"), Not(Var("k"))), "unknown field 'k' in table 't'"),
+        ],
+        ids=["unknown field", "wide literal", "nested unknown field"],
+    )
+    @pytest.mark.parametrize("given_state", [False, True])
+    def test_refuses_a_safe_predicate_off_the_schema(self, expr, message, given_state):
+        # such a key used to enter through the API and be saved to a file
+        # that LOAD refused
+        amps = db2().insert_bulk(2).state.amps
+        state = StateVector(amps.copy()) if given_state else None
+        with pytest.raises(SchemaError, match=f"^{message}$"):
+            QdbState(ID2, 1, state=state, safe_key=SafeKey(2, expr, 0))
+        assert state is None or state.amps.tobytes() == amps.tobytes()
+
+    @pytest.mark.parametrize("t", [1, 3])
+    def test_refuses_a_state_of_another_size(self, t):
+        state = db2(t=2).state
+        with pytest.raises(ArgumentError, match="^provided state does not match"):
+            QdbState(ID2, t, state=state)
 
     def test_refuses_a_register_that_is_not_a_unit_vector(self):
         # amplitudes 3 and 4: an engine on it would report a DELETE
@@ -151,15 +180,32 @@ class TestCreateFromState:
         amps = np.zeros(8, dtype=complex)
         amps[[0, 2]] = [3, 4]
         with pytest.raises(ValidationError, match=r"^state norm 5\.0 is not 1 within 1e-09$"):
-            QdbState(ID2, 1, state=StateVector(3, amps))
+            QdbState(ID2, 1, state=StateVector(amps))
 
-    @pytest.mark.parametrize("part", [np.nan, np.inf, -np.inf, 1e200, 0.5])
-    def test_refuses_a_part_that_breaks_the_norm(self, part):
-        # raised as ValidationError, not as an overflow warning of the pass
+    @pytest.mark.parametrize(
+        "parts",
+        [
+            *(pytest.param({5: complex(0, part)}, id=str(part))
+              for part in [np.nan, np.inf, -np.inf, 1e200, 0.5]),
+            pytest.param({0: complex(0.6, np.nan), 1: 0.8}, id="nan beside a unit vector"),
+            pytest.param({0: np.inf}, id="inf real"),
+            pytest.param({1: complex(0, -np.inf)}, id="-inf imaginary"),
+            pytest.param({0: MAX_DOUBLE, 1: np.nan}, id="max and nan"),
+            pytest.param({0: MAX_DOUBLE, 1: MAX_DOUBLE}, id="max twice"),
+            pytest.param({1: complex(0, -MAX_DOUBLE)}, id="-max imaginary"),
+            pytest.param({0: 1 + 1e-6}, id="1 + 1e-6"),
+            pytest.param({1: 0.5j}, id="0.5j"),
+        ],
+    )
+    def test_refuses_a_part_that_breaks_the_norm(self, parts):
+        # raised as ValidationError, not as an overflow or invalid-value
+        # warning of the pass
         amps = np.zeros(8, dtype=complex)
-        amps[5] = complex(0, part)
-        with pytest.raises(ValidationError, match="^state norm .* is not 1 within 1e-09$"):
-            QdbState(ID2, 1, state=StateVector(3, amps))
+        amps[list(parts)] = list(parts.values())
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValidationError, match="^state norm .* is not 1 within 1e-09$"):
+                QdbState(ID2, 1, state=StateVector(amps))
 
     @pytest.mark.parametrize("t", [1, 2, 3, 14, 15])
     @pytest.mark.parametrize("backup", [False, True])
@@ -178,7 +224,7 @@ class TestCreateFromState:
             amps /= np.linalg.norm(amps)
             schema = TableSchema("t", (("k", n),))
             key = SafeKey(n, Const(1), 1) if backup else None
-            db = QdbState(schema, t, state=StateVector(n + t, amps.copy()), safe_key=key)
+            db = QdbState(schema, t, state=StateVector(amps.copy()), safe_key=key)
             found = db.support()
             sequential = not backup and np.array_equal(found, np.arange(found.size))
             fill = found.size - 1 if sequential else None
@@ -201,7 +247,7 @@ class TestCreateFromState:
         for q in empty:
             amps.reshape(1 << q, 2, -1)[:, 1] = 0
         amps /= np.linalg.norm(amps)
-        db = QdbState(TableSchema("t", (("k", n),)), t, state=StateVector(n + t, amps))
+        db = QdbState(TableSchema("t", (("k", n),)), t, state=StateVector(amps))
         expected = [q for q in range(n, n + t) if db.state.probability_of(q, 1) >= 1e-12]
         assert sorted(db.temp_alloc) == expected
         assert sorted(set(range(n, n + t)) - set(expected)) == sorted(empty)
@@ -424,6 +470,18 @@ class TestInsertValues:
         assert db.support().tolist() == [1, 3]
 
     @pytest.mark.parametrize(
+        "records", [np.array([[0, 5], [6, 7]]), np.array([[1]]), np.array(5)]
+    )
+    def test_array_not_1d_refused_before_a_kernel(self, records):
+        # a 2-D array used to run the sequential steps, then fail in np.stack
+        # with record 1 already inserted
+        db = QdbState(TableSchema("t", (("k", 3),)), t=2)
+        amps = db.state.amps.tobytes()
+        with pytest.raises(ArgumentError, match="^record indices must be a 1-D array"):
+            db.insert_values(records)
+        assert db.state.amps.tobytes() == amps and db.temp_alloc == {}
+
+    @pytest.mark.parametrize(
         "records", [[5, 2, 7], [1, 2, 0], [7], [1, 9, -1], [-1, 9], [3, 6, 3], list(range(9))]
     )
     def test_integer_array_checked_like_a_list(self, records):
@@ -476,6 +534,21 @@ class TestUpdate:
     def test_overlapping_pairs_rejected(self):
         with pytest.raises(ValueError):
             db3().update([(1, 2), (2, 3)])
+
+    @pytest.mark.parametrize(
+        "pairs",
+        [np.array([1, 2, 5]), np.array([[1], [2], [5]]), np.array([1, 2, 3, 4]),
+         np.array([[3, 4, 5], [6, 7, 0]])],
+    )
+    def test_array_not_of_pairs_refused(self, pairs):
+        # an odd-sized array used to fail in a reshape, and one of shape
+        # (2, 3) ran as three pairs
+        db = db3(t=2).insert_values([1, 2])
+        db.select(Comparison("id", "=", 1))
+        amps, alloc = db.state.amps.tobytes(), dict(db.temp_alloc)
+        with pytest.raises(ArgumentError, match=r"^update pairs must be of shape \(k, 2\), not "):
+            db.update(pairs)
+        assert db.state.amps.tobytes() == amps and db.temp_alloc == alloc
 
     def test_records_as_field_tuples(self):
         db = db2().insert_bulk(1)  # support {0, 1}
@@ -617,14 +690,17 @@ class TestApplyWhere:
 
     @pytest.mark.parametrize(
         "operation",
-        [ApplySwap(0, 99), ApplySwap(-1, 2), ApplyGate(NOT, (5,)), ApplyGate(NOT, (0, 1))],
+        [
+            ApplySwap(0, 99), ApplySwap(-1, 2), ApplyGate(NOT, (5,)), ApplyGate(NOT, (0, 1)),
+            ApplySwap(1, 1),
+        ],
     )
     def test_rejected_payload_leaves_state_untouched(self, operation):
         db = db2(t=3).insert_bulk(2)
         c1 = db.select(Comparison("id", "<=", 1))
         amps = db.state.amps.copy()
         alloc = dict(db.temp_alloc)
-        with pytest.raises(ValueError):
+        with pytest.raises(ArgumentError):
             db.apply_where({"c1": c1}, Var("c1"), operation)
         assert db.state.amps.tobytes() == amps.tobytes()
         assert db.temp_alloc == alloc
@@ -796,7 +872,7 @@ class TestDelete:
             alpha /= np.linalg.norm(alpha)
             amps = np.zeros(1 << (n + 2), dtype=complex)
             amps[0::4] = alpha
-            db = QdbState(schema, t=2, state=StateVector(n + 2, amps))
+            db = QdbState(schema, t=2, state=StateVector(amps))
             ref = RefDb(n, 2)
             ref.amps = {(r, 0): float(a) for r, a in enumerate(alpha) if a}
             if case % 2:
@@ -862,7 +938,7 @@ class TestBackup:
             alpha = random_state(n, rng)
             amps = np.zeros(1 << (n + 1), dtype=complex)
             amps[0::2] = alpha
-            db = QdbState(schema, t=1, state=StateVector(n + 1, amps))
+            db = QdbState(schema, t=1, state=StateVector(amps))
             threshold = int(rng.integers(1, 1 << n))  # leave both sides nonempty
             db.backup(Comparison("id", ">=", threshold))
             marked = np.arange(1 << n) >= threshold
@@ -999,7 +1075,7 @@ class TestShowState:
     def test_skips_amplitudes_below_threshold(self):
         amps = np.zeros(16, dtype=complex)
         amps[[1, 6, 9]] = [0.6, 1e-13, 0.8j]
-        db = QdbState(ID3, t=1, state=StateVector(4, amps))
+        db = QdbState(ID3, t=1, state=StateVector(amps))
         indices, amplitudes = db.show_state()
         assert indices.tolist() == [1, 9]
         assert amplitudes.tolist() == [0.6, 0.8j]
@@ -1012,7 +1088,7 @@ class TestShowState:
         tiny = rng.random(amps.size) < 0.2
         amps[tiny] = 1e-12 * rng.uniform(0.5, 1.5, tiny.sum()) * (1 + 1j) / np.sqrt(2)
         amps /= np.linalg.norm(amps)
-        db = QdbState(TableSchema("t", (("k", 15),)), t=2, state=StateVector(17, amps))
+        db = QdbState(TableSchema("t", (("k", 15),)), t=2, state=StateVector(amps))
         indices, amplitudes = db.show_state()
         expected = np.flatnonzero(amps.real**2 + amps.imag**2 >= 1e-24)
         assert indices.tobytes() == expected.tobytes()

@@ -13,6 +13,7 @@ import pytest
 from qqldb import statevec
 from qqldb.cli import Session, _decimal_words, format_amplitude, write_amplitudes
 from qqldb.errors import CapacityError, SessionFormatError
+from qqldb.qdb import QdbState
 from qqldb.statevec import (
     MAX_SHOTS,
     SCAN_BLOCK,
@@ -41,7 +42,7 @@ class TestLaneSampler:
     def test_picks_match_scalar_inverse_cdf(self, seed):
         rng = np.random.default_rng(7)
         amps = rng.normal(size=256) + 1j * rng.normal(size=256)
-        state = StateVector.from_amplitudes(amps / np.linalg.norm(amps))
+        state = StateVector(amps / np.linalg.norm(amps))
         cumulative = np.cumsum(state.amps.real**2 + state.amps.imag**2)
         picks = [
             min(int(np.searchsorted(cumulative, draw, side="right")), 255)
@@ -69,23 +70,23 @@ class TestLaneSampler:
         ])
         rng.shuffle(draws)
         monkeypatch.setattr(statevec, "xorshift_uniform", lambda seed, count: draws.copy())
-        picks = StateVector(size.bit_length() - 1, amps).sample(draws.size, seed=1)
+        picks = StateVector(amps).sample(draws.size, seed=1)
         expected = np.minimum(np.searchsorted(cumulative, draws, side="right"), size - 1)
         assert picks.tobytes() == expected.astype(np.intp).tobytes()
 
     @pytest.mark.parametrize("qubits", [1, 13, 14, 15, 17])
     def test_picks_match_one_search_on_sparse_states(self, qubits):
         rng = np.random.default_rng(qubits)
-        amps = rng.normal(size=1 << qubits) * (rng.random(1 << qubits) < 0.1)
+        amps = rng.normal(size=1 << qubits) * (rng.random(1 << qubits) < 0.1) + 0j
         amps[rng.integers(0, 1 << qubits)] = 1
-        state = StateVector.from_amplitudes(amps / np.linalg.norm(amps))
+        state = StateVector(amps / np.linalg.norm(amps))
         cumulative = np.cumsum(state.amps.real**2 + state.amps.imag**2)
         draws = xorshift_uniform(11, 5000)
         expected = np.minimum(np.searchsorted(cumulative, draws, side="right"), amps.size - 1)
         assert state.sample(5000, 11).tobytes() == expected.astype(np.intp).tobytes()
 
     def test_no_register_sized_temporary(self):
-        state = StateVector.from_amplitudes(np.full(1 << 20, 2.0**-10, dtype=complex))
+        state = StateVector(np.full(1 << 20, 2.0**-10, dtype=complex))
         shots = 1000
         tracemalloc.start()
         try:
@@ -197,7 +198,8 @@ class TestStateText:
         amps = rng.normal(size=size) + 1j * rng.normal(size=size) * (rng.random(size) < 0.5)
         amps[rng.random(size) < 0.4] = 0
         amps[rng.random(size) < 0.05] = 1e-13
-        session.db.state = StateVector.from_amplitudes(amps / np.linalg.norm(amps))
+        state = StateVector(amps / np.linalg.norm(amps))
+        session.db = QdbState(session.db.schema, temp, state=state)
         for full in (False, True):
             (text,) = session.execute_text("SHOW FULL;" if full else "SHOW;")
             assert text == per_row_state(session, full)

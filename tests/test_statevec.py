@@ -1,6 +1,4 @@
-import sys
 import tracemalloc
-import warnings
 from collections import Counter
 
 import numpy as np
@@ -9,11 +7,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import dense_embed, identity, random_state, random_unitary
-from qqldb.errors import CapacityError, ImpossibleOutcomeError, ValidationError
+from qqldb.errors import (
+    ArgumentError,
+    CapacityError,
+    ImpossibleOutcomeError,
+    QqlError,
+    ValidationError,
+)
 from qqldb.gates import CnotGate, GateMatrix, HADAMARD, NOT
 from qqldb.statevec import StateVector, Xorshift64Star, apply_matrix
 
-MAX_DOUBLE = sys.float_info.max
 INV_SQRT2 = 1 / np.sqrt(2)
 
 
@@ -40,55 +43,50 @@ class TestZeroState:
             StateVector.zero(0)
 
 
-class TestFromAmplitudes:
+def read_only(values) -> np.ndarray:
+    amps = np.array(values, dtype=np.complex128)
+    amps.flags.writeable = False
+    return amps
+
+
+class TestConstructor:
+    """A state is its buffer: the constructor takes the register's own array
+    or refuses, and the norm is the engine's check, not the state's."""
+
     def test_complex_array_taken_over(self):
         amps = np.array([0, 1, 0, 0], dtype=np.complex128)
-        assert StateVector.from_amplitudes(amps).amps is amps
+        state = StateVector(amps)
+        assert state.amps is amps and state.num_qubits == 2
+
+    def test_norm_is_not_checked(self):
+        amps = np.array([3, 4], dtype=np.complex128)
+        assert StateVector(amps).amps is amps
 
     @pytest.mark.parametrize(
         "values",
-        [[0, 1, 0, 0], np.array([0.0, 1.0, 0.0, 0.0]), np.zeros(8, dtype=np.complex128)[::2]],
-    )
-    def test_other_input_converted(self, values):
-        if isinstance(values, np.ndarray):
-            values[1] = 1
-        state = StateVector.from_amplitudes(values)
-        assert state.amps is not values
-        assert state.amps.dtype == np.complex128 and state.amps.flags.c_contiguous
-        assert state.amps.tolist() == [0, 1, 0, 0]
-
-    @pytest.mark.parametrize(
-        "values", [[MAX_DOUBLE, MAX_DOUBLE], [0, complex(0, -MAX_DOUBLE)], [1 + 1e-6, 0]]
-    )
-    def test_part_above_one_rejected_without_overflow(self, values):
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            with pytest.raises(ValidationError):
-                StateVector.from_amplitudes(values)
-
-    @pytest.mark.parametrize(
-        "values, error, message",
         [
-            ([complex(0.6, np.nan), 0.8], ValueError, "amplitudes must be finite"),
-            ([np.inf, 0], ValueError, "amplitudes must be finite"),
-            ([0, complex(0, -np.inf)], ValueError, "amplitudes must be finite"),
-            ([MAX_DOUBLE, np.nan], ValueError, "amplitudes must be finite"),
-            ([0.5, 0], ValidationError, "state norm 0.5 is not 1 within 1e-09"),
-            ([0, 0.5j, 0, 0], ValidationError, "state norm 0.5 is not 1 within 1e-09"),
-            ([MAX_DOUBLE, MAX_DOUBLE], ValidationError,
-             "an amplitude part exceeds 1 + 1e-09; the norm is not 1"),
-            ([1 + 1e-6, 0], ValidationError,
-             "an amplitude part exceeds 1 + 1e-09; the norm is not 1"),
+            pytest.param([0, 1, 0, 0], id="list"),
+            pytest.param(np.array([0.0, 1.0, 0.0, 0.0]), id="float64"),
+            pytest.param(np.zeros(8, dtype=np.complex128)[::2], id="strided"),
+            pytest.param(np.array([0, 1, 0, 0], dtype=np.complex64), id="complex64"),
+            pytest.param(np.array([0, 1, 0, 0], dtype=">c16"), id="big-endian"),
+            pytest.param(np.zeros((2, 2), dtype=np.complex128), id="2-D"),
+            pytest.param(read_only([0, 1, 0, 0]), id="read-only"),
         ],
     )
-    def test_rejection_class_and_message(self, values, error, message):
-        # a part that is not finite is named before one above 1, and either
-        # before the norm
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            with pytest.raises(error) as info:
-                StateVector.from_amplitudes(values)
-        assert type(info.value) is error and str(info.value) == message
+    def test_other_buffer_refused(self, values):
+        with pytest.raises(ArgumentError) as info:
+            StateVector(values)
+        assert isinstance(info.value, QqlError) and isinstance(info.value, ValueError)
+        assert str(info.value) == (
+            "amplitudes must be a writable, C-contiguous, 1-D complex128 array"
+        )
+
+    @pytest.mark.parametrize("size", [0, 1, 3, 6])
+    def test_size_not_a_power_of_two_refused(self, size):
+        with pytest.raises(ArgumentError) as info:
+            StateVector(np.zeros(size, dtype=np.complex128))
+        assert str(info.value) == f"amplitude count {size} is not a power of two >= 2"
 
 
 class TestApplyUnitary:
@@ -98,7 +96,7 @@ class TestApplyUnitary:
 
     def test_identity_is_noop(self):
         rng = np.random.default_rng(3)
-        s = StateVector.from_amplitudes(random_state(3, rng))
+        s = StateVector(random_state(3, rng))
         before = s.amps.copy()
         s.apply_unitary(identity(1), [1])
         assert np.allclose(s.amps, before)
@@ -140,12 +138,12 @@ class TestApplyUnitary:
 
 class TestApplyControlled:
     def test_cnot_flips_when_control_set(self):
-        s = StateVector.from_amplitudes([0, 0, 1, 0])  # |10>
+        s = StateVector(np.array([0, 0, 1, 0], dtype=complex))  # |10>
         s.apply_controlled(NOT, pos_controls=[0], targets=[1])
         assert np.allclose(s.amps, [0, 0, 0, 1])  # |11>
 
     def test_control_not_satisfied(self):
-        s = StateVector.from_amplitudes([0, 1, 0, 0])  # |01>
+        s = StateVector(np.array([0, 1, 0, 0], dtype=complex))  # |01>
         s.apply_controlled(NOT, pos_controls=[0], targets=[1])
         assert np.allclose(s.amps, [0, 1, 0, 0])
 
@@ -212,7 +210,7 @@ class TestKernelAgainstDenseMatrices:
     def test_norm_preserved(self, seed):
         rng = np.random.default_rng(seed)
         num_qubits = int(rng.integers(1, 7))
-        s = StateVector.from_amplitudes(random_state(num_qubits, rng))
+        s = StateVector(random_state(num_qubits, rng))
         for _ in range(4):
             k = int(rng.integers(1, min(2, num_qubits) + 1))
             targets = list(rng.choice(num_qubits, size=k, replace=False))
@@ -228,7 +226,7 @@ class TestPostselect:
         assert np.allclose(s.amps, [1, 0, 0, 0])
 
     def test_deterministic_outcome(self):
-        s = StateVector.from_amplitudes([0, 1, 0, 0])  # |01>
+        s = StateVector(np.array([0, 1, 0, 0], dtype=complex))  # |01>
         prob = s.postselect(1, 1)
         assert prob == pytest.approx(1.0, abs=1e-12)
         assert np.allclose(s.amps, [0, 1, 0, 0])
@@ -240,7 +238,7 @@ class TestPostselect:
         expected_p = float(np.real(amps.conj() @ projector @ amps))
         projected = projector @ amps
         projected /= np.linalg.norm(projected)
-        s = StateVector.from_amplitudes(amps)
+        s = StateVector(amps)
         prob = s.postselect(0, 0)
         assert prob == pytest.approx(expected_p, abs=1e-12)
         assert np.allclose(s.amps, projected)
@@ -254,7 +252,7 @@ class TestPostselect:
     def test_postselect_then_probability_is_one(self):
         rng = np.random.default_rng(11)
         for _ in range(10):
-            s = StateVector.from_amplitudes(random_state(4, rng))
+            s = StateVector(random_state(4, rng))
             qubit = int(rng.integers(0, 4))
             bit = int(rng.integers(0, 2))
             try:
@@ -266,12 +264,12 @@ class TestPostselect:
 
 class TestProbabilityOf:
     def test_uniform_symmetry(self):
-        s = StateVector.from_amplitudes(np.full(4, 0.5))
+        s = StateVector(np.full(4, 0.5, dtype=complex))
         for qubit in (0, 1):
             assert s.probability_of(qubit, 0) == pytest.approx(0.5, abs=1e-12)
 
     def test_basis_state(self):
-        s = StateVector.from_amplitudes([0, 0, 0, 1])  # |11>
+        s = StateVector(np.array([0, 0, 0, 1], dtype=complex))  # |11>
         assert s.probability_of(0, 1) == pytest.approx(1.0)
 
     def test_bell_marginal(self):
@@ -284,23 +282,23 @@ class TestProbabilityOf:
 
 class TestSampling:
     def test_deterministic_state(self):
-        s = StateVector.from_amplitudes([0, 1, 0, 0])
+        s = StateVector(np.array([0, 1, 0, 0], dtype=complex))
         picks = s.sample(100, seed=9)
         assert Counter(picks.tolist()) == {1: 100}
 
     def test_uniform_binomial_bound(self):
-        s = StateVector.from_amplitudes(np.full(4, 0.5))
+        s = StateVector(np.full(4, 0.5, dtype=complex))
         counts = Counter(s.sample(4096, seed=12345).tolist())
         assert sum(counts.values()) == 4096
         for outcome in range(4):
             assert abs(counts[outcome] - 1024) <= 150
 
     def test_same_seed_same_histogram(self):
-        s = StateVector.from_amplitudes(np.full(8, 1 / np.sqrt(8)))
+        s = StateVector(np.full(8, 1 / np.sqrt(8), dtype=complex))
         assert np.array_equal(s.sample(500, seed=77), s.sample(500, seed=77))
 
     def test_different_seeds_differ(self):
-        s = StateVector.from_amplitudes(np.full(8, 1 / np.sqrt(8)))
+        s = StateVector(np.full(8, 1 / np.sqrt(8), dtype=complex))
         assert not np.array_equal(s.sample(500, seed=1), s.sample(500, seed=2))
 
     def test_generator_reference_values(self):
@@ -313,7 +311,7 @@ class TestRepr:
     def test_first_eight_terms(self):
         amps = np.zeros(1 << 4, dtype=complex)
         amps[[3, 9]] = [0.6, 0.8j]
-        assert repr(StateVector.from_amplitudes(amps)) == (
+        assert repr(StateVector(amps)) == (
             "StateVector(4 qubits: 0.6+0j|0011> + 0+0.8j|1001>)"
         )
         uniform = StateVector.zero(4).apply_unitary(HADAMARD, [3]).apply_unitary(HADAMARD, [2])
@@ -324,7 +322,7 @@ class TestRepr:
         # the nonzero components sit in the last tile of a 2^20-amplitude register
         amps = np.zeros(1 << 20, dtype=complex)
         amps[-2:] = [0.6, 0.8]
-        state = StateVector.from_amplitudes(amps)
+        state = StateVector(amps)
         tracemalloc.start()
         try:
             text = repr(state)

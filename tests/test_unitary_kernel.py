@@ -162,7 +162,7 @@ class TestPerLevelSequentialInsert:
 def hadamard_layer(amps: np.ndarray, n: int, r: int) -> StateVector:
     """The bulk insert's gates one at a time on a copy of ``amps``: a
     Hadamard on each data qubit ``n - r`` .. ``n - 1``."""
-    state = StateVector(amps.size.bit_length() - 1, amps.copy())
+    state = StateVector(amps.copy())
     for q in range(n - r, n):
         state.apply_controlled(HADAMARD, targets=[q])
     return state
@@ -228,7 +228,7 @@ class TestInsertAllClosedForm:
         amps[0] = first
         if dust:
             amps[dust] = 1e-10
-        db = QdbState(TableSchema("t", (("k", n),)), t=t, state=StateVector(n + t, amps))
+        db = QdbState(TableSchema("t", (("k", n),)), t=t, state=StateVector(amps))
         assert db.seq_fill() == 0 and not db.temp_alloc
         expected = hadamard_layer(db.state.amps, n, r).amps
         calls = count_gates(monkeypatch)
@@ -238,7 +238,7 @@ class TestInsertAllClosedForm:
 
 
 def controlled(amps, matrix, targets, pos=(), neg=(), run=range(0), rows=None):
-    state = StateVector(amps.size.bit_length() - 1, amps)
+    state = StateVector(amps)
     state.apply_controlled(GateMatrix(matrix), pos, neg, targets, run=run, rows=rows)
 
 
@@ -267,7 +267,7 @@ class TestTiledKernel:
             amps = random_state(num_qubits, rng)
             expected = amps.copy()
             untiled_apply(expected, gate.matrix, [target], num_qubits)
-            StateVector(num_qubits, amps).apply_unitary(gate, [target])
+            StateVector(amps).apply_unitary(gate, [target])
             assert same(amps, expected), target
 
     def test_hadamard_layer(self):
@@ -275,7 +275,7 @@ class TestTiledKernel:
         expected = amps.copy()
         for q in range(17):
             untiled_apply(expected, HADAMARD.matrix, [q], 17)
-            StateVector(17, amps).apply_unitary(HADAMARD, [q])
+            StateVector(amps).apply_unitary(HADAMARD, [q])
         assert same(amps, expected)
 
     def test_random_controls_and_targets(self):
@@ -339,7 +339,7 @@ class TestKernelMemory:
         # index 0 holds -1, not 1: the Hadamard layer runs, tile by tile
         amps = np.zeros(1 << 20, dtype=np.complex128)
         amps[0] = -1
-        db = QdbState(TableSchema("t", (("k", 19),)), t=1, state=StateVector(20, amps))
+        db = QdbState(TableSchema("t", (("k", 19),)), t=1, state=StateVector(amps))
         calls = count_gates(monkeypatch)
         tracemalloc.start()
         try:
