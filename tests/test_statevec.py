@@ -1,4 +1,6 @@
+import sys
 import tracemalloc
+import warnings
 from collections import Counter
 
 import numpy as np
@@ -15,9 +17,12 @@ from qqldb.errors import (
     ValidationError,
 )
 from qqldb.gates import CnotGate, GateMatrix, HADAMARD, NOT
+from qqldb.qdb import QdbState
+from qqldb.schema import TableSchema
 from qqldb.statevec import StateVector, Xorshift64Star, apply_matrix
 
 INV_SQRT2 = 1 / np.sqrt(2)
+MAX_DOUBLE = sys.float_info.max
 
 
 def bell_state() -> StateVector:
@@ -49,7 +54,14 @@ def read_only(values) -> np.ndarray:
     return amps
 
 
-class TestConstructor:
+def engine_on(values) -> QdbState:
+    """An engine on a register whose first amplitudes are ``values``."""
+    amps = np.zeros(8, dtype=np.complex128)
+    amps[: len(values)] = values
+    return QdbState(TableSchema("t", (("id", 2),)), 1, state=StateVector(amps))
+
+
+class TestFromAmplitudes:
     """A state is its buffer: the constructor takes the register's own array
     or refuses, and the norm is the engine's check, not the state's."""
 
@@ -87,6 +99,37 @@ class TestConstructor:
         with pytest.raises(ArgumentError) as info:
             StateVector(np.zeros(size, dtype=np.complex128))
         assert str(info.value) == f"amplitude count {size} is not a power of two >= 2"
+
+    @pytest.mark.parametrize(
+        "values", [[MAX_DOUBLE, MAX_DOUBLE], [0, complex(0, -MAX_DOUBLE)], [1 + 1e-6, 0]]
+    )
+    def test_part_above_one_rejected_without_overflow(self, values):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValidationError):
+                engine_on(values)
+
+    @pytest.mark.parametrize(
+        "values, error, message",
+        [
+            ([complex(0.6, np.nan), 0.8], ValidationError, "state norm nan is not 1 within 1e-09"),
+            ([np.inf, 0], ValidationError, "state norm inf is not 1 within 1e-09"),
+            ([0, complex(0, -np.inf)], ValidationError, "state norm inf is not 1 within 1e-09"),
+            ([MAX_DOUBLE, np.nan], ValidationError, "state norm nan is not 1 within 1e-09"),
+            ([0.5, 0], ValidationError, "state norm 0.5 is not 1 within 1e-09"),
+            ([0, 0.5j, 0, 0], ValidationError, "state norm 0.5 is not 1 within 1e-09"),
+            ([MAX_DOUBLE, MAX_DOUBLE], ValidationError, "state norm inf is not 1 within 1e-09"),
+            ([1 + 1e-6, 0], ValidationError, "state norm 1.000001 is not 1 within 1e-09"),
+        ],
+    )
+    def test_rejection_class_and_message(self, values, error, message):
+        # every refusal is the norm's: a part that is not finite, or huge,
+        # leaves it NaN or infinite
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(error) as info:
+                engine_on(values)
+        assert type(info.value) is error and str(info.value) == message
 
 
 class TestApplyUnitary:
