@@ -14,7 +14,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import SchemaError
+from .errors import ArgumentError, SchemaError
 from .gates import CnotGate
 from .schema import Record, TableSchema
 from .statevec import StateVector, swap
@@ -50,7 +50,7 @@ class Comparison(BoolExpr):
 
     def __post_init__(self):
         if self.op not in _OPS:
-            raise ValueError(f"unknown comparison operator {self.op!r}")
+            raise ArgumentError(f"unknown comparison operator {self.op!r}")
 
 
 @dataclass(frozen=True)
@@ -96,7 +96,7 @@ class TruthTable:
     def __post_init__(self):
         bits = np.asarray(self.bits, dtype=bool)
         if bits.shape != (1 << self.num_vars,):
-            raise ValueError(
+            raise ArgumentError(
                 f"table of {bits.size} entries does not match {self.num_vars} variables"
             )
         bits.flags.writeable = False
@@ -150,7 +150,7 @@ def validate_expr(expr: BoolExpr, schema: TableSchema) -> None:
             schema.width_of(node.name)
         elif isinstance(node, Const):
             if node.value not in (0, 1):
-                raise ValueError("constant must be 0 or 1")
+                raise ArgumentError("constant must be 0 or 1")
         elif not isinstance(node, (And, Or, Not)):
             raise TypeError(f"not a BoolExpr: {node!r}")
 
@@ -244,7 +244,7 @@ def compile_to_cnots(
     are emitted largest monomial first for determinism.
     """
     if target in var_qubits:
-        raise ValueError(f"target qubit {target} collides with a variable qubit")
+        raise ArgumentError(f"target qubit {target} collides with a variable qubit")
     ordered = sorted(form.monomials, key=lambda m: (-len(m), sorted(m)))
     return [CnotGate(frozenset(var_qubits[j] for j in monomial), target) for monomial in ordered]
 
@@ -270,17 +270,9 @@ def apply_oracle(
     v = oracle.num_vars
     run = range(data_qubits[0], data_qubits[0] + v) if data_qubits else range(0)
     if len(data_qubits) != v or list(data_qubits) != list(run):
-        raise ValueError(
+        raise ArgumentError(
             f"data qubits {list(data_qubits)} are not one ascending run of {v} qubits"
         )
-    outside = [target, *neg_controls]
-    if len(set(outside)) != len(outside) or set(outside) & set(run):
-        raise ValueError("data qubits, target and controls must be disjoint")
-    if not all(0 <= q < state.num_qubits for q in (*run, *outside)):
-        raise ValueError(f"oracle qubits out of range for {state.num_qubits} qubits")
     rows = np.flatnonzero(oracle.bits)
-    swap(
-        state.amps, state.num_qubits, (0, rows), (1, rows),
-        neg_controls=neg_controls, leading=[target], run=run,
-    )
+    swap(state.amps, (0, rows), (1, rows), neg_controls=neg_controls, leading=[target], run=run)
     return state

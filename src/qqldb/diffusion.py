@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from .errors import ArgumentError
 from .statevec import StateVector, qubit_view
 
 
@@ -28,18 +29,18 @@ def apply_partial_diffusion(state: StateVector, n: int, flag_qubit: int) -> Stat
     """
     m = state.num_qubits
     if n < 1:
-        raise ValueError("need at least one data qubit")
+        raise ArgumentError("need at least one data qubit")
     if m < n + 1:
-        raise ValueError(f"state of {m} qubits too small for {n} data qubits plus a flag")
+        raise ArgumentError(f"state of {m} qubits too small for {n} data qubits plus a flag")
     if flag_qubit < n or flag_qubit >= m:
-        raise ValueError(f"flag qubit {flag_qubit} must lie in the tail qubits {n}..{m - 1}")
+        raise ArgumentError(f"flag qubit {flag_qubit} must lie in the tail qubits {n}..{m - 1}")
     data = range(0, n)
-    zero = qubit_view(state.amps, m, (), [flag_qubit], (), data)
+    zero = qubit_view(state.amps, (), [flag_qubit], (), data)
     # one 1-D mean per spectator column: a mean over axis 0 sums in another
     # order and rounds differently
     for index in np.ndindex(zero.shape[1:]):
         alpha = zero[(slice(None), *index)]
         alpha[...] = (2.0 + 0.0j) * alpha.mean() - alpha
-    one = qubit_view(state.amps, m, [flag_qubit], (), (), data)
+    one = qubit_view(state.amps, [flag_qubit], (), (), data)
     np.negative(one, out=one)
     return state

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 import numpy as np
 
-from .errors import CapacityError, ValidationError
+from .errors import ArgumentError, CapacityError, ValidationError
 
 DENSE_LIMIT_QUBITS = 10
 UNITARY_TOL = 1e-10
@@ -41,7 +41,9 @@ class GateMatrix:
         mat = np.array(self.matrix, dtype=np.complex128)
         dim = mat.shape[0]
         if mat.ndim != 2 or mat.shape[1] != dim or dim < 2 or dim & (dim - 1):
-            raise ValueError(f"gate matrix must be square with power-of-two size, got {mat.shape}")
+            raise ArgumentError(
+                f"gate matrix must be square with power-of-two size, got {mat.shape}"
+            )
         if dim > 1 << DENSE_LIMIT_QUBITS:
             raise CapacityError(
                 f"dense gate of {dim} rows exceeds the {DENSE_LIMIT_QUBITS}-qubit dense limit"
@@ -69,7 +71,7 @@ class CnotGate:
     def __post_init__(self):
         object.__setattr__(self, "controls", frozenset(self.controls))
         if self.target in self.controls:
-            raise ValueError(f"target qubit {self.target} cannot also be a control")
+            raise ArgumentError(f"target qubit {self.target} cannot also be a control")
 
 
 _SQRT2 = np.sqrt(2.0)

@@ -134,8 +134,11 @@ class QdbState:
             if not n <= safe_key.qubit < n + t:
                 raise ArgumentError(f"safe qubit {safe_key.qubit} is not a temp qubit")
             validate_expr(safe_key.expr, schema)
-        if state is not None and state.num_qubits != n + t:
-            raise ArgumentError("provided state does not match schema plus temp count")
+        if state is not None:
+            if not isinstance(state, StateVector):
+                raise ArgumentError(f"state must be a StateVector, not {type(state).__name__}")
+            if state.num_qubits != n + t:
+                raise ArgumentError("provided state does not match schema plus temp count")
         self.schema = schema
         self.t = t
         self.epsilon = epsilon
@@ -231,9 +234,7 @@ class QdbState:
         """Live record indices, ascending, as an int64 array: data values
         carrying probability mass in the safe-key-0 subspace (the whole
         register when no backup is active)."""
-        view = qubit_view(
-            self.state.amps, self.state.num_qubits, (), self._live_controls(), (), range(self.n)
-        )
+        view = qubit_view(self.state.amps, (), self._live_controls(), (), range(self.n))
         step = max(1, SCAN_BLOCK >> self.t)
         found = []
         # in blocks of rows, so the temporaries stay far below the register
@@ -348,7 +349,10 @@ class QdbState:
     def _as_index(self, record: RecordLike) -> int:
         if isinstance(record, Record):
             return self.schema.encode(record)
-        index = int(record)
+        try:
+            index = int(record)
+        except (TypeError, ValueError, OverflowError):
+            raise ArgumentError(f"record {record!r} is neither a Record nor an index") from None
         if index < 0 or index >= 1 << self.n:
             raise SchemaError(f"record index {index} out of range for {self.n} data bits")
         return index
@@ -374,10 +378,7 @@ class QdbState:
         if len(pairs) == 0:
             return
         a, b = np.asarray(pairs, dtype=np.int64).reshape(-1, 2).T
-        swap(
-            self.state.amps, self.state.num_qubits, a, b,
-            pos_controls, self._live_controls(), run=range(self.n),
-        )
+        swap(self.state.amps, a, b, pos_controls, self._live_controls(), run=range(self.n))
 
     def update(
         self, pairs: Union[Sequence[tuple[RecordLike, RecordLike]], np.ndarray]
@@ -458,8 +459,8 @@ class QdbState:
         if isinstance(operation, ApplyGate) and operation.gate is NOT:
             # a permutation: amplitudes move and nothing is recomputed
             swap(
-                self.state.amps, self.state.num_qubits, 0, 1,
-                [combiner_qubit], self._live_controls(), leading=operation.targets,
+                self.state.amps, 0, 1, [combiner_qubit], self._live_controls(),
+                leading=operation.targets,
             )
         elif isinstance(operation, ApplyGate):
             self.state.apply_controlled(
@@ -506,7 +507,7 @@ class QdbState:
         value after q amplification rounds; those leave the kept state as is."""
         table = truth_table(expr, self.schema)
         if amplify_iters < 0:
-            raise ValueError("amplify_iters must be >= 0")
+            raise ArgumentError("amplify_iters must be >= 0")
         try:
             rounds = float(2 * amplify_iters + 1)
         except OverflowError:

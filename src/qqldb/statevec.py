@@ -123,7 +123,6 @@ TILE_COLUMNS = 1 << 13
 
 def qubit_view(
     amps: np.ndarray,
-    num_qubits: int,
     pos_controls: Sequence[int],
     neg_controls: Sequence[int],
     leading: Sequence[int],
@@ -131,7 +130,12 @@ def qubit_view(
 ) -> np.ndarray:
     """View of the components of ``amps`` where ``pos_controls`` are 1 and
     ``neg_controls`` are 0: the package's one way to address a subspace, such
-    as "safe key = 0", for the kernels, the support scan and the diffusion.
+    as "safe key = 0", for the kernels, post-selection, the support scan and
+    the diffusion, and its one qubit check.  It reads the qubit count ``m``
+    off ``amps.size`` and, before it builds the view, refuses with
+    :class:`ArgumentError` a qubit outside ``0..m-1``, a qubit named twice
+    across the controls, ``leading`` and ``run``, and a ``run`` that is not
+    an ascending step-1 range.
 
     Its axes are the qubits of ``leading`` (length 2 each, in that order), then
     the contiguous qubit ``run`` as one axis of length ``2^len(run)`` (first
@@ -139,7 +143,15 @@ def qubit_view(
     in register order, each stretch of them between those axes merged into
     one axis.
     """
+    num_qubits = amps.size.bit_length() - 1
+    if run.step != 1:
+        raise ArgumentError(f"run {run} is not an ascending step-1 range of qubits")
     own = [*pos_controls, *neg_controls, *leading]
+    for q in (*own, *run):
+        if not 0 <= q < num_qubits:
+            raise ArgumentError(f"qubit {q} out of range for {num_qubits} qubits")
+    if len({*own, *run}) != len(own) + len(run):
+        raise ArgumentError(f"qubits {[*own, *run]} name a qubit twice")
     run_ends = (run.start, run.stop) if run else ()
     cuts = sorted({0, num_qubits, *own, *(q + 1 for q in own), *run_ends})
     axis_of = {q: axis for axis, q in enumerate(cuts)}
@@ -184,7 +196,6 @@ def apply_matrix(
     amps: np.ndarray,
     matrix: np.ndarray,
     targets: Sequence[int],
-    num_qubits: int,
     pos_controls: Sequence[int] = (),
     neg_controls: Sequence[int] = (),
     run: range = range(0),
@@ -205,7 +216,7 @@ def apply_matrix(
     has them, so every amplitude comes out as ``matrix @ block`` gives it.
     """
     k = len(targets)
-    view = qubit_view(amps, num_qubits, pos_controls, neg_controls, targets, run)
+    view = qubit_view(amps, pos_controls, neg_controls, targets, run)
     lead = (slice(None),) * k
     if rows is not None:
         view = view[lead + (slice(rows.start, rows.stop),)]
@@ -223,7 +234,6 @@ def apply_matrix(
 
 def swap(
     amps: np.ndarray,
-    num_qubits: int,
     first,
     second,
     pos_controls: Sequence[int] = (),
@@ -243,7 +253,7 @@ def swap(
     the other, a tile at a time through two buffers, so no set is copied
     whole.
     """
-    view = qubit_view(amps, num_qubits, pos_controls, neg_controls, leading, run)
+    view = qubit_view(amps, pos_controls, neg_controls, leading, run)
     *lead, rows = np.index_exp[first]
     one, rows_one = view[tuple(lead)], np.atleast_1d(rows)
     *lead, rows = np.index_exp[second]
@@ -297,15 +307,6 @@ class StateVector:
         amps[0] = 1.0
         return cls(amps)
 
-    def _check_qubits(self, qubits: Sequence[int], label: str):
-        seen = set()
-        for q in qubits:
-            if q < 0 or q >= self.num_qubits:
-                raise ValueError(f"{label} qubit {q} out of range for {self.num_qubits} qubits")
-            if q in seen:
-                raise ValueError(f"duplicate {label} qubit {q}")
-            seen.add(q)
-
     def apply_unitary(self, gate: GateMatrix, targets: Sequence[int]) -> "StateVector":
         """Apply a gate to the ordered target qubits, identity elsewhere."""
         return self.apply_controlled(gate, targets=targets)
@@ -326,38 +327,30 @@ class StateVector:
         :class:`GateMatrix`, whose constructor checks that it is unitary."""
         if not isinstance(gate, GateMatrix):
             raise ValidationError(f"gate must be a GateMatrix, not {type(gate).__name__}")
-        matrix = gate.matrix
-        pos = sorted(pos_controls)
-        neg = sorted(neg_controls)
-        targets = list(targets)
-        self._check_qubits([*pos, *neg, *targets, *run], "control/target/run")
-        if matrix.shape[0] != 1 << len(targets):
-            raise ValueError(
-                f"gate over {matrix.shape[0]} rows does not fit {len(targets)} targets"
+        if gate.matrix.shape[0] != 1 << len(targets):
+            raise ArgumentError(
+                f"gate over {gate.matrix.shape[0]} rows does not fit {len(targets)} targets"
             )
-        if run.step != 1:
-            raise ValueError(f"run {run} is not an ascending step-1 range of qubits")
         if rows is not None and (
             rows.step != 1 or rows.start < 0 or rows.stop > 1 << len(run) or not rows
         ):
-            raise ValueError(f"rows {rows} are not a nonempty step-1 range of run values")
-        apply_matrix(self.amps, matrix, targets, self.num_qubits, pos, neg, run, rows)
+            raise ArgumentError(f"rows {rows} are not a nonempty step-1 range of run values")
+        apply_matrix(self.amps, gate.matrix, targets, pos_controls, neg_controls, run, rows)
         return self
 
     def apply_cnot(self, gate: CnotGate) -> "StateVector":
         """Multi-controlled NOT: a pure basis permutation, done in place."""
-        self._check_qubits([*gate.controls, gate.target], "cnot")
-        swap(self.amps, self.num_qubits, 0, 1, sorted(gate.controls), leading=[gate.target])
+        swap(self.amps, 0, 1, gate.controls, leading=[gate.target])
         return self
 
     def probability_of(self, qubit: int, bit: int) -> float:
-        """Total probability mass on components where ``qubit`` equals ``bit``."""
-        self._check_qubits([qubit], "measured")
+        """Total probability mass on components where ``qubit`` equals
+        ``bit``: the qubit is a positive control for bit 1, a negative one for
+        bit 0."""
         if bit not in (0, 1):
-            raise ValueError("bit must be 0 or 1")
-        view = self.amps.reshape(1 << qubit, 2, -1)
-        slice_ = view[:, bit, :]
-        return float(np.sum(slice_.real**2 + slice_.imag**2))
+            raise ArgumentError("bit must be 0 or 1")
+        half = qubit_view(self.amps, [qubit] * bit, [qubit] * (1 - bit), ())
+        return float(np.sum(half.real**2 + half.imag**2))
 
     def postselect(self, qubit: int, bit: int, epsilon: float = DEFAULT_EPSILON,
                    rounds: float = 1) -> float:
@@ -374,8 +367,7 @@ class StateVector:
             raise ImpossibleOutcomeError(
                 f"outcome {bit} on qubit {qubit} has probability {figure:.3e} < {epsilon:.3e}"
             )
-        view = self.amps.reshape(1 << qubit, 2, -1)
-        view[:, 1 - bit, :] = 0.0
+        qubit_view(self.amps, [qubit] * (1 - bit), [qubit] * bit, ())[...] = 0.0
         self.amps /= np.sqrt(prob)
         return figure
 

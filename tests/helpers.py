@@ -31,6 +31,23 @@ def random_state(num_qubits: int, rng: np.random.Generator) -> np.ndarray:
     return amps / np.linalg.norm(amps)
 
 
+def reshape_probability_of(amps: np.ndarray, qubit: int, bit: int) -> float:
+    """``StateVector.probability_of`` in its earlier form, as an oracle: the
+    half where ``qubit`` equals ``bit`` as the middle index of a 3-axis
+    reshape."""
+    half = amps.reshape(1 << qubit, 2, -1)[:, bit, :]
+    return float(np.sum(half.real**2 + half.imag**2))
+
+
+def reshape_postselect(amps: np.ndarray, qubit: int, bit: int) -> float:
+    """``StateVector.postselect`` without amplification or refusal, in its
+    earlier form: zero the other half of the reshape, then renormalize."""
+    prob = reshape_probability_of(amps, qubit, bit)
+    amps.reshape(1 << qubit, 2, -1)[:, 1 - bit, :] = 0.0
+    amps /= np.sqrt(prob)
+    return prob
+
+
 def dense_embed(
     matrix: np.ndarray,
     targets: list[int],

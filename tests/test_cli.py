@@ -188,10 +188,33 @@ def test_argument_error_is_a_qql_error(before, statement, message):
     assert session.db.temp_alloc == alloc
 
 
+# (refused statement, its message), each after a SELECT
+COMPILE_ERRORS = [
+    ("APPLY NOT @ a WHEN 1;", "WHEN clause references no select flags"),
+    ("APPLY H @ zz WHEN c;", "unknown field 'zz' in table 't'"),
+]
+
+
+@pytest.mark.parametrize("statement, message", COMPILE_ERRORS)
+def test_compile_error_leaves_the_session(statement, message):
+    """A statement that does not bind raises CompileError and leaves the
+    register, the temp allocation and the select names as they were."""
+    session = Session()
+    session.execute_text("CREATE TABLE t (a:3) TEMP 2; INSERT ALL 2; SELECT c WHERE a = 1;")
+    amps, alloc = session.db.state.amps.copy(), dict(session.db.temp_alloc)
+    with pytest.raises(CompileError) as failure:
+        session.execute_text(statement)
+    assert str(failure.value) == message
+    assert session.db.state.amps.tobytes() == amps.tobytes()
+    assert session.db.temp_alloc == alloc and session.db.selects == {"c": 3}
+
+
 @pytest.mark.parametrize("statement, error, message", [
     ("CREATE TABLE t (k:2) TEMP 0;", ArgumentError, "need at least one temporary qubit"),
     # within the 22-qubit capacity, but no WHERE could build its truth table
     ("CREATE TABLE t (k:21) TEMP 1;", CapacityError, "21 data bits exceed the 20-bit table bound"),
+    ("CREATE TABLE t (k:0);", CompileError, "field 'k' must be at least 1 bit wide"),
+    ("CREATE TABLE t (a:1, a:2);", CompileError, "duplicate field names in table 't'"),
 ])
 def test_create_refusal_is_a_qql_error(statement, error, message):
     session = Session()
@@ -536,6 +559,28 @@ class TestLoadRejects:
         session = loaded_session()
         db, amps = session.db, session.db.state.amps.tobytes()
         with pytest.raises(SessionFormatError, match="^malformed session file: "):
+            session.load_session(str(path))
+        assert_unchanged(session, db, amps)
+
+    @pytest.mark.parametrize(
+        "text, what",
+        [
+            ("QQLDB 1\n", "SCHEMA"),
+            ("QQLDB 1\nTABLE t id:2\nTEMP 1\nSAFE none\n", "SCHEMA"),
+            ("QQLDB 1\nSCHEMA t id:2\n", "TEMP"),
+            ("QQLDB 1\nSCHEMA t id:2\nTEMPS 1\nSAFE none\n", "TEMP"),
+            ("QQLDB 1\nSCHEMA t id:2\nTEMP 1\n", "SAFE"),
+            ("QQLDB 1\nSCHEMA t id:2\nTEMP 1\nSAFETY none\n", "SAFE"),
+        ],
+        ids=["no SCHEMA", "other keyword for SCHEMA", "no TEMP", "other keyword for TEMP",
+             "no SAFE", "other keyword for SAFE"],
+    )
+    def test_missing_header_line(self, tmp_path, text, what):
+        path = tmp_path / "bad.qdb"
+        path.write_text(text)
+        session = loaded_session()
+        db, amps = session.db, session.db.state.amps.tobytes()
+        with pytest.raises(SessionFormatError, match=f"^missing {what} line$"):
             session.load_session(str(path))
         assert_unchanged(session, db, amps)
 

@@ -257,7 +257,7 @@ def test_not_gate_as_swap_matches_the_matrix_product(seed, num_pos, num_neg):
     amps = signed_zero_state(m, rng)
     expected = amps.copy()
     untiled_apply(expected, NOT.matrix, [target], m, pos, neg)
-    swap(amps, m, 0, 1, pos, neg, leading=[target])
+    swap(amps, 0, 1, pos, neg, leading=[target])
     assert unsigned_zero_bytes(amps) == unsigned_zero_bytes(expected)
 
 

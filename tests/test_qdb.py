@@ -168,6 +168,23 @@ class TestCreateFromState:
             QdbState(ID2, 1, state=state, safe_key=SafeKey(2, expr, 0))
         assert state is None or state.amps.tobytes() == amps.tobytes()
 
+    @pytest.mark.parametrize("given_state", [False, True])
+    def test_refuses_a_safe_constant_not_0_or_1(self, given_state):
+        amps = db2().insert_bulk(2).state.amps
+        state = StateVector(amps.copy()) if given_state else None
+        with pytest.raises(ArgumentError, match="^constant must be 0 or 1$"):
+            QdbState(ID2, 1, state=state, safe_key=SafeKey(2, Const(2), 0))
+        assert state is None or state.amps.tobytes() == amps.tobytes()
+
+    @pytest.mark.parametrize(
+        "state", [np.zeros(8, dtype=complex), [1, 0, 0, 0, 0, 0, 0, 0]], ids=["ndarray", "list"]
+    )
+    def test_refuses_a_state_that_is_not_a_state_vector(self, state):
+        before = np.array(state, dtype=complex).tobytes()
+        with pytest.raises(ArgumentError, match="^state must be a StateVector, not "):
+            QdbState(ID2, 1, state=state)
+        assert np.array(state, dtype=complex).tobytes() == before
+
     @pytest.mark.parametrize("t", [1, 3])
     def test_refuses_a_state_of_another_size(self, t):
         state = db2(t=2).state
@@ -482,6 +499,21 @@ class TestInsertValues:
         assert db.state.amps.tobytes() == amps and db.temp_alloc == {}
 
     @pytest.mark.parametrize(
+        "records, shown",
+        [([[0, 5], [6, 7]], "[0, 5]"), (["a"], "'a'"), ([(0,)], "(0,)"), ([3, None], "None"),
+         ([float("inf")], "inf")],
+        ids=["nested lists", "text", "tuple", "None", "infinity"],
+    )
+    def test_record_not_an_index_refused_before_a_kernel(self, records, shown):
+        # int() of such a record used to raise a raw TypeError or ValueError
+        db = QdbState(TableSchema("t", (("k", 3),)), t=2)
+        amps = db.state.amps.tobytes()
+        with pytest.raises(ArgumentError) as failure:
+            db.insert_values(records)
+        assert str(failure.value) == f"record {shown} is neither a Record nor an index"
+        assert db.state.amps.tobytes() == amps and db.temp_alloc == {}
+
+    @pytest.mark.parametrize(
         "records", [[5, 2, 7], [1, 2, 0], [7], [1, 9, -1], [-1, 9], [3, 6, 3], list(range(9))]
     )
     def test_integer_array_checked_like_a_list(self, records):
@@ -548,6 +580,20 @@ class TestUpdate:
         amps, alloc = db.state.amps.tobytes(), dict(db.temp_alloc)
         with pytest.raises(ArgumentError, match=r"^update pairs must be of shape \(k, 2\), not "):
             db.update(pairs)
+        assert db.state.amps.tobytes() == amps and db.temp_alloc == alloc
+
+    @pytest.mark.parametrize(
+        "pairs, shown",
+        [([((0,), 1)], "(0,)"), ([(1, 2), (3, "a")], "'a'"), ([([0, 5], 6)], "[0, 5]")],
+        ids=["tuple", "text", "list"],
+    )
+    def test_record_not_an_index_refused(self, pairs, shown):
+        db = db3(t=2).insert_values([1, 2])
+        db.select(Comparison("id", "=", 1))
+        amps, alloc = db.state.amps.tobytes(), dict(db.temp_alloc)
+        with pytest.raises(ArgumentError) as failure:
+            db.update(pairs)
+        assert str(failure.value) == f"record {shown} is neither a Record nor an index"
         assert db.state.amps.tobytes() == amps and db.temp_alloc == alloc
 
     def test_records_as_field_tuples(self):

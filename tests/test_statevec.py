@@ -8,7 +8,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import dense_embed, identity, random_state, random_unitary
+from helpers import (
+    dense_embed,
+    identity,
+    random_state,
+    random_unitary,
+    reshape_postselect,
+    reshape_probability_of,
+)
 from qqldb.errors import (
     ArgumentError,
     CapacityError,
@@ -19,7 +26,7 @@ from qqldb.errors import (
 from qqldb.gates import CnotGate, GateMatrix, HADAMARD, NOT
 from qqldb.qdb import QdbState
 from qqldb.schema import TableSchema
-from qqldb.statevec import StateVector, Xorshift64Star, apply_matrix
+from qqldb.statevec import StateVector, Xorshift64Star, apply_matrix, qubit_view, swap
 
 INV_SQRT2 = 1 / np.sqrt(2)
 MAX_DOUBLE = sys.float_info.max
@@ -205,6 +212,62 @@ class TestApplyControlled:
             StateVector.zero(2).apply_controlled(NOT, pos_controls=[1], targets=[1])
 
 
+# (controls 1, controls 0, leading, run, message) that qubit_view refuses
+# on 3 qubits
+QUBIT_REFUSALS = [
+    ([3], [], [0], range(0), "^qubit 3 out of range for 3 qubits$"),
+    ([], [-1], [0], range(0), "^qubit -1 out of range for 3 qubits$"),
+    ([], [], [0], range(1, 4), "^qubit 3 out of range for 3 qubits$"),
+    ([1, 1], [], [0], range(0), r"^qubits \[1, 1, 0\] name a qubit twice$"),
+    ([0], [], [0], range(0), r"^qubits \[0, 0\] name a qubit twice$"),
+    ([], [2], [0, 2], range(0), r"^qubits \[2, 0, 2\] name a qubit twice$"),
+    ([1], [], [], range(0, 3), r"^qubits \[1, 0, 1, 2\] name a qubit twice$"),
+    ([], [], [1], range(1, 3), r"^qubits \[1, 1, 2\] name a qubit twice$"),
+    ([], [], [0], range(2, 0, -1), r"^run range\(2, 0, -1\) is not an ascending step-1 range"),
+    ([], [], [1], range(0, 3, 2), r"^run range\(0, 3, 2\) is not an ascending step-1 range"),
+]
+QUBIT_REFUSAL_IDS = [
+    "past the register", "negative", "run past the register", "repeated control",
+    "control is the target", "negative control is a target", "control inside the run",
+    "target inside the run", "descending run", "run of step 2",
+]
+
+
+class TestQubitCheck:
+    """``qubit_view`` is the one qubit check: the kernels built on it refuse
+    what it refuses, before they change anything."""
+
+    @pytest.mark.parametrize("pos, neg, leading, run, message", QUBIT_REFUSALS,
+                             ids=QUBIT_REFUSAL_IDS)
+    @pytest.mark.parametrize("kernel", ["qubit_view", "swap", "apply_matrix"])
+    def test_refused_before_the_buffer_changes(self, kernel, pos, neg, leading, run, message):
+        amps = np.arange(8, dtype=np.complex128)
+        call = {
+            "qubit_view": lambda: qubit_view(amps, pos, neg, leading, run),
+            "swap": lambda: swap(amps, 0, 1, pos, neg, leading, run),
+            "apply_matrix": lambda: apply_matrix(
+                amps, np.eye(1 << len(leading))[::-1], leading, pos, neg, run
+            ),
+        }[kernel]
+        with pytest.raises(ArgumentError, match=message):
+            call()
+        assert amps.tobytes() == np.arange(8, dtype=np.complex128).tobytes()
+
+    @pytest.mark.parametrize("bit", [0, 1])
+    @pytest.mark.parametrize("qubit", [-1, 2])
+    def test_postselect_refuses_a_qubit_off_the_register(self, qubit, bit):
+        s = StateVector(np.full(4, 0.5, dtype=complex))
+        with pytest.raises(ArgumentError, match=f"^qubit {qubit} out of range for 2 qubits$"):
+            s.postselect(qubit, bit)
+        assert s.amps.tobytes() == np.full(4, 0.5, dtype=complex).tobytes()
+
+    def test_controls_in_any_order(self):
+        amps = np.arange(32, dtype=np.complex128)
+        for pos in ([4, 1, 2], [1, 2, 4], [2, 4, 1]):
+            view = qubit_view(amps, pos, [3], [0])
+            assert view.ravel().tolist() == [13, 29]
+
+
 class TestKernelAgainstDenseMatrices:
     @pytest.mark.parametrize("num_qubits", [2, 3, 5, 8])
     def test_uncontrolled_matches_dense(self, num_qubits):
@@ -216,7 +279,7 @@ class TestKernelAgainstDenseMatrices:
             amps = random_state(num_qubits, rng)
             expected = dense_embed(gate.matrix, targets, num_qubits) @ amps
             actual = amps.copy()
-            apply_matrix(actual, gate.matrix, targets, num_qubits)
+            apply_matrix(actual, gate.matrix, targets)
             assert np.max(np.abs(actual - expected)) < 1e-12
 
     @pytest.mark.parametrize("num_qubits", [3, 5, 7])
@@ -229,7 +292,7 @@ class TestKernelAgainstDenseMatrices:
             amps = random_state(num_qubits, rng)
             expected = dense_embed(gate.matrix, targets, num_qubits, pos, neg) @ amps
             actual = amps.copy()
-            apply_matrix(actual, gate.matrix, targets, num_qubits, pos, neg)
+            apply_matrix(actual, gate.matrix, targets, pos, neg)
             assert np.max(np.abs(actual - expected)) < 1e-12
 
     @given(st.integers(0, 2**32 - 1), st.integers(2, 8))
@@ -243,9 +306,9 @@ class TestKernelAgainstDenseMatrices:
         s2 = random_state(num_qubits, rng)
         alpha, beta = rng.normal(size=2)
         combined = alpha * s1 + beta * s2
-        apply_matrix(combined, gate.matrix, targets, num_qubits)
+        apply_matrix(combined, gate.matrix, targets)
         for part in (s1, s2):
-            apply_matrix(part, gate.matrix, targets, num_qubits)
+            apply_matrix(part, gate.matrix, targets)
         assert np.max(np.abs(combined - (alpha * s1 + beta * s2))) < 1e-12
 
     @given(st.integers(0, 2**32 - 1))
@@ -303,6 +366,30 @@ class TestPostselect:
             except ImpossibleOutcomeError:
                 continue
             assert s.probability_of(qubit, bit) == pytest.approx(1.0, abs=1e-12)
+
+
+class TestHalvesThroughQubitView:
+    """``probability_of`` and ``postselect`` address the qubit's halves as a
+    control of ``qubit_view``; the earlier reshape form is the oracle, and
+    both must agree word for word."""
+
+    @staticmethod
+    def check(amps: np.ndarray, qubit: int, bit: int) -> None:
+        expected = amps.copy()
+        s = StateVector(amps)
+        assert s.probability_of(qubit, bit) == reshape_probability_of(expected, qubit, bit)
+        assert s.postselect(qubit, bit, epsilon=0.0) == reshape_postselect(expected, qubit, bit)
+        assert s.amps.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("m", range(1, 13))
+    def test_every_qubit_and_bit(self, m):
+        rng = np.random.default_rng(700 + m)
+        for qubit in range(m):
+            for bit in (0, 1):
+                self.check(random_state(m, rng), qubit, bit)
+
+    def test_a_register_of_2_to_the_20(self):
+        self.check(random_state(20, np.random.default_rng(720)), 7, 1)
 
 
 class TestProbabilityOf:
