@@ -18,7 +18,6 @@ from .boolcirc import (
     Var,
     apply_oracle,
     compile_to_cnots,
-    eval_expr,
     to_reed_muller,
     truth_table,
 )

@@ -16,12 +16,12 @@ import numpy as np
 
 from .errors import ArgumentError, SchemaError
 from .gates import CnotGate
-from .schema import Record, TableSchema
+from .schema import TableSchema
 from .statevec import StateVector, swap
 
 MAX_TABLE_VARS = 20
 # Deepest predicate tree, counting each AND, OR and NOT as a level: the
-# evaluators and the renderer walk predicates recursively, and this bound
+# evaluator and the renderer walk predicates recursively, and this bound
 # keeps them far from Python's recursion limit.
 MAX_EXPR_DEPTH = 100
 
@@ -155,39 +155,11 @@ def validate_expr(expr: BoolExpr, schema: TableSchema) -> None:
             raise TypeError(f"not a BoolExpr: {node!r}")
 
 
-def eval_expr(expr: BoolExpr, record: Record, schema: TableSchema) -> int:
-    """Classical evaluation on a single record; comparisons are unsigned."""
-    if expr_depth(expr) > MAX_EXPR_DEPTH:
-        raise SchemaError(f"predicate nested deeper than {MAX_EXPR_DEPTH} levels")
-    return _eval(expr, record, schema)
-
-
-def _eval(expr: BoolExpr, record: Record, schema: TableSchema) -> int:
-    if isinstance(expr, Comparison):
-        return int(_OPS[expr.op](schema.value_of(record, expr.field), expr.literal))
-    if isinstance(expr, Var):
-        return int(schema.value_of(record, expr.name) != 0)
-    if isinstance(expr, And):
-        return _eval(expr.left, record, schema) & _eval(expr.right, record, schema)
-    if isinstance(expr, Or):
-        return _eval(expr.left, record, schema) | _eval(expr.right, record, schema)
-    if isinstance(expr, Not):
-        return 1 - _eval(expr.expr, record, schema)
-    if isinstance(expr, Const):
-        return int(expr.value)
-    raise TypeError(f"not a BoolExpr: {expr!r}")
-
-
 def _eval_vectorized(expr: BoolExpr, schema: TableSchema, indices: np.ndarray) -> np.ndarray:
-    n = schema.num_bits
-    if isinstance(expr, (Comparison, Var)):
-        field = expr.field if isinstance(expr, Comparison) else expr.name
-        width = schema.width_of(field)
-        shift = n - schema.offset_of(field) - width
-        values = (indices >> shift) & ((1 << width) - 1)
-        if isinstance(expr, Var):
-            return values != 0
-        return _OPS[expr.op](values, expr.literal)
+    if isinstance(expr, Var):
+        return schema.field_values(indices, expr.name) != 0
+    if isinstance(expr, Comparison):
+        return _OPS[expr.op](schema.field_values(indices, expr.field), expr.literal)
     if isinstance(expr, And):
         return _eval_vectorized(expr.left, schema, indices) & _eval_vectorized(
             expr.right, schema, indices

@@ -79,16 +79,15 @@ class Session:
         indices, left-justified to ``width`` columns, and its argument
         columns: one of values per field, then one of padding."""
         assert self.db is not None
-        fields = self.db.schema.fields
+        schema = self.db.schema
+        fields = schema.fields
         # the label's length is that of the names and separators plus the
         # value digits
         lengths = np.full(indices.size, sum(len(name) + 3 for name, _ in fields))
         powers = 10 ** np.arange(1, 19, dtype=np.int64)
         columns = []
-        shift = self.db.n
-        for _, bits in fields:
-            shift -= bits
-            values = (indices >> shift) & ((1 << bits) - 1)
+        for name, _ in fields:
+            values = schema.field_values(indices, name)
             lengths += np.searchsorted(powers, values, side="right") + 1
             columns.append(values.tolist())
         pads = [" " * k for k in range(width + 1)]

@@ -25,15 +25,11 @@ def apply_partial_diffusion(state: StateVector, n: int, flag_qubit: int) -> Stat
 
     The data qubits are the first ``n`` qubits; any qubits that are neither
     data nor ``flag_qubit`` are spectators, and each of their basis
-    assignments is transformed independently.
+    assignments is transformed independently.  ``qubit_view`` refuses a flag
+    among the data qubits and a qubit past the register.
     """
-    m = state.num_qubits
     if n < 1:
         raise ArgumentError("need at least one data qubit")
-    if m < n + 1:
-        raise ArgumentError(f"state of {m} qubits too small for {n} data qubits plus a flag")
-    if flag_qubit < n or flag_qubit >= m:
-        raise ArgumentError(f"flag qubit {flag_qubit} must lie in the tail qubits {n}..{m - 1}")
     data = range(0, n)
     zero = qubit_view(state.amps, (), [flag_qubit], (), data)
     # one 1-D mean per spectator column: a mean over axis 0 sums in another

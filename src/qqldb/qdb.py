@@ -11,6 +11,7 @@ BACKUP/RESTORE pair an oracle with partial diffusion.
 from __future__ import annotations
 
 import math
+import operator
 from collections import Counter
 from dataclasses import dataclass
 from typing import Mapping, Sequence, Union
@@ -350,8 +351,8 @@ class QdbState:
         if isinstance(record, Record):
             return self.schema.encode(record)
         try:
-            index = int(record)
-        except (TypeError, ValueError, OverflowError):
+            index = operator.index(record)
+        except TypeError:
             raise ArgumentError(f"record {record!r} is neither a Record nor an index") from None
         if index < 0 or index >= 1 << self.n:
             raise SchemaError(f"record index {index} out of range for {self.n} data bits")
@@ -385,15 +386,13 @@ class QdbState:
     ) -> "QdbState":
         """Relabel records by disjoint transpositions; amplitudes ride along
         untouched.  Under an active backup the permutation is controlled on
-        the safe key being 0, so the protected copy never moves.  ``pairs``
-        may be an integer array of shape (k, 2)."""
-        if isinstance(pairs, np.ndarray):
-            if pairs.ndim != 2 or pairs.shape[1] != 2:
-                raise ArgumentError(f"update pairs must be of shape (k, 2), not {pairs.shape}")
-            flat = pairs.reshape(-1)
-        else:
-            flat = [record for src, dst in pairs for record in (src, dst)]
-        swaps = self._as_indices(flat).reshape(-1, 2)
+        the safe key being 0, so the protected copy never moves.  ``pairs``,
+        a sequence or an integer array, must be of shape (k, 2)."""
+        if not isinstance(pairs, np.ndarray):
+            pairs = np.array(pairs, dtype=object)
+        if pairs.ndim != 2 or pairs.shape[1] != 2:
+            raise ArgumentError(f"update pairs must be of shape (k, 2), not {pairs.shape}")
+        swaps = self._as_indices(pairs.reshape(-1)).reshape(-1, 2)
         if np.unique(swaps).size != swaps.size:
             raise ArgumentError("update pairs must be disjoint transpositions")
         if self.safe_key is None:
@@ -506,6 +505,10 @@ class QdbState:
         Returns the outcome probability or, with ``amplify_iters`` q > 0, its
         value after q amplification rounds; those leave the kept state as is."""
         table = truth_table(expr, self.schema)
+        try:
+            amplify_iters = operator.index(amplify_iters)
+        except TypeError:
+            raise ArgumentError(f"amplify_iters {amplify_iters!r} is not an integer") from None
         if amplify_iters < 0:
             raise ArgumentError("amplify_iters must be >= 0")
         try:

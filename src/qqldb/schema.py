@@ -91,20 +91,15 @@ class TableSchema:
             index = (index << width) | value
         return index
 
+    def field_values(self, indices, field: str):
+        """The value of ``field`` in each data index of ``indices``, an int or
+        an integer array: the one reading of the record layout."""
+        width = self.width_of(field)
+        return (indices >> (self.num_bits - self.offset_of(field) - width)) & ((1 << width) - 1)
+
     def decode(self, index: int) -> Record:
         """Basis index of the data register -> record."""
         n = self.num_bits
         if index < 0 or index >= 1 << n:
             raise SchemaError(f"index {index} out of range for {n} data bits")
-        values = []
-        remaining = index
-        for _, width in reversed(self.fields):
-            values.append(remaining & ((1 << width) - 1))
-            remaining >>= width
-        return Record(tuple(reversed(values)))
-
-    def value_of(self, record: Record, field: str) -> int:
-        for (field_name, _), value in zip(self.fields, record.values):
-            if field_name == field:
-                return value
-        raise SchemaError(f"unknown field {field!r} in table {self.name!r}")
+        return Record(tuple(self.field_values(index, name) for name, _ in self.fields))

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from typing import Sequence
 
 import numpy as np
@@ -31,12 +32,18 @@ _MASK64 = (1 << 64) - 1
 _BITS64 = np.arange(64, dtype=np.uint64)
 
 
-def check_shots(shots: int) -> None:
-    """Reject a shot count :meth:`StateVector.sample` cannot draw."""
+def check_shots(shots: int) -> int:
+    """Reject a shot count :meth:`StateVector.sample` cannot draw; return it
+    as an int."""
+    try:
+        shots = operator.index(shots)
+    except TypeError:
+        raise ArgumentError(f"shots {shots!r} is not an integer") from None
     if shots < 1:
         raise ArgumentError("shots must be >= 1")
     if shots > MAX_SHOTS:
         raise CapacityError(f"{shots} shots exceed the limit of {MAX_SHOTS}")
+    return shots
 
 
 class Xorshift64Star:
@@ -63,10 +70,6 @@ class Xorshift64Star:
         self._state = s
         return (s * self.MULTIPLIER) & _MASK64
 
-    def next_float(self) -> float:
-        """Uniform double in [0, 1) built from the top 53 bits."""
-        return (self.next_u64() >> 11) / float(1 << 53)
-
 
 def _xorshift_step(words: np.ndarray) -> np.ndarray:
     """One xorshift64* state update of every word, in place."""
@@ -84,8 +87,9 @@ def _gf2_apply(columns: np.ndarray, words: np.ndarray) -> np.ndarray:
 
 
 def xorshift_uniform(seed: int, count: int) -> np.ndarray:
-    """The first ``count`` doubles of ``Xorshift64Star(seed).next_float()``,
-    generated in numpy lanes.
+    """The first ``count`` uniform doubles in [0, 1) of the
+    ``Xorshift64Star(seed)`` stream, each the top 53 bits of a ``next_u64()``
+    word over 2^53, generated in numpy lanes.
 
     The xorshift64* state update is linear over GF(2), so jumping ``k`` steps
     ahead is a 64x64 bit matrix (Vigna, arXiv:1402.6246).  Lane ``j`` starts
@@ -381,7 +385,7 @@ class StateVector:
         the same additions in the same order as ``np.cumsum``, so the picks
         are those of one search of the whole sum, without a register-sized
         array."""
-        check_shots(shots)
+        shots = check_shots(shots)
         draws = xorshift_uniform(seed, shots)
         # searched in ascending order, each block takes the draws below its
         # last sum; the picks are scattered back into draw order

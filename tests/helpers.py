@@ -2,13 +2,14 @@
 
 from __future__ import annotations
 
+import operator
 from itertools import islice
 from typing import Iterable
 
 import numpy as np
 
 from qqldb import qlang
-from qqldb.boolcirc import MAX_TABLE_VARS
+from qqldb.boolcirc import MAX_TABLE_VARS, And, BoolExpr, Comparison, Const, Not, Or, Var
 from qqldb.cli import FORMAT_HEADER, LOAD_CHUNK
 from qqldb.errors import CapacityError, QqlError, QqlSyntaxError, SessionFormatError
 from qqldb.gates import DENSE_LIMIT_QUBITS, HADAMARD, NOT, GateMatrix
@@ -121,6 +122,52 @@ def reed_muller_brute_eval(monomials, assignment_bits: dict[int, int]) -> int:
             term &= assignment_bits[var]
         acc ^= term
     return acc
+
+
+# ---------------------------------------------------------------- predicates
+
+_COMPARISONS = {
+    ">": operator.gt,
+    ">=": operator.ge,
+    "<": operator.lt,
+    "<=": operator.le,
+    "=": operator.eq,
+    "!=": operator.ne,
+}
+
+
+def reference_eval(expr: BoolExpr, index: int, fields) -> bool:
+    """A predicate at one data index, by recursion over the tree, with its
+    own comparison table and its own field extraction (a slice of the index's
+    binary digits).  ``truth_table`` is checked against it, and the
+    conformance run's ``RefDb`` takes its predicates from it.  ``fields`` are
+    the schema's (name, width) pairs, the first in the most significant
+    bits."""
+    if isinstance(expr, Const):
+        return bool(expr.value)
+    if isinstance(expr, Not):
+        return not reference_eval(expr.expr, index, fields)
+    if isinstance(expr, And):
+        return reference_eval(expr.left, index, fields) and reference_eval(
+            expr.right, index, fields
+        )
+    if isinstance(expr, Or):
+        return reference_eval(expr.left, index, fields) or reference_eval(
+            expr.right, index, fields
+        )
+    name = expr.field if isinstance(expr, Comparison) else expr.name
+    digits = format(index, f"0{sum(width for _, width in fields)}b")
+    start = 0
+    for field_name, width in fields:
+        if field_name == name:
+            value = int(digits[start : start + width], 2)
+            break
+        start += width
+    else:
+        raise KeyError(f"unknown field {name!r}")
+    if isinstance(expr, Var):
+        return value != 0
+    return _COMPARISONS[expr.op](value, expr.literal)
 
 
 # ---------------------------------------------------------------- dense builders

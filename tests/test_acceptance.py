@@ -12,7 +12,13 @@ import time
 import numpy as np
 import pytest
 
-from helpers import dense_embed, dense_partial_diffusion, permutation_gate, random_state
+from helpers import (
+    dense_embed,
+    dense_partial_diffusion,
+    permutation_gate,
+    random_state,
+    reference_eval,
+)
 from refmodel import RefDb
 from qqldb.boolcirc import (
     And,
@@ -23,7 +29,6 @@ from qqldb.boolcirc import (
     Or,
     Var,
     compile_to_cnots,
-    eval_expr,
     to_reed_muller,
     truth_table,
 )
@@ -202,7 +207,7 @@ def test_criterion_06_backup_amplitudes():
 
 
 def predicate_fn(expr: BoolExpr, schema: TableSchema):
-    return lambda rec: bool(eval_expr(expr, schema.decode(rec), schema))
+    return lambda rec: reference_eval(expr, rec, schema.fields)
 
 
 def random_comparison(rng, schema) -> BoolExpr:

@@ -3,7 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import random_state, reed_muller_brute_eval
+from helpers import random_state, reed_muller_brute_eval, reference_eval
+from qqldb import boolcirc
 from qqldb.boolcirc import (
     And,
     Comparison,
@@ -15,7 +16,6 @@ from qqldb.boolcirc import (
     Var,
     apply_oracle,
     compile_to_cnots,
-    eval_expr,
     to_reed_muller,
     truth_table,
     validate_expr,
@@ -34,19 +34,19 @@ X0_OR_NOT_X1 = Or(Var("x0"), Not(Var("x1")))
 
 class TestEvalExpr:
     def test_or_not_example(self):
-        record = BITS2.record(x0=1, x1=1)
-        assert eval_expr(X0_OR_NOT_X1, record, BITS2) == 1
+        index = BITS2.encode(BITS2.record(x0=1, x1=1))
+        assert truth_table(X0_OR_NOT_X1, BITS2).bits[index]
 
     def test_const_zero(self):
-        assert eval_expr(Const(0), AGE.record(age=5), AGE) == 0
+        assert not truth_table(Const(0), AGE).bits[5]
 
     def test_unsigned_compare(self):
-        assert eval_expr(Comparison("age", ">=", 2), AGE.record(age=5), AGE) == 1
-        assert eval_expr(Comparison("age", ">=", 2), AGE.record(age=1), AGE) == 0
+        bits = truth_table(Comparison("age", ">=", 2), AGE).bits
+        assert bits[5] and not bits[1]
 
     def test_unknown_field(self):
         with pytest.raises(SchemaError):
-            eval_expr(Comparison("salary", "=", 1), AGE.record(age=0), AGE)
+            truth_table(Comparison("salary", "=", 1), AGE)
 
     def test_literal_must_fit_width(self):
         with pytest.raises(SchemaError):
@@ -74,9 +74,16 @@ class TestTruthTable:
             expr = _random_expr(rng, schema, depth=3)
             table = truth_table(expr, schema)
             for index in range(1 << schema.num_bits):
-                assert table.bits[index] == bool(
-                    eval_expr(expr, schema.decode(index), schema)
-                )
+                assert table.bits[index] == reference_eval(expr, index, schema.fields)
+
+    def test_reference_is_independent_of_the_engine_table(self, monkeypatch):
+        # a wrong comparison in the engine must not also pass as the reference
+        expr = Comparison("age", ">=", 2)
+        expected = [reference_eval(expr, index, AGE.fields) for index in range(8)]
+        assert truth_table(expr, AGE).bits.tolist() == expected
+        monkeypatch.setitem(boolcirc._OPS, ">=", boolcirc._OPS[">"])
+        assert truth_table(expr, AGE).bits.tolist() != expected
+        assert [reference_eval(expr, index, AGE.fields) for index in range(8)] == expected
 
 
 def _random_expr(rng, schema, depth):

@@ -135,8 +135,9 @@ class TestAction:
 
     @pytest.mark.parametrize("n, flag, message", [
         (0, 2, "need at least one data qubit"),
-        (3, 3, "state of 3 qubits too small for 3 data qubits plus a flag"),
-        (2, 3, "flag qubit 3 must lie in the tail qubits 2..2"),
+        (3, 3, "qubit 3 out of range for 3 qubits"),
+        (2, 3, "qubit 3 out of range for 3 qubits"),
+        (2, 1, "name a qubit twice"),
     ])
     def test_rejects_a_layout_that_does_not_fit(self, n, flag, message):
         state = StateVector.zero(3)

@@ -1,4 +1,5 @@
-"""Every module-level import of a ``qqldb`` module is used in it.
+"""Every module-level import of a ``qqldb`` module is used in it, and the
+conformance run's reference interpreter imports no ``qqldb`` module.
 
 ``__init__.py`` imports names to re-export them, so it is left out.  A name
 counts as used when it appears as a name anywhere in the module's syntax tree;
@@ -11,6 +12,7 @@ from pathlib import Path
 import pytest
 
 SOURCE = Path(__file__).resolve().parents[1] / "src" / "qqldb"
+REFMODEL = Path(__file__).resolve().parent / "refmodel.py"
 MODULES = sorted(path.name for path in SOURCE.glob("*.py") if path.name != "__init__.py")
 
 
@@ -48,3 +50,14 @@ def test_finds_a_leftover_import():
         "    return np.zeros(1)\n"
     )
     assert unused_imports(source) == ["is_unitary", "os"]
+
+
+def test_reference_model_imports_no_qqldb_module():
+    # the oracle the engine is checked against borrows none of its code
+    imported = []
+    for node in ast.walk(ast.parse(REFMODEL.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Import):
+            imported += [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            imported.append(node.module or "")
+    assert imported and all(name.split(".")[0] != "qqldb" for name in imported)

@@ -8,7 +8,7 @@ import pytest
 from helpers import dense_embed, identity, random_state
 from refmodel import RefDb
 from qqldb import boolcirc
-from qqldb.boolcirc import MAX_EXPR_DEPTH, And, Comparison, Const, Not, Or, Var, eval_expr
+from qqldb.boolcirc import MAX_EXPR_DEPTH, And, Comparison, Const, Not, Or, Var, truth_table
 from qqldb.cli import Session
 from qqldb.errors import (
     ArgumentError,
@@ -501,11 +501,14 @@ class TestInsertValues:
     @pytest.mark.parametrize(
         "records, shown",
         [([[0, 5], [6, 7]], "[0, 5]"), (["a"], "'a'"), ([(0,)], "(0,)"), ([3, None], "None"),
-         ([float("inf")], "inf")],
-        ids=["nested lists", "text", "tuple", "None", "infinity"],
+         ([float("inf")], "inf"), ([0.0, 5.9], "0.0"), (["3", True], "'3'"),
+         (np.array([1.0, 2.0]), repr(np.float64(1.0)))],
+        ids=["nested lists", "text", "tuple", "None", "infinity", "floats", "digits",
+             "float array"],
     )
     def test_record_not_an_index_refused_before_a_kernel(self, records, shown):
-        # int() of such a record used to raise a raw TypeError or ValueError
+        # int() of such a record used to raise a raw TypeError or ValueError,
+        # or to insert records 0 and 5 for [0.0, 5.9] and 1 and 3 for ["3", True]
         db = QdbState(TableSchema("t", (("k", 3),)), t=2)
         amps = db.state.amps.tobytes()
         with pytest.raises(ArgumentError) as failure:
@@ -570,11 +573,12 @@ class TestUpdate:
     @pytest.mark.parametrize(
         "pairs",
         [np.array([1, 2, 5]), np.array([[1], [2], [5]]), np.array([1, 2, 3, 4]),
-         np.array([[3, 4, 5], [6, 7, 0]])],
+         np.array([[3, 4, 5], [6, 7, 0]]), [(1, 2, 3)], [1, 2]],
     )
     def test_array_not_of_pairs_refused(self, pairs):
-        # an odd-sized array used to fail in a reshape, and one of shape
-        # (2, 3) ran as three pairs
+        # an odd-sized array used to fail in a reshape, one of shape (2, 3)
+        # ran as three pairs, and unpacking a sequence such as [(1, 2, 3)]
+        # or [1, 2] raised a raw ValueError or TypeError
         db = db3(t=2).insert_values([1, 2])
         db.select(Comparison("id", "=", 1))
         amps, alloc = db.state.amps.tobytes(), dict(db.temp_alloc)
@@ -584,8 +588,9 @@ class TestUpdate:
 
     @pytest.mark.parametrize(
         "pairs, shown",
-        [([((0,), 1)], "(0,)"), ([(1, 2), (3, "a")], "'a'"), ([([0, 5], 6)], "[0, 5]")],
-        ids=["tuple", "text", "list"],
+        [([((0,), 1)], "(0,)"), ([(1, 2), (3, "a")], "'a'"), ([([0, 5], 6)], "[0, 5]"),
+         ([(1.5, 6)], "1.5")],
+        ids=["tuple", "text", "list", "float"],
     )
     def test_record_not_an_index_refused(self, pairs, shown):
         db = db3(t=2).insert_values([1, 2])
@@ -876,6 +881,26 @@ class TestDelete:
             tracemalloc.stop()
         assert peak < db.state.amps.nbytes
 
+    @pytest.mark.parametrize(
+        "iters", [1.5, 2.0, "1", None], ids=["half", "whole float", "text", "None"]
+    )
+    def test_amplify_count_must_be_an_integer(self, iters):
+        # 1.5 used to report sin^2(4 theta), which no AMPLIFY q gives
+        db = db3(t=2).insert_values([1, 2, 5])
+        db.select(Comparison("id", "=", 1))
+        amps, alloc = db.state.amps.tobytes(), dict(db.temp_alloc)
+        with pytest.raises(ArgumentError) as failure:
+            db.delete(Comparison("id", "=", 5), amplify_iters=iters)
+        assert str(failure.value) == f"amplify_iters {iters!r} is not an integer"
+        assert db.state.amps.tobytes() == amps and db.temp_alloc == alloc
+
+    def test_numpy_integer_amplify_count_accepted(self):
+        probabilities = []
+        for iters in (1, np.int64(1)):
+            db = db3().insert_bulk(3)
+            probabilities.append(db.delete(Comparison("id", "=", 5), amplify_iters=iters))
+        assert probabilities[0] == probabilities[1]
+
     def test_amplified_delete_reports_probability(self):
         # kept mass p = 7/8; one round gives sin^2(3 theta) = p (3 - 4p)^2
         db = db3().insert_bulk(3)
@@ -1092,6 +1117,27 @@ class TestMeasure:
         histogram = db.measure_records(2000, seed=5)
         assert set(histogram) == {Record((r,)) for r in range(4)}
 
+    @pytest.mark.parametrize(
+        "shots", [2.5, 10.0, "10", None], ids=["half", "whole float", "text", "None"]
+    )
+    def test_shots_must_be_an_integer(self, shots):
+        # a float count used to end in an AttributeError inside the sampler
+        db = db2(t=2).insert_bulk(2)
+        db.select(Comparison("id", "=", 1))
+        amps, alloc = db.state.amps.tobytes(), dict(db.temp_alloc)
+        with pytest.raises(ArgumentError) as failure:
+            db.measure_counts(shots, 1)
+        assert str(failure.value) == f"shots {shots!r} is not an integer"
+        assert db.state.amps.tobytes() == amps and db.temp_alloc == alloc
+
+    def test_numpy_integer_shots_accepted(self):
+        # they used to end in an AttributeError inside the sampler
+        db = db2().insert_bulk(2)
+        indices, counts = db.measure_counts(np.int64(10), 1)
+        expected_indices, expected_counts = db.measure_counts(10, 1)
+        assert indices.tolist() == expected_indices.tolist()
+        assert counts.tolist() == expected_counts.tolist()
+
 
 class TestShowState:
     def test_zero_state_single_row(self):
@@ -1178,7 +1224,7 @@ class TestPredicateDepth:
     def test_renderer_and_evaluator_take_the_deepest_accepted_predicate(self, kind):
         expr = nested(kind, MAX_EXPR_DEPTH)
         assert parse_predicate(render_expr(expr)) == expr
-        assert eval_expr(expr, ID3.decode(1), ID3) in (0, 1)
+        assert truth_table(expr, ID3).bits.shape == (1 << ID3.num_bits,)
 
     @pytest.mark.parametrize("kind", [And, Or, Not])
     def test_renderer_and_evaluator_reject_a_deep_predicate(self, kind):
@@ -1187,7 +1233,7 @@ class TestPredicateDepth:
         with pytest.raises(SchemaError, match="nested deeper"):
             render_expr(expr)
         with pytest.raises(SchemaError, match="nested deeper"):
-            eval_expr(expr, ID3.decode(1), ID3)
+            truth_table(expr, ID3)
 
     @pytest.mark.parametrize("depth", [MAX_EXPR_DEPTH + 1, 3000])
     @pytest.mark.parametrize("kind", [And, Or, Not])

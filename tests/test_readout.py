@@ -29,7 +29,8 @@ COUNTS = [1, 2, 3, 4, 5, 15, 16, 17, 63, 64, 65, 255, 256, 257, 1023, 1024, 1025
 
 def scalar_draws(seed: int, count: int) -> np.ndarray:
     rng = Xorshift64Star(seed)
-    return np.array([rng.next_float() for _ in range(count)], dtype=np.float64)
+    # the top 53 bits of each word over 2^53
+    return np.array([(rng.next_u64() >> 11) / float(1 << 53) for _ in range(count)])
 
 
 class TestLaneSampler:
