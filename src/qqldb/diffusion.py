@@ -14,29 +14,36 @@ and flag-1 views of the register; the dense matrix is built only by the tests.
 
 from __future__ import annotations
 
+from typing import Sequence
+
 import numpy as np
 
 from .errors import ArgumentError
 from .statevec import StateVector, qubit_view
 
 
-def apply_partial_diffusion(state: StateVector, n: int, flag_qubit: int) -> StateVector:
+def apply_partial_diffusion(
+    state: StateVector, n: int, flag_qubit: int, zero_qubits: Sequence[int] = ()
+) -> StateVector:
     """Apply the operator in O(2^(n+1)) without building any matrix.
 
     The data qubits are the first ``n`` qubits; any qubits that are neither
     data nor ``flag_qubit`` are spectators, and each of their basis
-    assignments is transformed independently.  ``qubit_view`` refuses a flag
-    among the data qubits and a qubit past the register.
+    assignments is transformed independently.  Spectators in
+    ``zero_qubits`` must be 0 wherever an amplitude is nonzero: the columns
+    where one is 1 hold only zeros, which the operator keeps zero, so they
+    are skipped and only live columns get a mean.  ``qubit_view`` refuses a
+    flag among the data qubits and a qubit past the register.
     """
     if n < 1:
         raise ArgumentError("need at least one data qubit")
     data = range(0, n)
-    zero = qubit_view(state.amps, (), [flag_qubit], (), data)
+    zero = qubit_view(state.amps, (), [flag_qubit, *zero_qubits], (), data)
     # one 1-D mean per spectator column: a mean over axis 0 sums in another
     # order and rounds differently
     for index in np.ndindex(zero.shape[1:]):
         alpha = zero[(slice(None), *index)]
         alpha[...] = (2.0 + 0.0j) * alpha.mean() - alpha
-    one = qubit_view(state.amps, [flag_qubit], (), (), data)
+    one = qubit_view(state.amps, [flag_qubit], zero_qubits, (), data)
     np.negative(one, out=one)
     return state

@@ -110,6 +110,13 @@ class QdbState:
     Single writer; every operation mutates in place.  Amplitude
     non-uniformity after sequential inserts and after a backup is inherent and
     surfaced by :meth:`show_state` rather than corrected.
+
+    ``clean_temps`` records the free temps whose |1> half is exactly zero.
+    The permutations, the post-selections' zeroing and division and BACKUP's
+    diffusion take them as negative controls and skip the subspaces where
+    one is 1, which hold only zeros.  The engine's kernels keep the record
+    true; writing ``state.amps`` from outside voids it, so a register from
+    outside enters through the constructor.
     """
 
     def __init__(
@@ -144,6 +151,7 @@ class QdbState:
         self.t = t
         self.epsilon = epsilon
         self.temp_alloc: dict[int, TempUse] = {}
+        self.clean_temps = set(range(n, n + t))
         self.safe_key = safe_key
         if safe_key is not None:
             self.temp_alloc[safe_key.qubit] = TempUse("safe", safe_key.expr)
@@ -153,40 +161,64 @@ class QdbState:
             self.state = state
             self._release_temps()
 
-    def _read_state(self) -> np.ndarray:
+    def _read_state(self) -> tuple[np.ndarray, np.ndarray]:
         """The mass of each temp pattern, summed by one pass in blocks of whole
-        rows of them; the norm, read off their sum, must be 1 (a part not
-        finite, or huge, makes it NaN or infinite without a warning)."""
+        rows of them, and whether any of its amplitudes is nonzero, read off
+        the parts' bits ORed together in the same blocks: a mass can round to
+        0 where an amplitude is not.  The norm, read off the masses' sum, must
+        be 1 (a part not finite, or huge, makes it NaN or infinite without a
+        warning)."""
         amps, width = self.state.amps, 1 << self.t
         patterns, step = np.zeros(width), max(SCAN_BLOCK, width)
+        bits = np.zeros(2 * width, dtype=np.uint64)
         with np.errstate(over="ignore", invalid="ignore"):
             for start in range(0, amps.size, step):
                 part = amps[start : start + step]
-                patterns += (part.real**2 + part.imag**2).reshape(-1, width).sum(axis=0)
+                # the squares added in place: the same sums, one temporary fewer
+                mass = part.real**2
+                mass += part.imag**2
+                patterns += mass.reshape(-1, width).sum(axis=0)
+                # ORed down the block's first axis first: long rows run fast
+                words = part.view(np.uint64).reshape(min(32, part.size >> self.t), -1)
+                bits |= np.bitwise_or.reduce(
+                    np.bitwise_or.reduce(words, axis=0).reshape(-1, 2 * width), axis=0
+                )
             _check_norm(float(np.sqrt(patterns.sum())))
-        return patterns
+        # a part is nonzero when a bit besides its sign is set
+        return patterns, (bits.reshape(-1, 2) << np.uint64(1)).any(axis=1)
 
-    def _held_temps(self) -> list[int]:
+    def _scan_temps(self) -> tuple[list[int], list[int]]:
         """The temps the release rule holds, read off one pass: the safe key,
         and each other temp while its |1> mass is at least ``RESIDUE_TOL``,
-        select flags included."""
-        patterns = self._read_state()
-        return [
-            self.n + j for j in range(self.t)
-            if self.n + j in self._live_controls()
-            or patterns.reshape(1 << j, 2, -1)[:, 1].sum() >= RESIDUE_TOL
-        ]
+        select flags included; and the other temps whose |1> half is exactly
+        zero."""
+        patterns, nonzero = self._read_state()
+        held, clean = [], []
+        for j in range(self.t):
+            q, mass = self.n + j, patterns.reshape(1 << j, 2, -1)[:, 1].sum()
+            if q in self._live_controls() or mass >= RESIDUE_TOL:
+                held.append(q)
+            elif not nonzero.reshape(1 << j, 2, -1)[:, 1].any():
+                clean.append(q)
+        return held, clean
 
     def _release_temps(self) -> None:
         """Free each temp the release rule does not hold; one it holds without
         a use is held as a nameless residue.  LOAD, APPLY and post-selections
-        go by it."""
-        held = self._held_temps()
+        go by it, and it refreshes ``clean_temps``."""
+        held, clean = self._scan_temps()
         for q in range(self.n, self.n + self.t):
             if q in held:
                 self.temp_alloc.setdefault(q, TempUse("residue"))
             else:
                 self.temp_alloc.pop(q, None)
+        self.clean_temps = set(clean)
+
+    def _skipped(self, *own: int) -> list[int]:
+        """``clean_temps`` but the kernel's ``own`` qubits and any temp in
+        ``temp_alloc``, ascending: negative controls that leave out only
+        zeros."""
+        return sorted(self.clean_temps.difference(own, self.temp_alloc))
 
     # ------------------------------------------------------------------ layout
 
@@ -222,9 +254,14 @@ class QdbState:
         in every temp branch would copy a held flag onto the new records and
         re-spread a backup's protected copy."""
         if self.temp_alloc:
-            if held := ", ".join(map(str, self._held_temps())):
-                raise QqlError(f"insert requires every temporary qubit to be free (held: {held})")
+            held, clean = self._scan_temps()
+            if held:
+                raise QqlError(
+                    "insert requires every temporary qubit to be free "
+                    f"(held: {', '.join(map(str, held))})"
+                )
             self.temp_alloc.clear()
+            self.clean_temps = set(clean)
 
     def _live_controls(self) -> list[int]:
         """The safe key as a negative control when a backup is active: the
@@ -234,8 +271,19 @@ class QdbState:
     def support(self) -> np.ndarray:
         """Live record indices, ascending, as an int64 array: data values
         carrying probability mass in the safe-key-0 subspace (the whole
-        register when no backup is active)."""
-        view = qubit_view(self.state.amps, (), self._live_controls(), (), range(self.n))
+        register when no backup is active).
+
+        The clean temps are skipped when that leaves at most two temp
+        columns: a row's mass then has at most two terms that can be
+        nonzero, and adding exact zeros to them in any grouping rounds no
+        differently.  With more columns, leaving zeros out could regroup the
+        sum."""
+        skipped = self._skipped()
+        if self.t - len(self._live_controls()) - len(skipped) > 1:
+            skipped = []
+        view = qubit_view(
+            self.state.amps, (), [*self._live_controls(), *skipped], (), range(self.n)
+        )
         step = max(1, SCAN_BLOCK >> self.t)
         found = []
         # in blocks of rows, so the temporaries stay far below the register
@@ -340,7 +388,8 @@ class QdbState:
         if count - 1 > fill:
             self._seq_steps(fill, count - 1)
         # the sequence's unrequested records move onto the requested ones
-        # beyond it, both ascending
+        # beyond it, both ascending; in every temp branch, as INSERT's
+        # Hadamards act, so no free temp is skipped
         vacant = np.ones(count, dtype=bool)
         vacant[indices[indices < count]] = False
         beyond = indices[indices >= count]
@@ -348,9 +397,13 @@ class QdbState:
         return self
 
     def _as_index(self, record: RecordLike) -> int:
+        """A record's index; a ``bool`` is refused, though ``operator.index``
+        takes it."""
         if isinstance(record, Record):
             return self.schema.encode(record)
         try:
+            if isinstance(record, bool):
+                raise TypeError
             index = operator.index(record)
         except TypeError:
             raise ArgumentError(f"record {record!r} is neither a Record nor an index") from None
@@ -371,15 +424,20 @@ class QdbState:
 
     # ------------------------------------------------------------------ update
 
-    def _swap_records(self, pairs, pos_controls: Sequence[int] = ()) -> None:
+    def _swap_records(
+        self, pairs, pos_controls: Sequence[int] = (), neg_controls: Sequence[int] = ()
+    ) -> None:
         """Exchange the data rows of every disjoint index pair (a sequence of
         pairs or an integer array of shape (k, 2)) where the temp qubits
-        ``pos_controls`` are 1 and, under a backup, the safe key is 0: one
-        swap of the row sets on the data run."""
+        ``pos_controls`` are 1, ``neg_controls`` are 0 and, under a backup,
+        the safe key is 0: one swap of the row sets on the data run."""
         if len(pairs) == 0:
             return
         a, b = np.asarray(pairs, dtype=np.int64).reshape(-1, 2).T
-        swap(self.state.amps, a, b, pos_controls, self._live_controls(), run=range(self.n))
+        swap(
+            self.state.amps, a, b, pos_controls, [*self._live_controls(), *neg_controls],
+            run=range(self.n),
+        )
 
     def update(
         self, pairs: Union[Sequence[tuple[RecordLike, RecordLike]], np.ndarray]
@@ -408,7 +466,7 @@ class QdbState:
                     f"record {swaps[collisions[0], 1]} already exists; "
                     "update would break uniqueness"
                 )
-        self._swap_records(swaps)
+        self._swap_records(swaps, neg_controls=self._skipped())
         return self
 
     # ------------------------------------------------------------------ select / apply
@@ -422,7 +480,8 @@ class QdbState:
             raise QqlError(f"select name {name!r} is already in use")
         table = truth_table(expr, self.schema)
         qubit = self._first_free_temp("select")
-        apply_oracle(self.state, table, self.data_qubits, qubit)
+        apply_oracle(self.state, table, self.data_qubits, qubit, self._skipped(qubit))
+        self.clean_temps.discard(qubit)
         self.temp_alloc[qubit] = TempUse("select", expr, name)
         return qubit
 
@@ -452,28 +511,34 @@ class QdbState:
         self._check_operation(operation)
         combiner_qubit = self._first_free_temp("combiner")
         gates = compile_to_cnots(form, list(flag_map.values()), combiner_qubit)
+        skipped = self._skipped(combiner_qubit)
         for gate in gates:
-            self.state.apply_cnot(gate)
+            self.state.apply_cnot(gate, skipped)
 
         if isinstance(operation, ApplyGate) and operation.gate is NOT:
             # a permutation: amplitudes move and nothing is recomputed
             swap(
-                self.state.amps, 0, 1, [combiner_qubit], self._live_controls(),
+                self.state.amps, 0, 1, [combiner_qubit], [*self._live_controls(), *skipped],
                 leading=operation.targets,
             )
         elif isinstance(operation, ApplyGate):
+            # on the full view: a narrower one would round the product differently
             self.state.apply_controlled(
                 operation.gate, [combiner_qubit], self._live_controls(), list(operation.targets)
             )
             self._read_state()  # before the swaps: right after a zgemm they run slow
         else:
-            self._swap_records([(operation.index_a, operation.index_b)], [combiner_qubit])
+            self._swap_records(
+                [(operation.index_a, operation.index_b)], [combiner_qubit], skipped
+            )
 
         for gate in reversed(gates):
-            self.state.apply_cnot(gate)
+            self.state.apply_cnot(gate, skipped)
 
+        # uncomputed, the combiner is as clean as it was before
+        skipped = self._skipped()
         for qubit, table in zip(flag_map.values(), flag_tables):
-            apply_oracle(self.state, table, self.data_qubits, qubit)
+            apply_oracle(self.state, table, self.data_qubits, qubit, skipped)
             self.temp_alloc[qubit] = TempUse("residue")
         self._release_temps()
         return self
@@ -506,6 +571,8 @@ class QdbState:
         value after q amplification rounds; those leave the kept state as is."""
         table = truth_table(expr, self.schema)
         try:
+            if isinstance(amplify_iters, bool):
+                raise TypeError
             amplify_iters = operator.index(amplify_iters)
         except TypeError:
             raise ArgumentError(f"amplify_iters {amplify_iters!r} is not an integer") from None
@@ -525,16 +592,21 @@ class QdbState:
         self, table: TruthTable, qubit: int, neg_controls: Sequence[int] = (), rounds: float = 1
     ) -> float:
         """Mark the table's records on ``qubit`` with the oracle, then
-        post-select it on 0.  On an impossible outcome the oracle, a swap, is
-        applied again, which undoes it exactly, and the error propagates."""
+        post-select it on 0, which leaves its |1> half exactly zero: it
+        joins ``clean_temps``, once the caller frees it if it is the safe key.
+        On an impossible outcome the oracle, a swap, is applied again, which
+        undoes it exactly, and the error propagates."""
+        skipped = self._skipped(qubit)
+        neg_controls = [*neg_controls, *skipped]
         apply_oracle(self.state, table, self.data_qubits, qubit, neg_controls=neg_controls)
         try:
-            probability = self.state.postselect(qubit, 0, self.epsilon, rounds)
+            probability = self.state.postselect(qubit, 0, self.epsilon, rounds, skipped)
         except ImpossibleOutcomeError:
             apply_oracle(self.state, table, self.data_qubits, qubit, neg_controls=neg_controls)
             raise
         if self.temp_alloc.keys() - set(self._live_controls()):
             self._release_temps()
+        self.clean_temps.add(qubit)
         return probability
 
     # ------------------------------------------------------------------ backup / restore
@@ -548,9 +620,11 @@ class QdbState:
         table = truth_table(expr, self.schema)
         matches = int(np.count_nonzero(table.bits[self.support()]))
         qubit = self._first_free_temp("safe")
-        apply_oracle(self.state, table, self.data_qubits, qubit)
-        apply_partial_diffusion(self.state, self.n, qubit)
+        skipped = self._skipped(qubit)
+        apply_oracle(self.state, table, self.data_qubits, qubit, skipped)
+        apply_partial_diffusion(self.state, self.n, qubit, skipped)
         self._read_state()
+        self.clean_temps.discard(qubit)
         self.temp_alloc[qubit] = TempUse("safe", expr)
         self.safe_key = SafeKey(qubit, expr, matches)
         return self
@@ -571,7 +645,7 @@ class QdbState:
             del self.temp_alloc[safe.qubit]
             self.safe_key = None
         else:
-            apply_oracle(self.state, table, self.data_qubits, safe.qubit)
+            apply_oracle(self.state, table, self.data_qubits, safe.qubit, self._skipped())
         return probability
 
     # ------------------------------------------------------------------ read-out

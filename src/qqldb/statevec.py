@@ -34,8 +34,10 @@ _BITS64 = np.arange(64, dtype=np.uint64)
 
 def check_shots(shots: int) -> int:
     """Reject a shot count :meth:`StateVector.sample` cannot draw; return it
-    as an int."""
+    as an int.  A ``bool`` is refused, though ``operator.index`` takes it."""
     try:
+        if isinstance(shots, bool):
+            raise TypeError
         shots = operator.index(shots)
     except TypeError:
         raise ArgumentError(f"shots {shots!r} is not an integer") from None
@@ -342,9 +344,10 @@ class StateVector:
         apply_matrix(self.amps, gate.matrix, targets, pos_controls, neg_controls, run, rows)
         return self
 
-    def apply_cnot(self, gate: CnotGate) -> "StateVector":
-        """Multi-controlled NOT: a pure basis permutation, done in place."""
-        swap(self.amps, 0, 1, gate.controls, leading=[gate.target])
+    def apply_cnot(self, gate: CnotGate, neg_controls: Sequence[int] = ()) -> "StateVector":
+        """Multi-controlled NOT: a pure basis permutation, done in place, where
+        every qubit of ``neg_controls`` is 0."""
+        swap(self.amps, 0, 1, gate.controls, neg_controls, leading=[gate.target])
         return self
 
     def probability_of(self, qubit: int, bit: int) -> float:
@@ -357,12 +360,18 @@ class StateVector:
         return float(np.sum(half.real**2 + half.imag**2))
 
     def postselect(self, qubit: int, bit: int, epsilon: float = DEFAULT_EPSILON,
-                   rounds: float = 1) -> float:
+                   rounds: float = 1, zero_qubits: Sequence[int] = ()) -> float:
         """Project ``qubit`` onto ``bit``, renormalize, and return the
         outcome's probability sin^2(theta) or, with ``rounds`` > 1, its
         probability sin^2(rounds * theta) after amplitude amplification
         (Brassard et al., quant-ph/0005055).  A figure below ``epsilon``
-        raises before anything changes; a probability above 1 counts as 1."""
+        raises before anything changes; a probability above 1 counts as 1.
+
+        The qubits of ``zero_qubits`` must be 0 wherever an amplitude is
+        nonzero: the zeroing and the division skip the rest, which holds only
+        zeros, and would keep them zero of the same sign.  The probability is
+        summed over the whole register all the same: it is printed, and
+        leaving zeros out could regroup the sum."""
         prob = self.probability_of(qubit, bit)
         figure = prob
         if rounds != 1:
@@ -371,8 +380,9 @@ class StateVector:
             raise ImpossibleOutcomeError(
                 f"outcome {bit} on qubit {qubit} has probability {figure:.3e} < {epsilon:.3e}"
             )
-        qubit_view(self.amps, [qubit] * (1 - bit), [qubit] * bit, ())[...] = 0.0
-        self.amps /= np.sqrt(prob)
+        qubit_view(self.amps, [qubit] * (1 - bit), [qubit] * bit + [*zero_qubits], ())[...] = 0.0
+        live = qubit_view(self.amps, (), zero_qubits, ())
+        live /= np.sqrt(prob)
         return figure
 
     def sample(self, shots: int, seed: int) -> np.ndarray:

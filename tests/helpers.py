@@ -9,13 +9,17 @@ from typing import Iterable
 import numpy as np
 
 from qqldb import qlang
-from qqldb.boolcirc import MAX_TABLE_VARS, And, BoolExpr, Comparison, Const, Not, Or, Var
+from qqldb.boolcirc import (
+    MAX_TABLE_VARS, And, BoolExpr, Comparison, Const, Not, Or, Var, apply_oracle, truth_table,
+)
 from qqldb.cli import FORMAT_HEADER, LOAD_CHUNK
+from qqldb.diffusion import apply_partial_diffusion
 from qqldb.errors import CapacityError, QqlError, QqlSyntaxError, SessionFormatError
-from qqldb.gates import DENSE_LIMIT_QUBITS, HADAMARD, NOT, GateMatrix
+from qqldb.gates import DENSE_LIMIT_QUBITS, HADAMARD, NOT, CnotGate, GateMatrix
 from qqldb.qdb import SafeKey
 from qqldb.qlang import KEYWORDS, MAX_INT_DIGITS, Token
 from qqldb.schema import TableSchema
+from qqldb.statevec import StateVector, swap
 
 
 def random_unitary(num_qubits: int, rng: np.random.Generator) -> GateMatrix:
@@ -266,6 +270,51 @@ def dense_partial_diffusion(n: int) -> GateMatrix:
     core = -np.eye(dim, dtype=np.complex128)
     core[0, 0] += 2.0
     return GateMatrix(spread @ core @ spread)
+
+
+class FullViewStatements:
+    """The kernel calls of SELECT, single-flag APPLY NOT, UPDATE, DELETE,
+    BACKUP and RESTORE PURGE as ``QdbState`` makes them, each on the whole
+    register: no temp is skipped, whatever it holds.  The oracle for the
+    engine's skipping of free temps whose |1> half is exactly zero.  It keeps
+    no allocation: each statement is given the temps the engine takes (its
+    first free one) and the safe key, if a backup is active."""
+
+    def __init__(self, amps: np.ndarray, schema: TableSchema):
+        self.state, self.schema = StateVector(amps), schema
+        self.data = list(range(schema.num_bits))
+
+    def _oracle(self, expr: BoolExpr, qubit: int, neg_controls=()) -> None:
+        apply_oracle(self.state, truth_table(expr, self.schema), self.data, qubit, neg_controls)
+
+    def select(self, expr: BoolExpr, qubit: int) -> None:
+        self._oracle(expr, qubit)
+
+    def apply_not(self, flag: int, expr: BoolExpr, combiner: int, target: int,
+                  safe: int | None = None) -> None:
+        """``APPLY NOT @ target WHEN flag``: the combiner is one CNOT."""
+        cnot = CnotGate(frozenset([flag]), combiner)
+        self.state.apply_cnot(cnot)
+        swap(self.state.amps, 0, 1, [combiner], [safe] if safe is not None else [],
+             leading=[target])
+        self.state.apply_cnot(cnot)
+        self._oracle(expr, flag)
+
+    def update(self, pairs, safe: int | None = None) -> None:
+        a, b = np.asarray(pairs, dtype=np.int64).reshape(-1, 2).T
+        swap(self.state.amps, a, b, (), [safe] if safe is not None else [],
+             run=range(len(self.data)))
+
+    def delete(self, expr: BoolExpr, qubit: int, safe: int | None = None) -> float:
+        self._oracle(expr, qubit, [safe] if safe is not None else [])
+        return self.state.postselect(qubit, 0)
+
+    def backup(self, expr: BoolExpr, qubit: int) -> None:
+        self._oracle(expr, qubit)
+        apply_partial_diffusion(self.state, len(self.data), qubit)
+
+    def restore_purge(self, expr: BoolExpr, safe: int) -> float:
+        return self.delete(expr, safe)
 
 
 # ---------------------------------------------------------------- lexer

@@ -263,6 +263,39 @@ def test_backup_chain_save_matches_golden(tmp_path):
     assert path.read_bytes() == (ROOT / "tests" / "golden" / "backup_chain.qdb").read_bytes()
 
 
+FREE_TEMPS_CHAIN = """
+CREATE TABLE t (a:3, b:2) TEMP 3;
+INSERT ALL 4;
+SELECT c WHERE a >= 2;
+APPLY NOT @ b BIT 0 WHEN c;
+SELECT d WHERE b = 1;
+APPLY SWAP |00001> TO |11101> WHEN d;
+DELETE WHERE b = 2;
+BACKUP WHERE a < 2 OR b = 3;
+UPDATE SET |00011> TO |11100>, |00100> TO |10000>;
+RESTORE PURGE;
+SELECT e WHERE b = 0;
+BACKUP WHERE a = 7 OR b = 0;
+RESTORE PURGE;
+"""
+
+
+def test_free_temps_chain_save_matches_golden(tmp_path):
+    """The SAVE file after a chain that runs every kernel beside free temps,
+    byte for byte as in ``tests/golden/free_temps_chain.qdb``: the oracles,
+    the combiner CNOTs, the NOT and SWAP payloads, the record swap and the
+    post-selections, and BACKUP's diffusion, which negates its flag-1 half,
+    the first time with two free temps beside its flag and the second time
+    with one beside it and a select flag held.  No Hadamard runs but INSERT
+    ALL's closed form, so the bytes, zero signs of nonzero amplitudes'
+    parts included, are the same with any BLAS build."""
+    session = Session()
+    session.execute_text(FREE_TEMPS_CHAIN)
+    path = tmp_path / "free_temps_chain.qdb"
+    session.execute_text(f'SAVE "{path}";')
+    assert path.read_bytes() == (ROOT / "tests" / "golden" / "free_temps_chain.qdb").read_bytes()
+
+
 HOSTILE = {
     "parentheses": "SELECT c WHERE " + "(" * 3000 + "1" + ")" * 3000 + ";\n",
     "conjunction": "SELECT c WHERE " + " AND ".join(["k=1"] * 3000) + ";\n",

@@ -502,9 +502,10 @@ class TestInsertValues:
         "records, shown",
         [([[0, 5], [6, 7]], "[0, 5]"), (["a"], "'a'"), ([(0,)], "(0,)"), ([3, None], "None"),
          ([float("inf")], "inf"), ([0.0, 5.9], "0.0"), (["3", True], "'3'"),
-         (np.array([1.0, 2.0]), repr(np.float64(1.0)))],
+         (np.array([1.0, 2.0]), repr(np.float64(1.0))), ([True, 3], "True"),
+         ([2, False], "False")],
         ids=["nested lists", "text", "tuple", "None", "infinity", "floats", "digits",
-             "float array"],
+             "float array", "true", "false"],
     )
     def test_record_not_an_index_refused_before_a_kernel(self, records, shown):
         # int() of such a record used to raise a raw TypeError or ValueError,
@@ -589,8 +590,8 @@ class TestUpdate:
     @pytest.mark.parametrize(
         "pairs, shown",
         [([((0,), 1)], "(0,)"), ([(1, 2), (3, "a")], "'a'"), ([([0, 5], 6)], "[0, 5]"),
-         ([(1.5, 6)], "1.5")],
-        ids=["tuple", "text", "list", "float"],
+         ([(1.5, 6)], "1.5"), ([(True, 4)], "True")],
+        ids=["tuple", "text", "list", "float", "bool"],
     )
     def test_record_not_an_index_refused(self, pairs, shown):
         db = db3(t=2).insert_values([1, 2])
@@ -882,7 +883,8 @@ class TestDelete:
         assert peak < db.state.amps.nbytes
 
     @pytest.mark.parametrize(
-        "iters", [1.5, 2.0, "1", None], ids=["half", "whole float", "text", "None"]
+        "iters", [1.5, 2.0, "1", None, True, False],
+        ids=["half", "whole float", "text", "None", "true", "false"],
     )
     def test_amplify_count_must_be_an_integer(self, iters):
         # 1.5 used to report sin^2(4 theta), which no AMPLIFY q gives
@@ -1118,7 +1120,8 @@ class TestMeasure:
         assert set(histogram) == {Record((r,)) for r in range(4)}
 
     @pytest.mark.parametrize(
-        "shots", [2.5, 10.0, "10", None], ids=["half", "whole float", "text", "None"]
+        "shots", [2.5, 10.0, "10", None, True, False],
+        ids=["half", "whole float", "text", "None", "true", "false"],
     )
     def test_shots_must_be_an_integer(self, shots):
         # a float count used to end in an AttributeError inside the sampler
