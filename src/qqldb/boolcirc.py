@@ -14,7 +14,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import ArgumentError, SchemaError
+from .errors import ArgumentError, SchemaError, as_int
 from .gates import CnotGate
 from .schema import TableSchema
 from .statevec import StateVector, swap
@@ -51,6 +51,7 @@ class Comparison(BoolExpr):
     def __post_init__(self):
         if self.op not in _OPS:
             raise ArgumentError(f"unknown comparison operator {self.op!r}")
+        object.__setattr__(self, "literal", as_int(self.literal, "literal"))
 
 
 @dataclass(frozen=True)
@@ -80,6 +81,11 @@ class Not(BoolExpr):
 @dataclass(frozen=True)
 class Const(BoolExpr):
     value: int
+
+    def __post_init__(self):
+        object.__setattr__(self, "value", as_int(self.value, "constant"))
+        if self.value not in (0, 1):
+            raise ArgumentError("constant must be 0 or 1")
 
 
 @dataclass(frozen=True, eq=False)
@@ -148,10 +154,7 @@ def validate_expr(expr: BoolExpr, schema: TableSchema) -> None:
                 )
         elif isinstance(node, Var):
             schema.width_of(node.name)
-        elif isinstance(node, Const):
-            if node.value not in (0, 1):
-                raise ArgumentError("constant must be 0 or 1")
-        elif not isinstance(node, (And, Or, Not)):
+        elif not isinstance(node, (And, Or, Not, Const)):
             raise TypeError(f"not a BoolExpr: {node!r}")
 
 

@@ -145,6 +145,8 @@ class Session:
             lines.append("SCHEMA none")
         else:
             db = self.db
+            for name in (db.schema.name, *(name for name, _ in db.schema.fields)):
+                _check_name(name)
             fields = " ".join(f"{name}:{width}" for name, width in db.schema.fields)
             lines.append(f"SCHEMA {db.schema.name} {fields}")
             lines.append(f"TEMP {db.t}")
@@ -184,6 +186,18 @@ class Session:
         except QqlError as exc:
             raise SessionFormatError(f"malformed session file: {exc}") from exc
         return f"loaded session from {path}"
+
+
+def _check_name(name: str) -> None:
+    """Refuse, before SAVE opens its file, a table or field name that is not
+    exactly one identifier token of :func:`qlang.tokenize`: LOAD would
+    misread it or refuse the file."""
+    try:
+        tokens = qlang.tokenize(name)
+    except (QqlError, TypeError):  # TypeError: a name that is not a string
+        tokens = []
+    if [token[:2] for token in tokens] != [("ident", name), ("eof", "")]:
+        raise SessionFormatError(f"cannot save the name {name!r}: it is not an identifier")
 
 
 def write_amplitudes(handle, amps: np.ndarray) -> None:
@@ -453,10 +467,11 @@ def _read_session(handle, max_qubits: int):
     if safe_parts[:1] != ["SAFE"]:
         raise SessionFormatError("missing SAFE line")
     try:
-        schema = TableSchema(
-            schema_parts[1],
-            tuple((chunk.split(":")[0], int(chunk.split(":")[1])) for chunk in schema_parts[2:]),
-        )
+        for chunk in schema_parts[2:]:
+            if chunk.count(":") != 1:
+                raise SessionFormatError(f"field {chunk!r} is not name:width")
+        fields = (chunk.split(":") for chunk in schema_parts[2:])
+        schema = TableSchema(schema_parts[1], tuple((name, int(width)) for name, width in fields))
         temp = int(temp_parts[1])
         safe_key = None
         if safe_parts[1] != "none":

@@ -18,7 +18,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import ArgumentError
+from .errors import ArgumentError, as_int
 from .statevec import StateVector, qubit_view
 
 
@@ -35,9 +35,9 @@ def apply_partial_diffusion(
     are skipped and only live columns get a mean.  ``qubit_view`` refuses a
     flag among the data qubits and a qubit past the register.
     """
-    if n < 1:
+    data = range(as_int(n, "data qubit count"))
+    if not data:
         raise ArgumentError("need at least one data qubit")
-    data = range(0, n)
     zero = qubit_view(state.amps, (), [flag_qubit, *zero_qubits], (), data)
     # one 1-D mean per spectator column: a mean over axis 0 sums in another
     # order and rounds differently

@@ -1,4 +1,9 @@
-"""Exception hierarchy shared by the engine, the query language and the shell."""
+"""Exception hierarchy shared by the engine, the query language and the shell,
+and :func:`as_int`, the package's one reader of an integer from a caller."""
+
+import operator
+
+import numpy as np
 
 
 class QqlError(Exception):
@@ -45,3 +50,16 @@ class CompileError(QqlError):
 class SessionFormatError(QqlError):
     """A session file cannot be read or written, is malformed, or has an
     unsupported version header."""
+
+
+def as_int(value, what: str) -> int:
+    """``value``, a count, index, qubit, width or literal from a caller, as
+    an int by ``operator.index``; anything else, a ``bool`` and a
+    ``numpy.bool_`` included (``operator.index`` takes ``True`` as 1), is
+    refused with :class:`ArgumentError`, which names the value ``what``."""
+    if not isinstance(value, (bool, np.bool_)):
+        try:
+            return operator.index(value)
+        except TypeError:
+            pass
+    raise ArgumentError(f"{what} {value!r} is not an integer")

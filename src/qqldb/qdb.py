@@ -11,7 +11,6 @@ BACKUP/RESTORE pair an oracle with partial diffusion.
 from __future__ import annotations
 
 import math
-import operator
 from collections import Counter
 from dataclasses import dataclass
 from typing import Mapping, Sequence, Union
@@ -36,6 +35,7 @@ from .errors import (
     QqlError,
     SchemaError,
     ValidationError,
+    as_int,
 )
 from .gates import HADAMARD, NOT, GateMatrix
 from .schema import Record, TableSchema
@@ -67,6 +67,10 @@ class SafeKey:
     expr: BoolExpr
     matches: int
 
+    def __post_init__(self):
+        object.__setattr__(self, "qubit", as_int(self.qubit, "safe qubit"))
+        object.__setattr__(self, "matches", as_int(self.matches, "matches"))
+
 
 @dataclass(frozen=True)
 class ApplyGate:
@@ -87,6 +91,7 @@ class ApplySwap:
 
 
 RecordLike = Union[Record, int]
+Operation = Union[ApplyGate, ApplySwap]
 
 
 def check_capacity(n: int, t: int, max_qubits: int) -> None:
@@ -135,6 +140,7 @@ class QdbState:
         that carries mass as a nameless residue.  The safe key's qubit and
         predicate, the layout and the norm are checked here, and only here."""
         n = schema.num_bits
+        t, max_qubits = as_int(t, "t"), as_int(max_qubits, "max_qubits")
         if t < 1:
             raise ArgumentError("need at least one temporary qubit")
         check_capacity(n, t, max_qubits)
@@ -310,6 +316,7 @@ class QdbState:
         closed form, written by one strided fill; any other fresh register
         (a LOAD's or an API caller's) runs the r Hadamards."""
         n = self.n
+        r = as_int(r, "bulk exponent")
         if r < 0 or r > n:
             raise ArgumentError(f"bulk exponent {r} out of range 0..{n}")
         if self.seq_fill() != 0:
@@ -356,6 +363,7 @@ class QdbState:
     def insert_sequential(self, upto_k: int) -> "QdbState":
         """Insert records one at a time until the support is {0, ..., upto_k}."""
         n = self.n
+        upto_k = as_int(upto_k, "record index")
         if upto_k < 1 or upto_k > (1 << n) - 1:
             raise ArgumentError(f"record index {upto_k} out of range 1..{(1 << n) - 1}")
         fill = self.seq_fill()
@@ -397,16 +405,11 @@ class QdbState:
         return self
 
     def _as_index(self, record: RecordLike) -> int:
-        """A record's index; a ``bool`` is refused, though ``operator.index``
-        takes it."""
+        """A record's index: a :class:`Record` encoded, or an integer read by
+        :func:`as_int` and checked against the data bits."""
         if isinstance(record, Record):
             return self.schema.encode(record)
-        try:
-            if isinstance(record, bool):
-                raise TypeError
-            index = operator.index(record)
-        except TypeError:
-            raise ArgumentError(f"record {record!r} is neither a Record nor an index") from None
+        index = as_int(record, "record")
         if index < 0 or index >= 1 << self.n:
             raise SchemaError(f"record index {index} out of range for {self.n} data bits")
         return index
@@ -419,7 +422,7 @@ class QdbState:
         indices = records.astype(np.int64, copy=False)
         outside = np.flatnonzero((indices < 0) | (indices >= 1 << self.n))
         if outside.size:
-            self._as_index(int(indices.reshape(-1)[outside[0]]))
+            self._as_index(indices.reshape(-1)[outside[0]])
         return indices
 
     # ------------------------------------------------------------------ update
@@ -489,7 +492,7 @@ class QdbState:
         self,
         flags: Mapping[str, int],
         combiner: BoolExpr,
-        operation: Union[ApplyGate, ApplySwap],
+        operation: Operation,
     ) -> "QdbState":
         """Combine select flags onto one extra temp qubit and apply the
         operation controlled on it (and on the safe key being 0 when a backup
@@ -500,7 +503,9 @@ class QdbState:
         cannot return to |0> exactly, and :meth:`_release_temps` keeps such a
         qubit allocated as residue instead of handing it out again.
         """
-        flag_map = dict(flags)
+        flag_map = {name: as_int(qubit, "flag qubit") for name, qubit in dict(flags).items()}
+        if len(set(flag_map.values())) != len(flag_map):
+            raise ArgumentError(f"flags {flag_map} name one qubit twice")
         for name, qubit in flag_map.items():
             use = self.temp_alloc.get(qubit)
             if use is None or use.purpose != "select":
@@ -508,7 +513,7 @@ class QdbState:
         mini = TableSchema("_flags", tuple((name, 1) for name in flag_map))
         form = to_reed_muller(truth_table(combiner, mini))
         flag_tables = [truth_table(self.temp_alloc[q].expr, self.schema) for q in flag_map.values()]
-        self._check_operation(operation)
+        operation = self._check_operation(operation)
         combiner_qubit = self._first_free_temp("combiner")
         gates = compile_to_cnots(form, list(flag_map.values()), combiner_qubit)
         skipped = self._skipped(combiner_qubit)
@@ -543,25 +548,25 @@ class QdbState:
         self._release_temps()
         return self
 
-    def _check_operation(self, operation: Union[ApplyGate, ApplySwap]) -> None:
+    def _check_operation(self, operation: Operation) -> Operation:
         """Reject a payload before any gate runs, so a failed APPLY leaves
-        the state and the temp allocation untouched."""
+        the state and the temp allocation untouched; return it with its
+        targets or records read as ints."""
         if isinstance(operation, ApplyGate):
-            targets = operation.targets
+            targets = tuple(as_int(q, "gate target") for q in operation.targets)
             if len(set(targets)) != len(targets) or not all(0 <= q < self.n for q in targets):
                 raise ArgumentError(f"gate targets {targets} are not distinct data qubits")
             if operation.gate.num_qubits != len(targets):
                 raise ArgumentError(
                     f"{operation.gate.num_qubits}-qubit gate does not fit {len(targets)} targets"
                 )
-        elif isinstance(operation, ApplySwap):
-            for idx in (operation.index_a, operation.index_b):
-                if idx < 0 or idx >= 1 << self.n:
-                    raise ArgumentError(f"record index {idx} out of range")
-            if operation.index_a == operation.index_b:
-                raise ArgumentError(f"record {operation.index_a} cannot be swapped with itself")
-        else:
-            raise TypeError(f"unsupported operation payload {operation!r}")
+            return ApplyGate(operation.gate, targets)
+        if isinstance(operation, ApplySwap):
+            a, b = self._as_index(operation.index_a), self._as_index(operation.index_b)
+            if a == b:
+                raise ArgumentError(f"record {a} cannot be swapped with itself")
+            return ApplySwap(a, b)
+        raise TypeError(f"unsupported operation payload {operation!r}")
 
     # ------------------------------------------------------------------ delete
 
@@ -570,12 +575,7 @@ class QdbState:
         Returns the outcome probability or, with ``amplify_iters`` q > 0, its
         value after q amplification rounds; those leave the kept state as is."""
         table = truth_table(expr, self.schema)
-        try:
-            if isinstance(amplify_iters, bool):
-                raise TypeError
-            amplify_iters = operator.index(amplify_iters)
-        except TypeError:
-            raise ArgumentError(f"amplify_iters {amplify_iters!r} is not an integer") from None
+        amplify_iters = as_int(amplify_iters, "amplify_iters")
         if amplify_iters < 0:
             raise ArgumentError("amplify_iters must be >= 0")
         try:

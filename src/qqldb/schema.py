@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 
-from .errors import SchemaError
+from .errors import SchemaError, as_int
 
 
 @dataclass(frozen=True)
@@ -31,7 +31,8 @@ class TableSchema:
     fields: tuple[tuple[str, int], ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "fields", tuple((str(n), int(w)) for n, w in self.fields))
+        fields = tuple((str(n), as_int(w, f"width of field {n!r}")) for n, w in self.fields)
+        object.__setattr__(self, "fields", fields)
         names = [n for n, _ in self.fields]
         if not names:
             raise SchemaError("a table needs at least one field")
@@ -70,7 +71,7 @@ class TableSchema:
                 raise SchemaError(f"unknown field {field_name!r} in table {self.name!r}")
         packed = []
         for field_name, width in self.fields:
-            value = int(values.get(field_name, 0))
+            value = as_int(values.get(field_name, 0), f"value of field {field_name!r}")
             if value < 0 or value >= 1 << width:
                 raise SchemaError(
                     f"value {value} does not fit field {field_name!r} of width {width}"
@@ -84,6 +85,7 @@ class TableSchema:
             raise SchemaError("record arity does not match schema")
         index = 0
         for value, (field_name, width) in zip(record.values, self.fields):
+            value = as_int(value, f"value of field {field_name!r}")
             if value < 0 or value >= 1 << width:
                 raise SchemaError(
                     f"value {value} does not fit field {field_name!r} of width {width}"
@@ -100,6 +102,7 @@ class TableSchema:
     def decode(self, index: int) -> Record:
         """Basis index of the data register -> record."""
         n = self.num_bits
+        index = as_int(index, "index")
         if index < 0 or index >= 1 << n:
             raise SchemaError(f"index {index} out of range for {n} data bits")
         return Record(tuple(self.field_values(index, name) for name, _ in self.fields))

@@ -11,12 +11,11 @@ from __future__ import annotations
 
 import itertools
 import math
-import operator
 from typing import Sequence
 
 import numpy as np
 
-from .errors import ArgumentError, CapacityError, ImpossibleOutcomeError, ValidationError
+from .errors import ArgumentError, CapacityError, ImpossibleOutcomeError, ValidationError, as_int
 from .gates import CnotGate, GateMatrix
 
 DEFAULT_MAX_QUBITS = 22
@@ -34,13 +33,8 @@ _BITS64 = np.arange(64, dtype=np.uint64)
 
 def check_shots(shots: int) -> int:
     """Reject a shot count :meth:`StateVector.sample` cannot draw; return it
-    as an int.  A ``bool`` is refused, though ``operator.index`` takes it."""
-    try:
-        if isinstance(shots, bool):
-            raise TypeError
-        shots = operator.index(shots)
-    except TypeError:
-        raise ArgumentError(f"shots {shots!r} is not an integer") from None
+    as an int."""
+    shots = as_int(shots, "shots")
     if shots < 1:
         raise ArgumentError("shots must be >= 1")
     if shots > MAX_SHOTS:
@@ -60,7 +54,7 @@ class Xorshift64Star:
     MULTIPLIER = 0x2545F4914F6CDD1D
 
     def __init__(self, seed: int):
-        self._state = seed & _MASK64
+        self._state = as_int(seed, "seed") & _MASK64
         if self._state == 0:
             self._state = 0x9E3779B97F4A7C15
 
@@ -138,10 +132,11 @@ def qubit_view(
     ``neg_controls`` are 0: the package's one way to address a subspace, such
     as "safe key = 0", for the kernels, post-selection, the support scan and
     the diffusion, and its one qubit check.  It reads the qubit count ``m``
-    off ``amps.size`` and, before it builds the view, refuses with
-    :class:`ArgumentError` a qubit outside ``0..m-1``, a qubit named twice
-    across the controls, ``leading`` and ``run``, and a ``run`` that is not
-    an ascending step-1 range.
+    off ``amps.size`` and each qubit by :func:`as_int` and, before it builds
+    the view, refuses with :class:`ArgumentError` a qubit that is not an
+    integer, a qubit outside ``0..m-1``, a qubit named twice across the
+    controls, ``leading`` and ``run``, and a ``run`` that is not an
+    ascending step-1 range.
 
     Its axes are the qubits of ``leading`` (length 2 each, in that order), then
     the contiguous qubit ``run`` as one axis of length ``2^len(run)`` (first
@@ -150,6 +145,9 @@ def qubit_view(
     one axis.
     """
     num_qubits = amps.size.bit_length() - 1
+    pos_controls, neg_controls, leading = (
+        [as_int(q, "qubit") for q in qubits] for qubits in (pos_controls, neg_controls, leading)
+    )
     if run.step != 1:
         raise ArgumentError(f"run {run} is not an ascending step-1 range of qubits")
     own = [*pos_controls, *neg_controls, *leading]
@@ -305,6 +303,7 @@ class StateVector:
     @classmethod
     def zero(cls, num_qubits: int, max_qubits: int = DEFAULT_MAX_QUBITS) -> "StateVector":
         """|0...0>: amplitude 1 on basis index 0."""
+        num_qubits, max_qubits = as_int(num_qubits, "num_qubits"), as_int(max_qubits, "max_qubits")
         if num_qubits < 1 or num_qubits > max_qubits:
             raise CapacityError(
                 f"register of {num_qubits} qubits outside the allowed range 1..{max_qubits}"
@@ -354,6 +353,7 @@ class StateVector:
         """Total probability mass on components where ``qubit`` equals
         ``bit``: the qubit is a positive control for bit 1, a negative one for
         bit 0."""
+        bit = as_int(bit, "bit")
         if bit not in (0, 1):
             raise ArgumentError("bit must be 0 or 1")
         half = qubit_view(self.amps, [qubit] * bit, [qubit] * (1 - bit), ())

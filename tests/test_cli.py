@@ -364,6 +364,34 @@ class TestSaveLoad:
             schema, 2, safe_key, session.db.temp_alloc
         )
 
+    @pytest.mark.parametrize(
+        "name, fields",
+        [("t", (("x:1", 1), ("c", 1))), ("t t", (("k", 1),)), ("t", (("a b", 1),)),
+         ("t", (("TEMP", 1),)), ("", (("k", 1),)), ("t", (("1k", 1),)), ("t\nSAFE", (("k", 1),)),
+         (5, (("k", 1),))],
+        ids=["colon", "blank in table", "blank in field", "keyword", "empty", "digit first",
+             "newline", "not a string"],
+    )
+    def test_save_refuses_a_name_load_would_misread(self, tmp_path, name, fields):
+        # "x:1" used to save as "SCHEMA t x:1:1 c:1", which loaded a field x;
+        # "t t" and "a b" saved files LOAD refused
+        session = Session()
+        session.db = QdbState(TableSchema(name, fields), 1)
+        path = tmp_path / "bad.qdb"
+        with pytest.raises(SessionFormatError, match="is not an identifier$"):
+            session.save_session(str(path))
+        assert not path.exists()
+
+    @pytest.mark.parametrize("name", ["_k", "k2", "été", "Selected"])
+    def test_identifier_names_round_trip(self, tmp_path, name):
+        session = Session()
+        session.db = QdbState(TableSchema(name, ((name, 2),)), 1).insert_bulk(2)
+        path = str(tmp_path / "names.qdb")
+        session.save_session(path)
+        other = Session()
+        other.load_session(path)
+        assert other.db.schema == session.db.schema
+
     def test_round_trip_exact(self, tmp_path):
         session = Session()
         session.execute_text(
@@ -627,6 +655,17 @@ class TestLoadRejects:
             warnings.simplefilter("error")
             with pytest.raises(SessionFormatError):
                 session.load_session(str(path))
+        assert_unchanged(session, db, amps)
+
+    @pytest.mark.parametrize("chunk", ["x:1:1", "x", "x:1:"])
+    def test_field_not_name_width(self, tmp_path, chunk):
+        # "x:1:1" used to load as a field named x
+        path = tmp_path / "bad.qdb"
+        path.write_text(f"QQLDB 1\nSCHEMA t {chunk} c:1\nTEMP 1\nSAFE none\n0 0x1.0p+0 0x0.0p+0\n")
+        session = loaded_session()
+        db, amps = session.db, session.db.state.amps.tobytes()
+        with pytest.raises(SessionFormatError, match="^malformed session file: "):
+            session.load_session(str(path))
         assert_unchanged(session, db, amps)
 
     def test_not_utf8(self, tmp_path):

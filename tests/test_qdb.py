@@ -514,7 +514,7 @@ class TestInsertValues:
         amps = db.state.amps.tobytes()
         with pytest.raises(ArgumentError) as failure:
             db.insert_values(records)
-        assert str(failure.value) == f"record {shown} is neither a Record nor an index"
+        assert str(failure.value) == f"record {shown} is not an integer"
         assert db.state.amps.tobytes() == amps and db.temp_alloc == {}
 
     @pytest.mark.parametrize(
@@ -599,7 +599,7 @@ class TestUpdate:
         amps, alloc = db.state.amps.tobytes(), dict(db.temp_alloc)
         with pytest.raises(ArgumentError) as failure:
             db.update(pairs)
-        assert str(failure.value) == f"record {shown} is neither a Record nor an index"
+        assert str(failure.value) == f"record {shown} is not an integer"
         assert db.state.amps.tobytes() == amps and db.temp_alloc == alloc
 
     def test_records_as_field_tuples(self):
@@ -752,7 +752,9 @@ class TestApplyWhere:
         c1 = db.select(Comparison("id", "<=", 1))
         amps = db.state.amps.copy()
         alloc = dict(db.temp_alloc)
-        with pytest.raises(ArgumentError):
+        # a record out of range is refused as UPDATE's and INSERT VALUES's are
+        out_of_range = operation in (ApplySwap(0, 99), ApplySwap(-1, 2))
+        with pytest.raises(SchemaError if out_of_range else ArgumentError):
             db.apply_where({"c1": c1}, Var("c1"), operation)
         assert db.state.amps.tobytes() == amps.tobytes()
         assert db.temp_alloc == alloc
