@@ -10,6 +10,8 @@ from __future__ import annotations
 
 import argparse
 import functools
+import os
+import secrets
 import sys
 from dataclasses import dataclass
 from itertools import islice
@@ -17,7 +19,7 @@ from itertools import islice
 import numpy as np
 
 from . import qlang
-from .errors import QqlError, SessionFormatError
+from .errors import QqlError, SessionFormatError, as_int, as_probability
 from .qdb import QdbState, SafeKey, check_capacity
 from .schema import TableSchema
 from .statevec import DEFAULT_EPSILON, DEFAULT_MAX_QUBITS, StateVector, Xorshift64Star
@@ -30,12 +32,21 @@ SAVE_CHUNK = 1 << 12
 LOAD_CHUNK = 1 << 12
 
 
-@dataclass
+@dataclass(frozen=True)
 class SessionConfig:
+    """A session's settings, each read once, here: ``max_qubits`` and
+    ``seed`` by :func:`errors.as_int`, ``epsilon`` by
+    :func:`errors.as_probability`."""
+
     max_qubits: int = DEFAULT_MAX_QUBITS
     seed: int = 1
     epsilon: float = DEFAULT_EPSILON
     quiet: bool = False
+
+    def __post_init__(self):
+        object.__setattr__(self, "max_qubits", as_int(self.max_qubits, "max_qubits"))
+        object.__setattr__(self, "seed", as_int(self.seed, "seed"))
+        object.__setattr__(self, "epsilon", as_probability(self.epsilon, "epsilon"))
 
 
 def format_amplitude(value: complex, full: bool = False) -> str:
@@ -140,6 +151,8 @@ class Session:
     # ----------------------------------------------------------- persistence
 
     def save_session(self, path: str) -> str:
+        """Write the session to a new file beside ``path``, then move it onto
+        ``path``: a SAVE that fails leaves the previous file as it was."""
         lines = [FORMAT_HEADER]
         if self.db is None:
             lines.append("SCHEMA none")
@@ -157,13 +170,21 @@ class Session:
                 lines.append(
                     f"SAFE {key.qubit} {key.matches} {qlang.render_expr(key.expr)}"
                 )
+        # "xb" makes a new file whose mode follows the umask, as "wb" would
+        temp = f"{path}.{secrets.token_hex(8)}.tmp"
         try:
-            with open(path, "wb") as handle:
-                handle.write(("\n".join(lines) + "\n").encode("utf-8"))
-                if self.db is not None:
-                    write_amplitudes(handle, self.db.state.amps)
+            handle = open(temp, "xb")
+            try:
+                with handle:
+                    handle.write(("\n".join(lines) + "\n").encode("utf-8"))
+                    if self.db is not None:
+                        write_amplitudes(handle, self.db.state.amps)
+                os.replace(temp, path)
+            except BaseException:
+                os.remove(temp)
+                raise
         except OSError as exc:
-            raise SessionFormatError(f"cannot write {path}: {exc}") from exc
+            raise SessionFormatError(f"cannot write {path}: {exc.strerror or exc}") from exc
         return f"saved session to {path}"
 
     def load_session(self, path: str) -> str:
@@ -506,54 +527,54 @@ def _read_session(handle, max_qubits: int):
     return schema, temp, safe_key, amps
 
 
+def run_text(session: Session, text: str, emit) -> int:
+    """Parse ``text``, then run its statements in order, handing each output to
+    ``emit`` as its statement finishes.  The first ``QqlError`` or ``ValueError``
+    is handed over as one ``error: …`` line and ends the run with status 1."""
+    try:
+        for command in qlang.parse_text(text):
+            emit(session.execute_command(command))
+    except (QqlError, ValueError) as exc:
+        emit(f"error: {exc}")
+        return 1
+    return 0
+
+
 def run_script(path: str, session: Session) -> tuple[str, int]:
     """Execute a script file; the first failing statement aborts with a
     nonzero status.  Returns (transcript, status)."""
-    lines: list[str] = []
-    status = 0
     try:
         with open(path, "r", encoding="utf-8") as handle:
             text = handle.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         return f"error: {exc}\n", 1
+    lines: list[str] = []
+    status = run_text(session, text, lines.append)
+    return "".join(line + "\n" for line in lines), status
+
+
+def _ends_statement(line: str) -> bool:
+    """Whether a shell line ends a statement: its last token is ``;`` (comments
+    and strings never span lines), or the lexer refuses it."""
     try:
-        commands = qlang.parse_text(text)
-    except QqlError as exc:
-        return f"error: {exc}\n", 1
-    for command in commands:
-        try:
-            lines.append(session.execute_command(command))
-        except (QqlError, ValueError) as exc:
-            lines.append(f"error: {exc}")
-            status = 1
-            break
-    transcript = "".join(line + "\n" for line in lines)
-    return transcript, status
+        return [token[:2] for token in qlang.tokenize(line)[-2:-1]] == [("punct", ";")]
+    except QqlError:
+        return True
 
 
 def repl_loop(session: Session, stdin=None, stdout=None) -> int:
-    """Line-oriented shell: statements end with ';' and may span lines;
-    errors are printed and never terminate the loop."""
-    stdin = stdin if stdin is not None else sys.stdin
-    stdout = stdout if stdout is not None else sys.stdout
-
-    def emit(text: str):
-        print(text, file=stdout)
-
+    """Line-oriented shell: a statement ends at a line whose last token is ';';
+    each output is printed as its statement finishes; an error never ends the shell."""
+    emit = functools.partial(print, file=sys.stdout if stdout is None else stdout)
     if not session.config.quiet:
         emit("qqldb shell; statements end with ';' (Ctrl-D to exit)")
     buffer = ""
-    for line in stdin:
+    for line in sys.stdin if stdin is None else stdin:
         buffer += line
-        if not buffer.strip().endswith(";"):
-            continue
-        try:
-            for output in session.execute_text(buffer):
-                emit(output)
-        except (QqlError, ValueError) as exc:
-            emit(f"error: {exc}")
-        buffer = ""
-    if buffer.strip():
+        if _ends_statement(line):
+            run_text(session, buffer, emit)
+            buffer = ""
+    if len(qlang.tokenize(buffer)) > 1:
         emit("error: trailing input without ';' discarded")
     return 0
 
@@ -565,26 +586,26 @@ def build_arg_parser() -> argparse.ArgumentParser:
         "queries as reversible circuits.",
     )
     parser.add_argument("--script", metavar="PATH", help="run a script instead of the shell")
-    parser.add_argument("--max-qubits", type=int, default=DEFAULT_MAX_QUBITS)
-    parser.add_argument("--seed", type=int, default=1, help="base seed for unseeded MEASUREs")
-    parser.add_argument("--epsilon", type=float, default=DEFAULT_EPSILON,
-                        help="post-selection probability floor")
+    parser.add_argument("--max-qubits", type=int)
+    parser.add_argument("--seed", type=int, help="base seed for unseeded MEASUREs")
+    parser.add_argument("--epsilon", type=float,
+                        help="post-selection probability floor, from 0 to 1")
     parser.add_argument("--quiet", action="store_true", help="suppress banner output")
+    parser.set_defaults(**vars(SessionConfig()))
     return parser
 
 
 def main(argv=None) -> int:
-    args = build_arg_parser().parse_args(argv)
-    config = SessionConfig(
-        max_qubits=args.max_qubits,
-        seed=args.seed,
-        epsilon=args.epsilon,
-        quiet=args.quiet,
-    )
-    session = Session(config)
-    if args.script:
-        transcript, status = run_script(args.script, session)
-        if not args.quiet:
+    parser = build_arg_parser()
+    args = vars(parser.parse_args(argv))
+    script = args.pop("script")
+    try:
+        session = Session(SessionConfig(**args))
+    except QqlError as exc:
+        parser.error(str(exc))
+    if script:
+        transcript, status = run_script(script, session)
+        if not session.config.quiet:
             sys.stdout.write(transcript)
         return status
     return repl_loop(session)

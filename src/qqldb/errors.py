@@ -1,6 +1,8 @@
 """Exception hierarchy shared by the engine, the query language and the shell,
-and :func:`as_int`, the package's one reader of an integer from a caller."""
+:func:`as_int`, the package's one reader of an integer from a caller, and
+:func:`as_probability`, its reader of a probability floor."""
 
+import numbers
 import operator
 
 import numpy as np
@@ -63,3 +65,17 @@ def as_int(value, what: str) -> int:
         except TypeError:
             pass
     raise ArgumentError(f"{what} {value!r} is not an integer")
+
+
+def as_probability(value, what: str) -> float:
+    """``value``, a probability floor from a caller, as a float: a finite
+    real number from 0 to 1.  An integral value is read by :func:`as_int`,
+    so ``bool`` and ``numpy.bool_`` are refused, as are strings, ``None``,
+    NaN and the infinities, with :class:`ArgumentError`."""
+    try:
+        real = as_int(value, what) if isinstance(value, numbers.Integral) else value
+    except ArgumentError:  # a bool
+        real = None
+    if isinstance(real, numbers.Real) and 0 <= real <= 1:
+        return float(real)
+    raise ArgumentError(f"{what} {value!r} is not a real number from 0 to 1")

@@ -36,6 +36,7 @@ from .errors import (
     SchemaError,
     ValidationError,
     as_int,
+    as_probability,
 )
 from .gates import HADAMARD, NOT, GateMatrix
 from .schema import Record, TableSchema
@@ -141,6 +142,7 @@ class QdbState:
         predicate, the layout and the norm are checked here, and only here."""
         n = schema.num_bits
         t, max_qubits = as_int(t, "t"), as_int(max_qubits, "max_qubits")
+        epsilon = as_probability(epsilon, "epsilon")
         if t < 1:
             raise ArgumentError("need at least one temporary qubit")
         check_capacity(n, t, max_qubits)
@@ -594,14 +596,15 @@ class QdbState:
         """Mark the table's records on ``qubit`` with the oracle, then
         post-select it on 0, which leaves its |1> half exactly zero: it
         joins ``clean_temps``, once the caller frees it if it is the safe key.
-        On an impossible outcome the oracle, a swap, is applied again, which
-        undoes it exactly, and the error propagates."""
+        On any error from the post-selection, which raises before it changes
+        the register, the oracle, a swap, is applied again, which undoes it
+        exactly, and the error propagates."""
         skipped = self._skipped(qubit)
         neg_controls = [*neg_controls, *skipped]
         apply_oracle(self.state, table, self.data_qubits, qubit, neg_controls=neg_controls)
         try:
             probability = self.state.postselect(qubit, 0, self.epsilon, rounds, skipped)
-        except ImpossibleOutcomeError:
+        except BaseException:
             apply_oracle(self.state, table, self.data_qubits, qubit, neg_controls=neg_controls)
             raise
         if self.temp_alloc.keys() - set(self._live_controls()):

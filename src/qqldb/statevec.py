@@ -15,7 +15,14 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import ArgumentError, CapacityError, ImpossibleOutcomeError, ValidationError, as_int
+from .errors import (
+    ArgumentError,
+    CapacityError,
+    ImpossibleOutcomeError,
+    ValidationError,
+    as_int,
+    as_probability,
+)
 from .gates import CnotGate, GateMatrix
 
 DEFAULT_MAX_QUBITS = 22
@@ -364,14 +371,16 @@ class StateVector:
         """Project ``qubit`` onto ``bit``, renormalize, and return the
         outcome's probability sin^2(theta) or, with ``rounds`` > 1, its
         probability sin^2(rounds * theta) after amplitude amplification
-        (Brassard et al., quant-ph/0005055).  A figure below ``epsilon``
-        raises before anything changes; a probability above 1 counts as 1.
+        (Brassard et al., quant-ph/0005055).  A figure below ``epsilon``,
+        read by :func:`errors.as_probability`, or a probability of 0 raises
+        before anything changes; a probability above 1 counts as 1.
 
         The qubits of ``zero_qubits`` must be 0 wherever an amplitude is
         nonzero: the zeroing and the division skip the rest, which holds only
         zeros, and would keep them zero of the same sign.  The probability is
         summed over the whole register all the same: it is printed, and
         leaving zeros out could regroup the sum."""
+        epsilon = as_probability(epsilon, "epsilon")
         prob = self.probability_of(qubit, bit)
         figure = prob
         if rounds != 1:
@@ -380,6 +389,8 @@ class StateVector:
             raise ImpossibleOutcomeError(
                 f"outcome {bit} on qubit {qubit} has probability {figure:.3e} < {epsilon:.3e}"
             )
+        if prob == 0:
+            raise ImpossibleOutcomeError(f"outcome {bit} on qubit {qubit} has probability 0")
         qubit_view(self.amps, [qubit] * (1 - bit), [qubit] * bit + [*zero_qubits], ())[...] = 0.0
         live = qubit_view(self.amps, (), zero_qubits, ())
         live /= np.sqrt(prob)

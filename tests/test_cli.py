@@ -1,4 +1,6 @@
 import io
+import math
+import os
 import sys
 import warnings
 from pathlib import Path
@@ -90,6 +92,16 @@ class TestRunScript:
         # the leading SHOW fails (no table) and nothing else runs
         assert transcript.count("error") == 1
         assert "component" not in transcript
+
+    def test_script_not_utf8_is_an_error_line(self, tmp_path):
+        path = tmp_path / "utf16.qql"
+        path.write_bytes(b"\xff\xfeS\0H\0O\0W\0;\0\n\0")
+        session = Session()
+        transcript, status = run_script(str(path), session)
+        assert status == 1
+        assert transcript.startswith("error: 'utf-8' codec can't decode byte 0xff")
+        assert transcript.count("\n") == 1
+        assert session.db is None
 
     def test_syntax_error_reported_with_location(self, tmp_path):
         path = write_script(tmp_path, "CREATE TABLE (a:1);")
@@ -381,6 +393,47 @@ class TestSaveLoad:
         with pytest.raises(SessionFormatError, match="is not an identifier$"):
             session.save_session(str(path))
         assert not path.exists()
+
+    @pytest.mark.parametrize("error", [OSError("disk full"), MemoryError()], ids=repr)
+    def test_failed_save_keeps_the_previous_file(self, tmp_path, error):
+        session = Session()
+        session.execute_text("CREATE TABLE t (id:2) TEMP 1; INSERT ALL 2;")
+        path = tmp_path / "state.qdb"
+        session.save_session(str(path))
+        before = path.read_bytes()
+        session.execute_text("DELETE WHERE id = 1;")
+
+        def fail_midway(handle, amps):
+            handle.write(b"0 0x1.0p+0 0x0.0p+0\n")
+            raise error
+
+        with mock.patch.object(cli, "write_amplitudes", fail_midway):
+            with pytest.raises(SessionFormatError if isinstance(error, OSError) else MemoryError):
+                session.save_session(str(path))
+        assert path.read_bytes() == before
+        assert os.listdir(tmp_path) == ["state.qdb"]
+
+    def test_save_onto_a_directory_refused(self, tmp_path):
+        (tmp_path / "dir").mkdir()
+        session = Session()
+        session.execute_text("CREATE TABLE t (id:2) TEMP 1;")
+        with pytest.raises(SessionFormatError, match=f"^cannot write {tmp_path / 'dir'}: "):
+            session.save_session(str(tmp_path / "dir"))
+        assert os.listdir(tmp_path) == ["dir"]
+        assert os.listdir(tmp_path / "dir") == []
+
+    def test_save_into_a_missing_directory_refused(self, tmp_path):
+        path = tmp_path / "missing" / "x.qdb"
+        with pytest.raises(SessionFormatError,
+                           match=f"^cannot write {path}: No such file or directory$"):
+            Session().save_session(str(path))
+        assert os.listdir(tmp_path) == []
+
+    def test_saved_file_mode_follows_the_umask(self, tmp_path):
+        with open(tmp_path / "plain", "wb"):
+            pass
+        Session().save_session(str(tmp_path / "state.qdb"))
+        assert os.stat(tmp_path / "state.qdb").st_mode == os.stat(tmp_path / "plain").st_mode
 
     @pytest.mark.parametrize("name", ["_k", "k2", "été", "Selected"])
     def test_identifier_names_round_trip(self, tmp_path, name):
@@ -1017,6 +1070,47 @@ class TestRepl:
         assert "1 component(s)" in output
         assert not path.parent.exists()
 
+    def test_outputs_before_an_error_on_one_line_are_printed(self):
+        status, output = self.run_repl(
+            "CREATE TABLE t (a:2); INSERT ALL 2; DELETE WHERE a = 9; SHOW;\nSHOW;\n", quiet=True
+        )
+        lines = output.splitlines()
+        assert status == 0
+        assert lines[:3] == [
+            "ok: table t (2 data + 3 temp qubits)",
+            "ok: insert bulk 4; support size 4",
+            "error: literal 9 does not fit field 'a' of width 2",
+        ]
+        # the SHOW after the error on its line does not run; the next line's does
+        assert output.count("component(s)") == 1
+        assert lines[-1] == "4 component(s), total probability 1.000000"
+
+    def test_semicolon_in_a_comment_or_string_ends_nothing(self, tmp_path):
+        path = tmp_path / "x;"
+        status, output = self.run_repl(
+            f'CREATE TABLE t (a:1); -- all rows;\nSAVE "{path}" -- a;\n;\nSHOW -- done;\n;\n',
+            quiet=True,
+        )
+        assert status == 0
+        assert output.splitlines()[:2] == ["ok: table t (1 data + 3 temp qubits)",
+                                           f"saved session to {path}"]
+        assert output.splitlines()[-1] == "1 component(s), total probability 1.000000"
+
+    def test_line_the_lexer_refuses_ends_at_once(self):
+        status, output = self.run_repl('SHOW "open\nCREATE TABLE t (a:1);\n', quiet=True)
+        assert status == 0
+        assert output.splitlines() == ["error: 1:6: unterminated string literal",
+                                       "ok: table t (1 data + 3 temp qubits)"]
+
+    @pytest.mark.parametrize("tail", ["\n", "-- a comment;\n\n", "  \t\n-- x\n"])
+    def test_trailing_input_without_a_token_dropped(self, tail):
+        _, output = self.run_repl("CREATE TABLE t (a:1);\n" + tail, quiet=True)
+        assert output.splitlines() == ["ok: table t (1 data + 3 temp qubits)"]
+
+    def test_trailing_statement_without_semicolon_reported(self):
+        _, output = self.run_repl("CREATE TABLE t (a:1);\nSHOW -- ;\n", quiet=True)
+        assert output.splitlines()[-1] == "error: trailing input without ';' discarded"
+
     def test_banner_suppressed_when_quiet(self):
         _, loud = self.run_repl("SHOW;\n")
         _, quiet = self.run_repl("SHOW;\n", quiet=True)
@@ -1040,5 +1134,64 @@ class TestMain:
             main(["--max-qubits", "not-a-number"])
         assert excinfo.value.code == 2
 
+    @pytest.mark.parametrize("flags", [["--epsilon", "nan"], ["--epsilon", "inf"],
+                                       ["--epsilon", "1.5"], ["--epsilon", "-0.1"]])
+    def test_refused_setting_is_a_usage_error(self, tmp_path, flags, capsys):
+        good = tmp_path / "good.qql"
+        good.write_text("SHOW;\n")
+        with pytest.raises(SystemExit) as excinfo:
+            main([*flags, "--script", str(good)])
+        assert excinfo.value.code == 2
+        assert "is not a real number from 0 to 1" in capsys.readouterr().err
+
+    def test_flag_defaults_are_the_config_defaults(self):
+        args = cli.build_arg_parser().parse_args([])
+        assert {name: getattr(args, name) for name in vars(SessionConfig())} == vars(
+            SessionConfig()
+        )
+
     def test_missing_script_file(self):
         assert main(["--script", "/nonexistent/path.qql", "--quiet"]) == 1
+
+
+class TestSessionConfig:
+    """Each setting is read once, when the config is built."""
+
+    @pytest.mark.parametrize("value", [22.5, "22", None, True, np.True_])
+    @pytest.mark.parametrize("setting", ["max_qubits", "seed"])
+    def test_integer_setting_not_an_integer_refused(self, setting, value):
+        with pytest.raises(ArgumentError, match=f"^{setting} .* is not an integer$"):
+            SessionConfig(**{setting: value})
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, -1e-300, 1.5, 2, True,
+                                       np.True_, "x", "1e-12", None, 10**400],
+                             ids=["nan", "inf", "-inf", "-1e-300", "1.5", "2", "True", "True_",
+                                  "x", "text 1e-12", "None", "10**400"])
+    def test_epsilon_not_a_floor_refused(self, value):
+        with pytest.raises(ArgumentError, match="^epsilon .* is not a real number from 0 to 1$"):
+            SessionConfig(epsilon=value)
+
+    @pytest.mark.parametrize("value, read", [(0, 0.0), (1, 1.0), (np.int64(0), 0.0),
+                                             (np.float32(0.5), 0.5), (1e-12, 1e-12)])
+    def test_epsilon_read_as_a_float(self, value, read):
+        config = SessionConfig(epsilon=value)
+        assert type(config.epsilon) is float and config.epsilon == read
+
+    def test_numpy_integers_read_as_ints(self):
+        config = SessionConfig(max_qubits=np.int64(9), seed=np.uint8(3))
+        assert (type(config.max_qubits), type(config.seed)) == (int, int)
+
+    def test_frozen(self):
+        with pytest.raises(AttributeError):
+            SessionConfig().epsilon = "x"
+
+    def test_load_is_not_blamed_for_the_config(self, tmp_path):
+        # max_qubits=22.5 used to be taken here and make LOAD of a good file
+        # fail with "malformed session file"
+        path = str(tmp_path / "good.qdb")
+        session = Session()
+        session.execute_text("CREATE TABLE t (a:2);")
+        session.save_session(path)
+        with pytest.raises(ArgumentError):
+            Session(SessionConfig(max_qubits=22.5))
+        Session(SessionConfig(max_qubits=22)).load_session(path)

@@ -135,3 +135,48 @@ def test_flag_map_naming_one_qubit_twice_refused():
     with pytest.raises(ArgumentError, match="name one qubit twice$"):
         db.apply_where({"c": 4, "d": 4}, Var("c"), ApplySwap(1, 2))
     assert snapshot(db) == before
+
+
+NOT_FLOORS = {
+    "nan": np.nan, "inf": np.inf, "-inf": -np.inf, "negative": -0.25, "above 1": 1.5,
+    "True": True, "bool_": np.True_, "text": "x", "None": None,
+}
+
+
+@pytest.mark.parametrize("value", NOT_FLOORS.values(), ids=NOT_FLOORS.keys())
+def test_epsilon_not_a_floor_refused(value):
+    with pytest.raises(ArgumentError, match="is not a real number from 0 to 1$"):
+        QdbState(SCHEMA, 3, epsilon=value)
+    db = busy()
+    before = snapshot(db)
+    with pytest.raises(ArgumentError, match="is not a real number from 0 to 1$"):
+        db.state.postselect(4, 0, value)
+    assert snapshot(db) == before
+
+
+def fail(*args):
+    raise MemoryError
+
+
+@pytest.mark.parametrize("statement", ["delete", "restore purge"])
+@pytest.mark.parametrize("how", ["probability_of raises", "epsilon not a floor"])
+def test_failed_post_selection_undoes_its_oracle(monkeypatch, statement, how):
+    """Any error from a post-selection, not only an impossible outcome,
+    leaves the register, the temp records and ``clean_temps`` as they were.
+    An epsilon of "x" used to raise after the oracle ran, leaving the marked
+    records on a temp still listed in ``clean_temps``."""
+    db = busy()
+    if statement == "restore purge":
+        db.backup(Comparison("b", "=", 0))
+    before = snapshot(db)
+    if how == "epsilon not a floor":
+        db.epsilon = "x"
+    else:
+        monkeypatch.setattr(StateVector, "probability_of", fail)
+    with pytest.raises(ArgumentError if how == "epsilon not a floor" else MemoryError):
+        if statement == "delete":
+            db.delete(Comparison("a", "=", 1))
+        else:
+            db.restore(purge=True)
+    assert snapshot(db) == before
+    assert_clean_temps_zero(db)

@@ -355,6 +355,14 @@ class TestPostselect:
         with pytest.raises(ImpossibleOutcomeError):
             s.postselect(0, 1)
 
+    @pytest.mark.parametrize("epsilon", [0.0, 1e-12])
+    def test_postselect_refuses_a_zero_probability(self, epsilon):
+        # with epsilon 0 it used to divide by zero and leave [nan, nan]
+        s = StateVector.zero(1)
+        with pytest.raises(ImpossibleOutcomeError):
+            s.postselect(0, 1, epsilon=epsilon)
+        assert s.amps.tolist() == [1, 0]
+
     def test_postselect_then_probability_is_one(self):
         rng = np.random.default_rng(11)
         for _ in range(10):
