@@ -85,26 +85,39 @@ class Session:
 
     # ------------------------------------------------------------- rendering
 
-    def _label_columns(self, indices: np.ndarray, width: int) -> tuple[str, list]:
-        """A ``%``-format of the record label ``(name=value, ...)`` of data
-        indices, left-justified to ``width`` columns, and its argument
-        columns: one of values per field, then one of padding."""
+    def _label_rows(self, indices: np.ndarray, width: int, *after: np.ndarray):
+        """The record labels ``(name=value, ...)`` of data indices as the
+        rows of a UTF-8 byte matrix, each left-justified to ``width`` code
+        points and followed by the columns of the byte matrices ``after``,
+        and each label's length in code points.  Unused bytes are 0, and
+        :func:`_row_text` deletes them, as :func:`write_amplitudes` does.
+        The values' digits come from :func:`_decimal_words`."""
         assert self.db is not None
         schema = self.db.schema
-        fields = schema.fields
         # the label's length is that of the names and separators plus the
-        # value digits
-        lengths = np.full(indices.size, sum(len(name) + 3 for name, _ in fields))
+        # value digits; names count in code points, not bytes
+        lengths = np.full(indices.size, sum(len(name) + 3 for name, _ in schema.fields))
         powers = 10 ** np.arange(1, 19, dtype=np.int64)
-        columns = []
-        for name, _ in fields:
+        blocks = []
+        for i, (name, bits) in enumerate(schema.fields):
+            blocks.append(_constant_bytes(f"{', ' if i else '('}{name}=", indices.size))
             values = schema.field_values(indices, name)
             lengths += np.searchsorted(powers, values, side="right") + 1
-            columns.append(values.tolist())
-        pads = [" " * k for k in range(width + 1)]
-        columns.append(list(map(pads.__getitem__, np.maximum(width - lengths, 0).tolist())))
-        label = "(" + ", ".join(f"{name.replace('%', '%%')}=%d" for name, _ in fields) + ")%s"
-        return label, columns
+            top = (1 << bits) - 1
+            blocks.append(_tabulated(lambda part: _digit_bytes(part, top), values, top))
+        blocks.append(_constant_bytes(")", indices.size))
+        # spaces up to ``width`` code points, then 0s: row k of ``pads`` has k
+        room = max(width - int(lengths.min(initial=width)), 0)
+        pads = (np.arange(room) < np.arange(room + 1)[:, None]) * np.uint8(ord(" "))
+        blocks.append(pads[np.maximum(width - lengths, 0)])
+        return np.concatenate([*blocks, *after], axis=1), np.maximum(lengths, width)
+
+    def _labels(self, indices: np.ndarray, width: int) -> list[str]:
+        """The rows of :meth:`_label_rows` as strings."""
+        rows, lengths = self._label_rows(indices, width)
+        text = _row_text(rows)
+        ends = np.cumsum(lengths).tolist()
+        return [text[start:end] for start, end in zip([0, *ends], ends)]
 
     def render_state(self, components, full: bool = False) -> str:
         """``components`` is the (basis indices, amplitudes) pair of
@@ -114,18 +127,17 @@ class Session:
         n, t = self.db.n, self.db.t
         indices, amplitudes = components
         probabilities = amplitudes.real**2 + amplitudes.imag**2
-        label, columns = self._label_columns(indices >> t, 24)
+        labels = self._labels(indices >> t, 24)
         index_list = indices.tolist()
         kets = [f"|{index:0{n + t}b}>" for index in index_list]
         temp_pad = " " * max(4 - t, 0)
         temps = [f"{index & ((1 << t) - 1):0{t}b}{temp_pad}" for index in index_list]
         amps = [format_amplitude(amp, full) for amp in amplitudes.tolist()]
-        row = "%s  " + label + "  %s  %-24s  %10.6f"
         lines = [f"{'ket':<{n + t + 2}}  {'record':<24}  {'temp':<{max(t, 4)}}  "
                  f"{'amplitude':<24}  probability"]
         lines += [
-            row % values
-            for values in zip(kets, *columns, temps, amps, probabilities.tolist())
+            "%s  %s  %s  %-24s  %10.6f" % values
+            for values in zip(kets, labels, temps, amps, probabilities.tolist())
         ]
         # the footer's total adds the probabilities left to right
         total = float(np.cumsum(probabilities)[-1]) if indices.size else 0.0
@@ -135,18 +147,17 @@ class Session:
     def render_histogram(self, histogram, shots: int) -> str:
         """``histogram`` is the (data indices, counts) pair of
         :meth:`QdbState.measure_counts`, whose ascending indices are record
-        order; each row is one ``%``-format of the record label, count and
-        fraction."""
+        order; each row is the record label, the count as ``%8d`` and the
+        fraction as ``%10.6f``, a row of one byte matrix (:meth:`_label_rows`,
+        :func:`_count_bytes`).  Counts are at most ``MAX_SHOTS``, 8 digits."""
         indices, counts = histogram
-        label, columns = self._label_columns(indices, 28)
-        row = label + "  %8d  %10.6f"
-        lines = [f"{'record':<28}  {'count':>8}  fraction"]
-        lines += [
-            row % values
-            for values in zip(*columns, counts.tolist(), (counts / shots).tolist())
-        ]
-        lines.append(f"{shots} shot(s), {indices.size} distinct record(s)")
-        return "\n".join(lines)
+        top = int(counts.max(initial=0))
+        rows, _ = self._label_rows(
+            indices, 28, _tabulated(lambda part: _count_bytes(part, shots), counts, top)
+        )
+        body = _row_text(rows)
+        return (f"{'record':<28}  {'count':>8}  fraction\n{body}"
+                f"{shots} shot(s), {indices.size} distinct record(s)")
 
     # ----------------------------------------------------------- persistence
 
@@ -248,6 +259,69 @@ def write_amplitudes(handle, amps: np.ndarray) -> None:
         lines[:, width + 26:width + 50] = parts[:, 1]
         lines[:, -1] = ord("\n")
         handle.write(lines.tobytes().translate(None, b"\0"))
+
+
+def _digit_bytes(values: np.ndarray, top: int) -> np.ndarray:
+    """The decimal digits of non-negative ``values`` up to ``top`` as ASCII
+    rows as wide as ``top``'s, right-aligned, with leading bytes 0
+    (:func:`_decimal_words`)."""
+    digits = len(str(top))
+    groups = -(-digits // 8)
+    words = _decimal_words(values, groups).astype("<u8", copy=False)
+    return words.view(np.uint8).reshape(-1, 8 * groups)[:, 8 * groups - digits:]
+
+
+def _count_bytes(counts: np.ndarray, shots: int) -> np.ndarray:
+    """``"  %8d  %10.6f\n" % (count, count / shots)`` of each count as a row of
+    23 bytes, for counts of at most 8 digits.
+
+    The fraction is ``count * 10^6 / shots`` rounded to an integer, half up.
+    Only where that division leaves exactly one half, a tie, can it round
+    otherwise than ``%`` rounds the double ``count / shots``: for shots up to
+    2^24 (``MAX_SHOTS``) any other fraction lies at least
+    1 / (2 * 10^6 * 2^24), about 3e-14, from a rounding boundary, far above
+    the double's error.  Ties are formatted by ``%``."""
+    rows = np.full((counts.size, 23), ord(" "), dtype=np.uint8)
+    # the digit words with their leading 0 bytes turned into spaces
+    digits = _digit_bytes(counts, 10**8 - 1)
+    rows[:, 2:10] = np.where(digits == 0, np.uint8(ord(" ")), digits)
+    # 10^7 plus the fraction in millionths has 8 digits: a 1, the units and
+    # the six decimals
+    millionths, rest = np.divmod(counts.astype(np.int64) * 10**6, shots)
+    millionths += 2 * rest > shots
+    digits = _digit_bytes(millionths + 10**7, 10**8 - 1)
+    rows[:, 14] = digits[:, 1]
+    rows[:, 15] = ord(".")
+    rows[:, 16:22] = digits[:, 2:]
+    rows[:, 22] = ord("\n")
+    for row in np.flatnonzero(2 * rest == shots).tolist():
+        tie = "%10.6f" % (int(counts[row]) / shots)
+        rows[row, 12:22] = np.frombuffer(tie.encode("ascii"), dtype=np.uint8)
+    return rows
+
+
+def _tabulated(build, values: np.ndarray, top: int) -> np.ndarray:
+    """``build(values)``, a byte row per value, looked up in a table of
+    ``build`` over ``0..top`` where that table is shorter than ``values``."""
+    if top < values.size:
+        return build(np.arange(top + 1))[values]
+    return build(values)
+
+
+# A NUL in a name, which a session file can hold, crosses the byte rows as
+# 0xFF, a byte no UTF-8 text holds, so deleting the unused 0s spares it.
+_NUL_CARRIER = bytes.maketrans(b"\xff", b"\0")
+
+
+def _constant_bytes(text: str, rows: int) -> np.ndarray:
+    """``rows`` rows of the UTF-8 bytes of ``text``, as a read-only view."""
+    data = text.encode("utf-8", "surrogatepass").replace(b"\0", b"\xff")
+    return np.broadcast_to(np.frombuffer(data, dtype=np.uint8), (rows, len(data)))
+
+
+def _row_text(rows: np.ndarray) -> str:
+    """The text of byte rows: their 0s deleted, a name's NUL put back."""
+    return rows.tobytes().translate(_NUL_CARRIER, b"\0").decode("utf-8", "surrogatepass")
 
 
 def _bytes(b: int) -> int:
@@ -527,12 +601,13 @@ def _read_session(handle, max_qubits: int):
     return schema, temp, safe_key, amps
 
 
-def run_text(session: Session, text: str, emit) -> int:
-    """Parse ``text``, then run its statements in order, handing each output to
-    ``emit`` as its statement finishes.  The first ``QqlError`` or ``ValueError``
-    is handed over as one ``error: …`` line and ends the run with status 1."""
+def run_text(session: Session, text: str, emit, first_line: int = 1) -> int:
+    """Parse ``text``, whose first line is line ``first_line`` of the input,
+    then run its statements in order, handing each output to ``emit`` as its
+    statement finishes.  The first ``QqlError`` or ``ValueError`` is handed
+    over as one ``error: …`` line and ends the run with status 1."""
     try:
-        for command in qlang.parse_text(text):
+        for command in qlang.parse_text(text, first_line):
             emit(session.execute_command(command))
     except (QqlError, ValueError) as exc:
         emit(f"error: {exc}")
@@ -564,16 +639,17 @@ def _ends_statement(line: str) -> bool:
 
 def repl_loop(session: Session, stdin=None, stdout=None) -> int:
     """Line-oriented shell: a statement ends at a line whose last token is ';';
-    each output is printed as its statement finishes; an error never ends the shell."""
+    each output is printed as its statement finishes; an error never ends the
+    shell, and a syntax error's line is counted in the whole input."""
     emit = functools.partial(print, file=sys.stdout if stdout is None else stdout)
     if not session.config.quiet:
         emit("qqldb shell; statements end with ';' (Ctrl-D to exit)")
-    buffer = ""
-    for line in sys.stdin if stdin is None else stdin:
+    buffer, first_line = "", 1
+    for number, line in enumerate(sys.stdin if stdin is None else stdin, 1):
         buffer += line
         if _ends_statement(line):
-            run_text(session, buffer, emit)
-            buffer = ""
+            run_text(session, buffer, emit, first_line)
+            buffer, first_line = "", number + 1
     if len(qlang.tokenize(buffer)) > 1:
         emit("error: trailing input without ';' discarded")
     return 0

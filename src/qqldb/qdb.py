@@ -38,7 +38,7 @@ from .errors import (
     as_int,
     as_probability,
 )
-from .gates import HADAMARD, NOT, GateMatrix
+from .gates import HADAMARD, NOT, CnotGate, GateMatrix
 from .schema import Record, TableSchema
 from .statevec import (
     DEFAULT_EPSILON,
@@ -107,6 +107,34 @@ def check_capacity(n: int, t: int, max_qubits: int) -> None:
 def _check_norm(norm: float) -> None:
     if not abs(norm - 1.0) <= NORM_TOL:
         raise ValidationError(f"state norm {norm} is not 1 within {NORM_TOL}")
+
+
+def combiner_gates(
+    table: TruthTable, var_qubits: Sequence[int], target: int
+) -> list[tuple[CnotGate, list[int]]]:
+    """The multi-controlled NOTs that XOR the function of ``table`` into the
+    target qubit, each with the qubits it takes as negative controls;
+    variable j is the qubit ``var_qubits[j]``.
+
+    When the function has no more satisfying patterns than Reed-Muller
+    monomials, there is one NOT per pattern, controlled on its 1s and
+    negatively on its 0s.  The patterns are disjoint, so together they touch
+    no more amplitudes than the monomials do.  Otherwise there is one NOT per
+    monomial (:func:`compile_to_cnots`), fewer calls for XOR-heavy
+    functions.  Both are the permutation that flips the target where the
+    function is 1, so they move every amplitude to the same place.
+    """
+    form = to_reed_muller(table)
+    patterns = np.flatnonzero(table.bits).tolist()
+    if len(patterns) > len(form.monomials):
+        return [(gate, []) for gate in compile_to_cnots(form, var_qubits, target)]
+    v = table.num_vars
+    gates = []
+    for pattern in patterns:
+        bits = [(var_qubits[j], pattern >> (v - 1 - j) & 1) for j in range(v)]
+        ones = frozenset(q for q, bit in bits if bit)
+        gates.append((CnotGate(ones, target), [q for q, bit in bits if not bit]))
+    return gates
 
 
 class QdbState:
@@ -500,7 +528,8 @@ class QdbState:
         operation controlled on it (and on the safe key being 0 when a backup
         is active).
 
-        The combiner circuit is uncomputed, then the flag oracles are
+        The combiner is flipped by :func:`combiner_gates` and uncomputed by
+        the same gates in reverse, then the flag oracles are
         re-applied; a flag whose record moved across its own predicate
         cannot return to |0> exactly, and :meth:`_release_temps` keeps such a
         qubit allocated as residue instead of handing it out again.
@@ -513,14 +542,15 @@ class QdbState:
             if use is None or use.purpose != "select":
                 raise QqlError(f"{name!r} ({qubit}) is not an active select flag")
         mini = TableSchema("_flags", tuple((name, 1) for name in flag_map))
-        form = to_reed_muller(truth_table(combiner, mini))
+        combiner_table = truth_table(combiner, mini)
         flag_tables = [truth_table(self.temp_alloc[q].expr, self.schema) for q in flag_map.values()]
         operation = self._check_operation(operation)
         combiner_qubit = self._first_free_temp("combiner")
-        gates = compile_to_cnots(form, list(flag_map.values()), combiner_qubit)
         skipped = self._skipped(combiner_qubit)
-        for gate in gates:
-            self.state.apply_cnot(gate, skipped)
+        gates = combiner_gates(combiner_table, list(flag_map.values()), combiner_qubit)
+        gates = [(gate, [*zeros, *skipped]) for gate, zeros in gates]
+        for gate, neg_controls in gates:
+            self.state.apply_cnot(gate, neg_controls)
 
         if isinstance(operation, ApplyGate) and operation.gate is NOT:
             # a permutation: amplitudes move and nothing is recomputed
@@ -539,8 +569,8 @@ class QdbState:
                 [(operation.index_a, operation.index_b)], [combiner_qubit], skipped
             )
 
-        for gate in reversed(gates):
-            self.state.apply_cnot(gate, skipped)
+        for gate, neg_controls in reversed(gates):
+            self.state.apply_cnot(gate, neg_controls)
 
         # uncomputed, the combiner is as clean as it was before
         skipped = self._skipped()
@@ -656,8 +686,9 @@ class QdbState:
     def measure_counts(self, shots: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
         """Sample full basis indices and truncate the temp bits.  Returns the
         distinct data-register indices drawn, ascending (which is record
-        order), and how often each was drawn."""
-        picks = self.state.sample(shots, seed)
+        order), and how often each was drawn.  The sampler skips the clean
+        temps' |1> halves, as the post-selections do; the picks are the same."""
+        picks = self.state.sample(shots, seed, self._skipped())
         indices, counts = np.unique(picks >> self.t, return_counts=True)
         return indices, counts
 

@@ -90,10 +90,11 @@ _LEXER_ERRORS = {
 }
 
 
-def tokenize(text: str) -> list[Token]:
-    """Deterministic token stream; errors carry line:column."""
+def tokenize(text: str, first_line: int = 1) -> list[Token]:
+    """Deterministic token stream; errors carry line:column, with the text's
+    first line numbered ``first_line``."""
     tokens: list[Token] = []
-    line, line_start, match = 1, 0, None
+    line, line_start, match = first_line, 0, None
     for match in _TOKEN_RE.finditer(text):
         kind = match.lastgroup
         if kind == "newline":
@@ -487,8 +488,8 @@ def parse(tokens: list[Token]) -> list[Command]:
     return _Parser(tokens).parse_script()
 
 
-def parse_text(text: str) -> list[Command]:
-    return parse(tokenize(text))
+def parse_text(text: str, first_line: int = 1) -> list[Command]:
+    return parse(tokenize(text, first_line))
 
 
 def parse_predicate(text: str) -> BoolExpr:

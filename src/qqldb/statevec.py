@@ -137,8 +137,8 @@ def qubit_view(
 ) -> np.ndarray:
     """View of the components of ``amps`` where ``pos_controls`` are 1 and
     ``neg_controls`` are 0: the package's one way to address a subspace, such
-    as "safe key = 0", for the kernels, post-selection, the support scan and
-    the diffusion, and its one qubit check.  It reads the qubit count ``m``
+    as "safe key = 0", for the kernels, post-selection, the sampler, the
+    support scan and the diffusion, and its one qubit check.  It reads the qubit count ``m``
     off ``amps.size`` and each qubit by :func:`as_int` and, before it builds
     the view, refuses with :class:`ArgumentError` a qubit that is not an
     integer, a qubit outside ``0..m-1``, a qubit named twice across the
@@ -396,16 +396,22 @@ class StateVector:
         live /= np.sqrt(prob)
         return figure
 
-    def sample(self, shots: int, seed: int) -> np.ndarray:
+    def sample(self, shots: int, seed: int, zero_qubits: Sequence[int] = ()) -> np.ndarray:
         """Draw ``shots`` i.i.d. basis indices from ``|amps|^2`` by inverse CDF
         over the documented xorshift64* stream; returns them in draw order.
         Deterministic for a fixed seed.
 
-        The cumulative sum is built and searched ``SCAN_BLOCK`` amplitudes
-        at a time, the running total added into each block's first term:
-        the same additions in the same order as ``np.cumsum``, so the picks
-        are those of one search of the whole sum, without a register-sized
-        array."""
+        The qubits of ``zero_qubits`` must be 0 wherever an amplitude is
+        nonzero, as for :meth:`postselect`.  The cumulative sum is built over
+        the rest, the :func:`qubit_view` where they are 0, and searched in
+        blocks of whole rows of about ``SCAN_BLOCK`` amplitudes, the running
+        total added into each block's first term.  ``np.cumsum`` adds in
+        order and an exact zero adds nothing, so the sums are those of one
+        ``np.cumsum`` over the whole register with its repeats left out, and
+        the first sum above a draw sits on the same nonzero amplitude: the
+        picks are those of one search of the whole sum, without a
+        register-sized array or a copy of the view.  Each pick gets its full
+        index back with a 0 bit put in at each zero qubit."""
         shots = check_shots(shots)
         draws = xorshift_uniform(seed, shots)
         # searched in ascending order, each block takes the draws below its
@@ -414,17 +420,24 @@ class StateVector:
         draws = draws[order]
         # a draw at or above the total picks the last index
         sorted_picks = np.full(shots, self.amps.size - 1, dtype=np.intp)
-        total, done = 0.0, 0
-        for start in range(0, self.amps.size, SCAN_BLOCK):
-            part = self.amps[start : start + SCAN_BLOCK]
-            cumulative = part.real**2 + part.imag**2
+        view = qubit_view(self.amps, (), zero_qubits, ())
+        view = view.reshape(view.shape[1:] or (1,))  # the run axis, of length 1, goes
+        step = max(1, SCAN_BLOCK * view.shape[0] // view.size)
+        total, done, offset = 0.0, 0, 0
+        for start in range(0, view.shape[0], step):
+            part = view[start : start + step]
+            cumulative = (part.real**2 + part.imag**2).reshape(-1)
             cumulative[0] += total
             np.cumsum(cumulative, out=cumulative)
             total = cumulative[-1]
             end = np.searchsorted(draws, total, side="left")
             found = np.searchsorted(cumulative, draws[done:end], side="right")
-            sorted_picks[done:end] = found + start
-            done = end
+            sorted_picks[done:end] = found + offset
+            done, offset = end, offset + cumulative.size
+        live = sorted_picks[:done]
+        # ascending bit positions: each 0 goes in below the later ones
+        for bit in sorted(self.num_qubits - 1 - q for q in zero_qubits):
+            live[...] = live >> bit << bit + 1 | live & (1 << bit) - 1
         picks = np.empty(shots, dtype=np.intp)
         picks[order] = sorted_picks
         return picks

@@ -10,7 +10,8 @@ import numpy as np
 
 from qqldb import qlang
 from qqldb.boolcirc import (
-    MAX_TABLE_VARS, And, BoolExpr, Comparison, Const, Not, Or, Var, apply_oracle, truth_table,
+    MAX_TABLE_VARS, And, BoolExpr, Comparison, Const, Not, Or, TruthTable, Var, apply_oracle,
+    compile_to_cnots, to_reed_muller, truth_table,
 )
 from qqldb.cli import FORMAT_HEADER, LOAD_CHUNK
 from qqldb.diffusion import apply_partial_diffusion
@@ -19,7 +20,7 @@ from qqldb.gates import DENSE_LIMIT_QUBITS, HADAMARD, NOT, CnotGate, GateMatrix
 from qqldb.qdb import SafeKey
 from qqldb.qlang import KEYWORDS, MAX_INT_DIGITS, Token
 from qqldb.schema import TableSchema
-from qqldb.statevec import StateVector, swap
+from qqldb.statevec import StateVector, swap, xorshift_uniform
 
 
 def random_unitary(num_qubits: int, rng: np.random.Generator) -> GateMatrix:
@@ -495,3 +496,63 @@ def reference_read_session(handle, max_qubits: int):
         amps[indices] = values.view(np.complex128)
         previous = indices[-1]
     return schema, temp, safe_key, amps
+
+
+# ---------------------------------------------------------------- read-out
+
+
+def reference_label_columns(schema: TableSchema, indices: np.ndarray, width: int):
+    """A ``%``-format of the record label ``(name=value, ...)`` of data
+    indices, left-justified to ``width`` columns, and its argument columns:
+    one of values per field, then one of padding.  The label builder the
+    byte rows of ``Session._label_rows`` replaced, kept as their oracle."""
+    fields = schema.fields
+    lengths = np.full(indices.size, sum(len(name) + 3 for name, _ in fields))
+    powers = 10 ** np.arange(1, 19, dtype=np.int64)
+    columns = []
+    for name, _ in fields:
+        values = schema.field_values(indices, name)
+        lengths += np.searchsorted(powers, values, side="right") + 1
+        columns.append(values.tolist())
+    pads = [" " * k for k in range(width + 1)]
+    columns.append(list(map(pads.__getitem__, np.maximum(width - lengths, 0).tolist())))
+    label = "(" + ", ".join(f"{name.replace('%', '%%')}=%d" for name, _ in fields) + ")%s"
+    return label, columns
+
+
+def reference_labels(schema: TableSchema, indices: np.ndarray, width: int) -> list[str]:
+    label, columns = reference_label_columns(schema, indices, width)
+    return [label % values for values in zip(*columns)]
+
+
+def reference_histogram(schema: TableSchema, histogram, shots: int) -> str:
+    """``Session.render_histogram`` as one ``%``-format per row."""
+    indices, counts = histogram
+    label, columns = reference_label_columns(schema, indices, 28)
+    row = label + "  %8d  %10.6f"
+    lines = [f"{'record':<28}  {'count':>8}  fraction"]
+    lines += [
+        row % values
+        for values in zip(*columns, counts.tolist(), (counts / shots).tolist())
+    ]
+    lines.append(f"{shots} shot(s), {indices.size} distinct record(s)")
+    return "\n".join(lines)
+
+
+def full_scan_sample(amps: np.ndarray, shots: int, seed: int) -> np.ndarray:
+    """``StateVector.sample`` as one ``np.cumsum`` over the whole register and
+    one search: the oracle of the sampler that reads live columns only."""
+    draws = xorshift_uniform(seed, shots)
+    cumulative = np.cumsum(amps.real**2 + amps.imag**2)
+    picks = np.searchsorted(cumulative, draws, side="right")
+    # a draw at or above the total picks the last index
+    return np.minimum(picks, amps.size - 1)
+
+
+def monomial_combiner_gates(table: TruthTable, var_qubits, target: int):
+    """One multi-controlled NOT per Reed-Muller monomial of the combiner, each
+    with no negative controls: the combiner path that ``combiner_gates``
+    takes only when the function has more satisfying patterns than
+    monomials, kept as the oracle of the pattern path; it stands in for
+    ``qqldb.qdb.combiner_gates``."""
+    return [(gate, []) for gate in compile_to_cnots(to_reed_muller(table), var_qubits, target)]

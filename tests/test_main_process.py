@@ -42,6 +42,34 @@ def test_shell_ends_a_statement_at_a_semicolon_token():
     ]
 
 
+def test_shell_syntax_error_names_the_line_of_the_input():
+    run = qqldb("--quiet", stdin="CREATE TABLE t (a:1);\n\nSHOW SHOW;\n")
+    assert run.returncode == 0
+    assert run.stdout.splitlines() == [
+        "ok: table t (1 data + 3 temp qubits)",
+        "error: 3:6: expected ;, found 'SHOW'",
+    ]
+
+
+def test_shell_counts_lines_across_statements_and_errors():
+    """A statement over two lines, a lexer error, then a later statement."""
+    stdin = "CREATE TABLE t\n  (a:1);\nSHOW $;\n-- note\n\nINSERT\n  ALL 9 9;\n"
+    run = qqldb("--quiet", stdin=stdin)
+    assert run.stdout.splitlines() == [
+        "ok: table t (1 data + 3 temp qubits)",
+        "error: 3:6: illegal character '$'",
+        "error: 7:9: expected ;, found '9'",
+    ]
+
+
+def test_script_syntax_error_names_the_line_of_the_file(tmp_path):
+    script = tmp_path / "bad.qql"
+    script.write_text("CREATE TABLE t (a:1);\n\nSHOW SHOW;\n")
+    run = qqldb("--script", str(script))
+    assert run.returncode == 1
+    assert run.stdout.splitlines() == ["error: 3:6: expected ;, found 'SHOW'"]
+
+
 def test_script_matches_its_golden_transcript():
     run = qqldb("--script", "scripts/backup_demo.qql")
     assert run.returncode == 0

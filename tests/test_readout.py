@@ -1,19 +1,25 @@
 """Byte-identity of the vectorised read-out and persistence paths against
 their scalar definitions: the xorshift64* lanes against the scalar generator,
-the MEASURE histogram and the SHOW table against their per-record formulas,
-and the session-file hex writer against ``float.hex``."""
+the live-column sampler against one search of the whole register, the
+MEASURE histogram and the SHOW table against their per-record formulas and
+the earlier ``%``-format rows, and the session-file hex writer against
+``float.hex``."""
 
 import io
+import itertools
 import sys
 import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from helpers import full_scan_sample, reference_histogram, reference_labels
 
 from qqldb import statevec
 from qqldb.cli import Session, _decimal_words, format_amplitude, write_amplitudes
 from qqldb.errors import CapacityError, SessionFormatError
 from qqldb.qdb import QdbState
+from qqldb.schema import TableSchema
 from qqldb.statevec import (
     MAX_SHOTS,
     SCAN_BLOCK,
@@ -153,6 +159,170 @@ class TestHistogramText:
         session.execute_text("CREATE TABLE t (id:2) TEMP 1;")
         (text,) = session.execute_text("MEASURE 3 SEED 1;")
         assert text == per_record_histogram(session, 3, 1)
+
+
+def label_session(fields) -> Session:
+    """A session whose renderers see ``fields``; only the schema is read, so
+    no register is built, and the widths may exceed the engine's."""
+    session = Session()
+    session.db = SimpleNamespace(schema=TableSchema("t", tuple(fields)))
+    return session
+
+
+def random_records(rng, fields, size: int) -> np.ndarray:
+    bits = sum(width for _, width in fields)
+    return np.unique(rng.integers(0, 1 << bits, size, dtype=np.int64))
+
+
+def check_histogram(fields, indices, counts, shots: int) -> None:
+    session = label_session(fields)
+    histogram = (indices, np.asarray(counts, dtype=np.int64))
+    assert session.render_histogram(histogram, shots) == reference_histogram(
+        session.db.schema, histogram, shots
+    )
+
+
+class TestHistogramRows:
+    """``render_histogram``'s byte rows against one ``%``-format per row."""
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_random_histograms(self, seed):
+        rng = np.random.default_rng(seed)
+        fields = [(f"f{i}", int(rng.integers(1, 11))) for i in range(int(rng.integers(1, 7)))]
+        indices = random_records(rng, fields, int(rng.integers(1, 3000)))
+        shots = int(rng.choice([1, 7, 1000, 100_000, MAX_SHOTS, int(rng.integers(1, MAX_SHOTS))]))
+        check_histogram(fields, indices, rng.integers(1, shots + 1, indices.size), shots)
+
+    @pytest.mark.parametrize("shots", [128, 4096, MAX_SHOTS])
+    def test_ties_at_powers_of_two(self, shots):
+        # counts of shots / 2^k, and the odd multiples of shots / 2^7: 10^6
+        # of them over shots is a whole number and exactly one half, a tie,
+        # which % rounds to even on the exact double, down or up
+        counts = [shots >> k for k in range(shots.bit_length())]
+        counts += [(shots >> 7) * odd for odd in range(1, 128, 2)]
+        ties = sum(count * 10**6 % shots * 2 == shots for count in counts)
+        assert ties == 65
+        check_histogram([("id", 7)], np.arange(len(counts)), counts, shots)
+
+    def test_whole_and_smallest_fraction(self):
+        check_histogram([("id", 2)], np.array([1]), [MAX_SHOTS], MAX_SHOTS)
+        check_histogram([("id", 2)], np.array([0, 3]), [1, MAX_SHOTS - 1], MAX_SHOTS)
+        check_histogram([("id", 2)], np.array([2]), [1], 1)
+
+    def test_labels_longer_than_the_column(self):
+        fields = [("a_rather_long_field_name", 6), ("another_one", 4)]
+        indices = random_records(np.random.default_rng(1), fields, 300)
+        check_histogram(fields, indices, np.arange(1, indices.size + 1), 10**6)
+
+    # a session file can hold a name that is not an identifier
+    @pytest.mark.parametrize(
+        "name", ["größe", "名前", "x" * 25 + "é", "a%d", "a\0b", "\udc80"]
+    )
+    def test_non_ascii_and_other_names(self, name):
+        fields = [(name, 4), ("v", 3)]
+        indices = np.arange(1 << 7)
+        check_histogram(fields, indices, np.arange(1, indices.size + 1), 9000)
+        session = label_session(fields)
+        assert session._labels(indices, 24) == reference_labels(session.db.schema, indices, 24)
+
+    @pytest.mark.parametrize(
+        "count, width",
+        [(k, w) for k in range(1, 7) for w in (1, 3, 8, 10, 20) if k * w <= 60],
+    )
+    def test_fields_and_widths(self, count, width):
+        rng = np.random.default_rng(count * 100 + width)
+        fields = [(f"f{i}", width) for i in range(count)]
+        indices = random_records(rng, fields, 500)
+        top = (1 << count * width) - 1
+        indices = np.unique(np.concatenate([indices, [0, top]]))
+        check_histogram(fields, indices, rng.integers(1, 5000, indices.size), 5000)
+        session = label_session(fields)
+        assert session._labels(indices, 24) == reference_labels(session.db.schema, indices, 24)
+
+    def test_empty_label_column(self):
+        session = label_session([("id", 3)])
+        assert session._labels(np.array([], dtype=np.int64), 24) == []
+
+
+class TestLiveColumnSampler:
+    """``StateVector.sample`` over the view where ``zero_qubits`` are 0 picks
+    as one search of the whole register's cumulative sum does."""
+
+    @staticmethod
+    def state_with_zero_temps(rng, n: int, t: int, zeros) -> np.ndarray:
+        m = n + t
+        amps = rng.normal(size=1 << m) + 1j * rng.normal(size=1 << m)
+        amps[rng.random(1 << m) < 0.2] = 0
+        index = np.arange(1 << m)
+        for q in zeros:
+            amps[index >> (m - 1 - q) & 1 == 1] = 0
+        return amps / np.linalg.norm(amps)
+
+    @pytest.mark.parametrize("n", range(1, 13))
+    def test_picks_match_the_full_scan(self, n):
+        rng = np.random.default_rng(n)
+        for t in range(1, 5):
+            temps = range(n, n + t)
+            for size in range(t + 1):
+                for zeros in itertools.combinations(temps, size):
+                    amps = self.state_with_zero_temps(rng, n, t, zeros)
+                    shots, seed = int(rng.integers(1, 3000)), int(rng.integers(0, 1 << 63))
+                    picks = StateVector(amps).sample(shots, seed, zeros)
+                    expected = full_scan_sample(amps, shots, seed).astype(np.intp)
+                    assert picks.tobytes() == expected.tobytes(), (n, t, zeros)
+
+    def test_held_middle_temp(self):
+        # temps 6 and 8 clean, 7 held between them: the view's rows are strided
+        rng = np.random.default_rng(5)
+        amps = self.state_with_zero_temps(rng, 6, 3, [6, 8])
+        for seed in range(5):
+            picks = StateVector(amps).sample(4000, seed, [6, 8])
+            assert picks.tobytes() == full_scan_sample(amps, 4000, seed).astype(np.intp).tobytes()
+            assert not np.any(picks & 0b101)
+
+    @pytest.mark.parametrize("zeros", [(), (4,), (4, 6)])
+    def test_total_below_the_top_draws_picks_the_last_index(self, zeros):
+        rng = np.random.default_rng(2)
+        amps = self.state_with_zero_temps(rng, 4, 3, zeros) * np.sqrt(0.5)
+        draws = xorshift_uniform(9, 2000)
+        picks = StateVector(amps).sample(2000, 9, zeros)
+        total = np.cumsum(amps.real**2 + amps.imag**2)[-1]
+        assert np.all(picks[draws >= total] == amps.size - 1)
+        assert np.any(draws >= total)
+        assert picks.tobytes() == full_scan_sample(amps, 2000, 9).astype(np.intp).tobytes()
+
+    def test_held_middle_temp_view_not_copied(self):
+        # 2^20 amplitudes, temps 17 and 19 clean: a copy of the live view
+        # would be a quarter of the register
+        n, t = 17, 3
+        amps = np.zeros(1 << n + t, dtype=complex)
+        amps.reshape(-1, 2, 2, 2)[:, 0, :, 0] = 2.0**-9
+        state, shots = StateVector(amps), 1000
+        tracemalloc.start()
+        try:
+            picks = state.sample(shots, 5, [17, 19])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < amps.nbytes // 8 + 8 * 8 * shots
+        assert picks.tobytes() == full_scan_sample(amps, shots, 5).astype(np.intp).tobytes()
+
+    def test_measure_skips_the_clean_temps(self, monkeypatch):
+        # temp 5 holds a residue; temps 4 and 6 are clean
+        rng = np.random.default_rng(8)
+        amps = self.state_with_zero_temps(rng, 4, 3, [4, 6])
+        db = QdbState(TableSchema("t", (("a", 4),)), 3, state=StateVector(amps.copy()))
+        assert sorted(db.clean_temps) == [4, 6]
+        calls = []
+        sample = StateVector.sample
+        monkeypatch.setattr(
+            StateVector, "sample", lambda self, *args: calls.append(args) or sample(self, *args)
+        )
+        indices, counts = db.measure_counts(5000, 3)
+        assert calls == [(5000, 3, [4, 6])]
+        expected = np.unique(full_scan_sample(amps, 5000, 3) >> 3, return_counts=True)
+        assert indices.tobytes() == expected[0].tobytes()
+        assert counts.tobytes() == expected[1].tobytes()
 
 
 def per_row_state(session: Session, full: bool) -> str:
