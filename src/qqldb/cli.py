@@ -103,8 +103,7 @@ class Session:
             blocks.append(_constant_bytes(f"{', ' if i else '('}{name}=", indices.size))
             values = schema.field_values(indices, name)
             lengths += np.searchsorted(powers, values, side="right") + 1
-            top = (1 << bits) - 1
-            blocks.append(_tabulated(lambda part: _digit_bytes(part, top), values, top))
+            blocks.append(_digit_bytes(values, (1 << bits) - 1))
         blocks.append(_constant_bytes(")", indices.size))
         # spaces up to ``width`` code points, then 0s: row k of ``pads`` has k
         room = max(width - int(lengths.min(initial=width)), 0)
@@ -151,10 +150,7 @@ class Session:
         fraction as ``%10.6f``, a row of one byte matrix (:meth:`_label_rows`,
         :func:`_count_bytes`).  Counts are at most ``MAX_SHOTS``, 8 digits."""
         indices, counts = histogram
-        top = int(counts.max(initial=0))
-        rows, _ = self._label_rows(
-            indices, 28, _tabulated(lambda part: _count_bytes(part, shots), counts, top)
-        )
+        rows, _ = self._label_rows(indices, 28, _count_bytes(counts, shots))
         body = _row_text(rows)
         return (f"{'record':<28}  {'count':>8}  fraction\n{body}"
                 f"{shots} shot(s), {indices.size} distinct record(s)")
@@ -298,14 +294,6 @@ def _count_bytes(counts: np.ndarray, shots: int) -> np.ndarray:
         tie = "%10.6f" % (int(counts[row]) / shots)
         rows[row, 12:22] = np.frombuffer(tie.encode("ascii"), dtype=np.uint8)
     return rows
-
-
-def _tabulated(build, values: np.ndarray, top: int) -> np.ndarray:
-    """``build(values)``, a byte row per value, looked up in a table of
-    ``build`` over ``0..top`` where that table is shorter than ``values``."""
-    if top < values.size:
-        return build(np.arange(top + 1))[values]
-    return build(values)
 
 
 # A NUL in a name, which a session file can hold, crosses the byte rows as
