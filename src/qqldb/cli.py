@@ -30,6 +30,11 @@ FORMAT_HEADER = "QQLDB 1"
 # register size.
 SAVE_CHUNK = 1 << 12
 LOAD_CHUNK = 1 << 12
+# From this many rows on, MEASURE's histogram and SHOW's label column are
+# byte matrices; below it, one ``%``-format per row.  A matrix costs some 150
+# numpy calls whatever its size, which per-row formatting passes between 128
+# and 256 histogram rows and near 1,000 label rows.
+BYTE_ROWS_FROM = 256
 
 
 @dataclass(frozen=True)
@@ -111,8 +116,34 @@ class Session:
         blocks.append(pads[np.maximum(width - lengths, 0)])
         return np.concatenate([*blocks, *after], axis=1), np.maximum(lengths, width)
 
+    def _label_columns(self, indices: np.ndarray, width: int) -> tuple[str, list]:
+        """A ``%``-format of the record label ``(name=value, ...)`` of data
+        indices, left-justified to ``width`` columns, and its argument
+        columns: one of values per field, then one of padding."""
+        assert self.db is not None
+        schema = self.db.schema
+        fields = schema.fields
+        # the label's length is that of the names and separators plus the
+        # value digits
+        lengths = np.full(indices.size, sum(len(name) + 3 for name, _ in fields))
+        powers = 10 ** np.arange(1, 19, dtype=np.int64)
+        columns = []
+        for name, _ in fields:
+            values = schema.field_values(indices, name)
+            lengths += np.searchsorted(powers, values, side="right") + 1
+            columns.append(values.tolist())
+        pads = [" " * k for k in range(width + 1)]
+        columns.append(list(map(pads.__getitem__, np.maximum(width - lengths, 0).tolist())))
+        label = "(" + ", ".join(f"{name.replace('%', '%%')}=%d" for name, _ in fields) + ")%s"
+        return label, columns
+
     def _labels(self, indices: np.ndarray, width: int) -> list[str]:
-        """The rows of :meth:`_label_rows` as strings."""
+        """The record labels of data indices, each left-justified to
+        ``width`` code points: :meth:`_label_rows` as strings, or below
+        ``BYTE_ROWS_FROM`` rows :meth:`_label_columns`."""
+        if indices.size < BYTE_ROWS_FROM:
+            label, columns = self._label_columns(indices, width)
+            return [label % values for values in zip(*columns)]
         rows, lengths = self._label_rows(indices, width)
         text = _row_text(rows)
         ends = np.cumsum(lengths).tolist()
@@ -148,10 +179,17 @@ class Session:
         :meth:`QdbState.measure_counts`, whose ascending indices are record
         order; each row is the record label, the count as ``%8d`` and the
         fraction as ``%10.6f``, a row of one byte matrix (:meth:`_label_rows`,
-        :func:`_count_bytes`).  Counts are at most ``MAX_SHOTS``, 8 digits."""
+        :func:`_count_bytes`), or below ``BYTE_ROWS_FROM`` rows one
+        ``%``-format.  Counts are at most ``MAX_SHOTS``, 8 digits."""
         indices, counts = histogram
-        rows, _ = self._label_rows(indices, 28, _count_bytes(counts, shots))
-        body = _row_text(rows)
+        if indices.size < BYTE_ROWS_FROM:
+            label, columns = self._label_columns(indices, 28)
+            row = label + "  %8d  %10.6f\n"
+            columns += [counts.tolist(), (counts / shots).tolist()]
+            body = "".join(row % values for values in zip(*columns))
+        else:
+            rows, _ = self._label_rows(indices, 28, _count_bytes(counts, shots))
+            body = _row_text(rows)
         return (f"{'record':<28}  {'count':>8}  fraction\n{body}"
                 f"{shots} shot(s), {indices.size} distinct record(s)")
 

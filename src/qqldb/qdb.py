@@ -120,8 +120,9 @@ def combiner_gates(
     monomials, there is one NOT per pattern, controlled on its 1s and
     negatively on its 0s.  The patterns are disjoint, so together they touch
     no more amplitudes than the monomials do.  Otherwise there is one NOT per
-    monomial (:func:`compile_to_cnots`), fewer calls for XOR-heavy
-    functions.  Both are the permutation that flips the target where the
+    monomial (:func:`compile_to_cnots`): the patterns can number up to 2^v
+    where the monomials stay few, as for a NAND of v flags (2^v - 1 patterns,
+    2 monomials).  Both are the permutation that flips the target where the
     function is 1, so they move every amplitude to the same place.
     """
     form = to_reed_muller(table)

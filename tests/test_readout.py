@@ -10,12 +10,13 @@ import itertools
 import sys
 import tracemalloc
 from types import SimpleNamespace
+from unittest import mock
 
 import numpy as np
 import pytest
 from helpers import full_scan_sample, reference_histogram, reference_labels
 
-from qqldb import statevec
+from qqldb import cli, statevec
 from qqldb.cli import Session, _decimal_words, format_amplitude, write_amplitudes
 from qqldb.errors import CapacityError, SessionFormatError
 from qqldb.qdb import QdbState
@@ -174,16 +175,32 @@ def random_records(rng, fields, size: int) -> np.ndarray:
     return np.unique(rng.integers(0, 1 << bits, size, dtype=np.int64))
 
 
+def both_renderers():
+    """Runs the loop body with the byte matrix, then with one ``%``-format
+    per row, rendering every size."""
+    for start in (0, 1 << 62):
+        with mock.patch.object(cli, "BYTE_ROWS_FROM", start):
+            yield
+
+
 def check_histogram(fields, indices, counts, shots: int) -> None:
     session = label_session(fields)
     histogram = (indices, np.asarray(counts, dtype=np.int64))
-    assert session.render_histogram(histogram, shots) == reference_histogram(
-        session.db.schema, histogram, shots
-    )
+    expected = reference_histogram(session.db.schema, histogram, shots)
+    for _ in both_renderers():
+        assert session.render_histogram(histogram, shots) == expected
+
+
+def check_labels(fields, indices) -> None:
+    session = label_session(fields)
+    expected = reference_labels(session.db.schema, indices, 24)
+    for _ in both_renderers():
+        assert session._labels(indices, 24) == expected
 
 
 class TestHistogramRows:
-    """``render_histogram``'s byte rows against one ``%``-format per row."""
+    """``render_histogram``'s byte rows and per-row format against one
+    ``%``-format per row."""
 
     @pytest.mark.parametrize("seed", range(12))
     def test_random_histograms(self, seed):
@@ -222,8 +239,7 @@ class TestHistogramRows:
         fields = [(name, 4), ("v", 3)]
         indices = np.arange(1 << 7)
         check_histogram(fields, indices, np.arange(1, indices.size + 1), 9000)
-        session = label_session(fields)
-        assert session._labels(indices, 24) == reference_labels(session.db.schema, indices, 24)
+        check_labels(fields, indices)
 
     @pytest.mark.parametrize(
         "count, width",
@@ -236,12 +252,30 @@ class TestHistogramRows:
         top = (1 << count * width) - 1
         indices = np.unique(np.concatenate([indices, [0, top]]))
         check_histogram(fields, indices, rng.integers(1, 5000, indices.size), 5000)
-        session = label_session(fields)
-        assert session._labels(indices, 24) == reference_labels(session.db.schema, indices, 24)
+        check_labels(fields, indices)
 
     def test_empty_label_column(self):
         session = label_session([("id", 3)])
-        assert session._labels(np.array([], dtype=np.int64), 24) == []
+        for _ in both_renderers():
+            assert session._labels(np.array([], dtype=np.int64), 24) == []
+
+    def test_byte_matrix_from_its_row_count(self, monkeypatch):
+        session = label_session([("a", 5), ("b", 5)])
+        built = []
+        for name in ("_label_rows", "_label_columns"):
+            original = getattr(Session, name)
+            monkeypatch.setattr(
+                Session, name,
+                lambda self, *args, name=name, original=original:
+                    built.append(name) or original(self, *args),
+            )
+        for rows in (0, 1, cli.BYTE_ROWS_FROM - 1, cli.BYTE_ROWS_FROM, 1 << 10):
+            indices = np.arange(rows)
+            built.clear()
+            session._labels(indices, 24)
+            session.render_histogram((indices, np.ones(rows, dtype=np.int64)), max(rows, 1))
+            builder = "_label_rows" if rows >= cli.BYTE_ROWS_FROM else "_label_columns"
+            assert built == [builder, builder]
 
 
 class TestLiveColumnSampler:
