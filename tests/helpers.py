@@ -504,8 +504,9 @@ def reference_read_session(handle, max_qubits: int):
 def reference_label_columns(schema: TableSchema, indices: np.ndarray, width: int):
     """A ``%``-format of the record label ``(name=value, ...)`` of data
     indices, left-justified to ``width`` columns, and its argument columns:
-    one of values per field, then one of padding.  The label builder the
-    byte rows of ``Session._label_rows`` replaced, kept as their oracle."""
+    one of values per field, then one of padding.  ``Session._label_columns``
+    as it was before the byte rows of ``Session._label_rows``, kept here as
+    the oracle of both, so a change to either is checked against it."""
     fields = schema.fields
     lengths = np.full(indices.size, sum(len(name) + 3 for name, _ in fields))
     powers = 10 ** np.arange(1, 19, dtype=np.int64)
