@@ -90,6 +90,21 @@ class Session:
 
     # ------------------------------------------------------------- rendering
 
+    def _label_values(self, indices: np.ndarray) -> tuple[list, np.ndarray]:
+        """Each field's values at data indices, and the length in code points
+        of each record label ``(name=value, ...)``: that of the names and
+        separators plus the value digits."""
+        assert self.db is not None
+        schema = self.db.schema
+        lengths = np.full(indices.size, sum(len(name) + 3 for name, _ in schema.fields))
+        powers = 10 ** np.arange(1, 19, dtype=np.int64)
+        columns = []
+        for name, _ in schema.fields:
+            values = schema.field_values(indices, name)
+            lengths += np.searchsorted(powers, values, side="right") + 1
+            columns.append(values)
+        return columns, lengths
+
     def _label_rows(self, indices: np.ndarray, width: int, *after: np.ndarray):
         """The record labels ``(name=value, ...)`` of data indices as the
         rows of a UTF-8 byte matrix, each left-justified to ``width`` code
@@ -97,17 +112,10 @@ class Session:
         and each label's length in code points.  Unused bytes are 0, and
         :func:`_row_text` deletes them, as :func:`write_amplitudes` does.
         The values' digits come from :func:`_decimal_words`."""
-        assert self.db is not None
-        schema = self.db.schema
-        # the label's length is that of the names and separators plus the
-        # value digits; names count in code points, not bytes
-        lengths = np.full(indices.size, sum(len(name) + 3 for name, _ in schema.fields))
-        powers = 10 ** np.arange(1, 19, dtype=np.int64)
+        columns, lengths = self._label_values(indices)
         blocks = []
-        for i, (name, bits) in enumerate(schema.fields):
+        for i, ((name, bits), values) in enumerate(zip(self.db.schema.fields, columns)):
             blocks.append(_constant_bytes(f"{', ' if i else '('}{name}=", indices.size))
-            values = schema.field_values(indices, name)
-            lengths += np.searchsorted(powers, values, side="right") + 1
             blocks.append(_digit_bytes(values, (1 << bits) - 1))
         blocks.append(_constant_bytes(")", indices.size))
         # spaces up to ``width`` code points, then 0s: row k of ``pads`` has k
@@ -120,21 +128,11 @@ class Session:
         """A ``%``-format of the record label ``(name=value, ...)`` of data
         indices, left-justified to ``width`` columns, and its argument
         columns: one of values per field, then one of padding."""
-        assert self.db is not None
-        schema = self.db.schema
-        fields = schema.fields
-        # the label's length is that of the names and separators plus the
-        # value digits
-        lengths = np.full(indices.size, sum(len(name) + 3 for name, _ in fields))
-        powers = 10 ** np.arange(1, 19, dtype=np.int64)
-        columns = []
-        for name, _ in fields:
-            values = schema.field_values(indices, name)
-            lengths += np.searchsorted(powers, values, side="right") + 1
-            columns.append(values.tolist())
+        values, lengths = self._label_values(indices)
+        columns = [column.tolist() for column in values]
         pads = [" " * k for k in range(width + 1)]
         columns.append(list(map(pads.__getitem__, np.maximum(width - lengths, 0).tolist())))
-        label = "(" + ", ".join(f"{name.replace('%', '%%')}=%d" for name, _ in fields) + ")%s"
+        label = "(" + ", ".join(f"{name}=%d" for name, _ in self.db.schema.fields) + ")%s"
         return label, columns
 
     def _labels(self, indices: np.ndarray, width: int) -> list[str]:
@@ -203,8 +201,6 @@ class Session:
             lines.append("SCHEMA none")
         else:
             db = self.db
-            for name in (db.schema.name, *(name for name, _ in db.schema.fields)):
-                _check_name(name)
             fields = " ".join(f"{name}:{width}" for name, width in db.schema.fields)
             lines.append(f"SCHEMA {db.schema.name} {fields}")
             lines.append(f"TEMP {db.t}")
@@ -212,9 +208,7 @@ class Session:
                 lines.append("SAFE none")
             else:
                 key = db.safe_key
-                lines.append(
-                    f"SAFE {key.qubit} {key.matches} {qlang.render_expr(key.expr)}"
-                )
+                lines.append(f"SAFE {key.qubit} {key.matches} {qlang.render_expr(key.expr)}")
         # "xb" makes a new file whose mode follows the umask, as "wb" would
         temp = f"{path}.{secrets.token_hex(8)}.tmp"
         try:
@@ -250,20 +244,8 @@ class Session:
             self.db = QdbState(schema, temp, self.config.max_qubits, self.config.epsilon,
                                StateVector(amps), safe_key)
         except QqlError as exc:
-            raise SessionFormatError(f"malformed session file: {exc}") from exc
+            raise _malformed(exc) from exc
         return f"loaded session from {path}"
-
-
-def _check_name(name: str) -> None:
-    """Refuse, before SAVE opens its file, a table or field name that is not
-    exactly one identifier token of :func:`qlang.tokenize`: LOAD would
-    misread it or refuse the file."""
-    try:
-        tokens = qlang.tokenize(name)
-    except (QqlError, TypeError):  # TypeError: a name that is not a string
-        tokens = []
-    if [token[:2] for token in tokens] != [("ident", name), ("eof", "")]:
-        raise SessionFormatError(f"cannot save the name {name!r}: it is not an identifier")
 
 
 def write_amplitudes(handle, amps: np.ndarray) -> None:
@@ -334,20 +316,15 @@ def _count_bytes(counts: np.ndarray, shots: int) -> np.ndarray:
     return rows
 
 
-# A NUL in a name, which a session file can hold, crosses the byte rows as
-# 0xFF, a byte no UTF-8 text holds, so deleting the unused 0s spares it.
-_NUL_CARRIER = bytes.maketrans(b"\xff", b"\0")
-
-
 def _constant_bytes(text: str, rows: int) -> np.ndarray:
     """``rows`` rows of the UTF-8 bytes of ``text``, as a read-only view."""
-    data = text.encode("utf-8", "surrogatepass").replace(b"\0", b"\xff")
+    data = text.encode("utf-8")
     return np.broadcast_to(np.frombuffer(data, dtype=np.uint8), (rows, len(data)))
 
 
 def _row_text(rows: np.ndarray) -> str:
-    """The text of byte rows: their 0s deleted, a name's NUL put back."""
-    return rows.tobytes().translate(_NUL_CARRIER, b"\0").decode("utf-8", "surrogatepass")
+    """The text of byte rows, their 0s deleted: no name holds a NUL."""
+    return rows.tobytes().translate(None, b"\0").decode("utf-8")
 
 
 def _bytes(b: int) -> int:
@@ -556,51 +533,66 @@ def _read_tokens(lines: list[str]):
     return indices, values
 
 
-def _next_line(handle, what: str) -> str:
-    """The next non-empty line without its newline."""
-    for line in handle:
-        if line != "\n":
-            return line.rstrip("\n")
-    raise SessionFormatError(f"missing {what} line")
+def _malformed(detail) -> SessionFormatError:
+    return SessionFormatError(f"malformed session file: {detail}")
+
+
+def _header_fields(handle, keyword: str, maxsplit: int = -1) -> list[str]:
+    """The fields after ``keyword`` of the next non-empty line, its first."""
+    line = next((line for line in handle if line != "\n"), "")
+    fields = line.rstrip("\n").split(maxsplit=maxsplit)
+    if fields[:1] != [keyword]:
+        raise SessionFormatError(f"missing {keyword} line")
+    return fields[1:]
+
+
+def _saved_int(text: str, line: str) -> int:
+    """An integer of a header line as SAVE writes it, ``str`` of an int:
+    ``int`` alone also reads ``+2``, ``0_2`` and ``02``."""
+    if text.isascii() and text.removeprefix("-").isdigit() and str(int(text)) == text:
+        return int(text)
+    raise _malformed(f"{text!r} in the {line} line is not an integer")
 
 
 def _read_session(handle, max_qubits: int):
     """Parse an open session file into (schema, temp, safe key or None,
-    amplitudes), or None for a file without a table.  The capacity and
-    ``TEMP >= 1`` are checked before the register is allocated (the safe key
-    and the norm are the engine's checks), and every amplitude line is checked:
-    three fields, a basis index in range and above the previous line's, and
-    finite parts.  A block of lines in the writer's own form is read from its
-    bytes; any other block by ``int`` and ``float.fromhex``."""
+    amplitudes), or None for a file without a table.  Each header line must
+    hold the fields SAVE writes; it, the capacity and ``TEMP >= 1`` are checked
+    before the register is allocated (names, safe key and norm are checked by
+    ``TableSchema`` and the engine), and every amplitude line is checked: three
+    fields, a basis index in range and above the previous line's, and finite
+    parts.  A block of lines in the writer's own form is read from its bytes;
+    any other block by ``int`` and ``float.fromhex``."""
     first = handle.readline()
     if first.rstrip("\n") != FORMAT_HEADER:
         found = first.rstrip("\n") if first else "empty file"
         raise SessionFormatError(f"unsupported session header: {found!r}")
-    schema_parts = _next_line(handle, "SCHEMA").split()
-    if schema_parts[:1] != ["SCHEMA"]:
-        raise SessionFormatError("missing SCHEMA line")
-    if schema_parts[1:] == ["none"]:
-        return None
-    temp_parts = _next_line(handle, "TEMP").split()
-    safe_parts = _next_line(handle, "SAFE").split(maxsplit=2)
-    if temp_parts[:1] != ["TEMP"]:
-        raise SessionFormatError("missing TEMP line")
-    if safe_parts[:1] != ["SAFE"]:
-        raise SessionFormatError("missing SAFE line")
     try:
-        for chunk in schema_parts[2:]:
-            if chunk.count(":") != 1:
-                raise SessionFormatError(f"field {chunk!r} is not name:width")
-        fields = (chunk.split(":") for chunk in schema_parts[2:])
-        schema = TableSchema(schema_parts[1], tuple((name, int(width)) for name, width in fields))
-        temp = int(temp_parts[1])
+        schema_fields = _header_fields(handle, "SCHEMA")
+        if schema_fields == ["none"]:
+            return None
+        fields = [chunk.split(":") for chunk in schema_fields[1:]]
+        if not fields or any(len(field) != 2 for field in fields):
+            raise _malformed("the SCHEMA line is not SCHEMA none or "
+                             "SCHEMA <table> <field>:<width> ...")
+        schema = TableSchema(schema_fields[0], tuple((name, _saved_int(width, "SCHEMA"))
+                                                     for name, width in fields))
+        temp_fields = _header_fields(handle, "TEMP")
+        if len(temp_fields) != 1:
+            raise _malformed("the TEMP line is not TEMP <count>")
+        temp = _saved_int(temp_fields[0], "TEMP")
+        safe_fields = _header_fields(handle, "SAFE", maxsplit=3)
         safe_key = None
-        if safe_parts[1] != "none":
-            matches_text, expr_text = safe_parts[2].split(maxsplit=1)
-            expr = qlang.parse_predicate(expr_text)
-            safe_key = SafeKey(int(safe_parts[1]), expr, int(matches_text))
-    except (QqlError, ValueError, IndexError) as exc:
-        raise SessionFormatError(f"malformed session file: {exc}") from exc
+        if safe_fields != ["none"]:
+            if len(safe_fields) != 3 or safe_fields[0] == "none":
+                raise _malformed("the SAFE line is not SAFE none or SAFE <qubit> <matches> <expr>")
+            qubit, matches, expr_text = safe_fields
+            safe_key = SafeKey(_saved_int(qubit, "SAFE"), qlang.parse_predicate(expr_text),
+                               _saved_int(matches, "SAFE"))
+    except SessionFormatError:
+        raise
+    except (QqlError, ValueError) as exc:  # ValueError: over 4300 digits
+        raise _malformed(exc) from exc
     if temp < 1:
         raise SessionFormatError(f"TEMP {temp} is below one temporary qubit")
     check_capacity(schema.num_bits, temp, max_qubits)

@@ -39,7 +39,7 @@ from .errors import (
     as_probability,
 )
 from .gates import HADAMARD, NOT, CnotGate, GateMatrix
-from .schema import Record, TableSchema
+from .schema import Record, TableSchema, check_identifier
 from .statevec import (
     DEFAULT_EPSILON,
     DEFAULT_MAX_QUBITS,
@@ -508,9 +508,11 @@ class QdbState:
     def select(self, expr: BoolExpr, name: str | None = None) -> int:
         """Entangle a fresh temp qubit with the predicate: matching records
         end up flagged |1>.  Returns the flag's qubit index; a ``name`` makes
-        the flag appear in :attr:`selects`; a name already there raises
-        before anything changes."""
-        if name and name in self.selects:
+        the flag appear in :attr:`selects`; a name that is not an identifier
+        (APPLY's combiner takes it as a field) or is in use raises first."""
+        if name is not None:
+            check_identifier(name, "select name")
+        if name in self.selects:
             raise QqlError(f"select name {name!r} is already in use")
         table = truth_table(expr, self.schema)
         qubit = self._first_free_temp("select")

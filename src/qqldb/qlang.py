@@ -484,12 +484,8 @@ class _Parser:
         self.fail("a comparison" + (" or select name" if bare_vars else ""))
 
 
-def parse(tokens: list[Token]) -> list[Command]:
-    return _Parser(tokens).parse_script()
-
-
 def parse_text(text: str, first_line: int = 1) -> list[Command]:
-    return parse(tokenize(text, first_line))
+    return _Parser(tokenize(text, first_line)).parse_script()
 
 
 def parse_predicate(text: str) -> BoolExpr:

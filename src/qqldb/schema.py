@@ -10,7 +10,28 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 
-from .errors import SchemaError, as_int
+from .errors import QqlError, SchemaError, as_int
+
+
+def check_identifier(name, what: str) -> None:
+    """Refuse, with :class:`SchemaError`, a ``name`` that is not exactly one
+    identifier token of :func:`qlang.tokenize`, the one definition of an
+    identifier: what CREATE reads and what a session file can hold."""
+    from .qlang import tokenize  # qlang imports this module
+    try:
+        tokens = [token[:2] for token in tokenize(name)]
+    except (QqlError, TypeError):  # TypeError: a name that is not a string
+        tokens = []
+    if tokens != [("ident", name), ("eof", "")]:
+        raise SchemaError(f"{what} {name!r} is not an identifier")
+
+
+def _field_value(field_name: str, width: int, value) -> int:
+    """A field's value read by :func:`as_int`, refused unless it fits."""
+    value = as_int(value, f"value of field {field_name!r}")
+    if value < 0 or value >= 1 << width:
+        raise SchemaError(f"value {value} does not fit field {field_name!r} of width {width}")
+    return value
 
 
 @dataclass(frozen=True)
@@ -25,22 +46,25 @@ class Record:
 
 @dataclass(frozen=True)
 class TableSchema:
-    """Named fixed-width unsigned fields; ``num_bits`` is the data-qubit count."""
+    """Named fixed-width unsigned fields, each name an identifier, as is the
+    table's (:func:`check_identifier`); ``num_bits`` is the data-qubit count."""
 
     name: str
     fields: tuple[tuple[str, int], ...]
 
     def __post_init__(self):
-        fields = tuple((str(n), as_int(w, f"width of field {n!r}")) for n, w in self.fields)
+        check_identifier(self.name, "table name")
+        fields = tuple((n, as_int(w, f"width of field {n!r}")) for n, w in self.fields)
         object.__setattr__(self, "fields", fields)
-        names = [n for n, _ in self.fields]
+        for field_name, width in fields:
+            check_identifier(field_name, "field name")
+            if width < 1:
+                raise SchemaError(f"field {field_name!r} must be at least 1 bit wide")
+        names = [n for n, _ in fields]
         if not names:
             raise SchemaError("a table needs at least one field")
         if len(set(names)) != len(names):
             raise SchemaError(f"duplicate field names in table {self.name!r}")
-        for field_name, width in self.fields:
-            if width < 1:
-                raise SchemaError(f"field {field_name!r} must be at least 1 bit wide")
 
     @cached_property
     def num_bits(self) -> int:
@@ -65,19 +89,9 @@ class TableSchema:
     def record(self, /, **values: int) -> Record:
         """Build a record from keyword field values; omitted fields are 0.
         ``self`` is positional-only, so a field may be named ``self``."""
-        known = dict(self.fields)
         for field_name in values:
-            if field_name not in known:
-                raise SchemaError(f"unknown field {field_name!r} in table {self.name!r}")
-        packed = []
-        for field_name, width in self.fields:
-            value = as_int(values.get(field_name, 0), f"value of field {field_name!r}")
-            if value < 0 or value >= 1 << width:
-                raise SchemaError(
-                    f"value {value} does not fit field {field_name!r} of width {width}"
-                )
-            packed.append(value)
-        return Record(tuple(packed))
+            self.width_of(field_name)  # refuses an unknown field
+        return Record(tuple(_field_value(n, w, values.get(n, 0)) for n, w in self.fields))
 
     def encode(self, record: Record) -> int:
         """Record -> basis index of the data register."""
@@ -85,12 +99,7 @@ class TableSchema:
             raise SchemaError("record arity does not match schema")
         index = 0
         for value, (field_name, width) in zip(record.values, self.fields):
-            value = as_int(value, f"value of field {field_name!r}")
-            if value < 0 or value >= 1 << width:
-                raise SchemaError(
-                    f"value {value} does not fit field {field_name!r} of width {width}"
-                )
-            index = (index << width) | value
+            index = (index << width) | _field_value(field_name, width, value)
         return index
 
     def field_values(self, indices, field: str):

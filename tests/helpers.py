@@ -517,7 +517,7 @@ def reference_label_columns(schema: TableSchema, indices: np.ndarray, width: int
         columns.append(values.tolist())
     pads = [" " * k for k in range(width + 1)]
     columns.append(list(map(pads.__getitem__, np.maximum(width - lengths, 0).tolist())))
-    label = "(" + ", ".join(f"{name.replace('%', '%%')}=%d" for name, _ in fields) + ")%s"
+    label = "(" + ", ".join(f"{name}=%d" for name, _ in fields) + ")%s"
     return label, columns
 
 

@@ -29,6 +29,7 @@ from qqldb.errors import (
     CompileError,
     ImpossibleOutcomeError,
     QqlError,
+    SchemaError,
     SessionFormatError,
 )
 from qqldb.qdb import QdbState, SafeKey
@@ -386,13 +387,19 @@ class TestSaveLoad:
     )
     def test_save_refuses_a_name_load_would_misread(self, tmp_path, name, fields):
         # "x:1" used to save as "SCHEMA t x:1:1 c:1", which loaded a field x;
-        # "t t" and "a b" saved files LOAD refused
-        session = Session()
-        session.db = QdbState(TableSchema(name, fields), 1)
+        # "t t" and "a b" saved files LOAD refused.  No schema holds such a
+        # name now, so SAVE never meets one, and LOAD refuses the file SAVE
+        # would have written.
+        with pytest.raises(SchemaError, match="is not an identifier$"):
+            TableSchema(name, fields)
         path = tmp_path / "bad.qdb"
-        with pytest.raises(SessionFormatError, match="is not an identifier$"):
-            session.save_session(str(path))
-        assert not path.exists()
+        chunks = " ".join(f"{field}:{width}" for field, width in fields)
+        path.write_text(f"QQLDB 1\nSCHEMA {name} {chunks}\nTEMP 1\nSAFE none\n")
+        session = loaded_session()
+        db, amps = session.db, session.db.state.amps.tobytes()
+        with pytest.raises(SessionFormatError, match="^malformed session file: "):
+            session.load_session(str(path))
+        assert_unchanged(session, db, amps)
 
     @pytest.mark.parametrize("error", [OSError("disk full"), MemoryError()], ids=repr)
     def test_failed_save_keeps_the_previous_file(self, tmp_path, error):
@@ -620,6 +627,7 @@ class TestSaveLoad:
 
 
 HEADER = "QQLDB 1\nSCHEMA t id:2\nTEMP 1\nSAFE none\n"
+SCHEMA_FORM = "the SCHEMA line is not SCHEMA none or SCHEMA <table> <field>:<width> ..."
 
 
 def loaded_session() -> Session:
@@ -709,6 +717,58 @@ class TestLoadRejects:
             with pytest.raises(SessionFormatError):
                 session.load_session(str(path))
         assert_unchanged(session, db, amps)
+
+    @pytest.mark.parametrize(
+        "header, message",
+        [
+            ("SCHEMA t id:2\nTEMP 1 7\nSAFE none", "the TEMP line is not TEMP <count>"),
+            ("SCHEMA t id:2\nTEMP\nSAFE none", "the TEMP line is not TEMP <count>"),
+            ("SCHEMA t id:2\nTEMP 1\nSAFE none junk here",
+             "the SAFE line is not SAFE none or SAFE <qubit> <matches> <expr>"),
+            ("SCHEMA t id:2\nTEMP 1\nSAFE 3",
+             "the SAFE line is not SAFE none or SAFE <qubit> <matches> <expr>"),
+            ("SCHEMA t id:2\nTEMP 1\nSAFE 2 1",
+             "the SAFE line is not SAFE none or SAFE <qubit> <matches> <expr>"),
+            ("SCHEMA none t k:2\nTEMP 1\nSAFE none", SCHEMA_FORM),
+            ("SCHEMA\nTEMP 1\nSAFE none", SCHEMA_FORM),
+            ("SCHEMA t\nTEMP 1\nSAFE none", SCHEMA_FORM),
+            ("SCHEMA t k:+2\nTEMP 1\nSAFE none", "'+2' in the SCHEMA line is not an integer"),
+            ("SCHEMA t k:0_2\nTEMP 1\nSAFE none", "'0_2' in the SCHEMA line is not an integer"),
+            ("SCHEMA t k:02\nTEMP 1\nSAFE none", "'02' in the SCHEMA line is not an integer"),
+            ("SCHEMA t k:\u0662\nTEMP 1\nSAFE none",
+             "'\u0662' in the SCHEMA line is not an integer"),
+            ("SCHEMA t id:2\nTEMP +1\nSAFE none", "'+1' in the TEMP line is not an integer"),
+            ("SCHEMA t id:2\nTEMP -0\nSAFE none", "'-0' in the TEMP line is not an integer"),
+            ("SCHEMA t id:2\nTEMP 1\nSAFE 02 1 id = 1", "'02' in the SAFE line is not an integer"),
+            ("SCHEMA t id:2\nTEMP 1\nSAFE 2 1_0 id = 1",
+             "'1_0' in the SAFE line is not an integer"),
+        ],
+        ids=["TEMP with two fields", "TEMP alone", "SAFE none with more fields", "SAFE 3",
+             "SAFE without a predicate", "SCHEMA none with fields", "SCHEMA alone",
+             "SCHEMA without fields",
+             "width with a plus sign", "width with an underscore", "width with a leading zero",
+             "width in Arabic-Indic digits", "TEMP with a plus sign", "TEMP -0",
+             "safe qubit with a leading zero", "safe matches with an underscore"],
+    )
+    def test_header_line_not_as_saved(self, tmp_path, header, message):
+        # "TEMP 1 7" and "SAFE none junk here" used to load, their extra
+        # fields dropped; "TEMP" and "SAFE 3" failed with "list index out of
+        # range", and "k:+2" loaded as width 2
+        path = tmp_path / "bad.qdb"
+        path.write_text(f"QQLDB 1\n{header}\n0 0x1.0p+0 0x0.0p+0\n", encoding="utf-8")
+        session = loaded_session()
+        db, amps = session.db, session.db.state.amps.tobytes()
+        with pytest.raises(SessionFormatError) as refused:
+            session.load_session(str(path))
+        assert str(refused.value) == f"malformed session file: {message}"
+        assert_unchanged(session, db, amps)
+
+    def test_header_lines_as_saved_load(self, tmp_path):
+        path = tmp_path / "good.qdb"
+        path.write_text("QQLDB 1\nSCHEMA t id:2\nTEMP 10\nSAFE 11 0 id = 3\n0 0x1.0p+0 0x0.0p+0\n")
+        session = Session()
+        session.load_session(str(path))
+        assert (session.db.t, session.db.safe_key.qubit, session.db.safe_key.matches) == (10, 11, 0)
 
     @pytest.mark.parametrize("chunk", ["x:1:1", "x", "x:1:"])
     def test_field_not_name_width(self, tmp_path, chunk):

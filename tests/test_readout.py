@@ -18,7 +18,7 @@ from helpers import full_scan_sample, reference_histogram, reference_labels
 
 from qqldb import cli, statevec
 from qqldb.cli import Session, _decimal_words, format_amplitude, write_amplitudes
-from qqldb.errors import CapacityError, SessionFormatError
+from qqldb.errors import CapacityError, SchemaError, SessionFormatError
 from qqldb.qdb import QdbState
 from qqldb.schema import TableSchema
 from qqldb.statevec import (
@@ -231,12 +231,17 @@ class TestHistogramRows:
         indices = random_records(np.random.default_rng(1), fields, 300)
         check_histogram(fields, indices, np.arange(1, indices.size + 1), 10**6)
 
-    # a session file can hold a name that is not an identifier
+    # "a%d", "a\0b" and "\udc80" once reached the renderers from session
+    # files; they are not identifiers, and no schema holds them now
     @pytest.mark.parametrize(
         "name", ["größe", "名前", "x" * 25 + "é", "a%d", "a\0b", "\udc80"]
     )
     def test_non_ascii_and_other_names(self, name):
         fields = [(name, 4), ("v", 3)]
+        if name in ("a%d", "a\0b", "\udc80"):
+            with pytest.raises(SchemaError, match="is not an identifier$"):
+                label_session(fields)
+            return
         indices = np.arange(1 << 7)
         check_histogram(fields, indices, np.arange(1, indices.size + 1), 9000)
         check_labels(fields, indices)
