@@ -538,7 +538,7 @@ def _malformed(detail) -> SessionFormatError:
 
 
 def _header_fields(handle, keyword: str, maxsplit: int = -1) -> list[str]:
-    """The fields after ``keyword`` of the next non-empty line, its first."""
+    """The fields after ``keyword`` on the next non-empty line, which starts with it."""
     line = next((line for line in handle if line != "\n"), "")
     fields = line.rstrip("\n").split(maxsplit=maxsplit)
     if fields[:1] != [keyword]:

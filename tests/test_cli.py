@@ -763,6 +763,16 @@ class TestLoadRejects:
         assert str(refused.value) == f"malformed session file: {message}"
         assert_unchanged(session, db, amps)
 
+    def test_header_integer_beyond_the_conversion_limit(self, tmp_path):
+        # int() refuses more than 4300 digits with a ValueError of its own
+        path = tmp_path / "bad.qdb"
+        path.write_text(f"QQLDB 1\nSCHEMA t id:2\nTEMP {'9' * 5000}\nSAFE none\n")
+        session = loaded_session()
+        db, amps = session.db, session.db.state.amps.tobytes()
+        with pytest.raises(SessionFormatError, match="^malformed session file: "):
+            session.load_session(str(path))
+        assert_unchanged(session, db, amps)
+
     def test_header_lines_as_saved_load(self, tmp_path):
         path = tmp_path / "good.qdb"
         path.write_text("QQLDB 1\nSCHEMA t id:2\nTEMP 10\nSAFE 11 0 id = 3\n0 0x1.0p+0 0x0.0p+0\n")
