@@ -729,7 +729,7 @@ class TestLoadRejects:
              "the SAFE line is not SAFE none or SAFE <qubit> <matches> <expr>"),
             ("SCHEMA t id:2\nTEMP 1\nSAFE 2 1",
              "the SAFE line is not SAFE none or SAFE <qubit> <matches> <expr>"),
-            ("SCHEMA none t k:2\nTEMP 1\nSAFE none", SCHEMA_FORM),
+            ("SCHEMA none t k:2", SCHEMA_FORM),
             ("SCHEMA\nTEMP 1\nSAFE none", SCHEMA_FORM),
             ("SCHEMA t\nTEMP 1\nSAFE none", SCHEMA_FORM),
             ("SCHEMA t k:+2\nTEMP 1\nSAFE none", "'+2' in the SCHEMA line is not an integer"),
@@ -753,7 +753,8 @@ class TestLoadRejects:
     def test_header_line_not_as_saved(self, tmp_path, header, message):
         # "TEMP 1 7" and "SAFE none junk here" used to load, their extra
         # fields dropped; "TEMP" and "SAFE 3" failed with "list index out of
-        # range", and "k:+2" loaded as width 2
+        # range", "SCHEMA none t k:2" was a missing TEMP or SAFE line, and
+        # "k:+2" loaded as width 2
         path = tmp_path / "bad.qdb"
         path.write_text(f"QQLDB 1\n{header}\n0 0x1.0p+0 0x0.0p+0\n", encoding="utf-8")
         session = loaded_session()
