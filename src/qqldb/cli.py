@@ -105,15 +105,15 @@ class Session:
             columns.append(values)
         return columns, lengths
 
-    def _label_rows(self, indices: np.ndarray, width: int, *after: np.ndarray):
+    def _label_rows(self, indices: np.ndarray, width: int, before=(), after=()) -> np.ndarray:
         """The record labels ``(name=value, ...)`` of data indices as the
         rows of a UTF-8 byte matrix, each left-justified to ``width`` code
-        points and followed by the columns of the byte matrices ``after``,
-        and each label's length in code points.  Unused bytes are 0, and
-        :func:`_row_text` deletes them, as :func:`write_amplitudes` does.
-        The values' digits come from :func:`_decimal_words`."""
+        points, between the columns of the byte matrices ``before`` and
+        ``after``.  Unused bytes are 0, and :func:`_row_text` deletes them,
+        as :func:`write_amplitudes` does.  The values' digits come from
+        :func:`_decimal_words`."""
         columns, lengths = self._label_values(indices)
-        blocks = []
+        blocks = list(before)
         for i, ((name, bits), values) in enumerate(zip(self.db.schema.fields, columns)):
             blocks.append(_constant_bytes(f"{', ' if i else '('}{name}=", indices.size))
             blocks.append(_digit_bytes(values, (1 << bits) - 1))
@@ -122,7 +122,7 @@ class Session:
         room = max(width - int(lengths.min(initial=width)), 0)
         pads = (np.arange(room) < np.arange(room + 1)[:, None]) * np.uint8(ord(" "))
         blocks.append(pads[np.maximum(width - lengths, 0)])
-        return np.concatenate([*blocks, *after], axis=1), np.maximum(lengths, width)
+        return np.concatenate([*blocks, *after], axis=1)
 
     def _label_columns(self, indices: np.ndarray, width: int) -> tuple[str, list]:
         """A ``%``-format of the record label ``(name=value, ...)`` of data
@@ -135,42 +135,58 @@ class Session:
         label = "(" + ", ".join(f"{name}=%d" for name, _ in self.db.schema.fields) + ")%s"
         return label, columns
 
-    def _labels(self, indices: np.ndarray, width: int) -> list[str]:
-        """The record labels of data indices, each left-justified to
-        ``width`` code points: :meth:`_label_rows` as strings, or below
-        ``BYTE_ROWS_FROM`` rows :meth:`_label_columns`."""
-        if indices.size < BYTE_ROWS_FROM:
-            label, columns = self._label_columns(indices, width)
-            return [label % values for values in zip(*columns)]
-        rows, lengths = self._label_rows(indices, width)
-        text = _row_text(rows)
-        ends = np.cumsum(lengths).tolist()
-        return [text[start:end] for start, end in zip([0, *ends], ends)]
-
     def render_state(self, components, full: bool = False) -> str:
         """``components`` is the (basis indices, amplitudes) pair of
-        :meth:`QdbState.show_state`; each row is one ``%``-format of the ket,
-        the record label, the temp bits, the amplitude and its probability."""
+        :meth:`QdbState.show_state`; each row is the ket, the record label,
+        the temp bits, the amplitude and its probability, a row of one byte
+        matrix (:meth:`_state_rows`), or below ``BYTE_ROWS_FROM`` rows one
+        ``%``-format."""
         assert self.db is not None
         n, t = self.db.n, self.db.t
         indices, amplitudes = components
         probabilities = amplitudes.real**2 + amplitudes.imag**2
-        labels = self._labels(indices >> t, 24)
-        index_list = indices.tolist()
-        kets = [f"|{index:0{n + t}b}>" for index in index_list]
-        temp_pad = " " * max(4 - t, 0)
-        temps = [f"{index & ((1 << t) - 1):0{t}b}{temp_pad}" for index in index_list]
-        amps = [format_amplitude(amp, full) for amp in amplitudes.tolist()]
-        lines = [f"{'ket':<{n + t + 2}}  {'record':<24}  {'temp':<{max(t, 4)}}  "
-                 f"{'amplitude':<24}  probability"]
-        lines += [
-            "%s  %s  %s  %-24s  %10.6f" % values
-            for values in zip(kets, labels, temps, amps, probabilities.tolist())
-        ]
+        if indices.size < BYTE_ROWS_FROM:
+            label, columns = self._label_columns(indices >> t, 24)
+            index_list = indices.tolist()
+            kets = [f"|{index:0{n + t}b}>" for index in index_list]
+            temps = [f"{index & ((1 << t) - 1):0{t}b}" for index in index_list]
+            amps = [format_amplitude(amp, full) for amp in amplitudes.tolist()]
+            row = f"%s  {label}  %s{' ' * max(4 - t, 0)}  %-24s  %10.6f\n"
+            body = "".join(row % values for values in zip(
+                kets, *columns, temps, amps, probabilities.tolist()))
+        else:
+            body = _row_text(self._state_rows(indices, amplitudes, probabilities, full))
         # the footer's total adds the probabilities left to right
         total = float(np.cumsum(probabilities)[-1]) if indices.size else 0.0
-        lines.append(f"{len(index_list)} component(s), total probability {total:.6f}")
-        return "\n".join(lines)
+        return (f"{'ket':<{n + t + 2}}  {'record':<24}  {'temp':<{max(t, 4)}}  "
+                f"{'amplitude':<24}  probability\n{body}"
+                f"{indices.size} component(s), total probability {total:.6f}")
+
+    def _state_rows(self, indices, amplitudes, probabilities, full: bool) -> np.ndarray:
+        """SHOW's rows as one byte matrix: the ket and the temp bits from the
+        index bits, the label from :meth:`_label_rows`, and the amplitude
+        and probability formatted once per distinct amplitude, distinct in
+        its bits (so -0.0 is not 0.0), and gathered into the rows."""
+        n, t = self.db.n, self.db.t
+        big_endian = indices.astype(">u8").view(np.uint8).reshape(-1, 8)
+        bits = np.unpackbits(big_endian, axis=1) | np.uint8(ord("0"))
+        _, first, inverse = np.unique(amplitudes.view(np.dtype((np.void, 16))),
+                                      return_index=True, return_inverse=True)
+        texts = [
+            ("%-24s  %10.6f\n" % (format_amplitude(amp, full), probability)).encode("ascii")
+            for amp, probability in zip(amplitudes[first].tolist(),
+                                        probabilities[first].tolist())
+        ]
+        width = max(map(len, texts), default=0)
+        tails = np.frombuffer(b"".join(text.ljust(width, b"\0") for text in texts),
+                              dtype=np.uint8).reshape(len(texts), width)
+        rows = indices.size
+        return self._label_rows(
+            indices >> t, 24,
+            before=[_constant_bytes("|", rows), bits[:, 64 - n - t:], _constant_bytes(">  ", rows)],
+            after=[_constant_bytes("  ", rows), bits[:, 64 - t:],
+                   _constant_bytes(" " * max(4 - t, 0) + "  ", rows), tails[inverse]],
+        )
 
     def render_histogram(self, histogram, shots: int) -> str:
         """``histogram`` is the (data indices, counts) pair of
@@ -186,8 +202,7 @@ class Session:
             columns += [counts.tolist(), (counts / shots).tolist()]
             body = "".join(row % values for values in zip(*columns))
         else:
-            rows, _ = self._label_rows(indices, 28, _count_bytes(counts, shots))
-            body = _row_text(rows)
+            body = _row_text(self._label_rows(indices, 28, after=[_count_bytes(counts, shots)]))
         return (f"{'record':<28}  {'count':>8}  fraction\n{body}"
                 f"{shots} shot(s), {indices.size} distinct record(s)")
 
@@ -554,15 +569,12 @@ def _saved_int(text: str, line: str) -> int:
     raise _malformed(f"{text!r} in the {line} line is not an integer")
 
 
-def _read_session(handle, max_qubits: int):
-    """Parse an open session file into (schema, temp, safe key or None,
-    amplitudes), or None for a file without a table.  Each header line must
-    hold the fields SAVE writes; it, the capacity and ``TEMP >= 1`` are checked
-    before the register is allocated (names, safe key and norm are checked by
-    ``TableSchema`` and the engine), and every amplitude line is checked: three
-    fields, a basis index in range and above the previous line's, and finite
-    parts.  A block of lines in the writer's own form is read from its bytes;
-    any other block by ``int`` and ``float.fromhex``."""
+def _read_header(handle, max_qubits: int):
+    """The (schema, temp, safe key or None) of an open session file's header,
+    or None for a file without a table.  Each header line must hold the
+    fields SAVE writes; it, the capacity and ``TEMP >= 1`` are checked before
+    any register is allocated (names, safe key and norm are checked by
+    ``TableSchema`` and the engine)."""
     first = handle.readline()
     if first.rstrip("\n") != FORMAT_HEADER:
         found = first.rstrip("\n") if first else "empty file"
@@ -596,6 +608,20 @@ def _read_session(handle, max_qubits: int):
     if temp < 1:
         raise SessionFormatError(f"TEMP {temp} is below one temporary qubit")
     check_capacity(schema.num_bits, temp, max_qubits)
+    return schema, temp, safe_key
+
+
+def _read_session(handle, max_qubits: int):
+    """Parse an open session file into (schema, temp, safe key or None,
+    amplitudes), or None for a file without a table.  The header is read by
+    :func:`_read_header`, and every amplitude line is checked: three fields,
+    a basis index in range and above the previous line's, and finite parts.
+    A block of lines in the writer's own form is read from its bytes; any
+    other block by ``int`` and ``float.fromhex``."""
+    header = _read_header(handle, max_qubits)
+    if header is None:
+        return None
+    schema, temp, safe_key = header
     total = schema.num_bits + temp
     amps = np.zeros(1 << total, dtype=np.complex128)
     previous = -1

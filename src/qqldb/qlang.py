@@ -76,13 +76,25 @@ class Token(NamedTuple):
 # match nothing and are skipped.  An identifier starts with a letter or "_"
 # and goes on with "\w", which is exactly str.isalnum or "_"; "uword" is a run
 # of "\w" with any other start, an identifier only if it starts with a letter.
-# Integers are ASCII digits: int rejects other digits such as "²".
+# Integers are ASCII digits: int rejects other digits such as "²".  A "run" is
+# two or more ket literals on one line joined by "," or "TO" in any case, with
+# blanks between them; it is one token of :func:`_lex`.  A run holds at most
+# 512 kets, an even number: a longer list is several runs joined by ",", each
+# starting at a pair of an UPDATE list, and the regular expression's
+# backtracking stack, a few hundred bytes per ket, stays small.
+_KET = r"\|[01]+>"
+_RUN_SEPARATOR = r"[ \t\r]*(?:,|[Tt][Oo])[ \t\r]*"
 _TOKEN_RE = re.compile(
-    r"""[ \t\r]*(?:(?P<punct>[(),:;@])|(?P<ket>\|[01]+>)|(?P<word>[A-Za-z_]\w*)
+    rf"""[ \t\r]*(?:(?P<punct>[(),:;@])|(?P<run>{_KET}(?:{_RUN_SEPARATOR}{_KET}){{1,511}})
+    |(?P<ket>{_KET})|(?P<word>[A-Za-z_]\w*)
     |(?P<int>[0-9]+)|(?P<op>[<>!]=|[<>=])|(?P<newline>\n)|(?P<comment>--[^\n]*)
     |(?P<string>"[^"\n]*")|(?P<uword>\w+)|(?P<bad>[^ \t\r]))""",
     re.VERBOSE | re.DOTALL,
 )
+# The bits of a run's kets and its separators, alternately, from the run
+# without its first "|" and last ">"; and its tokens.
+_RUN_SPLIT = re.compile(r">[ \t\r]*(,|[Tt][Oo])[ \t\r]*\|")
+_RUN_TOKENS = re.compile(rf"{_KET}|,|[Tt][Oo]")
 # What a "bad" character that starts a malformed token means.
 _LEXER_ERRORS = {
     "|": "malformed ket literal; expected |b...b> with bits 0/1",
@@ -93,6 +105,19 @@ _LEXER_ERRORS = {
 def tokenize(text: str, first_line: int = 1) -> list[Token]:
     """Deterministic token stream; errors carry line:column, with the text's
     first line numbered ``first_line``."""
+    tokens: list[Token] = []
+    for token in _lex(text, first_line):
+        if token.kind == "run":
+            tokens += _expand(token)
+        else:
+            tokens.append(token)
+    return tokens
+
+
+def _lex(text: str, first_line: int = 1) -> list[Token]:
+    """:func:`tokenize`'s tokens, but each run of ket literals as one token
+    of kind ``run``: its text is the run's, from its first "|" to its last
+    ">", and :func:`_expand` gives its tokens."""
     tokens: list[Token] = []
     line, line_start, match = first_line, 0, None
     for match in _TOKEN_RE.finditer(text):
@@ -121,6 +146,17 @@ def tokenize(text: str, first_line: int = 1) -> list[Token]:
     # a comment does not move the column, so one at the end of input holds it
     end = match.start("comment") if match and match.lastgroup == "comment" else len(text)
     tokens.append(Token("eof", "", line, end - line_start + 1))
+    return tokens
+
+
+def _expand(run: Token) -> list[Token]:
+    """The ket, "," and TO tokens of a run token, as :func:`tokenize` gives
+    them: a run lies on one line."""
+    tokens = []
+    for match in _RUN_TOKENS.finditer(run.text):
+        part = match.group()
+        kind = "ket" if part[0] == "|" else "punct" if part == "," else "keyword"
+        tokens.append(Token(kind, part.upper(), run.line, run.column + match.start()))
     return tokens
 
 
@@ -241,18 +277,25 @@ Command = Union[
 
 
 class _Parser:
+    """Recursive descent over tokens held in reverse, the next one last, so
+    that a run token is replaced by its tokens in place at :meth:`peek` in
+    time proportional to its length.  Only :meth:`peek` expands a run: it
+    starts with a ket, so a test for any other kind reads it as its first
+    token would be read."""
+
     def __init__(self, tokens: list[Token]):
-        self.tokens = tokens
-        self.pos = 0
+        self.tokens = tokens[::-1]
         self.nesting = 0
 
     def peek(self) -> Token:
-        return self.tokens[self.pos]
+        token = self.tokens[-1]
+        if token.kind == "run":
+            self.tokens[-1:] = _expand(token)[::-1]
+            token = self.tokens[-1]
+        return token
 
     def advance(self) -> Token:
-        token = self.tokens[self.pos]
-        self.pos += 1
-        return token
+        return self.tokens.pop()
 
     def fail(self, expected: str):
         token = self.peek()
@@ -260,9 +303,9 @@ class _Parser:
         raise QqlSyntaxError(f"expected {expected}, found {shown!r}", token.line, token.column)
 
     def accept(self, kind: str, text: str) -> bool:
-        token = self.tokens[self.pos]
+        token = self.tokens[-1]
         if token.kind == kind and token.text == text:
-            self.pos += 1
+            self.tokens.pop()
             return True
         return False
 
@@ -341,15 +384,30 @@ class _Parser:
         if self.accept_keyword("SEQ"):
             return InsertSeq(self.expect_int())
         self.expect_keyword("VALUES")
-        records = [self._rec()]
+        records = self._run_records(pairs=False) or [self._rec()]
         while self.accept("punct", ","):
-            records.append(self._rec())
+            records += self._run_records(pairs=False) or [self._rec()]
         return InsertValues(tuple(records))
 
+    def _run_records(self, pairs: bool) -> list[KetRec]:
+        """The kets of a run token at the head, which is consumed, if its
+        separators are all "," or, with ``pairs``, "TO , TO ... TO"; else
+        none, and the run is left to the token-by-token rules."""
+        token = self.tokens[-1]
+        if token.kind != "run":
+            return []
+        parts = _RUN_SPLIT.split(token.text[1:-1])
+        count = len(parts) // 2  # of separators, each "," or a TO
+        expected = "TO," * (count // 2) + "TO" if pairs else "," * count
+        if "".join(parts[1::2]).upper() != expected:
+            return []
+        self.tokens.pop()
+        return list(map(KetRec, parts[0::2]))
+
     def _rec(self) -> RecSpec:
-        token = self.tokens[self.pos]
+        token = self.peek()
         if token.kind == "ket":
-            self.pos += 1
+            self.tokens.pop()
             return KetRec(token.text[1:-1])
         if self.accept("punct", "("):
             assignments = [self._assignment()]
@@ -366,10 +424,14 @@ class _Parser:
 
     def _update(self) -> Command:
         self.expect_keyword("SET")
-        pairs = [self._pair()]
+        pairs = self._run_pairs() or [self._pair()]
         while self.accept("punct", ","):
-            pairs.append(self._pair())
+            pairs += self._run_pairs() or [self._pair()]
         return Update(tuple(pairs))
+
+    def _run_pairs(self) -> list[tuple[KetRec, KetRec]]:
+        kets = self._run_records(pairs=True)
+        return list(zip(kets[0::2], kets[1::2]))
 
     def _pair(self) -> tuple[RecSpec, RecSpec]:
         src = self._rec()
@@ -485,12 +547,15 @@ class _Parser:
 
 
 def parse_text(text: str, first_line: int = 1) -> list[Command]:
-    return _Parser(tokenize(text, first_line)).parse_script()
+    """The commands of a script; the same as parsing :func:`tokenize`'s
+    tokens, but a run of kets in an ``INSERT VALUES`` or ``UPDATE SET`` list
+    is read with one split."""
+    return _Parser(_lex(text, first_line)).parse_script()
 
 
 def parse_predicate(text: str) -> BoolExpr:
     """Parse a lone predicate (used by the session-file loader)."""
-    parser = _Parser(tokenize(text))
+    parser = _Parser(_lex(text))
     expr = parser.parse_expr(bare_vars=True)
     if parser.peek().kind != "eof":
         parser.fail("end of predicate")
@@ -592,8 +657,31 @@ def _need_db(session) -> QdbState:
 
 def _bind_records(records, schema: TableSchema) -> np.ndarray:
     """A record list as one array of basis indices; the first record that
-    does not fit the schema raises."""
-    return np.array([_resolve_record(rec, schema) for rec in records], dtype=np.int64)
+    does not fit the schema raises.  Every ket's width is checked before any
+    array is built; a list of kets is read by :func:`_ket_indices`, any
+    other list record by record."""
+    n = schema.num_bits
+    bits = [rec.bits for rec in records if isinstance(rec, KetRec)]
+    if set(map(len, bits)) - {n}:
+        for rec in records:  # raises at the first record that does not fit
+            _resolve_record(rec, schema)
+    indices = _ket_indices(bits, n) if len(bits) == len(records) else None
+    if indices is None:
+        indices = np.array([_resolve_record(rec, schema) for rec in records], dtype=np.int64)
+    return indices
+
+
+def _ket_indices(bits: list[str], n: int) -> np.ndarray | None:
+    """The basis indices of kets of ``n`` bits each, from the rows of one
+    byte matrix no larger than the text the kets were written in; None when
+    a ket built in code holds other characters than 0 and 1."""
+    rows = np.frombuffer("".join(bits).encode("ascii", "replace"), dtype=np.uint8)
+    if np.any(rows | 1 != ord("1")):
+        return None
+    # each row's bits packed big-endian into the high bits of a 64-bit word
+    words = np.zeros((len(bits), 8), dtype=np.uint8)
+    words[:, : -(-n // 8)] = np.packbits(rows.reshape(-1, n) == ord("1"), axis=1)
+    return (words.view(">u8")[:, 0] >> np.uint64(64 - n)).astype(np.int64)
 
 
 def _resolve_record(rec: RecSpec, schema: TableSchema) -> int:

@@ -8,16 +8,15 @@ from typing import Iterable
 
 import numpy as np
 
-from qqldb import qlang
+from qqldb import cli
 from qqldb.boolcirc import (
-    MAX_TABLE_VARS, And, BoolExpr, Comparison, Const, Not, Or, TruthTable, Var, apply_oracle,
+    And, BoolExpr, Comparison, Const, Not, Or, TruthTable, Var, apply_oracle,
     compile_to_cnots, to_reed_muller, truth_table,
 )
-from qqldb.cli import FORMAT_HEADER, LOAD_CHUNK
+from qqldb.cli import LOAD_CHUNK, format_amplitude
 from qqldb.diffusion import apply_partial_diffusion
-from qqldb.errors import CapacityError, QqlError, QqlSyntaxError, SessionFormatError
+from qqldb.errors import CapacityError, QqlSyntaxError, SessionFormatError
 from qqldb.gates import DENSE_LIMIT_QUBITS, HADAMARD, NOT, CnotGate, GateMatrix
-from qqldb.qdb import SafeKey
 from qqldb.qlang import KEYWORDS, MAX_INT_DIGITS, Token
 from qqldb.schema import TableSchema
 from qqldb.statevec import StateVector, swap, xorshift_uniform
@@ -418,56 +417,15 @@ def reference_tokenize(text: str) -> list[Token]:
 def reference_read_session(handle, max_qubits: int):
     """The session-file reader with every amplitude line read by ``int`` and
     ``float.fromhex``, in blocks of ``LOAD_CHUNK`` lines: the reference the
-    byte reader ``cli._read_session`` is checked against.  Returns (schema,
+    byte reader ``cli._read_session`` is checked against.  The header is
+    read by ``cli._read_header``, the one reading of it.  Returns (schema,
     temp, safe key or None, amplitudes), or None for a file without a
     table."""
-
-    def next_line(what: str) -> str:
-        for line in handle:
-            if line != "\n":
-                return line.rstrip("\n")
-        raise SessionFormatError(f"missing {what} line")
-
-    first = handle.readline()
-    if first.rstrip("\n") != FORMAT_HEADER:
-        found = first.rstrip("\n") if first else "empty file"
-        raise SessionFormatError(f"unsupported session header: {found!r}")
-    schema_parts = next_line("SCHEMA").split()
-    if schema_parts[:1] != ["SCHEMA"]:
-        raise SessionFormatError("missing SCHEMA line")
-    if schema_parts[1:] == ["none"]:
+    header = cli._read_header(handle, max_qubits)
+    if header is None:
         return None
-    temp_parts = next_line("TEMP").split()
-    safe_parts = next_line("SAFE").split(maxsplit=2)
-    if temp_parts[:1] != ["TEMP"]:
-        raise SessionFormatError("missing TEMP line")
-    if safe_parts[:1] != ["SAFE"]:
-        raise SessionFormatError("missing SAFE line")
-    try:
-        schema = TableSchema(
-            schema_parts[1],
-            tuple((chunk.split(":")[0], int(chunk.split(":")[1])) for chunk in schema_parts[2:]),
-        )
-        temp = int(temp_parts[1])
-        safe_key = None
-        if safe_parts[1] != "none":
-            matches_text, expr_text = safe_parts[2].split(maxsplit=1)
-            expr = qlang.parse_predicate(expr_text)
-            safe_key = SafeKey(int(safe_parts[1]), expr, int(matches_text))
-    except (QqlError, ValueError, IndexError) as exc:
-        raise SessionFormatError(f"malformed session file: {exc}") from exc
-    if temp < 1:
-        raise SessionFormatError(f"TEMP {temp} is below one temporary qubit")
+    schema, temp, safe_key = header
     total = schema.num_bits + temp
-    if total > max_qubits:
-        raise CapacityError(
-            f"{schema.num_bits} data + {temp} temp qubits exceed the "
-            f"{max_qubits}-qubit capacity"
-        )
-    if schema.num_bits > MAX_TABLE_VARS:
-        raise CapacityError(
-            f"{schema.num_bits} data bits exceed the {MAX_TABLE_VARS}-bit table bound"
-        )
     amps = np.zeros(1 << total, dtype=np.complex128)
     previous = -1
     while lines := list(islice(handle, LOAD_CHUNK)):
@@ -537,6 +495,30 @@ def reference_histogram(schema: TableSchema, histogram, shots: int) -> str:
         for values in zip(*columns, counts.tolist(), (counts / shots).tolist())
     ]
     lines.append(f"{shots} shot(s), {indices.size} distinct record(s)")
+    return "\n".join(lines)
+
+
+def reference_state(schema: TableSchema, t: int, components, full: bool = False) -> str:
+    """``Session.render_state`` as one ``%``-format per row, each row's
+    amplitude formatted on its own: the oracle of its byte rows, which format
+    each distinct amplitude once."""
+    n = schema.num_bits
+    indices, amplitudes = components
+    probabilities = amplitudes.real**2 + amplitudes.imag**2
+    labels = reference_labels(schema, indices >> t, 24)
+    index_list = indices.tolist()
+    kets = [f"|{index:0{n + t}b}>" for index in index_list]
+    temp_pad = " " * max(4 - t, 0)
+    temps = [f"{index & ((1 << t) - 1):0{t}b}{temp_pad}" for index in index_list]
+    amps = [format_amplitude(amp, full) for amp in amplitudes.tolist()]
+    lines = [f"{'ket':<{n + t + 2}}  {'record':<24}  {'temp':<{max(t, 4)}}  "
+             f"{'amplitude':<24}  probability"]
+    lines += [
+        "%s  %s  %s  %-24s  %10.6f" % values
+        for values in zip(kets, labels, temps, amps, probabilities.tolist())
+    ]
+    total = float(np.cumsum(probabilities)[-1]) if indices.size else 0.0
+    lines.append(f"{len(index_list)} component(s), total probability {total:.6f}")
     return "\n".join(lines)
 
 

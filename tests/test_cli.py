@@ -970,6 +970,24 @@ class TestByteReader:
         path.write_bytes(b"QQLDB 1\nSCHEMA t k:4\nTEMP 2\nSAFE none\n" + EDITS[edit])
         assert_loads_as_reference(path)
 
+    @pytest.mark.parametrize("header, error", [
+        ("SCHEMA t k:+2\nTEMP 1\nSAFE none", "'+2' in the SCHEMA line is not an integer"),
+        ("SCHEMA t k:2\nTEMP 1 7\nSAFE none", "the TEMP line is not TEMP <count>"),
+        ("SCHEMA t k:2\nTEMP 1\nSAFE none junk", "the SAFE line is not SAFE none or"),
+        ("SCHEMA t k:2\nTEMP\nSAFE none", "the TEMP line is not TEMP <count>"),
+        ("SCHEMA t k:2\nTEMP 1\nSAFE none", None),
+    ])
+    def test_header_loads_as_reference(self, tmp_path, header, error):
+        # the reference reads the header with cli's own reader
+        path = tmp_path / "header.qdb"
+        path.write_bytes(f"QQLDB 1\n{header}\n".encode() + b"1 0x1.0000000000000p+0 0x0.0p+0\n")
+        assert_loads_as_reference(path)
+        outcome = load_outcome(path)
+        if error is None:
+            assert isinstance(outcome[0], bytes)
+        else:
+            assert outcome[0] is SessionFormatError and error in outcome[1]
+
     @pytest.mark.parametrize("byte", [b"0", b"z", b"."])
     def test_byte_after_a_part_loads_as_reference(self, tmp_path, byte):
         # one line per part form: zero, subnormal, and 1- to 4-digit exponents

@@ -1,11 +1,16 @@
+import tracemalloc
+from unittest import mock
+
+import numpy as np
 import pytest
 from helpers import reference_tokenize
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from qqldb import qlang
 from qqldb.boolcirc import And, Comparison, Const, Not, Or, Var
 from qqldb.cli import Session, SessionConfig
-from qqldb.errors import CompileError, QqlSyntaxError
+from qqldb.errors import CompileError, QqlError, QqlSyntaxError
 from qqldb.qlang import (
     KEYWORDS,
     MAX_EXPR_DEPTH,
@@ -28,6 +33,9 @@ from qqldb.qlang import (
     Show,
     SwapGate,
     Update,
+    _bind_records,
+    _Parser,
+    _resolve_record,
     compile_command,
     parse_predicate,
     parse_text,
@@ -132,6 +140,108 @@ class TestTokenizeMatchesReference:
     @example("")
     def test_same_tokens_or_error(self, text):
         assert lexed(tokenize, text) == lexed(reference_tokenize, text)
+
+
+def parsed(parser, text: str):
+    """The commands, or the error's type, message, line and column."""
+    try:
+        return parser(text)
+    except QqlError as exc:
+        return (type(exc), exc.message, exc.line, exc.column)
+
+
+def parsed_from_tokens(text: str):
+    return _Parser(tokenize(text)).parse_script()
+
+
+# Record lists as runs of kets see them: kets of several widths, malformed
+# ones, field tuples between them, "," and TO in any case as separators,
+# blanks, newlines and comments inside, and lists cut short.  Each list is
+# well formed, or has a few faults drawn in.
+GOOD_ITEMS = ["|01>", "|10>", "|11>", "|00>", "|0110>", "|1>"]
+ANY_ITEMS = GOOD_ITEMS + ["(a = 1)", "(a=1, b = 2)", "|012>", "|>", "|01", "()", "(a = 1"]
+TO = ["TO", "to", "tO", "To"]
+ANY_SEPARATORS = [",", *TO, ";", "T0", "TOx", ""]
+BLANKS = ["", " ", "  ", "\t", "\r", "\n", " -- note\n", "\r\n"]
+HEADS = {False: ["INSERT VALUES ", "insert values"], True: ["UPDATE SET ", "update set\t"]}
+ANY_HEADS = ["INSERT VALUES ", "UPDATE SET ", "APPLY SWAP ", "SHOW; ", ""]
+TAILS = [";", " WHEN c;", "", ",", " TO;", "; SHOW;", "\n"]
+
+
+@st.composite
+def record_lists(draw) -> str:
+    statements = []
+    for _ in range(draw(st.integers(1, 3))):
+        pairs = draw(st.booleans())
+        faults = draw(st.sampled_from([0, 0, 0.05, 0.3]))
+
+        def faulty() -> bool:
+            return draw(st.floats(0, 1)) < faults
+
+        head = draw(st.sampled_from(ANY_HEADS if faulty() else HEADS[pairs]))
+        pieces = []
+        count = draw(st.integers(1, 7)) * (1 + pairs) - faulty()
+        for k in range(count):
+            fault = faulty()
+            item = draw(st.sampled_from(ANY_ITEMS if fault else GOOD_ITEMS))
+            blanks = BLANKS if fault else BLANKS[:2]
+            pieces.append(draw(st.sampled_from(blanks)) + item + draw(st.sampled_from(blanks)))
+            separator = draw(st.sampled_from(TO)) if pairs and k % 2 == 0 else ","
+            pieces.append(draw(st.sampled_from(ANY_SEPARATORS)) if faulty() else separator)
+        if pieces and not faulty():
+            pieces.pop()  # no separator after the last item
+        tail = draw(st.sampled_from(TAILS)) if faulty() else ";"
+        statements.append(head + "".join(pieces) + tail)
+    return "".join(statements)
+
+
+def long_list(separators, count: int, width: int = 3) -> str:
+    kets = [f"|{k % (1 << width):0{width}b}>" for k in range(count)]
+    pieces = [piece for k, ket in enumerate(kets) for piece in (ket, separators[k % len(separators)])]
+    return "".join(pieces[:-1])
+
+
+class TestParseMatchesTokenParse:
+    """``parse_text``, which reads a run of kets with one split, against the
+    parser fed ``tokenize``'s tokens one by one: the same commands, or the
+    same error at the same place."""
+
+    @given(record_lists())
+    @settings(max_examples=600, deadline=None, derandomize=True)
+    @example("INSERT VALUES |01>, |10>;")
+    @example("INSERT VALUES |01> TO |10>;")
+    @example("UPDATE SET |01> TO |10>, |11> to |00>;")
+    @example("UPDATE SET |01> TO |10>, |11>;")
+    @example("UPDATE SET |01>, |10> TO |11>;")
+    @example("UPDATE SET (a = 1) TO |01>, |10> TO |11>;")
+    @example("APPLY SWAP |01> TO |10> WHEN c;")
+    @example("INSERT VALUES |01>,\n|10>;")
+    @example("INSERT VALUES |01>, |10>, |012>;")
+    @example("INSERT VALUES |01>, |10>,;")
+    @example("INSERT VALUES |01>, |10> -- note\n, |11>;")
+    @example("|01>, |10>;")
+    @example("INSERT VALUES " + long_list([", "], 1100) + ";")
+    @example("UPDATE SET " + long_list([" TO ", ", "], 1100) + ";")
+    @example("UPDATE SET (a = 1) TO " + long_list([", ", " TO "], 1101) + ";")
+    @example("INSERT VALUES " + long_list([", "], 600) + " TO |01>;")
+    def test_same_commands_or_error(self, text):
+        assert parsed(parse_text, text) == parsed(parsed_from_tokens, text)
+
+    @pytest.mark.parametrize("count", [2, 511, 512, 513, 1024, 1100])
+    def test_long_lists_read_without_token_by_token_parsing(self, count):
+        # a list longer than a run is several runs joined by ",", each of
+        # them read with one split: no run is expanded into its tokens
+        inserts = "INSERT VALUES " + long_list([", "], count) + ";"
+        updates = "UPDATE SET " + long_list([" TO ", ", "], 2 * count) + ";"
+        with mock.patch.object(qlang, "_expand", side_effect=AssertionError("expanded")):
+            insert, update = parse_text(inserts + updates)
+        assert (len(insert.records), len(update.pairs)) == (count, count)
+        assert [insert, update] == parsed_from_tokens(inserts + updates)
+
+    @given(LEX_TEXTS)
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    def test_free_text(self, text):
+        assert parsed(parse_text, text) == parsed(parsed_from_tokens, text)
 
 
 class TestParse:
@@ -487,3 +597,79 @@ class TestCompile:
             "APPLY H @ age WHEN c1;"
         )
         assert session.db.support().tolist() == [0, 1]
+
+
+class TestBindRecordLists:
+    """Record lists bound at once, a list of kets as one byte matrix and any
+    other list record by record, against binding each record on its own:
+    the same indices, or the error of the first record that does not fit."""
+
+    FIELDS = "CREATE TABLE t (a:3, b:2) TEMP 1;"
+
+    @given(st.lists(st.one_of(
+        st.text(alphabet="01", min_size=4, max_size=6).map(lambda bits: f"|{bits}>"),
+        st.builds(lambda a, b: f"(a = {a}, b = {b})", st.integers(0, 8), st.integers(0, 4)),
+    ), min_size=1, max_size=30))
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    def test_same_indices_or_error_as_one_by_one(self, records):
+        session = fresh_session()
+        session.execute_text(self.FIELDS)
+        (command,) = parse_text("INSERT VALUES " + ", ".join(records) + ";")
+        try:
+            expected = [_resolve_record(rec, session.db.schema) for rec in command.records]
+        except CompileError as exc:
+            with pytest.raises(CompileError) as excinfo:
+                compile_command(command, session)
+            assert str(excinfo.value) == str(exc)
+            return
+        bound = _bind_records(command.records, session.db.schema)
+        assert bound.dtype == np.int64 and bound.tolist() == expected
+
+    def test_ket_built_in_code_is_read_by_int(self):
+        session = fresh_session()
+        session.execute_text(self.FIELDS)
+        schema = session.db.schema
+        # int reads "_" between digits and other scripts' digits
+        assert _bind_records([KetRec("01_01"), KetRec("\u0661" * 5)], schema).tolist() == [5, 31]
+        with pytest.raises(ValueError):
+            _bind_records([KetRec("01012")], schema)
+
+
+class TestHostileRecordLists:
+    """A record list far longer or wider than its schema ends in the
+    CompileError of its first misfit, and binding it builds nothing larger
+    than the statement's text."""
+
+    @staticmethod
+    def bind_peak(session, command):
+        tracemalloc.start()
+        try:
+            with pytest.raises(CompileError) as excinfo:
+                compile_command(command, session)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        return str(excinfo.value), peak
+
+    def test_million_kets_one_of_the_wrong_width(self):
+        session = fresh_session()
+        session.execute_text("CREATE TABLE t (k:14) TEMP 1;")
+        kets = [f"|{k % (1 << 14):014b}>" for k in range(10**6)]
+        kets[-7] = "|0" + kets[-7][1:]
+        text = "INSERT VALUES " + ", ".join(kets) + ";"
+        (command,) = parse_text(text)
+        message, peak = self.bind_peak(session, command)
+        assert message == "ket of 15 bits does not match the 14-bit schema"
+        assert peak < len(text)
+        with pytest.raises(CompileError, match="^ket of 15 bits"):
+            session.execute_command(command)
+        assert session.db.support().tolist() == [0]
+
+    def test_ket_of_a_million_bits(self):
+        session = fresh_session()
+        session.execute_text("CREATE TABLE t (k:14) TEMP 1;")
+        for text in ("INSERT VALUES |" + "01" * 500_000 + ">;",
+                     "UPDATE SET |" + "1" * 10**6 + "> TO |00000000000001>;"):
+            message, peak = self.bind_peak(session, *parse_text(text))
+            assert message == "ket of 1000000 bits does not match the 14-bit schema"
+            assert peak < len(text)

@@ -14,7 +14,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from helpers import full_scan_sample, reference_histogram, reference_labels
+from helpers import full_scan_sample, reference_histogram, reference_labels, reference_state
 
 from qqldb import cli, statevec
 from qqldb.cli import Session, _decimal_words, format_amplitude, write_amplitudes
@@ -162,11 +162,13 @@ class TestHistogramText:
         assert text == per_record_histogram(session, 3, 1)
 
 
-def label_session(fields) -> Session:
-    """A session whose renderers see ``fields``; only the schema is read, so
-    no register is built, and the widths may exceed the engine's."""
+def label_session(fields, t: int = 1) -> Session:
+    """A session whose renderers see ``fields`` and ``t`` temp qubits; only
+    the schema and the qubit counts are read, so no register is built, and
+    the widths may exceed the engine's."""
     session = Session()
-    session.db = SimpleNamespace(schema=TableSchema("t", tuple(fields)))
+    schema = TableSchema("t", tuple(fields))
+    session.db = SimpleNamespace(schema=schema, n=schema.num_bits, t=t)
     return session
 
 
@@ -194,8 +196,10 @@ def check_histogram(fields, indices, counts, shots: int) -> None:
 def check_labels(fields, indices) -> None:
     session = label_session(fields)
     expected = reference_labels(session.db.schema, indices, 24)
-    for _ in both_renderers():
-        assert session._labels(indices, 24) == expected
+    rows = session._label_rows(indices, 24)
+    assert [cli._row_text(row[None]) for row in rows] == expected
+    label, columns = session._label_columns(indices, 24)
+    assert [label % values for values in zip(*columns)] == expected
 
 
 class TestHistogramRows:
@@ -260,9 +264,7 @@ class TestHistogramRows:
         check_labels(fields, indices)
 
     def test_empty_label_column(self):
-        session = label_session([("id", 3)])
-        for _ in both_renderers():
-            assert session._labels(np.array([], dtype=np.int64), 24) == []
+        check_labels([("id", 3)], np.array([], dtype=np.int64))
 
     def test_byte_matrix_from_its_row_count(self, monkeypatch):
         session = label_session([("a", 5), ("b", 5)])
@@ -271,16 +273,101 @@ class TestHistogramRows:
             original = getattr(Session, name)
             monkeypatch.setattr(
                 Session, name,
-                lambda self, *args, name=name, original=original:
-                    built.append(name) or original(self, *args),
+                lambda self, *args, name=name, original=original, **kwargs:
+                    built.append(name) or original(self, *args, **kwargs),
             )
         for rows in (0, 1, cli.BYTE_ROWS_FROM - 1, cli.BYTE_ROWS_FROM, 1 << 10):
             indices = np.arange(rows)
             built.clear()
-            session._labels(indices, 24)
+            session.render_state((indices << 1, np.ones(rows, dtype=complex)))
             session.render_histogram((indices, np.ones(rows, dtype=np.int64)), max(rows, 1))
             builder = "_label_rows" if rows >= cli.BYTE_ROWS_FROM else "_label_columns"
             assert built == [builder, builder]
+
+
+def check_state(fields, t: int, indices, amplitudes, full: bool = False) -> None:
+    session = label_session(fields, t)
+    components = (np.asarray(indices, dtype=np.int64), np.asarray(amplitudes, dtype=complex))
+    expected = reference_state(session.db.schema, t, components, full)
+    for _ in both_renderers():
+        assert session.render_state(components, full) == expected
+
+
+def random_components(rng, fields, t: int, size: int):
+    """Ascending basis indices of a register of ``fields`` and ``t`` temps."""
+    bits = sum(width for _, width in fields) + t
+    return np.unique(rng.integers(0, 1 << bits, size, dtype=np.int64))
+
+
+class TestShowRows:
+    """``render_state``'s byte rows, which format each distinct amplitude
+    once, and its per-row format against one ``%``-format per row of each
+    row's own amplitude."""
+
+    @pytest.mark.parametrize("t", [1, 2, 3, 4])
+    @pytest.mark.parametrize("full", [False, True])
+    def test_signed_zero_parts(self, t, full):
+        # every pair of parts from +0.0, -0.0 and +-0.5, each in several rows
+        parts = [0.0, -0.0, 0.5, -0.5]
+        values = [complex(re, im) for re in parts for im in parts]
+        assert len({np.array(v).tobytes() for v in values}) == 16
+        rng = np.random.default_rng(t)
+        indices = random_components(rng, [("a", 6)], t, 300)
+        check_state([("a", 6)], t, indices, rng.choice(values, indices.size), full)
+
+    @pytest.mark.parametrize("full", [False, True])
+    def test_imaginary_part_at_the_cut(self, full):
+        # |im| just below, at and just above 1e-12, where the amplitude
+        # gains its imaginary part in the text
+        cut = [np.nextafter(1e-12, 0), 1e-12, np.nextafter(1e-12, 1)]
+        values = [complex(0.25, sign * im) for im in cut for sign in (1, -1)]
+        indices = np.arange(0, 600, 2)
+        check_state([("k", 9)], 1, indices, np.resize(values, indices.size), full)
+
+    @pytest.mark.parametrize("full", [False, True])
+    def test_amplitude_texts_longer_than_the_column(self, full):
+        values = [complex(-1.23456789e-05, -1.23456789e-05), complex(-1 / 3, 2 / 3),
+                  complex(1e-300, -1e100), complex(-0.1, 0.0)]
+        assert max(len(format_amplitude(v, full)) for v in values) > 24
+        indices = np.arange(400)
+        check_state([("a", 5), ("b", 4)], 2, indices, np.resize(values, indices.size), full)
+
+    @pytest.mark.parametrize("name", ["größe", "名前", "x" * 25 + "é"])
+    def test_non_ascii_names(self, name):
+        rng = np.random.default_rng(len(name))
+        fields = [(name, 4), ("v", 3)]
+        indices = random_components(rng, fields, 3, 700)
+        check_state(fields, 3, indices, rng.choice([0.5, -0.5j, 0.25], indices.size))
+
+    @pytest.mark.parametrize("t", [1, 2, 3, 4])
+    @pytest.mark.parametrize("full", [False, True])
+    def test_all_amplitudes_distinct(self, t, full):
+        rng = np.random.default_rng(10 + t)
+        fields = [("a", 5), ("bb", 6)]
+        indices = random_components(rng, fields, t, 1500)
+        amplitudes = rng.normal(size=indices.size) + 1j * rng.normal(size=indices.size)
+        amplitudes[rng.random(indices.size) < 0.3] = rng.normal()  # some real
+        check_state(fields, t, indices, amplitudes, full)
+
+    @pytest.mark.parametrize("size", [0, 1, 255, 256, 257, 3000])
+    def test_repeated_amplitudes(self, size):
+        rng = np.random.default_rng(size)
+        fields = [("k", 14)]
+        indices = random_components(rng, fields, 2, size)
+        values = [2.0**-6, -(2.0**-6), 2.0**-6 * 1j, 0.1 + 0.2j]
+        check_state(fields, 2, indices, rng.choice(values, indices.size))
+
+    @pytest.mark.parametrize("rows", [cli.BYTE_ROWS_FROM - 1, cli.BYTE_ROWS_FROM])
+    def test_both_sides_of_the_switch_in_a_session(self, rows):
+        # the row count alone picks the renderer, with no threshold patched
+        session = Session()
+        session.execute_text(f"CREATE TABLE t (k:9) TEMP 2; INSERT SEQ {rows - 1};")
+        session.execute_text("SELECT s WHERE k < 100; APPLY H @ k BIT 8 WHEN s;")
+        components = session.db.show_state()
+        assert components[0].size == rows + 100
+        expected = reference_state(session.db.schema, 2, components, True)
+        (text,) = session.execute_text("SHOW FULL;")
+        assert text == expected
 
 
 class TestLiveColumnSampler:
