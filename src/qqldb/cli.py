@@ -30,10 +30,9 @@ FORMAT_HEADER = "QQLDB 1"
 # register size.
 SAVE_CHUNK = 1 << 12
 LOAD_CHUNK = 1 << 12
-# From this many rows on, MEASURE's histogram and SHOW's label column are
-# byte matrices; below it, one ``%``-format per row.  A matrix costs some 150
-# numpy calls whatever its size, which per-row formatting passes between 128
-# and 256 histogram rows and near 1,000 label rows.
+# From this many rows on, MEASURE's histogram is a byte matrix; below it, one
+# ``%``-format per row.  A matrix costs some 150 numpy calls whatever its
+# size, which per-row formatting passes between 128 and 256 histogram rows.
 BYTE_ROWS_FROM = 256
 
 
@@ -139,35 +138,14 @@ class Session:
         """``components`` is the (basis indices, amplitudes) pair of
         :meth:`QdbState.show_state`; each row is the ket, the record label,
         the temp bits, the amplitude and its probability, a row of one byte
-        matrix (:meth:`_state_rows`), or below ``BYTE_ROWS_FROM`` rows one
-        ``%``-format."""
+        matrix: the ket and the temp bits from the index bits, the label
+        from :meth:`_label_rows`, and the amplitude and probability
+        formatted once per distinct amplitude, distinct in its bits (so -0.0
+        is not 0.0), and gathered into the rows."""
         assert self.db is not None
         n, t = self.db.n, self.db.t
         indices, amplitudes = components
         probabilities = amplitudes.real**2 + amplitudes.imag**2
-        if indices.size < BYTE_ROWS_FROM:
-            label, columns = self._label_columns(indices >> t, 24)
-            index_list = indices.tolist()
-            kets = [f"|{index:0{n + t}b}>" for index in index_list]
-            temps = [f"{index & ((1 << t) - 1):0{t}b}" for index in index_list]
-            amps = [format_amplitude(amp, full) for amp in amplitudes.tolist()]
-            row = f"%s  {label}  %s{' ' * max(4 - t, 0)}  %-24s  %10.6f\n"
-            body = "".join(row % values for values in zip(
-                kets, *columns, temps, amps, probabilities.tolist()))
-        else:
-            body = _row_text(self._state_rows(indices, amplitudes, probabilities, full))
-        # the footer's total adds the probabilities left to right
-        total = float(np.cumsum(probabilities)[-1]) if indices.size else 0.0
-        return (f"{'ket':<{n + t + 2}}  {'record':<24}  {'temp':<{max(t, 4)}}  "
-                f"{'amplitude':<24}  probability\n{body}"
-                f"{indices.size} component(s), total probability {total:.6f}")
-
-    def _state_rows(self, indices, amplitudes, probabilities, full: bool) -> np.ndarray:
-        """SHOW's rows as one byte matrix: the ket and the temp bits from the
-        index bits, the label from :meth:`_label_rows`, and the amplitude
-        and probability formatted once per distinct amplitude, distinct in
-        its bits (so -0.0 is not 0.0), and gathered into the rows."""
-        n, t = self.db.n, self.db.t
         big_endian = indices.astype(">u8").view(np.uint8).reshape(-1, 8)
         bits = np.unpackbits(big_endian, axis=1) | np.uint8(ord("0"))
         _, first, inverse = np.unique(amplitudes.view(np.dtype((np.void, 16))),
@@ -181,12 +159,17 @@ class Session:
         tails = np.frombuffer(b"".join(text.ljust(width, b"\0") for text in texts),
                               dtype=np.uint8).reshape(len(texts), width)
         rows = indices.size
-        return self._label_rows(
+        body = _row_text(self._label_rows(
             indices >> t, 24,
             before=[_constant_bytes("|", rows), bits[:, 64 - n - t:], _constant_bytes(">  ", rows)],
             after=[_constant_bytes("  ", rows), bits[:, 64 - t:],
                    _constant_bytes(" " * max(4 - t, 0) + "  ", rows), tails[inverse]],
-        )
+        ))
+        # the footer's total adds the probabilities left to right
+        total = float(np.cumsum(probabilities)[-1]) if rows else 0.0
+        return (f"{'ket':<{n + t + 2}}  {'record':<24}  {'temp':<{max(t, 4)}}  "
+                f"{'amplitude':<24}  probability\n{body}"
+                f"{rows} component(s), total probability {total:.6f}")
 
     def render_histogram(self, histogram, shots: int) -> str:
         """``histogram`` is the (data indices, counts) pair of

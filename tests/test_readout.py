@@ -281,16 +281,16 @@ class TestHistogramRows:
             built.clear()
             session.render_state((indices << 1, np.ones(rows, dtype=complex)))
             session.render_histogram((indices, np.ones(rows, dtype=np.int64)), max(rows, 1))
+            # SHOW is a byte matrix at every row count; MEASURE from BYTE_ROWS_FROM
             builder = "_label_rows" if rows >= cli.BYTE_ROWS_FROM else "_label_columns"
-            assert built == [builder, builder]
+            assert built == ["_label_rows", builder]
 
 
 def check_state(fields, t: int, indices, amplitudes, full: bool = False) -> None:
     session = label_session(fields, t)
     components = (np.asarray(indices, dtype=np.int64), np.asarray(amplitudes, dtype=complex))
-    expected = reference_state(session.db.schema, t, components, full)
-    for _ in both_renderers():
-        assert session.render_state(components, full) == expected
+    assert session.render_state(components, full) == reference_state(
+        session.db.schema, t, components, full)
 
 
 def random_components(rng, fields, t: int, size: int):
@@ -301,8 +301,7 @@ def random_components(rng, fields, t: int, size: int):
 
 class TestShowRows:
     """``render_state``'s byte rows, which format each distinct amplitude
-    once, and its per-row format against one ``%``-format per row of each
-    row's own amplitude."""
+    once, against one ``%``-format per row of each row's own amplitude."""
 
     @pytest.mark.parametrize("t", [1, 2, 3, 4])
     @pytest.mark.parametrize("full", [False, True])
@@ -357,14 +356,16 @@ class TestShowRows:
         values = [2.0**-6, -(2.0**-6), 2.0**-6 * 1j, 0.1 + 0.2j]
         check_state(fields, 2, indices, rng.choice(values, indices.size))
 
-    @pytest.mark.parametrize("rows", [cli.BYTE_ROWS_FROM - 1, cli.BYTE_ROWS_FROM])
-    def test_both_sides_of_the_switch_in_a_session(self, rows):
-        # the row count alone picks the renderer, with no threshold patched
+    @pytest.mark.parametrize("rows", [3, 100, 255, 256])
+    def test_show_in_a_session(self, rows):
+        # rows - split records from INSERT SEQ, then H splits each k < split
+        # into k and k + 256: SHOW renders exactly ``rows`` components
+        split = rows // 3
         session = Session()
-        session.execute_text(f"CREATE TABLE t (k:9) TEMP 2; INSERT SEQ {rows - 1};")
-        session.execute_text("SELECT s WHERE k < 100; APPLY H @ k BIT 8 WHEN s;")
+        session.execute_text(f"CREATE TABLE t (k:9) TEMP 2; INSERT SEQ {rows - split - 1};")
+        session.execute_text(f"SELECT s WHERE k < {split}; APPLY H @ k BIT 8 WHEN s;")
         components = session.db.show_state()
-        assert components[0].size == rows + 100
+        assert components[0].size == rows
         expected = reference_state(session.db.schema, 2, components, True)
         (text,) = session.execute_text("SHOW FULL;")
         assert text == expected
