@@ -31,8 +31,8 @@ FORMAT_HEADER = "QQLDB 1"
 SAVE_CHUNK = 1 << 12
 LOAD_CHUNK = 1 << 12
 # From this many rows on, MEASURE's histogram is a byte matrix; below it, one
-# ``%``-format per row.  A matrix costs some 150 numpy calls whatever its
-# size, which per-row formatting passes between 128 and 256 histogram rows.
+# ``%``-format per row, which passes the matrix's 110-170 us at 192-256 rows
+# (a:5 b:5, 4096 shots; 2-core Xeon guest, Python 3.11, numpy 2.4).
 BYTE_ROWS_FROM = 256
 
 
@@ -139,31 +139,24 @@ class Session:
         :meth:`QdbState.show_state`; each row is the ket, the record label,
         the temp bits, the amplitude and its probability, a row of one byte
         matrix: the ket and the temp bits from the index bits, the label
-        from :meth:`_label_rows`, and the amplitude and probability
-        formatted once per distinct amplitude, distinct in its bits (so -0.0
-        is not 0.0), and gathered into the rows."""
+        from :meth:`_label_rows`, and the amplitude and probability from
+        :func:`_value_rows`, amplitudes being distinct in their bits (so
+        -0.0 is not 0.0)."""
         assert self.db is not None
         n, t = self.db.n, self.db.t
         indices, amplitudes = components
         probabilities = amplitudes.real**2 + amplitudes.imag**2
         big_endian = indices.astype(">u8").view(np.uint8).reshape(-1, 8)
         bits = np.unpackbits(big_endian, axis=1) | np.uint8(ord("0"))
-        _, first, inverse = np.unique(amplitudes.view(np.dtype((np.void, 16))),
-                                      return_index=True, return_inverse=True)
-        texts = [
-            ("%-24s  %10.6f\n" % (format_amplitude(amp, full), probability)).encode("ascii")
-            for amp, probability in zip(amplitudes[first].tolist(),
-                                        probabilities[first].tolist())
-        ]
-        width = max(map(len, texts), default=0)
-        tails = np.frombuffer(b"".join(text.ljust(width, b"\0") for text in texts),
-                              dtype=np.uint8).reshape(len(texts), width)
+        values = _value_rows(amplitudes.view(np.dtype((np.void, 16))), lambda first: [
+            "%-24s  %10.6f\n" % (format_amplitude(amp, full), probability)
+            for amp, probability in zip(amplitudes[first].tolist(), probabilities[first].tolist())])
         rows = indices.size
         body = _row_text(self._label_rows(
             indices >> t, 24,
             before=[_constant_bytes("|", rows), bits[:, 64 - n - t:], _constant_bytes(">  ", rows)],
             after=[_constant_bytes("  ", rows), bits[:, 64 - t:],
-                   _constant_bytes(" " * max(4 - t, 0) + "  ", rows), tails[inverse]],
+                   _constant_bytes(" " * max(4 - t, 0) + "  ", rows), values],
         ))
         # the footer's total adds the probabilities left to right
         total = float(np.cumsum(probabilities)[-1]) if rows else 0.0
@@ -176,8 +169,9 @@ class Session:
         :meth:`QdbState.measure_counts`, whose ascending indices are record
         order; each row is the record label, the count as ``%8d`` and the
         fraction as ``%10.6f``, a row of one byte matrix (:meth:`_label_rows`,
-        :func:`_count_bytes`), or below ``BYTE_ROWS_FROM`` rows one
-        ``%``-format.  Counts are at most ``MAX_SHOTS``, 8 digits."""
+        :func:`_value_rows`), or below ``BYTE_ROWS_FROM`` rows one
+        ``%``-format.  Distinct positive counts sum to at most ``shots``, so
+        there are fewer than ``sqrt(2 * shots)`` of them."""
         indices, counts = histogram
         if indices.size < BYTE_ROWS_FROM:
             label, columns = self._label_columns(indices, 28)
@@ -185,15 +179,18 @@ class Session:
             columns += [counts.tolist(), (counts / shots).tolist()]
             body = "".join(row % values for values in zip(*columns))
         else:
-            body = _row_text(self._label_rows(indices, 28, after=[_count_bytes(counts, shots)]))
+            values = _value_rows(counts, lambda first: [
+                "  %8d  %10.6f\n" % (count, count / shots) for count in counts[first].tolist()])
+            body = _row_text(self._label_rows(indices, 28, after=[values]))
         return (f"{'record':<28}  {'count':>8}  fraction\n{body}"
                 f"{shots} shot(s), {indices.size} distinct record(s)")
 
     # ----------------------------------------------------------- persistence
 
-    def save_session(self, path: str) -> str:
+    def save_session(self, path) -> str:
         """Write the session to a new file beside ``path``, then move it onto
         ``path``: a SAVE that fails leaves the previous file as it was."""
+        path = _session_path(path)
         lines = [FORMAT_HEADER]
         if self.db is None:
             lines.append("SCHEMA none")
@@ -224,9 +221,10 @@ class Session:
             raise SessionFormatError(f"cannot write {path}: {exc.strerror or exc}") from exc
         return f"saved session to {path}"
 
-    def load_session(self, path: str) -> str:
+    def load_session(self, path) -> str:
         """Replace the session by the file's.  Every check, LOAD's and the
         engine constructor's, runs before the current session is touched."""
+        path = _session_path(path)
         try:
             with open(path, "r", encoding="utf-8") as handle:
                 loaded = _read_session(handle, self.config.max_qubits)
@@ -246,6 +244,14 @@ class Session:
         return f"loaded session from {path}"
 
 
+def _session_path(path) -> str:
+    """A ``str``, ``bytes`` or ``os.PathLike`` path as a ``str``; no descriptor."""
+    try:
+        return os.fsdecode(path)
+    except TypeError:
+        raise SessionFormatError(f"session path {path!r} is not a path") from None
+
+
 def write_amplitudes(handle, amps: np.ndarray) -> None:
     """Write one ``<index> <re> <im>`` line per nonzero amplitude, ascending by
     index, with the parts as ``float.hex`` literals.
@@ -259,13 +265,11 @@ def write_amplitudes(handle, amps: np.ndarray) -> None:
     nonzero = np.flatnonzero(amps != 0)
     if not nonzero.size:
         return
-    groups = -(-len(str(int(nonzero[-1]))) // 8)
-    width = 8 * groups
+    width = len(str(int(nonzero[-1])))
     for start in range(0, nonzero.size, SAVE_CHUNK):
         indices = nonzero[start:start + SAVE_CHUNK]
         lines = np.zeros((indices.size, width + 51), dtype=np.uint8)
-        index = _decimal_words(indices, groups).astype("<u8", copy=False)
-        lines[:, :width] = index.view(np.uint8).reshape(-1, width)
+        lines[:, :width] = _digit_bytes(indices, int(nonzero[-1]))
         parts = _hex_words(amps[indices].view(np.uint64).reshape(-1)).astype("<u8", copy=False)
         parts = parts.view(np.uint8).reshape(-1, 2, 24)
         lines[:, width] = lines[:, width + 25] = ord(" ")
@@ -285,33 +289,15 @@ def _digit_bytes(values: np.ndarray, top: int) -> np.ndarray:
     return words.view(np.uint8).reshape(-1, 8 * groups)[:, 8 * groups - digits:]
 
 
-def _count_bytes(counts: np.ndarray, shots: int) -> np.ndarray:
-    """``"  %8d  %10.6f\n" % (count, count / shots)`` of each count as a row of
-    23 bytes, for counts of at most 8 digits.
-
-    The fraction is ``count * 10^6 / shots`` rounded to an integer, half up.
-    Only where that division leaves exactly one half, a tie, can it round
-    otherwise than ``%`` rounds the double ``count / shots``: for shots up to
-    2^24 (``MAX_SHOTS``) any other fraction lies at least
-    1 / (2 * 10^6 * 2^24), about 3e-14, from a rounding boundary, far above
-    the double's error.  Ties are formatted by ``%``."""
-    rows = np.full((counts.size, 23), ord(" "), dtype=np.uint8)
-    # the digit words with their leading 0 bytes turned into spaces
-    digits = _digit_bytes(counts, 10**8 - 1)
-    rows[:, 2:10] = np.where(digits == 0, np.uint8(ord(" ")), digits)
-    # 10^7 plus the fraction in millionths has 8 digits: a 1, the units and
-    # the six decimals
-    millionths, rest = np.divmod(counts.astype(np.int64) * 10**6, shots)
-    millionths += 2 * rest > shots
-    digits = _digit_bytes(millionths + 10**7, 10**8 - 1)
-    rows[:, 14] = digits[:, 1]
-    rows[:, 15] = ord(".")
-    rows[:, 16:22] = digits[:, 2:]
-    rows[:, 22] = ord("\n")
-    for row in np.flatnonzero(2 * rest == shots).tolist():
-        tie = "%10.6f" % (int(counts[row]) / shots)
-        rows[row, 12:22] = np.frombuffer(tie.encode("ascii"), dtype=np.uint8)
-    return rows
+def _value_rows(keys: np.ndarray, texts) -> np.ndarray:
+    """One ASCII row per entry of ``keys``, unused bytes 0: ``texts(first)``
+    gives the text of each entry of ``first``, the first entry of each
+    distinct key, formatted once and gathered into the rows of its key."""
+    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+    encoded = [text.encode("ascii") for text in texts(first)]
+    width = max(map(len, encoded), default=0)
+    table = np.frombuffer(b"".join(row.ljust(width, b"\0") for row in encoded), dtype=np.uint8)
+    return table.reshape(len(encoded), width)[inverse]
 
 
 def _constant_bytes(text: str, rows: int) -> np.ndarray:

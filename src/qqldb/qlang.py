@@ -28,6 +28,7 @@ back to parseable text.
 from __future__ import annotations
 
 import re
+import reprlib
 from dataclasses import dataclass
 from typing import Callable, NamedTuple, Optional, Union
 
@@ -46,7 +47,7 @@ from .boolcirc import (
     validate_expr,
     walk_expr,
 )
-from .errors import CompileError, QqlSyntaxError, SchemaError
+from .errors import ArgumentError, CompileError, QqlSyntaxError, SchemaError, as_int
 from .gates import HADAMARD, NOT as NOT_GATE
 from .qdb import DEFAULT_TEMP_QUBITS, ApplyGate, ApplySwap, QdbState
 from .schema import TableSchema
@@ -657,27 +658,24 @@ def _need_db(session) -> QdbState:
 
 def _bind_records(records, schema: TableSchema) -> np.ndarray:
     """A record list as one array of basis indices; the first record that
-    does not fit the schema raises.  Every ket's width is checked before any
-    array is built; a list of kets is read by :func:`_ket_indices`, any
-    other list record by record."""
+    does not fit the schema raises.  Every ket is checked before any array
+    is built; a list of kets is read by :func:`_ket_indices`, any other list
+    record by record."""
     n = schema.num_bits
     bits = [rec.bits for rec in records if isinstance(rec, KetRec)]
-    if set(map(len, bits)) - {n}:
+    if (set(map(type, bits)) - {str} or set(map(len, bits)) - {n}
+            or "".join(bits).encode("ascii", "replace").translate(None, b"01")):
         for rec in records:  # raises at the first record that does not fit
             _resolve_record(rec, schema)
-    indices = _ket_indices(bits, n) if len(bits) == len(records) else None
-    if indices is None:
-        indices = np.array([_resolve_record(rec, schema) for rec in records], dtype=np.int64)
-    return indices
+    if len(bits) == len(records):
+        return _ket_indices(bits, n)
+    return np.array([_resolve_record(rec, schema) for rec in records], dtype=np.int64)
 
 
-def _ket_indices(bits: list[str], n: int) -> np.ndarray | None:
-    """The basis indices of kets of ``n`` bits each, from the rows of one
-    byte matrix no larger than the text the kets were written in; None when
-    a ket built in code holds other characters than 0 and 1."""
-    rows = np.frombuffer("".join(bits).encode("ascii", "replace"), dtype=np.uint8)
-    if np.any(rows | 1 != ord("1")):
-        return None
+def _ket_indices(bits: list[str], n: int) -> np.ndarray:
+    """The basis indices of kets of ``n`` 0s and 1s each, from the rows of
+    one byte matrix no larger than the text the kets were written in."""
+    rows = np.frombuffer("".join(bits).encode("ascii"), dtype=np.uint8)
     # each row's bits packed big-endian into the high bits of a 64-bit word
     words = np.zeros((len(bits), 8), dtype=np.uint8)
     words[:, : -(-n // 8)] = np.packbits(rows.reshape(-1, n) == ord("1"), axis=1)
@@ -686,6 +684,8 @@ def _ket_indices(bits: list[str], n: int) -> np.ndarray | None:
 
 def _resolve_record(rec: RecSpec, schema: TableSchema) -> int:
     if isinstance(rec, KetRec):
+        if not isinstance(rec.bits, str) or rec.bits.strip("01"):
+            raise CompileError(f"ket {reprlib.repr(rec.bits)} is not a string of 0s and 1s")
         if len(rec.bits) != schema.num_bits:
             raise CompileError(
                 f"ket of {len(rec.bits)} bits does not match the {schema.num_bits}-bit schema"
@@ -695,6 +695,11 @@ def _resolve_record(rec: RecSpec, schema: TableSchema) -> int:
         return schema.encode(schema.record(**dict(rec.assignments)))
     except SchemaError as exc:
         raise CompileError(str(exc)) from exc
+    except ArgumentError:  # a value that is not an integer
+        raise
+    except (TypeError, ValueError):  # from dict() or ** alone
+        raise CompileError(f"assignments {reprlib.repr(rec.assignments)} "
+                           "are not (field name, value) pairs") from None
 
 
 def _validated(expr: BoolExpr, schema: TableSchema) -> BoolExpr:
@@ -770,11 +775,13 @@ def compile_command(command: Command, session) -> Callable[[], str]:
             raise CompileError("WHEN clause references no select flags")
         flags = {name: db.selects[name] for name in sorted(names)}
         if isinstance(command.gate, BitGate):
+            if command.gate.gate not in ("NOT", "H"):
+                raise CompileError(f"unknown gate {command.gate.gate!r}; expected NOT or H")
             try:
                 width = schema.width_of(command.gate.field)
             except SchemaError as exc:
                 raise CompileError(str(exc)) from exc
-            bit = command.gate.bit if command.gate.bit is not None else 0
+            bit = as_int(command.gate.bit, "bit") if command.gate.bit is not None else 0
             if bit < 0 or bit >= width:
                 raise CompileError(
                     f"bit {bit} out of range for field {command.gate.field!r} of width {width}"

@@ -54,7 +54,11 @@ class TableSchema:
 
     def __post_init__(self):
         check_identifier(self.name, "table name")
-        fields = tuple((n, as_int(w, f"width of field {n!r}")) for n, w in self.fields)
+        try:
+            pairs = [(n, w) for n, w in self.fields]
+        except (TypeError, ValueError):
+            raise SchemaError(f"the fields of {self.name!r} are not (name, width) pairs") from None
+        fields = tuple((n, as_int(w, f"width of field {n!r}")) for n, w in pairs)
         object.__setattr__(self, "fields", fields)
         for field_name, width in fields:
             check_identifier(field_name, "field name")

@@ -33,7 +33,7 @@ from qqldb.errors import (
     SessionFormatError,
 )
 from qqldb.qdb import QdbState, SafeKey
-from qqldb.qlang import MAX_EXPR_DEPTH, Show, parse_predicate
+from qqldb.qlang import MAX_EXPR_DEPTH, Load, Save, Show, parse_predicate
 from qqldb.schema import TableSchema
 from qqldb.statevec import StateVector
 
@@ -435,6 +435,40 @@ class TestSaveLoad:
                            match=f"^cannot write {path}: No such file or directory$"):
             Session().save_session(str(path))
         assert os.listdir(tmp_path) == []
+
+    def test_descriptor_is_not_a_path(self, tmp_path):
+        # load_session(fd) once loaded the file the descriptor held and closed it
+        session = Session()
+        session.execute_text("CREATE TABLE t (id:2) TEMP 1; INSERT ALL 2;")
+        session.save_session(str(tmp_path / "state.qdb"))
+        other = Session()
+        fd = os.open(tmp_path / "state.qdb", os.O_RDONLY)
+        try:
+            for run in (other.load_session, lambda path: other.execute_command(Load(path)),
+                        session.save_session, lambda path: session.execute_command(Save(path))):
+                with pytest.raises(SessionFormatError, match=f"^session path {fd} is not a path$"):
+                    run(fd)
+            assert os.lseek(fd, 0, os.SEEK_CUR) == 0  # open, and not read
+        finally:
+            os.close(fd)
+        for path in (None, 2.5):
+            with pytest.raises(SessionFormatError, match="is not a path$"):
+                session.save_session(path)
+            with pytest.raises(SessionFormatError, match="is not a path$"):
+                other.load_session(path)
+        assert other.db is None
+        assert os.listdir(tmp_path) == ["state.qdb"]
+
+    def test_str_bytes_and_pathlike_paths(self, tmp_path):
+        session = Session()
+        session.execute_text("CREATE TABLE t (id:2) TEMP 1; INSERT ALL 2;")
+        text = str(tmp_path / "state.qdb")
+        for path in (text, os.fsencode(text), Path(text)):
+            assert session.save_session(path) == f"saved session to {text}"
+            other = Session()
+            assert other.load_session(path) == f"loaded session from {text}"
+            assert other.db.state.amps.tobytes() == session.db.state.amps.tobytes()
+            assert os.listdir(tmp_path) == ["state.qdb"]
 
     def test_saved_file_mode_follows_the_umask(self, tmp_path):
         with open(tmp_path / "plain", "wb"):

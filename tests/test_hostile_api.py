@@ -6,16 +6,21 @@ a ``numpy.bool_``) must end in ``ArgumentError`` and leave the register, the
 temp allocation, the safe key and ``clean_temps`` as they were, with every
 clean temp's ``|1>`` half still exactly zero.  A numpy integer must act as
 the Python int of the same value.
+
+A statement built in code whose gate, bit, ket or field list is not of the
+form the parser builds ends in a ``QqlError`` before any kernel, too.
 """
 
 import numpy as np
 import pytest
 
 from qqldb.boolcirc import Comparison, Const, Var
+from qqldb.cli import Session
 from qqldb.diffusion import apply_partial_diffusion
-from qqldb.errors import ArgumentError, QqlError
+from qqldb.errors import ArgumentError, CompileError, QqlError, SchemaError
 from qqldb.gates import HADAMARD
 from qqldb.qdb import ApplyGate, ApplySwap, QdbState, SafeKey
+from qqldb.qlang import Apply, BitGate, CreateTable, FieldRec, InsertValues, KetRec, SwapGate
 from qqldb.schema import Record, TableSchema
 from qqldb.statevec import StateVector, Xorshift64Star, qubit_view
 
@@ -180,3 +185,55 @@ def test_failed_post_selection_undoes_its_oracle(monkeypatch, statement, how):
             db.restore(purge=True)
     assert snapshot(db) == before
     assert_clean_temps_zero(db)
+
+
+def api_session() -> Session:
+    """A session on ``busy()``'s records and select flag ``c``."""
+    session = Session()
+    session.execute_text("CREATE TABLE t (a:2, b:2) TEMP 3; INSERT SEQ 5; SELECT c WHERE a >= 1;")
+    return session
+
+
+# command built in code: (error, message); "X" once ran a Hadamard and the
+# others raised a raw TypeError or ValueError
+HOSTILE_COMMANDS = {
+    "unknown gate": (Apply(BitGate("X", "a", 0), Var("c")),
+                     CompileError, "unknown gate 'X'; expected NOT or H"),
+    "gate not a name": (Apply(BitGate(None, "a", 0), Var("c")),
+                        CompileError, "unknown gate None; expected NOT or H"),
+    "bit a string": (Apply(BitGate("NOT", "a", "0"), Var("c")),
+                     ArgumentError, "bit '0' is not an integer"),
+    "bit a float": (Apply(BitGate("H", "a", 1.0), Var("c")),
+                    ArgumentError, "bit 1.0 is not an integer"),
+    "swap ket not 0s and 1s": (Apply(SwapGate(KetRec("0b01"), KetRec("0001")), Var("c")),
+                               CompileError, "ket '0b01' is not a string of 0s and 1s"),
+    "assignment of one": (InsertValues((FieldRec((("a",),)),)),
+                          CompileError, r"assignments \(\('a',\),\) are not \(field name, value\)"),
+    "assignment of three": (InsertValues((FieldRec((("a", 1, 2),)),)),
+                            CompileError, r"assignments .* are not \(field name, value\) pairs"),
+    "assignments not a sequence": (InsertValues((FieldRec(5),)),
+                                   CompileError, "assignments 5 are not"),
+    "assignment named by a number": (InsertValues((FieldRec(((1, 2),)),)),
+                                     CompileError, r"assignments \(\(1, 2\),\) are not"),
+}
+
+
+@pytest.mark.parametrize("name", HOSTILE_COMMANDS)
+def test_command_built_in_code_refused_before_a_kernel(name):
+    command, error, message = HOSTILE_COMMANDS[name]
+    session = api_session()
+    before = snapshot(session.db)
+    with pytest.raises(error, match=f"^{message}"):
+        session.execute_command(command)
+    assert snapshot(session.db) == before
+    assert_clean_temps_zero(session.db)
+
+
+@pytest.mark.parametrize("fields", [(("a",),), (("a", 2, 3),), (3,), 5])
+def test_fields_not_pairs_refused(fields):
+    with pytest.raises(SchemaError, match="^the fields of 't' are not"):
+        TableSchema("t", fields)
+    session = Session()
+    with pytest.raises(CompileError, match="^the fields of 't' are not"):
+        session.execute_command(CreateTable("t", fields, None))
+    assert session.db is None

@@ -625,14 +625,24 @@ class TestBindRecordLists:
         bound = _bind_records(command.records, session.db.schema)
         assert bound.dtype == np.int64 and bound.tolist() == expected
 
-    def test_ket_built_in_code_is_read_by_int(self):
+    # int(bits, 2) once read the first three as 2, 1 and 7
+    KETS = {"underscore": "1_0", "0b": "0b1", "arabic-indic": "\u0661" * 3, "x": "1x1",
+            "space": " 10", "int": 101, "bytes": b"101"}
+
+    @pytest.mark.parametrize("bits", KETS.values(), ids=KETS.keys())
+    def test_ket_built_in_code_not_of_0s_and_1s_refused(self, bits):
         session = fresh_session()
-        session.execute_text(self.FIELDS)
-        schema = session.db.schema
-        # int reads "_" between digits and other scripts' digits
-        assert _bind_records([KetRec("01_01"), KetRec("\u0661" * 5)], schema).tolist() == [5, 31]
-        with pytest.raises(ValueError):
-            _bind_records([KetRec("01012")], schema)
+        session.execute_text("CREATE TABLE t (k:3) TEMP 1;")
+        before = session.db.state.amps.tobytes()
+        for command in (
+            InsertValues((KetRec(bits),)),
+            InsertValues((KetRec("001"), KetRec(bits))),
+            InsertValues((FieldRec((("k", 1),)), KetRec(bits))),
+            Update(((KetRec("000"), KetRec(bits)),)),
+        ):
+            with pytest.raises(CompileError, match=" is not a string of 0s and 1s$"):
+                session.execute_command(command)
+        assert session.db.state.amps.tobytes() == before
 
 
 class TestHostileRecordLists:

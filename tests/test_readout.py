@@ -230,6 +230,14 @@ class TestHistogramRows:
         check_histogram([("id", 2)], np.array([0, 3]), [1, MAX_SHOTS - 1], MAX_SHOTS)
         check_histogram([("id", 2)], np.array([2]), [1], 1)
 
+    def test_most_distinct_counts(self):
+        # distinct positive counts 1..k sum to k(k+1)/2 shots: 5792 is the
+        # most that MAX_SHOTS allows, each count formatted once
+        shots = 5792 * 5793 // 2
+        assert shots == 16_776_528 <= MAX_SHOTS < 5793 * 5794 // 2
+        counts = np.random.default_rng(5).permutation(np.arange(1, 5793))
+        check_histogram([("id", 13)], np.arange(5792), counts, shots)
+
     def test_labels_longer_than_the_column(self):
         fields = [("a_rather_long_field_name", 6), ("another_one", 4)]
         indices = random_records(np.random.default_rng(1), fields, 300)
