@@ -198,18 +198,24 @@ class QdbState:
             self.state = state
             self._release_temps()
 
-    def _read_state(self) -> tuple[np.ndarray, np.ndarray]:
+    def _read_state(self, stop: int | None = None) -> tuple[np.ndarray, np.ndarray]:
         """The mass of each temp pattern, summed by one pass in blocks of whole
         rows of them, and whether any of its amplitudes is nonzero, read off
         the parts' bits ORed together in the same blocks: a mass can round to
         0 where an amplitude is not.  The norm, read off the masses' sum, must
         be 1 (a part not finite, or huge, makes it NaN or infinite without a
-        warning)."""
+        warning).
+
+        With ``stop``, the caller knows every amplitude from index ``stop`` on
+        to be +0: the pass ends with the block that holds index ``stop - 1``.
+        A skipped block would add only +0 to each sum, so the results are
+        those of the whole pass."""
         amps, width = self.state.amps, 1 << self.t
         patterns, step = np.zeros(width), max(SCAN_BLOCK, width)
+        end = amps.size if stop is None else min(amps.size, -(-stop // step) * step)
         bits = np.zeros(2 * width, dtype=np.uint64)
         with np.errstate(over="ignore", invalid="ignore"):
-            for start in range(0, amps.size, step):
+            for start in range(0, end, step):
                 part = amps[start : start + step]
                 # the squares added in place: the same sums, one temporary fewer
                 mass = part.real**2
@@ -378,18 +384,30 @@ class QdbState:
         the p low data bits holding ``k - 2^p``.  The steps of one level p
         share target and control qubits and differ only in the control value,
         so they touch disjoint amplitudes and run as one gate restricted to
-        that range of values."""
-        n = self.n
+        that range of values.
+
+        Level p gives mass only to records below 2^(p+1).  When every word
+        of the records above ``fill`` is +0, checked once, each level takes
+        the data bits above p as negative controls, but for the lowest
+        ``max(0, 4 - t)`` of them, and the norm pass reads only up to the
+        last record inserted.  Each product is then the whole view or a
+        multiple of 16 columns wide, and zgemm rounds every column of it as
+        the whole-register product does (see :func:`statevec.apply_matrix`);
+        a narrower one could give a zero of the other sign.  A register with
+        any other word above ``fill`` gets the whole-register levels."""
+        n, t, amps = self.n, self.t, self.state.amps
+        prefix = not np.any(amps.view(np.uint64)[2 * ((fill + 1) << t) :])
         k = fill + 1
         while k <= upto_k:
             p = k.bit_length() - 1
             last = min(upto_k, (2 << p) - 1)
+            high = range(max(0, n - 1 - p - max(0, 4 - t)) if prefix else 0)
             self.state.apply_controlled(
-                HADAMARD, targets=[n - 1 - p], run=range(n - p, n),
+                HADAMARD, neg_controls=high, targets=[n - 1 - p], run=range(n - p, n),
                 rows=range(k - (1 << p), last - (1 << p) + 1),
             )
             k = last + 1
-        self._read_state()
+        self._read_state((upto_k + 1) << t if prefix else None)
 
     def insert_sequential(self, upto_k: int) -> "QdbState":
         """Insert records one at a time until the support is {0, ..., upto_k}."""

@@ -691,21 +691,39 @@ def _resolve_record(rec: RecSpec, schema: TableSchema) -> int:
                 f"ket of {len(rec.bits)} bits does not match the {schema.num_bits}-bit schema"
             )
         return int(rec.bits, 2)
+    if not isinstance(rec, FieldRec):
+        raise CompileError(f"record {reprlib.repr(rec)} is not a KetRec or FieldRec")
     try:
-        return schema.encode(schema.record(**dict(rec.assignments)))
+        assignments = tuple(rec.assignments)
+        values = dict(assignments)
+        if len(values) < len(assignments):
+            names = [name for name, _ in assignments]
+            twice = next(name for i, name in enumerate(names) if name in names[:i])
+            raise CompileError(f"field {twice!r} is assigned twice")
+        return schema.encode(schema.record(**values))
     except SchemaError as exc:
         raise CompileError(str(exc)) from exc
     except ArgumentError:  # a value that is not an integer
         raise
-    except (TypeError, ValueError):  # from dict() or ** alone
+    except (TypeError, ValueError):  # from tuple(), dict() or ** alone
         raise CompileError(f"assignments {reprlib.repr(rec.assignments)} "
                            "are not (field name, value) pairs") from None
+
+
+def _listed(items, what: str, length: int | None = None):
+    """A list of a statement built in code, as the parser builds it: a tuple
+    or a list, of ``length`` items if given; anything else raises
+    :class:`CompileError` before the records are bound."""
+    if not isinstance(items, (tuple, list)) or length is not None and len(items) != length:
+        size = f" of {length} records" if length is not None else ""
+        raise CompileError(f"{what} {reprlib.repr(items)} is not a tuple or list{size}")
+    return items
 
 
 def _validated(expr: BoolExpr, schema: TableSchema) -> BoolExpr:
     try:
         validate_expr(expr, schema)
-    except SchemaError as exc:
+    except (SchemaError, TypeError) as exc:  # TypeError: a node built in code
         raise CompileError(str(exc)) from exc
     return expr
 
@@ -744,10 +762,11 @@ def compile_command(command: Command, session) -> Callable[[], str]:
     if isinstance(command, InsertSeq):
         return lambda: _fmt_insert(db.insert_sequential(command.k), f"sequential to {command.k}")
     if isinstance(command, InsertValues):
-        indices = _bind_records(command.records, schema)
+        indices = _bind_records(_listed(command.records, "record list"), schema)
         return lambda: _fmt_insert(db.insert_values(indices), f"{len(indices)} values")
     if isinstance(command, Update):
-        pairs = _bind_records([r for pair in command.pairs for r in pair], schema).reshape(-1, 2)
+        listed = [_listed(pair, "pair", 2) for pair in _listed(command.pairs, "pair list")]
+        pairs = _bind_records([r for pair in listed for r in pair], schema).reshape(-1, 2)
 
         def run_update() -> str:
             db.update(pairs)
@@ -768,7 +787,8 @@ def compile_command(command: Command, session) -> Callable[[], str]:
             for node, _ in walk_expr(command.when)
             if isinstance(node, (Var, Comparison))
         }
-        missing = sorted(names - db.selects.keys())
+        # str: a Var built in code may carry a name of any type
+        missing = sorted(map(str, names - db.selects.keys()))
         if missing:
             raise CompileError(f"unknown select name(s): {', '.join(missing)}")
         if not names:
@@ -789,11 +809,13 @@ def compile_command(command: Command, session) -> Callable[[], str]:
             target = schema.offset_of(command.gate.field) + (width - 1 - bit)
             gate = NOT_GATE if command.gate.gate == "NOT" else HADAMARD
             operation = ApplyGate(gate, (target,))
-        else:
+        elif isinstance(command.gate, SwapGate):
             operation = ApplySwap(
                 _resolve_record(command.gate.rec_a, schema),
                 _resolve_record(command.gate.rec_b, schema),
             )
+        else:
+            raise CompileError(f"gate {reprlib.repr(command.gate)} is not a BitGate or SwapGate")
         when = command.when
 
         def run_apply() -> str:

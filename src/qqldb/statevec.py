@@ -222,9 +222,13 @@ def apply_matrix(
     each is gathered into a contiguous ``(2^k, c)`` buffer, multiplied by
     ``matrix`` into a second one and scattered back, so no temporary is as
     large as the register.  BLAS may round a column differently when it is a
-    whole one-column product or among the last few columns of a wider one.
-    The tiles of :func:`_tiles` keep both cases where the untiled product
-    has them, so every amplitude comes out as ``matrix @ block`` gives it.
+    whole one-column product or among the last few columns of a wider one:
+    measured on OpenBLAS 0.3.31's zgemm (a zero of the other sign), the
+    SkylakeX kernel treats the last ``width mod 4`` columns of a product
+    differently from the others, the Haswell kernel only the column of a
+    one-column product, and the Sandybridge kernel none.  The tiles of :func:`_tiles` keep both cases
+    where the untiled product has them, so every amplitude comes out as
+    ``matrix @ block`` gives it.
     """
     k = len(targets)
     view = qubit_view(amps, pos_controls, neg_controls, targets, run)

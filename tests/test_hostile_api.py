@@ -14,13 +14,15 @@ form the parser builds ends in a ``QqlError`` before any kernel, too.
 import numpy as np
 import pytest
 
-from qqldb.boolcirc import Comparison, Const, Var
+from qqldb.boolcirc import Comparison, Const, Not, Var
 from qqldb.cli import Session
 from qqldb.diffusion import apply_partial_diffusion
 from qqldb.errors import ArgumentError, CompileError, QqlError, SchemaError
 from qqldb.gates import HADAMARD
 from qqldb.qdb import ApplyGate, ApplySwap, QdbState, SafeKey
-from qqldb.qlang import Apply, BitGate, CreateTable, FieldRec, InsertValues, KetRec, SwapGate
+from qqldb.qlang import (
+    Apply, BitGate, CreateTable, Delete, FieldRec, InsertValues, KetRec, SwapGate, Update,
+)
 from qqldb.schema import Record, TableSchema
 from qqldb.statevec import StateVector, Xorshift64Star, qubit_view
 
@@ -194,8 +196,9 @@ def api_session() -> Session:
     return session
 
 
-# command built in code: (error, message); "X" once ran a Hadamard and the
-# others raised a raw TypeError or ValueError
+# command built in code: (error, message); "X" once ran a Hadamard, a field
+# assigned twice took its last value, and the others raised a raw
+# TypeError, ValueError or AttributeError
 HOSTILE_COMMANDS = {
     "unknown gate": (Apply(BitGate("X", "a", 0), Var("c")),
                      CompileError, "unknown gate 'X'; expected NOT or H"),
@@ -215,6 +218,23 @@ HOSTILE_COMMANDS = {
                                    CompileError, "assignments 5 are not"),
     "assignment named by a number": (InsertValues((FieldRec(((1, 2),)),)),
                                      CompileError, r"assignments \(\(1, 2\),\) are not"),
+    "field assigned twice": (InsertValues((FieldRec((("a", 1), ("a", 2))),)),
+                             CompileError, "field 'a' is assigned twice$"),
+    "record list not a tuple": (InsertValues(5),
+                                CompileError, "record list 5 is not a tuple or list$"),
+    "record not a record": (InsertValues((KetRec("0001"), 5)),
+                            CompileError, "record 5 is not a KetRec or FieldRec$"),
+    "pair list not a tuple": (Update(5), CompileError, "pair list 5 is not a tuple or list$"),
+    "pair of one record": (Update(((KetRec("0000"),),)), CompileError,
+                           r"pair \(KetRec\(bits='0000'\),\) is not a tuple or list of 2 records$"),
+    "pair of three records": (Update(((KetRec("0000"), KetRec("0001"), KetRec("0010")),)),
+                              CompileError, r"pair .* is not a tuple or list of 2 records$"),
+    "flag not a name": (Apply(BitGate("NOT", "a", 0), Var(5)),
+                        CompileError, r"unknown select name\(s\): 5$"),
+    "gate not a gate": (Apply(5, Var("c")),
+                        CompileError, "gate 5 is not a BitGate or SwapGate$"),
+    "predicate not an expression": (Delete(5), CompileError, "not a BoolExpr: 5$"),
+    "predicate node not an expression": (Delete(Not(5)), CompileError, "not a BoolExpr: 5$"),
 }
 
 

@@ -540,6 +540,17 @@ class TestCompile:
         with pytest.raises(CompileError):
             session.execute_text("SELECT c1 WHERE age = 1;")
 
+    def test_field_assigned_twice(self):
+        # INSERT VALUES (a = 1, a = 2) inserted the last value, record 8
+        session = fresh_session()
+        session.execute_text("CREATE TABLE t (a:2, b:2); INSERT SEQ 3; SELECT c WHERE a = 0;")
+        before = session.db.state.amps.tobytes()
+        for text in ("INSERT VALUES (a = 1, a = 2);", "UPDATE SET (a = 0) TO (b = 1, b = 1);",
+                     "APPLY SWAP (b = 1, a = 1, b = 2) TO (a = 2) WHEN c;"):
+            with pytest.raises(CompileError, match="^field '[ab]' is assigned twice$"):
+                session.execute_text(text)
+        assert session.db.state.amps.tobytes() == before
+
     def test_bit_out_of_range(self):
         session = fresh_session()
         session.execute_text("CREATE TABLE t (age:3); SELECT c1 WHERE age = 0;")

@@ -130,9 +130,9 @@ class TestPerLevelSequentialInsert:
             calls["gate"] += 1
             return gate(self, *args, **kwargs)
 
-        def counted_norm(self):
+        def counted_norm(self, *args):
             calls["norm"] += 1
-            return norm(self)
+            return norm(self, *args)
 
         monkeypatch.setattr(StateVector, "apply_controlled", counted_gate)
         monkeypatch.setattr(QdbState, "_read_state", counted_norm)
