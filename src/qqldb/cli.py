@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import io
 import os
 import secrets
 import sys
@@ -30,6 +31,10 @@ FORMAT_HEADER = "QQLDB 1"
 # register size.
 SAVE_CHUNK = 1 << 12
 LOAD_CHUNK = 1 << 12
+# LOAD reads the file this many bytes at a time: a block of lines in SAVE's
+# form, at most 59 bytes each, fits in one read.  A multiple of the 8,192
+# bytes text mode decodes at once, so no such chunk straddles two reads.
+LOAD_READ = LOAD_CHUNK * 64
 # From this many rows on, MEASURE's histogram is a byte matrix; below it, one
 # ``%``-format per row, which passes the matrix's 110-170 us at 192-256 rows
 # (a:5 b:5, 4096 shots; 2-core Xeon guest, Python 3.11, numpy 2.4).
@@ -72,6 +77,8 @@ class Session:
         self.config = config or SessionConfig()
         self.db: QdbState | None = None
         self._seed_stream = Xorshift64Star(self.config.seed)
+        # the statement an exception stopped while it could write the register
+        self.interrupted: str | None = None
 
     # ------------------------------------------------------------- execution
 
@@ -82,7 +89,36 @@ class Session:
         self.db = QdbState(schema, temp, self.config.max_qubits, self.config.epsilon)
 
     def execute_command(self, command: qlang.Command) -> str:
-        return qlang.compile_command(command, self)()
+        """Bind and run one statement.  An exception other than a
+        ``QqlError`` (every refusal is one, raised before the first kernel or
+        after an exact undo), such as a ``KeyboardInterrupt`` or a
+        ``MemoryError``, can stop a statement that writes the register between
+        two kernels.  The record of the temps is then rebuilt from the
+        register by one ``_release_temps`` pass, so that no kernel skips mass,
+        and every later statement but ``LOAD``, and ``CREATE`` with no table
+        open, is refused until one of them replaces the session."""
+        if self.interrupted is not None and not (
+                isinstance(command, qlang.Load)
+                or isinstance(command, qlang.CreateTable) and self.db is None):
+            raise QqlError(f"the session was interrupted in {self.interrupted}; "
+                           "LOAD a session file to go on")
+        action = qlang.compile_command(command, self)
+        db = self.db
+        try:
+            output = action()
+        except QqlError:
+            raise
+        except BaseException:
+            if db is not None and not isinstance(command, _READ_ONLY):
+                self.interrupted = _statement_name(command)
+                try:
+                    db._release_temps()
+                except QqlError:  # a norm the stop left off 1: no temp is known clean
+                    db.clean_temps = set()
+            raise
+        if isinstance(command, (qlang.Load, qlang.CreateTable)):
+            self.interrupted = None
+        return output
 
     def execute_text(self, text: str) -> list[str]:
         return [self.execute_command(command) for command in qlang.parse_text(text)]
@@ -226,7 +262,7 @@ class Session:
         engine constructor's, runs before the current session is touched."""
         path = _session_path(path)
         try:
-            with open(path, "r", encoding="utf-8") as handle:
+            with open(path, "rb") as handle:
                 loaded = _read_session(handle, self.config.max_qubits)
         except OSError as exc:
             raise SessionFormatError(f"cannot read {path}: {exc}") from exc
@@ -242,6 +278,19 @@ class Session:
         except QqlError as exc:
             raise _malformed(exc) from exc
         return f"loaded session from {path}"
+
+
+# Statements that never write the register.
+_READ_ONLY = (qlang.CreateTable, qlang.Measure, qlang.Show, qlang.Save, qlang.Load)
+
+
+def _statement_name(command: qlang.Command) -> str:
+    """A statement's text, cut to 60 characters."""
+    try:
+        text = qlang.render_command(command)
+    except (QqlError, TypeError):
+        text = type(command).__name__
+    return repr(text if len(text) <= 60 else text[:57] + "...")
 
 
 def _session_path(path) -> str:
@@ -428,8 +477,15 @@ def _hex_digits(words: np.ndarray) -> np.ndarray:
     return digit == _bytes(0x80)
 
 
-def _parse_lines(text: str, count: int):
-    """The basis indices and parts of ``count`` amplitude lines in the form
+def _separators(data: bytes) -> np.ndarray:
+    """The offsets of the bytes of ``data`` up to " ": in lines of the
+    writer's form, two spaces and a newline per line."""
+    return np.flatnonzero(np.frombuffer(data, dtype=np.uint8) <= ord(" "))
+
+
+def _parse_lines(data: bytes, count: int, fields: np.ndarray):
+    """The basis indices and parts of ``count`` amplitude lines, given as
+    ASCII bytes with the offsets of their :func:`_separators`, in the form
     :func:`write_amplitudes` writes, or None when any line is in another
     form.  That form is ``<index> <part> <part>\\n`` with the index in
     decimal without leading zeros (at most 8 digits here) and each part
@@ -439,16 +495,14 @@ def _parse_lines(text: str, count: int):
 
     Every field is read from its bytes as uint64 words, 8 bytes each: the
     digits by shifts, masks and multiplications, the double from its sign,
-    exponent and mantissa fields.  On lines in this form ``int`` and
-    ``float.fromhex`` read the same values.
+    exponent and mantissa fields.  A part that is exactly ``0x0.0p+0``, as
+    every imaginary part of a register that statements built is, is matched
+    by one word comparison and read as +0; only the others are decoded.  On
+    lines in this form ``int`` and ``float.fromhex`` read the same values.
     """
-    if not text.isascii():
-        return None
-    data = text.encode("ascii")
     # 24 bytes of padding: a part's word reads reach 23 bytes past its start
     buf = np.frombuffer(data + bytes(24), dtype=np.uint8)
     # the separators of every line: two spaces, then a newline
-    fields = np.flatnonzero(buf[: len(data)] <= ord(" "))
     if fields.size != 3 * count or np.any(buf[fields].reshape(-1, 3) != _SEPARATORS):
         return None
     fields = fields.reshape(-1, 3)
@@ -467,11 +521,14 @@ def _parse_lines(text: str, count: int):
     index = (index & 0x00FF00FF00FF00FF) * 6553601 >> 16
     index = (index & 0x0000FFFF0000FFFF) * 42949672960001 >> 32
 
-    # each part from the byte before it, a space or its sign: bytes 1-4 the
-    # head, 5-17 the digits, 18 "p", 19 the exponent's sign, 20-23 its digits
-    first = fields[:, :2].reshape(-1) + 1
+    # each part that is not "0x0.0p+0" from the byte before it, a space or its
+    # sign: bytes 1-4 the head, 5-17 the digits, 18 "p", 19 the exponent's
+    # sign, 20-23 its digits
+    first, end = fields[:, :2].reshape(-1) + 1, fields[:, 1:].reshape(-1)
+    coded = np.flatnonzero((end - first != 8) | (words[first] != _ZERO_PART))
+    first = first[coded]
     negative = buf[first] == ord("-")
-    length = fields[:, 1:].reshape(-1) - first - negative
+    length = end[coded] - first - negative
     part = np.ascontiguousarray(spans[first + negative - 1].view("<u8").reshape(-1, 3).T,
                                 dtype=np.uint64)
     high = part[0] >> 40 | part[1] << 24
@@ -497,7 +554,8 @@ def _parse_lines(text: str, count: int):
     parts_ok |= zero & ((part[0] >> 8 | part[1] << 56) == _ZERO_PART)
     if not (ok.all() and parts_ok.all()):
         return None
-    bits = negative.astype(np.uint64) << 63 | (biased * normal << 52 | mantissa) * ~zero
+    bits = np.zeros(2 * count, dtype=np.uint64)
+    bits[coded] = negative.astype(np.uint64) << 63 | (biased * normal << 52 | mantissa) * ~zero
     return index.astype(np.int64), bits.view(np.float64)
 
 
@@ -581,22 +639,40 @@ def _read_header(handle, max_qubits: int):
 
 
 def _read_session(handle, max_qubits: int):
-    """Parse an open session file into (schema, temp, safe key or None,
-    amplitudes), or None for a file without a table.  The header is read by
-    :func:`_read_header`, and every amplitude line is checked: three fields,
-    a basis index in range and above the previous line's, and finite parts.
-    A block of lines in the writer's own form is read from its bytes; any
-    other block by ``int`` and ``float.fromhex``."""
-    header = _read_header(handle, max_qubits)
+    """Parse a session file open in binary mode into (schema, temp, safe key
+    or None, amplitudes), or None for a file without a table.  An ASCII file
+    is read from its bytes (:class:`_ByteLines`); a file with any other byte
+    is read again from its start in text mode, UTF-8 with universal newlines,
+    so it raises what text mode raises where text mode raises it.  The
+    header is read by :func:`_read_header`, and every amplitude line is
+    checked: three fields, a basis index in range and above the previous
+    line's, and finite parts.  A block of ``LOAD_CHUNK`` lines in the
+    writer's own form is read from its bytes; any other block by ``int`` and
+    ``float.fromhex``."""
+    try:
+        return _read_blocks(_ByteLines(handle), max_qubits)
+    except _NotAscii:
+        handle.seek(0)
+        text = io.TextIOWrapper(handle, encoding="utf-8")
+        try:
+            return _read_blocks(text, max_qubits)
+        finally:
+            text.detach()  # the caller closes the file
+
+
+def _read_blocks(lines, max_qubits: int):
+    """:func:`_read_session` on the header and blocks of ``lines``, a
+    :class:`_ByteLines` or a text file."""
+    header = _read_header(lines, max_qubits)
     if header is None:
         return None
     schema, temp, safe_key = header
     total = schema.num_bits + temp
     amps = np.zeros(1 << total, dtype=np.complex128)
     previous = -1
-    while lines := list(islice(handle, LOAD_CHUNK)):
-        parsed = _parse_lines("".join(lines), len(lines))
-        indices, values = parsed if parsed is not None else _read_tokens(lines)
+    for block, count, separators in _blocks(lines):
+        parsed = _parse_lines(block, count, separators) if block.isascii() else None
+        indices, values = parsed if parsed is not None else _read_tokens(_text_lines(block))
         if not indices.size:
             continue
         if indices[0] < 0:
@@ -612,6 +688,100 @@ def _read_session(handle, max_qubits: int):
         amps[indices] = values.view(np.complex128)
         previous = indices[-1]
     return schema, temp, safe_key, amps
+
+
+def _blocks(lines):
+    """The amplitude lines of ``lines``, ``LOAD_CHUNK`` at a time: (bytes,
+    number of lines, offsets of their :func:`_separators`)."""
+    if isinstance(lines, _ByteLines):
+        yield from lines.blocks()
+        return
+    while chunk := list(islice(lines, LOAD_CHUNK)):
+        data = "".join(chunk).encode("utf-8")
+        yield data, len(chunk), _separators(data)
+
+
+def _text_lines(data: bytes) -> list[str]:
+    """The lines of a block whose newlines are all "\n", each with its
+    newline, as text mode gives them; ``str.splitlines`` would also split at
+    other characters."""
+    lines = data.decode("utf-8").split("\n")
+    return [line + "\n" for line in lines[:-1]] + lines[-1:] * bool(lines[-1])
+
+
+class _NotAscii(Exception):
+    """A read of a session file holds a byte that is not ASCII."""
+
+
+class _ByteLines:
+    """An ASCII session file open in binary mode, read as text mode with
+    universal newlines reads it: "\r\n" and a lone "\r" end a line, each
+    read as "\n".  A read with any other byte raises :class:`_NotAscii`.
+    :meth:`readline` and iteration give the header's lines as ``str``;
+    :meth:`blocks` gives the rest as bytes."""
+
+    def __init__(self, handle):
+        self.handle = handle
+        self.data, self.start = b"", 0  # read and not yet handed out from ``start``
+        self.cr = False  # the last byte read was "\r", so a "\n" next is its
+
+    def _read(self) -> bytes:
+        """The file's next ``LOAD_READ`` bytes, newlines read as "\n"; empty
+        at its end."""
+        raw = self.handle.read(LOAD_READ)
+        if not raw.isascii():
+            raise _NotAscii
+        data = raw[1:] if self.cr and raw[:1] == b"\n" else raw
+        self.cr = raw[-1:] == b"\r"
+        if b"\r" in data:
+            data = data.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+        return data
+
+    def readline(self) -> str:
+        while (end := self.data.find(b"\n", self.start)) < 0 and (more := self._read()):
+            self.data, self.start = self.data[self.start:] + more, 0
+        end = len(self.data) if end < 0 else end + 1
+        line, self.start = self.data[self.start:end], end
+        return line.decode("ascii")
+
+    def __iter__(self):
+        return self
+
+    def __next__(self) -> str:
+        line = self.readline()
+        if not line:
+            raise StopIteration
+        return line
+
+    def blocks(self):
+        """The lines after those read, ``LOAD_CHUNK`` at a time, as
+        :func:`_blocks` gives them; the last line of the file may have no
+        newline.  The separators of each read are found by one scan, and a
+        block is cut after its last newline.  Text mode reads on past a
+        line that ends in "\r" at the end of a decoded chunk, so a block
+        that ends with the last read's "\r" waits for the next read."""
+        data = self.data[self.start:]
+        seps = _separators(data)
+        ends = _newlines(data, seps)
+        while True:
+            while (ends.size < LOAD_CHUNK or self.cr and ends[LOAD_CHUNK - 1] == len(data) - 1) \
+                    and (more := self._read()):
+                found = _separators(more)
+                seps = np.concatenate((seps, found + len(data)))
+                ends = np.concatenate((ends, _newlines(more, found) + len(data)))
+                data += more
+            if ends.size < LOAD_CHUNK:
+                break
+            cut = int(ends[LOAD_CHUNK - 1]) + 1
+            inside = int(np.searchsorted(seps, cut))
+            yield data[:cut], LOAD_CHUNK, seps[:inside]
+            data, seps, ends = data[cut:], seps[inside:] - cut, ends[LOAD_CHUNK:] - cut
+        if data:
+            yield data, ends.size + (data[-1:] != b"\n"), seps
+
+
+def _newlines(data: bytes, separators: np.ndarray) -> np.ndarray:
+    return separators[np.frombuffer(data, dtype=np.uint8)[separators] == ord("\n")]
 
 
 def run_text(session: Session, text: str, emit, first_line: int = 1) -> int:

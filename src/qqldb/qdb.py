@@ -190,6 +190,7 @@ class QdbState:
         self.temp_alloc: dict[int, TempUse] = {}
         self.clean_temps = set(range(n, n + t))
         self.safe_key = safe_key
+        self.bulk_records: int | None = None
         if safe_key is not None:
             self.temp_alloc[safe_key.qubit] = TempUse("safe", safe_key.expr)
         if state is None:
@@ -351,7 +352,11 @@ class QdbState:
         significant data qubits, yielding records 0 .. 2^r - 1 on a fresh
         database.  On the register |0...0>, bit for bit, that layer has a
         closed form, written by one strided fill; any other fresh register
-        (a LOAD's or an API caller's) runs the r Hadamards."""
+        (a LOAD's or an API caller's) runs the r Hadamards.  ``bulk_records``
+        is then ``2^r``, the live records the closed form writes (each has
+        mass about 2^-r, with r at most ``MAX_TABLE_VARS``, far above
+        ``SUPPORT_TOL``²), or None after the Hadamards, whose live records
+        only a scan can tell."""
         n = self.n
         r = as_int(r, "bulk exponent")
         if r < 0 or r > n:
@@ -372,7 +377,9 @@ class QdbState:
             amps[: (1 << r) << self.t : 1 << self.t] = value
             # the fill's norm is known without reading the register back
             _check_norm(math.sqrt((1 << r) * value * value))
+            self.bulk_records = 1 << r
         else:
+            self.bulk_records = None
             for q in range(n - r, n):
                 self.state.apply_controlled(HADAMARD, targets=[q])
             self._read_state()

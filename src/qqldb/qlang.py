@@ -29,7 +29,9 @@ from __future__ import annotations
 
 import re
 import reprlib
+from collections.abc import Sequence
 from dataclasses import dataclass
+from itertools import groupby
 from typing import Callable, NamedTuple, Optional, Union
 
 import numpy as np
@@ -74,33 +76,62 @@ class Token(NamedTuple):
 
 # One alternative per token kind, each after optional blanks, tried in order;
 # "bad" takes any other character but a blank, so blanks at the end of input
-# match nothing and are skipped.  An identifier starts with a letter or "_"
-# and goes on with "\w", which is exactly str.isalnum or "_"; "uword" is a run
-# of "\w" with any other start, an identifier only if it starts with a letter.
-# Integers are ASCII digits: int rejects other digits such as "²".  A "run" is
-# two or more ket literals on one line joined by "," or "TO" in any case, with
-# blanks between them; it is one token of :func:`_lex`.  A run holds at most
-# 512 kets, an even number: a longer list is several runs joined by ",", each
-# starting at a pair of an UPDATE list, and the regular expression's
-# backtracking stack, a few hundred bytes per ket, stays small.
+# match nothing and are skipped.  An identifier starts with a letter or "_" and
+# goes on with "\w", which is exactly str.isalnum or "_"; "uword" is a run of
+# "\w" with any other start, an identifier only if it starts with a letter.
+# Integers are ASCII digits: int rejects other digits such as "²".
+#
+# A "run" is two or more ket literals on one line joined by "," or "TO" in any
+# case, with blanks between them; it is one token of :func:`_lex`.  "kets"
+# finds one with a character class, which keeps no backtracking state per ket:
+# a ket, then up to ``RUN_SPAN`` characters a run can hold, to the last ">".
+# When that text starts with kets of one width joined by one separator, or by
+# two alternately, the longest prefix of whole periods of that pattern is the
+# run (:func:`_template_run`).  Any other such text is read by ``_EXACT_RE``,
+# whose "run" is the grammar's own and holds at most 512 kets, an even number,
+# so that a longer list of pairs is several runs that each start at a pair.
 _KET = r"\|[01]+>"
 _RUN_SEPARATOR = r"[ \t\r]*(?:,|[Tt][Oo])[ \t\r]*"
-_TOKEN_RE = re.compile(
-    rf"""[ \t\r]*(?:(?P<punct>[(),:;@])|(?P<run>{_KET}(?:{_RUN_SEPARATOR}{_KET}){{1,511}})
-    |(?P<ket>{_KET})|(?P<word>[A-Za-z_]\w*)
-    |(?P<int>[0-9]+)|(?P<op>[<>!]=|[<>=])|(?P<newline>\n)|(?P<comment>--[^\n]*)
-    |(?P<string>"[^"\n]*")|(?P<uword>\w+)|(?P<bad>[^ \t\r]))""",
-    re.VERBOSE | re.DOTALL,
-)
-# The bits of a run's kets and its separators, alternately, from the run
-# without its first "|" and last ">"; and its tokens.
+RUN_SPAN = 1 << 14
+
+
+def _token_re(kets: str) -> re.Pattern:
+    return re.compile(
+        rf"""[ \t\r]*(?:(?P<punct>[(),:;@])|{kets}|(?P<word>[A-Za-z_]\w*)
+        |(?P<int>[0-9]+)|(?P<op>[<>!]=|[<>=])|(?P<newline>\n)|(?P<comment>--[^\n]*)
+        |(?P<string>"[^"\n]*")|(?P<uword>\w+)|(?P<bad>[^ \t\r]))""",
+        re.VERBOSE | re.DOTALL,
+    )
+
+
+_TOKEN_RE = _token_re(rf"(?P<kets>{_KET}(?:[ \t\r,TtOo|01>]{{0,{RUN_SPAN}}}>)?)")
+_EXACT_RE = _token_re(rf"(?P<run>{_KET}(?:{_RUN_SEPARATOR}{_KET}){{1,511}})|(?P<ket>{_KET})")
+_SEPARATOR_RE = re.compile(_RUN_SEPARATOR)
+_ZERO_BITS = bytes.maketrans(b"1", b"0")
+# The separators of a run, from the run without its first "|" and last ">",
+# between its kets' bits; and its tokens.
 _RUN_SPLIT = re.compile(r">[ \t\r]*(,|[Tt][Oo])[ \t\r]*\|")
 _RUN_TOKENS = re.compile(rf"{_KET}|,|[Tt][Oo]")
+_BITS = re.compile("[01]+")  # each ket's bits, in a run
 # What a "bad" character that starts a malformed token means.
 _LEXER_ERRORS = {
     "|": "malformed ket literal; expected |b...b> with bits 0/1",
     '"': "unterminated string literal",
 }
+
+
+class _Run(NamedTuple):
+    """A run token of :func:`_lex`: ``count`` kets of ``width`` bits each
+    whose separators, each "," or "TO", are ``seps`` repeated; a run of
+    ``_EXACT_RE`` has None for both, read off its text when the parser asks."""
+
+    kind: str  # "run"
+    text: str
+    line: int
+    column: int
+    count: int
+    seps: Optional[tuple[str, ...]]
+    width: Optional[int]
 
 
 def tokenize(text: str, first_line: int = 1) -> list[Token]:
@@ -115,42 +146,93 @@ def tokenize(text: str, first_line: int = 1) -> list[Token]:
     return tokens
 
 
-def _lex(text: str, first_line: int = 1) -> list[Token]:
-    """:func:`tokenize`'s tokens, but each run of ket literals as one token
-    of kind ``run``: its text is the run's, from its first "|" to its last
-    ">", and :func:`_expand` gives its tokens."""
-    tokens: list[Token] = []
+def _lex(text: str, first_line: int = 1) -> list:
+    """:func:`tokenize`'s tokens, but each run of ket literals as one
+    :class:`_Run` token: its text is the run's, from its first "|" to its
+    last ">", and :func:`_expand` gives its tokens.  The "kets" text that is
+    not a run of one pattern is read again by ``_EXACT_RE``, to its end."""
+    tokens: list = []
     line, line_start, match = first_line, 0, None
-    for match in _TOKEN_RE.finditer(text):
-        kind = match.lastgroup
-        if kind == "newline":
-            line, line_start = line + 1, match.end()
-            continue
-        if kind == "comment":
-            continue
-        word = match.group(kind)
-        column = match.start(kind) - line_start + 1
-        if kind == "word" or kind == "uword" and word[0].isalpha():
-            upper = word.upper()
-            kind, word = ("keyword", upper) if upper in KEYWORDS else ("ident", word)
-        elif kind == "string":
-            word = word[1:-1]
-        elif kind == "int" and len(word) > MAX_INT_DIGITS:
-            raise QqlSyntaxError(
-                f"integer literal of more than {MAX_INT_DIGITS} digits", line, column
-            )
-        elif kind == "bad" or kind == "uword":
-            raise QqlSyntaxError(
-                _LEXER_ERRORS.get(word[0], f"illegal character {word[0]!r}"), line, column
-            )
-        tokens.append(Token(kind, word, line, column))
+    pos, exact_end = 0, -1
+    while pos is not None:
+        exact, restart = pos < exact_end, None
+        for match in (_EXACT_RE if exact else _TOKEN_RE).finditer(text, pos):
+            kind = match.lastgroup
+            if kind == "newline":
+                line, line_start = line + 1, match.end()
+                continue
+            if kind == "comment":
+                continue
+            word = match.group(kind)
+            column = match.start(kind) - line_start + 1
+            if kind == "kets":
+                if word.index(">") + 1 == len(word):
+                    tokens.append(Token("ket", word, line, column))
+                    continue
+                run = _template_run(word)
+                if run is None:
+                    exact_end, restart = match.end(), match.start(kind)
+                    break
+                end, count, seps = run
+                tokens.append(_Run("run", word[:end], line, column, count, seps, word.index(">") - 1))
+                if end < len(word):
+                    restart = match.start(kind) + end
+                    break
+                continue
+            if kind == "run":
+                tokens.append(_Run(kind, word, line, column, word.count("|"), None, None))
+            else:
+                if kind == "word" or kind == "uword" and word[0].isalpha():
+                    upper = word.upper()
+                    kind, word = ("keyword", upper) if upper in KEYWORDS else ("ident", word)
+                elif kind == "string":
+                    word = word[1:-1]
+                elif kind == "int" and len(word) > MAX_INT_DIGITS:
+                    raise QqlSyntaxError(
+                        f"integer literal of more than {MAX_INT_DIGITS} digits", line, column
+                    )
+                elif kind == "bad" or kind == "uword":
+                    raise QqlSyntaxError(
+                        _LEXER_ERRORS.get(word[0], f"illegal character {word[0]!r}"), line, column
+                    )
+                tokens.append(Token(kind, word, line, column))
+            if exact and match.end() >= exact_end:
+                restart = match.end()
+                break
+        pos = restart
     # a comment does not move the column, so one at the end of input holds it
     end = match.start("comment") if match and match.lastgroup == "comment" else len(text)
     tokens.append(Token("eof", "", line, end - line_start + 1))
     return tokens
 
 
-def _expand(run: Token) -> list[Token]:
+def _template_run(kets: str) -> tuple[int, int, tuple[str, ...]] | None:
+    """The length, ket count and separators of the run at the start of
+    ``kets`` (a ket, then what a run can hold, to a ">") whose kets are all
+    as wide as the first and whose separators repeat the first one, or the
+    first two alternately; the run is the longest prefix of whole periods.
+    None when that run has fewer than two kets.  One byte comparison with
+    the pattern checks it, each 1 read as 0."""
+    width = kets.index(">") + 1
+    second = kets.find("|", width)
+    if second < 0:
+        return None
+    seps = [kets[width:second]]
+    third = kets.find("|", second + width)
+    if third > 0 and kets[second + width:third] != seps[0]:
+        seps.append(kets[second + width:third])
+    if not all(map(_SEPARATOR_RE.fullmatch, seps)):
+        return None
+    unit = "".join(f"|{'0' * (width - 2)}>{sep}" for sep in seps).encode("ascii")
+    periods = (len(kets) + len(seps[-1])) // len(unit)
+    end = periods * len(unit) - len(seps[-1])
+    if periods * len(seps) < 2 or (
+            kets[:end].encode("ascii").translate(_ZERO_BITS) != (unit * periods)[:end]):
+        return None
+    return end, periods * len(seps), tuple(sep.strip(" \t\r").upper() for sep in seps)
+
+
+def _expand(run: _Run) -> list[Token]:
     """The ket, "," and TO tokens of a run token, as :func:`tokenize` gives
     them: a run lies on one line."""
     tokens = []
@@ -161,11 +243,84 @@ def _expand(run: Token) -> list[Token]:
     return tokens
 
 
+def _fits(run: _Run, pairs: bool) -> bool:
+    """Whether a run's separators are all "," or, with ``pairs``,
+    "TO , TO ... TO"."""
+    seps = run.seps
+    if seps is None:
+        seps = tuple(sep.upper() for sep in _RUN_SPLIT.split(run.text[1:-1])[1::2])
+    expected = ("TO", ",") if pairs else (",",)
+    if pairs and run.count % 2:
+        return False
+    # both patterns repeat, so their first 2 * len(seps) places decide
+    return all(seps[i % len(seps)] == expected[i % len(expected)]
+               for i in range(min(run.count - 1, 2 * len(seps))))
+
+
 # ---------------------------------------------------------------------- AST
 
 
 class KetRec(NamedTuple):
     bits: str  # e.g. "011"
+
+
+class _KetBlock(NamedTuple):
+    """A run of ket literals kept as the parser read it: its text, from its
+    first "|" to its last ">", its number of kets, and their width in bits,
+    or -1 when they differ."""
+
+    text: str
+    count: int
+    width: int
+
+    def records(self) -> list[KetRec]:
+        return list(map(KetRec, _BITS.findall(self.text)))
+
+
+class RecordList(Sequence):
+    """A parsed record list: records in order, a run of kets among them as
+    one :class:`_KetBlock`.  It is the tuple of its records, or with
+    ``pairs`` of its (source, target) pairs, as a sequence: it equals,
+    hashes, iterates and indexes as that tuple does, and builds a block's
+    ``KetRec``s only when they are read.  The binder reads the blocks'
+    text."""
+
+    __slots__ = ("items", "pairs", "_length")
+
+    def __init__(self, items, pairs: bool = False):
+        self.items = tuple(items)
+        self.pairs = pairs
+        length = sum(item.count if isinstance(item, _KetBlock) else 1 for item in self.items)
+        self._length = length // 2 if pairs else length
+
+    def records(self):
+        """The records, one by one."""
+        for item in self.items:
+            if isinstance(item, _KetBlock):
+                yield from item.records()
+            else:
+                yield item
+
+    def __iter__(self):
+        records = self.records()
+        return zip(records, records) if self.pairs else records
+
+    def __len__(self) -> int:
+        return self._length
+
+    def __getitem__(self, index):
+        return tuple(self)[index]
+
+    def __eq__(self, other):
+        if isinstance(other, (tuple, RecordList)):
+            return len(self) == len(other) and tuple(self) == tuple(other)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(tuple(self))
+
+    def __repr__(self) -> str:
+        return repr(tuple(self))
 
 
 @dataclass(frozen=True)
@@ -211,12 +366,12 @@ class InsertSeq:
 
 @dataclass(frozen=True)
 class InsertValues:
-    records: tuple[RecSpec, ...]
+    records: Sequence[RecSpec]  # a RecordList when parsed
 
 
 @dataclass(frozen=True)
 class Update:
-    pairs: tuple[tuple[RecSpec, RecSpec], ...]
+    pairs: Sequence[tuple[RecSpec, RecSpec]]  # a RecordList of pairs when parsed
 
 
 @dataclass(frozen=True)
@@ -385,25 +540,24 @@ class _Parser:
         if self.accept_keyword("SEQ"):
             return InsertSeq(self.expect_int())
         self.expect_keyword("VALUES")
-        records = self._run_records(pairs=False) or [self._rec()]
+        items = [self._block(pairs=False) or self._rec()]
         while self.accept("punct", ","):
-            records += self._run_records(pairs=False) or [self._rec()]
-        return InsertValues(tuple(records))
+            items.append(self._block(pairs=False) or self._rec())
+        return InsertValues(RecordList(items))
 
-    def _run_records(self, pairs: bool) -> list[KetRec]:
-        """The kets of a run token at the head, which is consumed, if its
+    def _block(self, pairs: bool) -> _KetBlock | None:
+        """The run token at the head as one block, consumed, if its
         separators are all "," or, with ``pairs``, "TO , TO ... TO"; else
-        none, and the run is left to the token-by-token rules."""
+        None, and the run is left to the token-by-token rules."""
         token = self.tokens[-1]
-        if token.kind != "run":
-            return []
-        parts = _RUN_SPLIT.split(token.text[1:-1])
-        count = len(parts) // 2  # of separators, each "," or a TO
-        expected = "TO," * (count // 2) + "TO" if pairs else "," * count
-        if "".join(parts[1::2]).upper() != expected:
-            return []
+        if token.kind != "run" or not _fits(token, pairs):
+            return None
         self.tokens.pop()
-        return list(map(KetRec, parts[0::2]))
+        width = token.width
+        if width is None:
+            widths = set(map(len, _BITS.findall(token.text)))
+            width = widths.pop() if len(widths) == 1 else -1
+        return _KetBlock(token.text, token.count, width)
 
     def _rec(self) -> RecSpec:
         token = self.peek()
@@ -425,14 +579,14 @@ class _Parser:
 
     def _update(self) -> Command:
         self.expect_keyword("SET")
-        pairs = self._run_pairs() or [self._pair()]
+        items = self._pair_items()
         while self.accept("punct", ","):
-            pairs += self._run_pairs() or [self._pair()]
-        return Update(tuple(pairs))
+            items += self._pair_items()
+        return Update(RecordList(items, pairs=True))
 
-    def _run_pairs(self) -> list[tuple[KetRec, KetRec]]:
-        kets = self._run_records(pairs=True)
-        return list(zip(kets[0::2], kets[1::2]))
+    def _pair_items(self) -> list:
+        block = self._block(pairs=True)
+        return [block] if block else list(self._pair())
 
     def _pair(self) -> tuple[RecSpec, RecSpec]:
         src = self._rec()
@@ -550,7 +704,7 @@ class _Parser:
 def parse_text(text: str, first_line: int = 1) -> list[Command]:
     """The commands of a script; the same as parsing :func:`tokenize`'s
     tokens, but a run of kets in an ``INSERT VALUES`` or ``UPDATE SET`` list
-    is read with one split."""
+    is kept as one block of its record list."""
     return _Parser(_lex(text, first_line)).parse_script()
 
 
@@ -657,10 +811,33 @@ def _need_db(session) -> QdbState:
 
 
 def _bind_records(records, schema: TableSchema) -> np.ndarray:
-    """A record list as one array of basis indices; the first record that
-    does not fit the schema raises.  Every ket is checked before any array
-    is built; a list of kets is read by :func:`_ket_indices`, any other list
-    record by record."""
+    """A record list, a :class:`RecordList` (its records in order, both of
+    each pair) or a sequence of records, as one array of basis indices; the
+    first record that does not fit the schema raises.  Each stretch of
+    blocks is read at once by :func:`_block_indices`, each stretch of single
+    records by :func:`_record_indices`."""
+    n = schema.num_bits
+    items = records.items if isinstance(records, RecordList) else records
+    pieces = []
+    for blocks, group in groupby(items, lambda item: isinstance(item, _KetBlock)):
+        group = list(group)
+        if not blocks:
+            pieces.append(_record_indices(group, schema))
+            continue
+        misfit = next((block for block in group if block.width != n), None)
+        if misfit is not None:
+            raise _width_error(_misfit(misfit, n), n)
+        pieces.append(_block_indices(group, n))
+    if len(pieces) == 1:
+        return pieces[0]
+    return np.concatenate(pieces) if pieces else np.empty(0, dtype=np.int64)
+
+
+def _record_indices(records, schema: TableSchema) -> np.ndarray:
+    """Single records as one array of basis indices; the first record that
+    does not fit raises.  Every ket is checked before any array is built; a
+    list of kets is read as one byte matrix by :func:`_ket_indices`, any
+    other list record by record."""
     n = schema.num_bits
     bits = [rec.bits for rec in records if isinstance(rec, KetRec)]
     if (set(map(type, bits)) - {str} or set(map(len, bits)) - {n}
@@ -668,18 +845,49 @@ def _bind_records(records, schema: TableSchema) -> np.ndarray:
         for rec in records:  # raises at the first record that does not fit
             _resolve_record(rec, schema)
     if len(bits) == len(records):
-        return _ket_indices(bits, n)
+        rows = np.frombuffer("".join(bits).encode("ascii"), dtype=np.uint8)
+        return _ket_indices(rows.reshape(-1, n))
     return np.array([_resolve_record(rec, schema) for rec in records], dtype=np.int64)
 
 
-def _ket_indices(bits: list[str], n: int) -> np.ndarray:
-    """The basis indices of kets of ``n`` 0s and 1s each, from the rows of
-    one byte matrix no larger than the text the kets were written in."""
-    rows = np.frombuffer("".join(bits).encode("ascii"), dtype=np.uint8)
-    # each row's bits packed big-endian into the high bits of a 64-bit word
-    words = np.zeros((len(bits), 8), dtype=np.uint8)
-    words[:, : -(-n // 8)] = np.packbits(rows.reshape(-1, n) == ord("1"), axis=1)
-    return (words.view(">u8")[:, 0] >> np.uint64(64 - n)).astype(np.int64)
+# The characters of a run's separators.
+_SEPARATOR_BYTES = b" \t\r,TtOo"
+
+
+def _block_indices(blocks: list[_KetBlock], n: int) -> np.ndarray:
+    """The basis indices of the kets of blocks of ``n``-bit kets.  Each
+    block's text, its separators deleted, is the rows of a matrix of kets
+    ``|b...b>``."""
+    indices = np.empty(sum(block.count for block in blocks), dtype=np.int64)
+    done = 0
+    for block in blocks:
+        kets = block.text.encode("ascii").translate(None, _SEPARATOR_BYTES)
+        rows = np.frombuffer(kets, dtype=np.uint8).reshape(block.count, n + 2)
+        indices[done:done + block.count] = _ket_indices(rows[:, 1:-1])
+        done += block.count
+    return indices
+
+
+def _misfit(block: _KetBlock, n: int) -> int:
+    """The width of the first ket of a block that is not ``n`` bits wide,
+    found without a copy of the block's text."""
+    if block.width >= 0:
+        return block.width
+    start = 0
+    while (end := block.text.index(">", start)) - start - 1 == n:
+        start = block.text.index("|", end)
+    return end - start - 1
+
+
+def _width_error(width: int, n: int) -> CompileError:
+    return CompileError(f"ket of {width} bits does not match the {n}-bit schema")
+
+
+def _ket_indices(rows: np.ndarray) -> np.ndarray:
+    """The basis indices of kets whose bits, ASCII 0s and 1s, are the rows
+    of a byte matrix: each row's low bits times the powers of two."""
+    powers = 1 << np.arange(rows.shape[1] - 1, -1, -1, dtype=np.int64)
+    return (rows & 1).astype(np.int64) @ powers
 
 
 def _resolve_record(rec: RecSpec, schema: TableSchema) -> int:
@@ -687,9 +895,7 @@ def _resolve_record(rec: RecSpec, schema: TableSchema) -> int:
         if not isinstance(rec.bits, str) or rec.bits.strip("01"):
             raise CompileError(f"ket {reprlib.repr(rec.bits)} is not a string of 0s and 1s")
         if len(rec.bits) != schema.num_bits:
-            raise CompileError(
-                f"ket of {len(rec.bits)} bits does not match the {schema.num_bits}-bit schema"
-            )
+            raise _width_error(len(rec.bits), schema.num_bits)
         return int(rec.bits, 2)
     if not isinstance(rec, FieldRec):
         raise CompileError(f"record {reprlib.repr(rec)} is not a KetRec or FieldRec")
@@ -714,7 +920,8 @@ def _listed(items, what: str, length: int | None = None):
     """A list of a statement built in code, as the parser builds it: a tuple
     or a list, of ``length`` items if given; anything else raises
     :class:`CompileError` before the records are bound."""
-    if not isinstance(items, (tuple, list)) or length is not None and len(items) != length:
+    if (not isinstance(items, (tuple, list, RecordList))
+            or length is not None and len(items) != length):
         size = f" of {length} records" if length is not None else ""
         raise CompileError(f"{what} {reprlib.repr(items)} is not a tuple or list{size}")
     return items
@@ -758,15 +965,22 @@ def compile_command(command: Command, session) -> Callable[[], str]:
     schema = db.schema
 
     if isinstance(command, InsertAll):
-        return lambda: _fmt_insert(db.insert_bulk(command.r), f"bulk {1 << command.r}")
+        def run_insert_all() -> str:
+            db.insert_bulk(command.r)
+            return _fmt_insert(db, f"bulk {1 << command.r}", db.bulk_records)
+
+        return run_insert_all
     if isinstance(command, InsertSeq):
         return lambda: _fmt_insert(db.insert_sequential(command.k), f"sequential to {command.k}")
     if isinstance(command, InsertValues):
         indices = _bind_records(_listed(command.records, "record list"), schema)
         return lambda: _fmt_insert(db.insert_values(indices), f"{len(indices)} values")
     if isinstance(command, Update):
-        listed = [_listed(pair, "pair", 2) for pair in _listed(command.pairs, "pair list")]
-        pairs = _bind_records([r for pair in listed for r in pair], schema).reshape(-1, 2)
+        records = command.pairs
+        if not (isinstance(records, RecordList) and records.pairs):
+            listed = [_listed(pair, "pair", 2) for pair in _listed(records, "pair list")]
+            records = [r for pair in listed for r in pair]
+        pairs = _bind_records(records, schema).reshape(-1, 2)
 
         def run_update() -> str:
             db.update(pairs)
@@ -852,6 +1066,8 @@ def compile_command(command: Command, session) -> Callable[[], str]:
     raise CompileError(f"unsupported command {command!r}")
 
 
-def _fmt_insert(db: QdbState, what: str) -> str:
-    return f"ok: insert {what}; support size {db.support().size}"
+def _fmt_insert(db: QdbState, what: str, live: int | None = None) -> str:
+    """The INSERT report; its support size is ``live`` when the statement
+    knows it, else a scan's."""
+    return f"ok: insert {what}; support size {db.support().size if live is None else live}"
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import io
 import operator
 from itertools import islice
 from typing import Iterable
@@ -415,12 +416,21 @@ def reference_tokenize(text: str) -> list[Token]:
 
 
 def reference_read_session(handle, max_qubits: int):
-    """The session-file reader with every amplitude line read by ``int`` and
-    ``float.fromhex``, in blocks of ``LOAD_CHUNK`` lines: the reference the
-    byte reader ``cli._read_session`` is checked against.  The header is
-    read by ``cli._read_header``, the one reading of it.  Returns (schema,
-    temp, safe key or None, amplitudes), or None for a file without a
-    table."""
+    """The session-file reader with the file, open in binary mode, read in
+    text mode (UTF-8, universal newlines) and every amplitude line read by
+    ``int`` and ``float.fromhex``, in blocks of ``LOAD_CHUNK`` lines: the
+    reference the byte reader ``cli._read_session`` is checked against.  The
+    header is read by ``cli._read_header``, the one reading of it.  Returns
+    (schema, temp, safe key or None, amplitudes), or None for a file without
+    a table."""
+    text = io.TextIOWrapper(handle, encoding="utf-8")
+    try:
+        return _reference_read_text(text, max_qubits)
+    finally:
+        text.detach()  # the caller closes the file
+
+
+def _reference_read_text(handle, max_qubits: int):
     header = cli._read_header(handle, max_qubits)
     if header is None:
         return None

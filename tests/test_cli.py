@@ -12,7 +12,7 @@ from helpers import reference_read_session
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from qqldb import cli
+from qqldb import cli, qdb
 from qqldb.cli import (
     LOAD_CHUNK,
     Session,
@@ -1093,6 +1093,154 @@ class TestByteReader:
         assert_loads_as_reference(path)
 
 
+class TestByteReaderLines:
+    """The byte reader's lines are text mode's: universal newlines, a last
+    line without a newline, blocks of ``LOAD_CHUNK`` lines whatever the
+    newlines, and the +0 part matched by one word only where it is exactly
+    ``0x0.0p+0``; each file loads as the reference reads it."""
+
+    @staticmethod
+    def two_blocks(tmp_path) -> bytes:
+        # more than one block of lines, every other imaginary part +0
+        amps = random_register(np.random.default_rng(11), 14) + 1e-3
+        amps.imag[::2] = 0.0
+        return saved_file(tmp_path / "f.qdb", amps / np.linalg.norm(amps))
+
+    @pytest.mark.parametrize("newline", [b"\r\n", b"\r"])
+    def test_other_newlines_over_blocks(self, tmp_path, newline):
+        data = self.two_blocks(tmp_path)
+        path = tmp_path / "newlines.qdb"
+        path.write_bytes(data.replace(b"\n", newline))
+        assert_loads_as_reference(path)
+        with mock.patch.object(cli, "_read_tokens", side_effect=AssertionError("fell back")):
+            assert load_outcome(path)[0] == load_outcome(tmp_path / "f.qdb")[0]
+
+    @pytest.mark.parametrize("at", [8192, cli.LOAD_READ, 2 * cli.LOAD_READ])
+    def test_crlf_cut_by_a_read(self, tmp_path, at):
+        # a "\r\n" whose "\r" ends one read, or one chunk text mode
+        # decodes, and whose "\n" starts the next: the line ends before it
+        # are "\n" or "\r\n", as many of each as puts it there
+        data = self.two_blocks(tmp_path).replace(b"\n", b"\r\n")
+        cut = data.index(b"\r\n", at - 1)
+        data = data[:cut].replace(b"\r\n", b"\n", cut - (at - 1)) + data[cut:]
+        assert data[at - 1:at + 1] == b"\r\n"
+        path = tmp_path / "cut.qdb"
+        path.write_bytes(data)
+        assert_loads_as_reference(path)
+        with mock.patch.object(cli, "_read_tokens", side_effect=AssertionError("fell back")):
+            assert load_outcome(path)[0] == load_outcome(tmp_path / "f.qdb")[0]
+
+    @pytest.mark.parametrize("edit", ["-0 imaginary", "+0 real", "+0 both"])
+    def test_zero_parts(self, tmp_path, edit):
+        lines = self.two_blocks(tmp_path).split(b"\n")
+        for at in (4, 5, 4 + LOAD_CHUNK, len(lines) - 2):
+            index, real, imag = lines[at].split(b" ")
+            real, imag = {"-0 imaginary": (real, b"-0x0.0p+0"),
+                          "+0 real": (b"0x0.0p+0", imag),
+                          "+0 both": (b"0x0.0p+0", b"0x0.0p+0")}[edit]
+            lines[at] = b" ".join([index, real, imag])
+        path = tmp_path / "zeros.qdb"
+        path.write_bytes(b"\n".join(lines))
+        with mock.patch.object(cli, "_read_tokens", side_effect=AssertionError("fell back")):
+            amps = assert_reads_as_reference(path)[3]
+        for at in (4, 5, 4 + LOAD_CHUNK, len(lines) - 2):
+            value = amps[int(lines[at].split(b" ")[0])]
+            signs = math.copysign(1, value.real), math.copysign(1, value.imag)
+            assert signs[edit == "-0 imaginary"] == (-1 if edit == "-0 imaginary" else 1)
+
+    def test_last_line_without_a_newline(self, tmp_path):
+        data = self.two_blocks(tmp_path)
+        path = tmp_path / "last.qdb"
+        path.write_bytes(data[:-1])
+        assert_loads_as_reference(path)
+        assert load_outcome(path)[0] == load_outcome(tmp_path / "f.qdb")[0]
+
+    @pytest.mark.parametrize("offset", [0, 1, 2])
+    @pytest.mark.parametrize("fault", ["three spaces", "bad digit", "blank line"])
+    def test_bad_line_just_past_a_block(self, tmp_path, offset, fault):
+        lines = self.two_blocks(tmp_path).split(b"\n")
+        at = 4 + LOAD_CHUNK + offset
+        lines[at] = {"three spaces": lines[at].replace(b" ", b"  ", 1),
+                     "bad digit": lines[at].replace(b"x", b"y", 1),
+                     "blank line": lines[at] + b"\n"}[fault]
+        path = tmp_path / "fault.qdb"
+        path.write_bytes(b"\n".join(lines))
+        assert_loads_as_reference(path)
+
+    @pytest.mark.parametrize("where", ["header", "first block", "second block", "last byte"])
+    def test_invalid_utf8_is_refused(self, tmp_path, where):
+        data = self.two_blocks(tmp_path)
+        at = {"header": 3, "first block": len(data) // 3, "second block": 2 * len(data) // 3,
+              "last byte": len(data) - 1}[where]
+        path = tmp_path / "bytes.qdb"
+        path.write_bytes(data[:at] + b"\xc3" + data[at + 1:])
+        outcome = load_outcome(path)
+        assert outcome[0] is SessionFormatError
+        assert outcome[1].startswith(f"{path} is not UTF-8 text: ")
+        assert_loads_as_reference(path)
+
+    def test_fault_before_a_later_non_ascii_byte(self, tmp_path):
+        # text mode finds the fault before it decodes the byte, which lies
+        # past the first block but in the byte reader's first read
+        lines = self.two_blocks(tmp_path).split(b"\n")
+        lines[10] = lines[10].replace(b"x", b"z", 1)
+        lines[4 + LOAD_CHUNK + 200] = b"\xff" + lines[4 + LOAD_CHUNK + 200]
+        path = tmp_path / "late.qdb"
+        path.write_bytes(b"\n".join(lines))
+        assert b"\n".join(lines).index(b"\xff") < cli.LOAD_READ
+        assert_loads_as_reference(path)
+        assert load_outcome(path)[1].startswith("malformed amplitude line")
+
+    def test_block_ending_in_cr_at_a_read_end(self, tmp_path):
+        # a block whose last line ends in "\r" as the first read ends: text
+        # mode decodes the next chunk before it has the line, so a byte that
+        # is not UTF-8 there wins over a fault in the block
+        lines = self.two_blocks(tmp_path).split(b"\n")
+        lines[10] = lines[10].replace(b"x", b"z", 1)
+        end = len(b"\r".join(lines[:4 + LOAD_CHUNK])) + 1
+        lines[5] += b" " * (cli.LOAD_READ - end)
+        lines[4 + LOAD_CHUNK] = b"\xff" + lines[4 + LOAD_CHUNK]
+        data = b"\r".join(lines)
+        assert data[cli.LOAD_READ - 1:cli.LOAD_READ + 1] == b"\r\xff"
+        path = tmp_path / "cr.qdb"
+        path.write_bytes(data)
+        assert_loads_as_reference(path)
+        assert "is not UTF-8 text" in load_outcome(path)[1]
+
+    def test_reads_stay_blocks(self, tmp_path):
+        # LOAD reads the file a block at a time, never the whole of it
+        class Reads(io.BytesIO):
+            sizes: list = []
+
+            def read(self, size=-1):
+                self.sizes.append(size)
+                return super().read(size)
+
+        data = self.two_blocks(tmp_path)
+        assert len(data) > 2 * cli.LOAD_READ
+        assert cli._read_session(Reads(data), 30)[3].tobytes() == load_outcome(
+            tmp_path / "f.qdb")[0]
+        assert set(Reads.sizes) == {cli.LOAD_READ}
+
+
+def assert_reads_as_reference(path: Path):
+    """The byte reader's result, equal word for word to the reference
+    reader's, or the same error."""
+    def read(reader):
+        with open(path, "rb") as handle:
+            try:
+                return reader(handle, 30)
+            except (QqlError, UnicodeDecodeError) as exc:
+                return type(exc), str(exc)
+
+    loaded, expected = read(cli._read_session), read(reference_read_session)
+    if isinstance(loaded, tuple) and len(loaded) == 4:
+        assert loaded[:3] == expected[:3] and loaded[3].tobytes() == expected[3].tobytes()
+    else:
+        assert loaded == expected
+    return loaded
+
+
 class TestBytePathGuard:
     """Every block SAVE writes is read by the byte parser: a drift between
     writer and reader would otherwise only show as a slower LOAD."""
@@ -1109,7 +1257,7 @@ class TestBytePathGuard:
         amps = np.zeros(1 << 14, dtype=complex)
         amps[:parts.size // 2] = parts.view(np.complex128)
         saved_file(tmp_path / "f.qdb", amps)
-        with open(tmp_path / "f.qdb", encoding="utf-8") as handle, mock.patch.object(
+        with open(tmp_path / "f.qdb", "rb") as handle, mock.patch.object(
             cli, "_read_tokens", side_effect=AssertionError("a block fell back")
         ):
             loaded = cli._read_session(handle, 22)
@@ -1318,3 +1466,92 @@ class TestSessionConfig:
         with pytest.raises(ArgumentError):
             Session(SessionConfig(max_qubits=22.5))
         Session(SessionConfig(max_qubits=22)).load_session(path)
+
+
+class TestInterruptedStatement:
+    """An exception other than a refusal, raised inside a statement's
+    kernels, leaves the temp record rebuilt from the register and the
+    session refusing every statement but LOAD."""
+
+    SETUP = "CREATE TABLE t (a:3, b:3) TEMP 3; INSERT ALL 6; SELECT c1 WHERE a >= 2;"
+
+    def interrupted(self) -> Session:
+        # the payload swap of APPLY NOT raises after the combiner is flipped
+        session = Session()
+        session.execute_text(self.SETUP)
+        with mock.patch.object(qdb, "swap", side_effect=KeyboardInterrupt), \
+                pytest.raises(KeyboardInterrupt):
+            session.execute_text("APPLY NOT @ a BIT 0 WHEN c1;")
+        return session
+
+    def test_temp_record_follows_the_register(self):
+        db = self.interrupted().db
+        fresh = QdbState(db.schema, db.t, state=StateVector(db.state.amps.copy()))
+        combiner = 7  # the first free temp after the flag on qubit 6
+        assert combiner not in db.clean_temps and combiner in db.temp_alloc
+        assert db.clean_temps == fresh.clean_temps
+        assert db.temp_alloc.keys() == fresh.temp_alloc.keys()
+
+    @pytest.mark.parametrize("statement", [
+        "MEASURE 10 SEED 1;", "DELETE WHERE a = 1;", "SHOW;", 'SAVE "x.qdb";',
+        "CREATE TABLE u (k:1);", "SELECT c2 WHERE b = 1;", "INSERT ALL 1;",
+    ])
+    def test_later_statements_refused(self, statement):
+        session = self.interrupted()
+        amps = session.db.state.amps.tobytes()
+        with pytest.raises(QqlError, match=r"^the session was interrupted in "
+                                           r"'APPLY NOT @ a BIT 0 WHEN c1;'; LOAD"):
+            session.execute_text(statement)
+        assert session.db.state.amps.tobytes() == amps
+
+    def test_load_replaces_the_session(self, tmp_path):
+        path = tmp_path / "before.qdb"
+        session = Session()
+        session.execute_text(self.SETUP + f'SAVE "{path}";')
+        expected = session.execute_text("MEASURE 100 SEED 3;")
+        session = self.interrupted()
+        session.execute_text(f'LOAD "{path}";')
+        assert session.interrupted is None
+        assert session.execute_text("MEASURE 100 SEED 3;") == expected
+
+    def test_refusal_does_not_interrupt(self):
+        session = Session()
+        session.execute_text(self.SETUP)
+        with pytest.raises(ImpossibleOutcomeError):
+            session.execute_text("DELETE WHERE a >= 0;")
+        with mock.patch.object(cli.Session, "render_histogram", side_effect=MemoryError), \
+                pytest.raises(MemoryError):
+            session.execute_text("MEASURE 10 SEED 1;")
+        assert session.interrupted is None
+        session.execute_text("APPLY NOT @ a BIT 0 WHEN c1;")
+
+
+class TestInsertReport:
+    """INSERT's support size: 2^r from INSERT ALL's closed form without a
+    scan, and a scan's count on every other path; both are what support()
+    counts."""
+
+    @pytest.mark.parametrize("r", [0, 1, 5, 6])
+    def test_closed_form(self, r):
+        session = Session()
+        session.execute_text("CREATE TABLE t (a:3, b:3) TEMP 2;")
+        with mock.patch.object(QdbState, "support", wraps=session.db.support) as support:
+            (out,) = session.execute_text(f"INSERT ALL {r};")
+            scans = support.call_count
+        assert session.db.bulk_records == 1 << r
+        assert out.endswith(f"; support size {session.db.support().size}")
+        assert session.db.support().size == 1 << r
+        assert scans == 1  # seq_fill's, before the fill
+
+    @pytest.mark.parametrize("first", [-1.0, 1j])
+    def test_hadamards_on_a_loaded_register(self, tmp_path, first):
+        path = tmp_path / "fresh.qdb"
+        amps = np.zeros(1 << 8, dtype=complex)
+        amps[0] = first
+        saved_file(path, amps, t=2)
+        session = Session()
+        session.load_session(str(path))
+        (out,) = session.execute_text("INSERT ALL 4;")
+        assert session.db.bulk_records is None
+        assert out == f"ok: insert bulk 16; support size {session.db.support().size}"
+        assert session.db.support().size == 16

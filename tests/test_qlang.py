@@ -694,3 +694,117 @@ class TestHostileRecordLists:
             message, peak = self.bind_peak(session, *parse_text(text))
             assert message == "ket of 1000000 bits does not match the 14-bit schema"
             assert peak < len(text)
+
+
+def kets(count: int, width: int = 14, first: int = 0) -> list[str]:
+    return [f"|{(first + k) % (1 << width):0{width}b}>" for k in range(count)]
+
+
+SPAN = qlang.RUN_SPAN
+# Texts at the edges of the run reader: lists longer than one span, kets of
+# several widths, a separator or ket cut by the span's end, pairs whose
+# count is odd, a ">" or ">=" right after a ket, and kets with no separator.
+RUN_TEXTS = {
+    "long insert": "INSERT VALUES " + ", ".join(kets(5000)) + ";",
+    "long update": "UPDATE SET " + ", ".join(
+        f"{a} TO {b}" for a, b in zip(kets(3000), kets(3000, first=7000))) + ";",
+    "update of 1-bit kets": "UPDATE SET " + ", ".join(
+        f"{a} to {b}" for a, b in zip(kets(9000, 1), kets(9000, 1, 1))) + ";",
+    "odd pair count": "UPDATE SET |01> TO |10>, |11>;",
+    "widths mixed": "INSERT VALUES " + ", ".join(kets(900) + kets(5, 13) + kets(900)) + ";",
+    "separators mixed": "INSERT VALUES " + ", ".join(kets(900)) + " ,  " + ", ".join(kets(9)) + ";",
+    "separator across the span": "INSERT VALUES " + " " * (SPAN - 30) + ", ".join(kets(40)) + ";",
+    "kets then op": "DELETE WHERE |01>, |10>>= 3;",
+    "kets then gt": "SELECT c WHERE |01>, |10>> 2;",
+    "kets glued": "INSERT VALUES |01>, |10>|11>, |00>;",
+    "to glued": "UPDATE SET |01>to|10>, |11>TO|00>;",
+    "to word": "UPDATE SET |01> TOTAL |10>;",
+    "run then bad ket": "INSERT VALUES |01>, |10>, |1>, |>;",
+    "bad ket mid run": "INSERT VALUES " + ", ".join(kets(600) + ["|01a>"] + kets(600)) + ";",
+    "empty ket mid run": "INSERT VALUES " + ", ".join(kets(600) + ["|>"] + kets(600)) + ";",
+    "apply swap": "APPLY SWAP |0001> TO |0010> WHEN c1;",
+}
+
+
+class TestRunBlocks:
+    """Runs of kets read by the character-class reader, its template check
+    and the exact rules: the same tokens and errors as the reference lexer,
+    the same commands and errors as the token-by-token parser, and each
+    list a tuple of records to every reader of it."""
+
+    @pytest.mark.parametrize("name", sorted(RUN_TEXTS))
+    def test_same_tokens_and_commands(self, name):
+        text = RUN_TEXTS[name]
+        assert lexed(tokenize, text) == lexed(reference_tokenize, text)
+        assert parsed(parse_text, text) == parsed(parsed_from_tokens, text)
+
+    def test_lists_are_blocks(self):
+        # a regular list of any length is a few blocks, none expanded
+        with mock.patch.object(qlang, "_expand", side_effect=AssertionError("expanded")):
+            insert, update, ones = (
+                parse_text(RUN_TEXTS[name])[0]
+                for name in ("long insert", "long update", "update of 1-bit kets"))
+        assert all(isinstance(item, qlang._KetBlock) for item in insert.records.items)
+        assert len(insert.records.items) <= 8 and len(update.pairs.items) <= 8
+        assert (len(insert.records), len(update.pairs), len(ones.pairs)) == (5000, 3000, 9000)
+
+    def test_record_list_is_its_tuple(self):
+        (insert,) = parse_text("INSERT VALUES |01>, |10>, (a = 1), |11>, |00>;")
+        (update,) = parse_text("UPDATE SET |01> TO |10>, (a = 1) TO |11>, |00> TO |01>;")
+        records = (KetRec("01"), KetRec("10"), FieldRec((("a", 1),)), KetRec("11"), KetRec("00"))
+        pairs = tuple(zip(records[:-1:2], records[1::2])) + ((KetRec("00"), KetRec("01")),)
+        for parsed_list, expected in ((insert.records, records), (update.pairs, pairs)):
+            assert parsed_list == expected and expected == parsed_list
+            assert hash(parsed_list) == hash(expected)
+            assert tuple(parsed_list) == expected and len(parsed_list) == len(expected)
+            assert [parsed_list[i] for i in range(-len(expected), len(expected))] == [
+                expected[i] for i in range(-len(expected), len(expected))]
+            assert parsed_list[1:-1] == expected[1:-1]
+            assert parsed_list != list(expected)
+            with pytest.raises(IndexError):
+                parsed_list[len(expected)]
+        assert hash(insert) == hash(InsertValues(records))
+        assert render_command(insert) == render_command(InsertValues(records))
+
+    @pytest.mark.parametrize("where", [0, 1, 599, 1199])
+    @pytest.mark.parametrize("width", [1, 13, 15, 40])
+    def test_misfit_in_a_run(self, where, width):
+        session = fresh_session()
+        session.execute_text("CREATE TABLE t (k:14) TEMP 1;")
+        records = kets(1200)
+        records[where] = "|" + "1" * width + ">"
+        for text in ("INSERT VALUES " + ", ".join(records) + ";",
+                     "UPDATE SET " + ", ".join(
+                         f"{a} TO {b}" for a, b in zip(records[0::2], records[1::2])) + ";"):
+            with pytest.raises(CompileError) as excinfo:
+                session.execute_text(text)
+            assert str(excinfo.value) == f"ket of {width} bits does not match the 14-bit schema"
+        assert session.db.support().tolist() == [0]
+
+    def test_first_misfit_in_list_order(self):
+        # a field tuple that does not fit, before a run with a misfit
+        session = fresh_session()
+        session.execute_text("CREATE TABLE t (k:14) TEMP 1;")
+        with pytest.raises(CompileError, match="^unknown field 'x' in table 't'$"):
+            session.execute_text("INSERT VALUES " + ", ".join(kets(5)) + ", (x = 1), "
+                                 + ", ".join(kets(5, 13)) + ";")
+        with pytest.raises(CompileError, match="^ket of 13 bits"):
+            session.execute_text("INSERT VALUES " + ", ".join(kets(5, 13)) + ", (x = 1);")
+
+    def test_million_kets_parse_and_bind_in_twice_their_text(self):
+        session = fresh_session()
+        session.execute_text("CREATE TABLE t (k:14) TEMP 1;")
+        text = "INSERT VALUES " + ", ".join(kets(10**6)) + ";"
+        tracemalloc.start()
+        try:
+            (command,) = parse_text(text)
+            action = compile_command(command, session)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2 * len(text)
+        assert len(command.records) == 10**6
+        indices = np.arange(10**6) % (1 << 14)
+        with mock.patch.object(session.db, "insert_values") as insert:
+            action()
+        assert np.array_equal(insert.call_args.args[0], indices)
